@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .construction import RhoSpec, assemble
-from .numerics import BandMatrix, EXACT, Scalar, _RAT, _wrap
+from .numerics import BandMatrix, Scalar, _RAT, _wrap
 from .ttr import TTRSet, build_ttr, ttr_from_gram
 from .univariate import (
     RecurrenceFamily,
@@ -138,7 +138,7 @@ def make_system(cid, max_m=16):
         lambda m: -(m + 1) / g,
         lambda m: (2 * m + gg) / g,
         lambda m: -(m + gg - 1) / g,
-        params={"g": _wrap(g, EXACT), "gamma": _wrap(ga, EXACT)})
+        params={"g": _wrap(g), "gamma": _wrap(ga)})
     return assemble(
         RhoSpec.linear(1, 0),
         lambda m: bessel(g + 2 * m, -g),
@@ -426,8 +426,8 @@ def closed_form_first(cid, n, m):
     the matrix has no such column (c at m = n)."""
     _check_index(n, m)
     raw = _FIRST[cid.name](_raw_params(cid), n, m)
-    return {k: (None if v is None else _wrap(_RAT(v) if isinstance(v, int)
-                                             else v, EXACT))
+    return {k: (None if v is None
+                else _wrap(_RAT(v) if isinstance(v, int) else v))
             for k, v in raw.items()}
 
 
@@ -438,8 +438,8 @@ def closed_form_second(cid, n, m):
     when that band position falls outside the matrix."""
     _check_index(n, m)
     raw = _SECOND[cid.name](_raw_params(cid), n, m)
-    return {k: (None if v is None else _wrap(_RAT(v) if isinstance(v, int)
-                                             else v, EXACT))
+    return {k: (None if v is None
+                else _wrap(_RAT(v) if isinstance(v, int) else v))
             for k, v in raw.items()}
 
 

@@ -8,6 +8,10 @@ Subcommands:
 * ``moments`` -- moments of the bivariate functional, as JSON or CSV.
 * ``eval``    -- evaluate one basis polynomial at a point (JSON).
 
+``--mode float`` (``verify`` and ``eval``) rounds the exact coefficients,
+matrix entries and point to doubles once and evaluates in floating point;
+everything before that rounding is exact.
+
 Family parameters are given as exact rational strings (``--mu 1/2``,
 ``--alpha -1/2``, ``--g 5``); decimal literals like ``0.25`` are read
 exactly.  JSON output is canonical: keys sorted, two-space indent, so a
@@ -26,9 +30,9 @@ import json
 import sys
 
 from .catalog import FAMILY_PARAMS, catalog_id, closed_form_ttr, make_system
-from .numerics import ModeError, Scalar
+from .numerics import ModeError, Scalar, _eval_terms
 from .univariate import QuasiDefinitenessError
-from .verify import run_suite
+from .verify import _float_terms, run_suite
 
 SCHEMA = "ortho2d/1"
 
@@ -206,8 +210,8 @@ def _cmd_eval(args):
         value = str(poly.eval(x, y))
         px, py = str(x), str(y)
     else:
-        value = float(poly.to_float().eval(x.to_float(), y.to_float()))
         px, py = float(x), float(y)
+        value = _eval_terms(_float_terms(poly), px, py, 0.0)
     payload = {
         "schema": SCHEMA,
         "command": "eval",

@@ -36,8 +36,6 @@ import threading
 from dataclasses import dataclass
 
 from .numerics import (
-    EXACT,
-    ModeError,
     Scalar,
     SparsePoly2,
     _RAT,
@@ -75,11 +73,11 @@ class RhoSpec:
             raise ValueError("rho must not be identically zero")
         return cls(
             CASE_I,
-            _wrap(r1_raw, EXACT),
-            _wrap(r0_raw, EXACT),
-            _wrap(r1_raw * r1_raw, EXACT),
-            _wrap(2 * r1_raw * r0_raw, EXACT),
-            _wrap(r0_raw * r0_raw, EXACT),
+            _wrap(r1_raw),
+            _wrap(r0_raw),
+            _wrap(r1_raw * r1_raw),
+            _wrap(2 * r1_raw * r0_raw),
+            _wrap(r0_raw * r0_raw),
         )
 
     @classmethod
@@ -94,9 +92,9 @@ class RhoSpec:
             CASE_II,
             None,
             None,
-            _wrap(s2_raw, EXACT),
-            _wrap(s1_raw, EXACT),
-            _wrap(s0_raw, EXACT),
+            _wrap(s2_raw),
+            _wrap(s1_raw),
+            _wrap(s0_raw),
         )
 
 
@@ -117,8 +115,6 @@ def _integer_form(poly):
     positive denominator d, terms being (i, j, d * coefficient) triples."""
     if not isinstance(poly, SparsePoly2):
         raise TypeError("expected a SparsePoly2")
-    if poly.mode != EXACT:
-        raise ModeError("the moment kernel takes exact polynomials only")
     d = 1
     for c in poly._terms.values():
         d = math.lcm(d, int(c.denominator))
@@ -265,7 +261,7 @@ class BivariateSystem:
                         terms[key_t] = acc
                     else:
                         terms.pop(key_t, None)
-        poly = _poly(terms, EXACT)
+        poly = _poly(terms)
         with self._lock:
             self._P_cache[key] = poly
         return poly
@@ -299,7 +295,7 @@ class BivariateSystem:
         """Moment <w, x^h y^k> of the bivariate functional."""
         if not (isinstance(h, int) and isinstance(k, int) and h >= 0 and k >= 0):
             raise ValueError("moment exponents must be nonnegative ints")
-        return _wrap(self._w_moment_raw(h, k), EXACT)
+        return _wrap(self._w_moment_raw(h, k))
 
     def _moment_table(self, top):
         """(D, W): the moments of total degree <= top over one common
@@ -358,13 +354,13 @@ class BivariateSystem:
         computed from the moments alone with the integer kernel of the
         Gram blocks: both polynomials are scaled to integer coefficients,
         the sum runs in ints over the integer moment table, and the exact
-        result is one rational.  Float-mode polynomials raise ModeError."""
+        result is one rational."""
         if not (isinstance(dx, int) and isinstance(dy, int)
                 and dx >= 0 and dy >= 0):
             raise ValueError("shift exponents must be nonnegative ints")
         raw = self._bilinear_raw([_integer_form(p)], [_integer_form(q_poly)],
                                  dx, dy)
-        return _wrap(raw[0][0], EXACT)
+        return _wrap(raw[0][0])
 
     # -- Gram blocks -------------------------------------------------------------
 
@@ -381,7 +377,7 @@ class BivariateSystem:
         cached = self._gram_cache.get(key)
         if cached is not None:
             return cached
-        entries = tuple(tuple(_wrap(v, EXACT) for v in row)
+        entries = tuple(tuple(_wrap(v) for v in row)
                         for row in self._gram_raw(n, h))
         if n == h:
             for m in range(n + 1):
@@ -398,7 +394,7 @@ class BivariateSystem:
         """Closed-form squared norm of P_{n,m}: the ladder norm times the
         second-variable norm."""
         raw = self.ladder(m)._h_raw(n - m) * self.q._h_raw(m)
-        return _wrap(raw, EXACT)
+        return _wrap(raw)
 
 
 def assemble(rho, ladder_factory, q, max_m=16, label="system"):

@@ -1,11 +1,11 @@
-"""Exact/float scalar arithmetic, sparse bivariate polynomials, banded matrices.
+"""Exact scalar arithmetic, sparse bivariate polynomials, banded matrices.
 
-Everything downstream is built on three value types:
+Everything downstream is built on three value types, all exact rational
+(gmpy2.mpq when available, fractions.Fraction otherwise):
 
-* ``Scalar`` -- an immutable number tagged with a mode: exact rational
-  arithmetic (gmpy2.mpq when available, fractions.Fraction otherwise) or
-  IEEE double.  Mixing modes in one operation is a hard error, so an exact
-  pipeline cannot silently degrade to floating point.
+* ``Scalar`` -- an immutable exact rational.  A float meeting it in any
+  operation raises ModeError, so an exact pipeline cannot silently degrade
+  to doubles.
 * ``SparsePoly2`` -- a bivariate polynomial stored as a map from exponent
   pairs to nonzero coefficients.
 * ``BandMatrix`` -- a rectangular matrix that only admits entries inside a
@@ -13,7 +13,10 @@ Everything downstream is built on three value types:
   are errors.
 
 Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (integer
-fraction-free elimination, no floating point anywhere).
+fraction-free elimination, no doubles anywhere).  The float checks round
+exact results to doubles themselves and work on plain coefficient maps
+with ``_add_terms`` and ``_eval_terms``, the helpers that ``SparsePoly2``
+uses too.
 """
 from __future__ import annotations
 
@@ -24,11 +27,6 @@ try:
     from gmpy2 import mpq as _mpq
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     _mpq = None
-
-EXACT = "exact"
-FLOAT = "float"
-
-_MODES = (EXACT, FLOAT)
 
 if _mpq is not None:
     _RAT = _mpq
@@ -41,7 +39,7 @@ NEG_INF = float("-inf")
 
 
 class ModeError(TypeError):
-    """Raised when exact and floating values meet in one operation."""
+    """Raised when a float meets exact arithmetic."""
 
 
 def parse_rational(text):
@@ -51,10 +49,8 @@ def parse_rational(text):
 
 
 def _as_raw_exact(v):
-    """Coerce v to a raw exact rational; reject floats and float-mode scalars."""
+    """Coerce v to a raw exact rational; reject floats."""
     if isinstance(v, Scalar):
-        if v.mode != EXACT:
-            raise ModeError("expected an exact value, got float mode")
         return v.value
     if isinstance(v, bool):
         raise TypeError("bool is not a scalar")
@@ -67,45 +63,20 @@ def _as_raw_exact(v):
     if isinstance(v, str):
         return parse_rational(v)
     if isinstance(v, float):
-        raise ModeError("float value is not allowed in exact mode")
+        raise ModeError("a float is not an exact rational")
     raise TypeError(f"cannot interpret {type(v).__name__} as an exact rational")
 
 
-def _as_raw_float(v):
-    """Coerce v to a Python float; reject exact-mode scalars and rationals."""
-    if isinstance(v, Scalar):
-        if v.mode != FLOAT:
-            raise ModeError("expected a float value, got exact mode")
-        return v.value
-    if isinstance(v, bool):
-        raise TypeError("bool is not a scalar")
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, _RAT_TYPES):
-        raise ModeError("exact rational is not allowed in float mode")
-    raise TypeError(f"cannot interpret {type(v).__name__} as a float")
-
-
-def _as_raw(v, mode):
-    return _as_raw_exact(v) if mode == EXACT else _as_raw_float(v)
-
-
 class Scalar:
-    """An immutable number in one of two modes: 'exact' or 'float'.
-
-    Exact scalars are rationals kept in lowest terms with positive
-    denominator; float scalars are IEEE doubles.  Arithmetic between the two
-    modes raises ModeError.  Plain ints mix with either mode; plain floats
-    only with float mode; Fraction/mpq only with exact mode.
+    """An immutable exact rational, in lowest terms with positive
+    denominator.  Plain ints and Fraction/mpq values mix with it; a float
+    raises ModeError.
     """
 
-    __slots__ = ("value", "mode")
+    __slots__ = ("value",)
 
-    def __init__(self, value, mode=EXACT):
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "value", _as_raw(value, mode))
+    def __init__(self, value):
+        object.__setattr__(self, "value", _as_raw_exact(value))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -114,19 +85,15 @@ class Scalar:
 
     @classmethod
     def exact(cls, value):
-        return cls(value, EXACT)
+        return cls(value)
 
     @classmethod
-    def floating(cls, value):
-        return cls(value, FLOAT)
+    def zero(cls):
+        return _wrap(_RAT(0))
 
     @classmethod
-    def zero(cls, mode=EXACT):
-        return _wrap(_RAT(0) if mode == EXACT else 0.0, mode)
-
-    @classmethod
-    def one(cls, mode=EXACT):
-        return _wrap(_RAT(1) if mode == EXACT else 1.0, mode)
+    def one(cls):
+        return _wrap(_RAT(1))
 
     # -- inspection ----------------------------------------------------
 
@@ -136,24 +103,14 @@ class Scalar:
 
     @property
     def numerator(self):
-        if self.mode != EXACT:
-            raise ModeError("float scalars have no exact numerator")
         return int(self.value.numerator)
 
     @property
     def denominator(self):
-        if self.mode != EXACT:
-            raise ModeError("float scalars have no exact denominator")
         return int(self.value.denominator)
 
     def as_fraction(self):
-        if self.mode != EXACT:
-            raise ModeError("float scalars do not convert to Fraction")
         return Fraction(int(self.value.numerator), int(self.value.denominator))
-
-    def to_float(self):
-        """Return this value as a float-mode scalar (explicit conversion)."""
-        return _wrap(float(self.value), FLOAT)
 
     def __float__(self):
         return float(self.value)
@@ -161,24 +118,16 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def _coerced(self, other):
-        """Return other as a raw value of self's mode, or None if foreign."""
+        """Return other as a raw rational, or None if foreign."""
         if isinstance(other, Scalar):
-            if other.mode != self.mode:
-                raise ModeError(
-                    f"cannot mix {self.mode}-mode and {other.mode}-mode scalars"
-                )
             return other.value
         if isinstance(other, bool):
             return None
         if isinstance(other, int):
-            return _RAT(other) if self.mode == EXACT else float(other)
+            return _RAT(other)
         if isinstance(other, float):
-            if self.mode != FLOAT:
-                raise ModeError("cannot mix a float with an exact scalar")
-            return other
+            raise ModeError("cannot mix a float with an exact scalar")
         if isinstance(other, _RAT_TYPES):
-            if self.mode != EXACT:
-                raise ModeError("cannot mix an exact rational with a float scalar")
             return _as_raw_exact(other)
         return None
 
@@ -186,7 +135,7 @@ class Scalar:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return _wrap(self.value + o, self.mode)
+        return _wrap(self.value + o)
 
     __radd__ = __add__
 
@@ -194,19 +143,19 @@ class Scalar:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return _wrap(self.value - o, self.mode)
+        return _wrap(self.value - o)
 
     def __rsub__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return _wrap(o - self.value, self.mode)
+        return _wrap(o - self.value)
 
     def __mul__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return _wrap(self.value * o, self.mode)
+        return _wrap(self.value * o)
 
     __rmul__ = __mul__
 
@@ -214,30 +163,30 @@ class Scalar:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        if self.mode == EXACT and not o:
+        if not o:
             raise ZeroDivisionError("division by exact zero")
-        return _wrap(self.value / o, self.mode)
+        return _wrap(self.value / o)
 
     def __rtruediv__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        if self.mode == EXACT and self.is_zero:
+        if self.is_zero:
             raise ZeroDivisionError("division by exact zero")
-        return _wrap(o / self.value, self.mode)
+        return _wrap(o / self.value)
 
     def __pow__(self, k):
         if not isinstance(k, int) or isinstance(k, bool):
             raise TypeError("exponent must be an int")
-        if k < 0 and self.mode == EXACT and self.is_zero:
+        if k < 0 and self.is_zero:
             raise ZeroDivisionError("negative power of exact zero")
-        return _wrap(self.value ** k, self.mode)
+        return _wrap(self.value ** k)
 
     def __neg__(self):
-        return _wrap(-self.value, self.mode)
+        return _wrap(-self.value)
 
     def __abs__(self):
-        return _wrap(abs(self.value), self.mode)
+        return _wrap(abs(self.value))
 
     # -- comparison ----------------------------------------------------
 
@@ -276,7 +225,7 @@ class Scalar:
         return self.value >= o
 
     def __hash__(self):
-        return hash((self.mode, self.value))
+        return hash(self.value)
 
     def __bool__(self):
         return not self.is_zero
@@ -284,19 +233,16 @@ class Scalar:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        if self.mode == EXACT:
-            return str(self.value)
-        return repr(self.value)
+        return str(self.value)
 
     def __repr__(self):
-        return f"Scalar({self!s}, mode={self.mode!r})"
+        return f"Scalar({self!s})"
 
 
-def _wrap(raw, mode):
-    """Fast internal constructor: raw is already a backend value of mode."""
+def _wrap(raw):
+    """Fast internal constructor: raw is already a backend rational."""
     s = object.__new__(Scalar)
     object.__setattr__(s, "value", raw)
-    object.__setattr__(s, "mode", mode)
     return s
 
 
@@ -304,38 +250,67 @@ def pochhammer(v, k):
     """Rising factorial v (v+1) ... (v+k-1); equals 1 when k = 0."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError("pochhammer order must be a nonnegative int")
-    base = v if isinstance(v, Scalar) else Scalar.exact(v)
-    acc = _RAT(1) if base.mode == EXACT else 1.0
-    val = base.value
+    acc = _RAT(1)
+    val = _as_raw_exact(v)
     for i in range(k):
         acc *= val + i
-    return _wrap(acc, base.mode)
+    return _wrap(acc)
+
+
+def _add_terms(out, terms, negate=False):
+    """Add (or subtract) the coefficient map terms into out, in place, and
+    return out.  A key whose sum vanishes is dropped.  Coefficients may be
+    exact rationals or floats; SparsePoly2 and the float checks share this
+    one accumulation."""
+    for key, raw in terms.items():
+        if negate:
+            raw = -raw
+        acc = out.get(key)
+        acc = raw if acc is None else acc + raw
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _eval_terms(terms, x, y, acc):
+    """acc plus the sum of c x^i y^j over the coefficient map terms, each
+    power of x and y computed once."""
+    xpow = {}
+    ypow = {}
+    for (i, j), raw in terms.items():
+        xi = xpow.get(i)
+        if xi is None:
+            xi = xpow[i] = x ** i
+        yj = ypow.get(j)
+        if yj is None:
+            yj = ypow[j] = y ** j
+        acc += raw * xi * yj
+    return acc
 
 
 class SparsePoly2:
-    """Bivariate polynomial: map from exponent pairs (i, j) to coefficients.
+    """Bivariate polynomial: map from exponent pairs (i, j) to exact
+    coefficients.
 
     Only nonzero coefficients are stored.  The zero polynomial has degree
-    -inf (``NEG_INF``).  All coefficients share one mode; operations between
-    polynomials of different modes raise ModeError.
+    -inf (``NEG_INF``).
     """
 
-    __slots__ = ("_terms", "mode")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms=None, mode=EXACT):
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, terms=None):
         clean = {}
         if terms:
             for key, coeff in terms.items():
                 i, j = key
                 if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
                     raise ValueError(f"bad exponent pair {key!r}")
-                raw = _as_raw(coeff, mode)
+                raw = _as_raw_exact(coeff)
                 if raw:
                     clean[(i, j)] = raw
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly2 is immutable")
@@ -343,29 +318,29 @@ class SparsePoly2:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, mode=EXACT):
-        return _poly({}, mode)
+    def zero(cls):
+        return _poly({})
 
     @classmethod
-    def one(cls, mode=EXACT):
-        return cls({(0, 0): 1}, mode)
+    def one(cls):
+        return cls({(0, 0): 1})
 
     @classmethod
-    def monomial(cls, i, j, coeff=1, mode=EXACT):
-        return cls({(i, j): coeff}, mode)
+    def monomial(cls, i, j, coeff=1):
+        return cls({(i, j): coeff})
 
     # -- inspection ----------------------------------------------------
 
     @property
     def terms(self):
         """Dict {(i, j): Scalar} of the nonzero terms (a fresh copy)."""
-        return {k: _wrap(v, self.mode) for k, v in self._terms.items()}
+        return {k: _wrap(v) for k, v in self._terms.items()}
 
     def coeff(self, i, j):
         raw = self._terms.get((i, j))
         if raw is None:
-            return Scalar.zero(self.mode)
-        return _wrap(raw, self.mode)
+            return Scalar.zero()
+        return _wrap(raw)
 
     @property
     def degree(self):
@@ -392,88 +367,43 @@ class SparsePoly2:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_peer(self, other):
-        if other.mode != self.mode:
-            raise ModeError(
-                f"cannot mix {self.mode}-mode and {other.mode}-mode polynomials"
-            )
-
     def __add__(self, other):
         if not isinstance(other, SparsePoly2):
             return NotImplemented
-        self._check_peer(other)
-        out = dict(self._terms)
-        for key, raw in other._terms.items():
-            acc = out.get(key)
-            acc = raw if acc is None else acc + raw
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return _poly(out, self.mode)
+        return _poly(_add_terms(dict(self._terms), other._terms))
 
     def __sub__(self, other):
         if not isinstance(other, SparsePoly2):
             return NotImplemented
-        self._check_peer(other)
-        out = dict(self._terms)
-        for key, raw in other._terms.items():
-            acc = out.get(key)
-            acc = -raw if acc is None else acc - raw
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return _poly(out, self.mode)
+        return _poly(_add_terms(dict(self._terms), other._terms, negate=True))
 
     def __neg__(self):
-        return _poly({k: -v for k, v in self._terms.items()}, self.mode)
+        return _poly({k: -v for k, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, SparsePoly2):
             return poly_mul(self, other)
         if isinstance(other, (Scalar, int)) and not isinstance(other, bool):
-            raw = Scalar(other, self.mode).value if isinstance(other, int) else None
-            if raw is None:
-                if other.mode != self.mode:
-                    raise ModeError("scalar/polynomial mode mismatch")
-                raw = other.value
+            raw = _as_raw_exact(other)
             if not raw:
-                return _poly({}, self.mode)
-            return _poly({k: v * raw for k, v in self._terms.items()}, self.mode)
+                return _poly({})
+            return _poly({k: v * raw for k, v in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def to_float(self):
-        return _poly({k: float(v) for k, v in self._terms.items()}, FLOAT)
-
     def eval(self, x, y):
-        """Evaluate at scalars x, y (their mode must match the polynomial)."""
-        if not isinstance(x, Scalar) or not isinstance(y, Scalar):
-            raise TypeError("eval takes Scalar arguments")
-        if x.mode != self.mode or y.mode != self.mode:
-            raise ModeError("evaluation point mode must match polynomial mode")
-        zero = _RAT(0) if self.mode == EXACT else 0.0
-        acc = zero
-        xpow = {}
-        ypow = {}
-        for (i, j), raw in self._terms.items():
-            xi = xpow.get(i)
-            if xi is None:
-                xi = xpow[i] = x.value ** i
-            yj = ypow.get(j)
-            if yj is None:
-                yj = ypow[j] = y.value ** j
-            acc += raw * xi * yj
-        return _wrap(acc, self.mode)
+        """Evaluate at exact x, y (Scalars, ints or rationals)."""
+        value = _eval_terms(self._terms, _as_raw_exact(x), _as_raw_exact(y),
+                            _RAT(0))
+        return _wrap(value)
 
     # -- comparison / rendering -----------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly2):
             return NotImplemented
-        return self.mode == other.mode and self._terms == other._terms
+        return self._terms == other._terms
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -486,7 +416,7 @@ class SparsePoly2:
 
     def __repr__(self):
         if not self._terms:
-            return f"SparsePoly2(0, mode={self.mode!r})"
+            return "SparsePoly2(0)"
         bits = []
         for (i, j) in sorted(self._terms, key=lambda k: (k[0] + k[1], k)):
             c = self._terms[(i, j)]
@@ -496,23 +426,20 @@ class SparsePoly2:
                 if e
             )
             bits.append(f"{c}*{mono}" if mono else f"{c}")
-        return f"SparsePoly2({' + '.join(bits)}, mode={self.mode!r})"
+        return f"SparsePoly2({' + '.join(bits)})"
 
 
-def _poly(raw_terms, mode):
-    """Fast internal constructor: raw_terms maps (i, j) to nonzero raw values."""
+def _poly(raw_terms):
+    """Fast internal constructor: raw_terms maps (i, j) to nonzero rationals."""
     p = object.__new__(SparsePoly2)
     object.__setattr__(p, "_terms", raw_terms)
-    object.__setattr__(p, "mode", mode)
     return p
 
 
 def poly_mul(p, q):
-    """Exact product of two SparsePoly2 of the same mode."""
+    """Exact product of two SparsePoly2."""
     if not isinstance(p, SparsePoly2) or not isinstance(q, SparsePoly2):
         raise TypeError("poly_mul takes two SparsePoly2")
-    if p.mode != q.mode:
-        raise ModeError("cannot multiply polynomials of different modes")
     out = {}
     for (i1, j1), c1 in p._terms.items():
         for (i2, j2), c2 in q._terms.items():
@@ -524,7 +451,7 @@ def poly_mul(p, q):
                 out[key] = acc
             else:
                 out.pop(key, None)
-    return _poly(out, p.mode)
+    return _poly(out)
 
 
 class BandMatrix:
@@ -537,27 +464,24 @@ class BandMatrix:
     """
 
     __slots__ = ("rows", "cols", "lower_bandwidth", "upper_bandwidth",
-                 "mode", "_entries")
+                 "_entries")
 
     def __init__(self, rows, cols, lower_bandwidth, upper_bandwidth,
-                 entries=None, mode=EXACT):
+                 entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if lower_bandwidth < 0 or upper_bandwidth < 0:
             raise ValueError("bandwidths must be nonnegative")
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "lower_bandwidth", lower_bandwidth)
         object.__setattr__(self, "upper_bandwidth", upper_bandwidth)
-        object.__setattr__(self, "mode", mode)
         stored = {}
         if entries:
             for (r, c), coeff in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r}, {c}) outside a {rows}x{cols} matrix")
-                raw = _as_raw(coeff, mode)
+                raw = _as_raw_exact(coeff)
                 if not raw:
                     continue
                 off = c - r
@@ -572,8 +496,7 @@ class BandMatrix:
         raise AttributeError("BandMatrix is immutable")
 
     @classmethod
-    def from_dense(cls, values, lower_bandwidth=None, upper_bandwidth=None,
-                   mode=EXACT):
+    def from_dense(cls, values, lower_bandwidth=None, upper_bandwidth=None):
         """Build from a list of rows; bandwidths default to the full shape."""
         rows = len(values)
         cols = len(values[0]) if rows else 0
@@ -588,7 +511,7 @@ class BandMatrix:
             (r, c): values[r][c]
             for r in range(rows) for c in range(cols)
         }
-        return cls(rows, cols, lower_bandwidth, upper_bandwidth, entries, mode)
+        return cls(rows, cols, lower_bandwidth, upper_bandwidth, entries)
 
     # -- access ----------------------------------------------------------
 
@@ -604,8 +527,8 @@ class BandMatrix:
             raise IndexError(f"({r}, {c}) outside a {self.rows}x{self.cols} matrix")
         raw = self._entries.get((r, c - r))
         if raw is None:
-            return Scalar.zero(self.mode)
-        return _wrap(raw, self.mode)
+            return Scalar.zero()
+        return _wrap(raw)
 
     def __getitem__(self, key):
         r, c = key
@@ -614,7 +537,7 @@ class BandMatrix:
     def items(self):
         """Yield ((row, col), Scalar) for stored nonzero entries, sorted."""
         for (r, off) in sorted(self._entries):
-            yield (r, r + off), _wrap(self._entries[(r, off)], self.mode)
+            yield (r, r + off), _wrap(self._entries[(r, off)])
 
     def dense(self):
         return [[self.get(r, c) for c in range(self.cols)]
@@ -633,16 +556,14 @@ class BandMatrix:
         object.__setattr__(out, "cols", self.rows)
         object.__setattr__(out, "lower_bandwidth", self.upper_bandwidth)
         object.__setattr__(out, "upper_bandwidth", self.lower_bandwidth)
-        object.__setattr__(out, "mode", self.mode)
-        object.__setattr__(out, "_entries",
-                           {(r, off): v for (r, off), v in entries.items()})
+        object.__setattr__(out, "_entries", entries)
         return out
 
     def scale_rows(self, factors):
         """New matrix with row r multiplied by factors[r]."""
         if len(factors) != self.rows:
             raise ValueError("need one factor per row")
-        raws = [_as_raw(f, self.mode) for f in factors]
+        raws = [_as_raw_exact(f) for f in factors]
         entries = {}
         for (r, off), v in self._entries.items():
             scaled = v * raws[r]
@@ -654,7 +575,7 @@ class BandMatrix:
         """New matrix with column c multiplied by factors[c]."""
         if len(factors) != self.cols:
             raise ValueError("need one factor per column")
-        raws = [_as_raw(f, self.mode) for f in factors]
+        raws = [_as_raw_exact(f) for f in factors]
         entries = {}
         for (r, off), v in self._entries.items():
             scaled = v * raws[r + off]
@@ -664,28 +585,18 @@ class BandMatrix:
 
     def _with_entries(self, entries):
         out = object.__new__(BandMatrix)
-        for slot in ("rows", "cols", "lower_bandwidth", "upper_bandwidth", "mode"):
-            object.__setattr__(out, slot, getattr(self, slot))
-        object.__setattr__(out, "_entries", entries)
-        return out
-
-    def to_float(self):
-        out = object.__new__(BandMatrix)
         for slot in ("rows", "cols", "lower_bandwidth", "upper_bandwidth"):
             object.__setattr__(out, slot, getattr(self, slot))
-        object.__setattr__(out, "mode", FLOAT)
-        object.__setattr__(out, "_entries",
-                           {k: float(v) for k, v in self._entries.items()})
+        object.__setattr__(out, "_entries", entries)
         return out
 
     # -- comparison / rendering ---------------------------------------------
 
     def __eq__(self, other):
-        """Value equality: same shape, mode and entries (bands may differ)."""
+        """Value equality: same shape and entries (bands may differ)."""
         if not isinstance(other, BandMatrix):
             return NotImplemented
-        return (self.shape == other.shape and self.mode == other.mode
-                and self._entries == other._entries)
+        return self.shape == other.shape and self._entries == other._entries
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -696,23 +607,18 @@ class BandMatrix:
     def __repr__(self):
         return (f"BandMatrix({self.rows}x{self.cols}, "
                 f"bands=({self.lower_bandwidth}, {self.upper_bandwidth}), "
-                f"{len(self._entries)} stored, mode={self.mode!r})")
+                f"{len(self._entries)} stored)")
 
 
 def _int_rows(matrix):
     """Clear denominators row by row; returns a list of Python-int rows."""
     if isinstance(matrix, BandMatrix):
-        if matrix.mode != EXACT:
-            raise ModeError("rank_exact requires exact-mode input")
         dense = [[matrix.get(r, c).value for c in range(matrix.cols)]
                  for r in range(matrix.rows)]
     else:
         dense = []
         for row in matrix:
-            out = []
-            for v in row:
-                out.append(_as_raw_exact(v))
-            dense.append(out)
+            dense.append([_as_raw_exact(v) for v in row])
         if dense and any(len(r) != len(dense[0]) for r in dense):
             raise ValueError("ragged rows")
     rows = []
@@ -728,7 +634,7 @@ def rank_exact(matrix):
     """Exact rank of a matrix of rationals (fraction-free elimination).
 
     Accepts a BandMatrix or a list of rows of exact scalars/ints/rationals.
-    Float-mode input is rejected.
+    A float entry raises ModeError.
     """
     m = _int_rows(matrix)
     nrows = len(m)

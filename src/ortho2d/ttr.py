@@ -147,32 +147,22 @@ def build_ttr(sys, n):
 
 # -- the moment/Gram oracle -----------------------------------------------------
 
+# Per system: the A moment matrices, keyed by (n, axis).  The Gram blocks
+# behind H are cached by the system itself.
 _ORACLE_CACHE = weakref.WeakKeyDictionary()
 
 
-def _oracle_state(sys):
-    state = _ORACLE_CACHE.get(sys)
-    if state is None:
-        state = {"H": {}, "A": {}}
-        _ORACLE_CACHE[sys] = state
-    return state
-
-
 def _h_diag(sys, n):
-    state = _oracle_state(sys)
-    cached = state["H"].get(n)
-    if cached is None:
-        block = sys.gram_block(n, n)
-        cached = [block.entries[m][m].value for m in range(n + 1)]
-        state["H"][n] = cached
-    return cached
+    """Raw diagonal of the Gram block H_n."""
+    block = sys.gram_block(n, n)
+    return [block.entries[m][m].value for m in range(n + 1)]
 
 
 def _moment_matrix(sys, n, axis):
     """Dense raw matrix <w, t_axis P_n P_{n+1}^t> scaled by H_{n+1}^{-1}."""
-    state = _oracle_state(sys)
+    cache = _ORACLE_CACHE.setdefault(sys, {})
     key = (n, axis)
-    cached = state["A"].get(key)
+    cached = cache.get(key)
     if cached is None:
         dx, dy = (1, 0) if axis == "x" else (0, 1)
         h_next = _h_diag(sys, n + 1)
@@ -180,7 +170,7 @@ def _moment_matrix(sys, n, axis):
             [v / h for v, h in zip(row, h_next)]
             for row in sys._gram_raw(n, n + 1, dx, dy)
         ]
-        state["A"][key] = cached
+        cache[key] = cached
     return cached
 
 

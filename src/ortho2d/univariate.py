@@ -27,8 +27,6 @@ import threading
 from dataclasses import dataclass
 
 from .numerics import (
-    EXACT,
-    FLOAT,
     Scalar,
     _RAT,
     _as_raw_exact,
@@ -150,17 +148,17 @@ class RecurrenceFamily:
     # -- public recurrence coefficients ------------------------------------
 
     def a(self, n):
-        return _wrap(self._a_raw(n), EXACT)
+        return _wrap(self._a_raw(n))
 
     def b(self, n):
-        return _wrap(self._b_raw(n), EXACT)
+        return _wrap(self._b_raw(n))
 
     def c(self, n):
-        return _wrap(self._c_raw(n), EXACT)
+        return _wrap(self._c_raw(n))
 
     @property
     def h0(self):
-        return _wrap(self._h0, EXACT)
+        return _wrap(self._h0)
 
     # -- leading coefficients ------------------------------------------------
 
@@ -179,7 +177,7 @@ class RecurrenceFamily:
     def leading_coeffs(self, n):
         """k_n (always nonzero) and l_n, the top two coefficients of p_n."""
         k, l = self._kl_raw(n)
-        return LeadingPair(_wrap(k, EXACT), _wrap(l, EXACT))
+        return LeadingPair(_wrap(k), _wrap(l))
 
     # -- norms ---------------------------------------------------------------
 
@@ -197,7 +195,7 @@ class RecurrenceFamily:
 
     def norms(self, n):
         """Squared norm h_n of p_n (relative to the chosen h_0)."""
-        return _wrap(self._h_raw(n), EXACT)
+        return _wrap(self._h_raw(n))
 
     # -- moments ---------------------------------------------------------------
 
@@ -225,7 +223,7 @@ class RecurrenceFamily:
         if not isinstance(upto, int) or upto < 0:
             raise ValueError("moment bound must be a nonnegative int")
         self._moment_raw(upto)
-        return [_wrap(self._moment_raw(j), EXACT) for j in range(upto + 1)]
+        return [_wrap(self._moment_raw(j)) for j in range(upto + 1)]
 
     # -- dense coefficients / evaluation ------------------------------------
 
@@ -251,29 +249,24 @@ class RecurrenceFamily:
 
     def coeffs(self, n):
         """Dense monomial coefficients of p_n, constant term first."""
-        return [_wrap(v, EXACT) for v in self._coeffs_raw(n)]
+        return [_wrap(v) for v in self._coeffs_raw(n)]
 
     def eval(self, n, x):
-        """Evaluate p_n at a Scalar x (exact or float, by x's mode)."""
-        if not isinstance(x, Scalar):
-            raise TypeError("eval takes a Scalar argument")
+        """Evaluate p_n exactly at x (a Scalar, int or rational)."""
+        xv = _as_raw_exact(x)
         if not isinstance(n, int) or n < 0:
             raise ValueError("degree must be a nonnegative int")
-        as_float = x.mode == FLOAT
-        conv = float if as_float else (lambda v: v)
-        xv = x.value
         p_prev = None
-        p_cur = 1.0 if as_float else _ONE
+        p_cur = _ONE
         for j in range(n):
-            a_j = conv(self._a_raw(j))
+            a_j = self._a_raw(j)
             if not a_j:
                 self._fail(j, f"a({j}) = 0: degree cannot advance")
-            b_j = conv(self._b_raw(j))
-            p_next = (xv - b_j) * p_cur
+            p_next = (xv - self._b_raw(j)) * p_cur
             if j >= 1:
-                p_next = p_next - conv(self._c_raw(j)) * p_prev
+                p_next = p_next - self._c_raw(j) * p_prev
             p_prev, p_cur = p_cur, p_next / a_j
-        return _wrap(p_cur, FLOAT if as_float else EXACT)
+        return _wrap(p_cur)
 
 
 # -- family constructors ----------------------------------------------------
@@ -306,7 +299,7 @@ def jacobi_std(alpha, beta):
     a, b, c = _jacobi_raw_closures(al, be)
     return RecurrenceFamily(
         f"jacobi({al},{be})", a, b, c,
-        params={"alpha": _wrap(al, EXACT), "beta": _wrap(be, EXACT)})
+        params={"alpha": _wrap(al), "beta": _wrap(be)})
 
 
 def jacobi_shift(alpha, beta):
@@ -319,7 +312,7 @@ def jacobi_shift(alpha, beta):
         lambda n: a(n) / 2,
         lambda n: (b(n) + 1) / 2,
         lambda n: c(n) / 2,
-        params={"alpha": _wrap(al, EXACT), "beta": _wrap(be, EXACT)})
+        params={"alpha": _wrap(al), "beta": _wrap(be)})
 
 
 def laguerre(alpha):
@@ -330,7 +323,7 @@ def laguerre(alpha):
         lambda n: _RAT(-(n + 1)),
         lambda n: 2 * n + al + 1,
         lambda n: -(n + al),
-        params={"alpha": _wrap(al, EXACT)})
+        params={"alpha": _wrap(al)})
 
 
 def bessel(a, b):
@@ -359,7 +352,7 @@ def bessel(a, b):
 
     return RecurrenceFamily(
         f"bessel({av},{bv})", a_fn, b_fn, c_fn,
-        params={"a": _wrap(av, EXACT), "b": _wrap(bv, EXACT)})
+        params={"a": _wrap(av), "b": _wrap(bv)})
 
 
 # -- adjacent-family connections ----------------------------------------------
@@ -387,9 +380,9 @@ def adjacent_down(fam_m, fam_m1, s2, n):
         zeta = (s2_raw * fam_m1._kl_raw(n - 2)[0] / k_m_n
                 * fam_m._h_raw(n) / fam_m1._h_raw(n - 2))
     return AdjacentDown(
-        _wrap(delta, EXACT),
-        None if epsilon is None else _wrap(epsilon, EXACT),
-        None if zeta is None else _wrap(zeta, EXACT),
+        _wrap(delta),
+        None if epsilon is None else _wrap(epsilon),
+        None if zeta is None else _wrap(zeta),
     )
 
 
@@ -406,7 +399,7 @@ def adjacent_up(fam_m, fam_m1, s2, n):
     theta = down_next.epsilon.value * h_m1_n / fam_m._h_raw(n + 1)
     vartheta = down_n.delta.value * h_m1_n / fam_m._h_raw(n)
     return AdjacentUp(
-        _wrap(eta, EXACT),
-        _wrap(theta, EXACT),
-        _wrap(vartheta, EXACT),
+        _wrap(eta),
+        _wrap(theta),
+        _wrap(vartheta),
     )

@@ -5,15 +5,17 @@ Four independent checks, each returning a structured CheckResult:
 * ``verify_relation`` -- the vector three-term relation along one axis at
   one degree: exactly (residual polynomial must vanish identically) or in
   floating point (coefficient residuals and optional random-point
-  residuals within a relative tolerance).
+  residuals within a relative tolerance).  The float check rounds each
+  exact coefficient and matrix entry to a double once and works on plain
+  coefficient maps; the arithmetic itself has no float mode.
 * ``verify_orthogonality`` -- Gram blocks of unequal degrees vanish and
   diagonal blocks are diagonal with the predicted norms.
 * ``verify_central_symmetry`` -- the equivalence "all odd moments vanish
   iff both B matrices vanish", checked from both sides independently.
 * ``verify_orthonormal_transpose`` -- for positive-definite systems the
   norm-rescaled matrices satisfy the transpose identity
-  C~_{n+1,i} = A~_{n,i}^t in floating point; non-positive-definite input
-  is rejected with NotPositiveDefiniteError.
+  C~_{n+1,i} = A~_{n,i}^t in floating point, on dense double matrices;
+  non-positive-definite input is rejected with NotPositiveDefiniteError.
 
 ``run_suite`` bundles cross-check, relations, orthogonality, ranks and
 central symmetry into one VerifyReport.
@@ -25,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .catalog import cross_check, make_system
-from .numerics import FLOAT, Scalar, SparsePoly2, poly_mul
+from .numerics import SparsePoly2, _add_terms, _eval_terms, poly_mul
 from .ttr import first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -88,16 +90,26 @@ def _row_terms(matrix, row, polys):
     return out
 
 
-def _poly_sum(terms, mode):
-    acc = SparsePoly2.zero(mode)
-    for t in terms:
-        acc = acc + t
-    return acc
+def _float_dense(matrix):
+    """The matrix as dense rows of doubles, each entry rounded once."""
+    return [[float(v) for v in row] for row in matrix.dense()]
 
 
-def _max_abs_coeff(poly):
-    vals = [abs(float(v)) for v in poly._terms.values()]
-    return max(vals) if vals else 0.0
+def _float_terms(poly):
+    """The polynomial as a {(i, j): double} map, each coefficient rounded
+    once."""
+    return {k: float(v) for k, v in poly._terms.items()}
+
+
+def _float_row_terms(dense, row, maps):
+    """Float counterpart of ``_row_terms``: coefficient maps scaled by the
+    nonzero entries of one dense row."""
+    return [{k: coeff * entry for k, coeff in maps[c].items()}
+            for c, entry in enumerate(dense[row]) if entry]
+
+
+def _max_abs_coeff(terms):
+    return max((abs(v) for v in terms.values()), default=0.0)
 
 
 def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
@@ -122,7 +134,7 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
             terms = (_row_terms(mat_a, m, p_up)
                      + _row_terms(mat_b, m, p_n)
                      + _row_terms(mat_c, m, p_dn))
-            residual = lhs - _poly_sum(terms, lhs.mode)
+            residual = lhs - sum(terms, SparsePoly2.zero())
             if not residual.is_zero:
                 (i, j), coeff = next(iter(sorted(residual.terms.items())))
                 return CheckResult(name, False, {
@@ -133,28 +145,29 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
     if mode != "float":
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
 
-    fa, fb, fc = mat_a.to_float(), mat_b.to_float(), mat_c.to_float()
-    fp_n = [p.to_float() for p in p_n]
-    fp_up = [p.to_float() for p in p_up]
-    fp_dn = [p.to_float() for p in p_dn]
-    fmono = mono.to_float()
+    fa, fb, fc = _float_dense(mat_a), _float_dense(mat_b), _float_dense(mat_c)
+    fp_n = [_float_terms(p) for p in p_n]
+    fp_up = [_float_terms(p) for p in p_up]
+    fp_dn = [_float_terms(p) for p in p_dn]
+    dx, dy = (1, 0) if axis == "x" else (0, 1)
     max_coeff = 0.0
     max_point = 0.0
     for m in range(n + 1):
-        lhs = poly_mul(fp_n[m], fmono)
-        terms = (_row_terms(fa, m, fp_up)
-                 + _row_terms(fb, m, fp_n)
-                 + _row_terms(fc, m, fp_dn))
-        rhs = _poly_sum(terms, FLOAT)
-        residual = lhs - rhs
+        lhs = {(i + dx, j + dy): c for (i, j), c in fp_n[m].items()}
+        terms = (_float_row_terms(fa, m, fp_up)
+                 + _float_row_terms(fb, m, fp_n)
+                 + _float_row_terms(fc, m, fp_dn))
+        rhs = {}
+        for t in terms:
+            _add_terms(rhs, t)
+        residual = _add_terms(dict(lhs), rhs, negate=True)
         scale = max([_max_abs_coeff(lhs)] + [_max_abs_coeff(t) for t in terms])
         rel = _max_abs_coeff(residual) / max(scale, _TINY)
         max_coeff = max(max_coeff, rel)
         for (px, py) in points or ():
-            sx = Scalar.floating(px)
-            sy = Scalar.floating(py)
-            lv = float(lhs.eval(sx, sy))
-            rv = float(rhs.eval(sx, sy))
+            px, py = float(px), float(py)
+            lv = _eval_terms(lhs, px, py, 0.0)
+            rv = _eval_terms(rhs, px, py, 0.0)
             rel_pt = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
             max_point = max(max_point, rel_pt)
     passed = max_coeff <= tol and max_point <= tol
@@ -244,6 +257,14 @@ def verify_central_symmetry(sys, max_degree, moment_bound=None):
         "first_nonzero_b": first_b})
 
 
+def _orthonormal(matrix, d_rows, d_cols):
+    """Dense doubles v * (1 / d_row) * d_col, each entry v of the exact
+    matrix rounded once."""
+    inv = [1.0 / d for d in d_rows]
+    return [[v * inv[r] * d_cols[c] for c, v in enumerate(row)]
+            for r, row in enumerate(_float_dense(matrix))]
+
+
 def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
     """For a positive-definite system, check the float transpose identity
     between the norm-rescaled raising and lowering matrices."""
@@ -265,19 +286,15 @@ def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
         d_n = norms[n]
         d_up = norms[n + 1]
         for axis in ("x", "y"):
-            mat_a = _relation_matrices(sys, n, axis)[0].to_float()
-            mat_c = _relation_matrices(sys, n + 1, axis)[2].to_float()
-            a_tilde = (mat_a.scale_rows([1.0 / v for v in d_n])
-                       .scale_cols(d_up))
-            c_tilde = (mat_c.scale_rows([1.0 / v for v in d_up])
-                       .scale_cols(d_n))
-            scale = max([1.0] + [abs(float(v)) for _, v in a_tilde.items()])
+            a_tilde = _orthonormal(_relation_matrices(sys, n, axis)[0],
+                                   d_n, d_up)
+            c_tilde = _orthonormal(_relation_matrices(sys, n + 1, axis)[2],
+                                   d_up, d_n)
+            scale = max([1.0] + [abs(v) for row in a_tilde for v in row])
             diff = 0.0
-            for r in range(c_tilde.rows):
-                for c in range(c_tilde.cols):
-                    delta = abs(float(c_tilde.get(r, c))
-                                - float(a_tilde.get(c, r)))
-                    diff = max(diff, delta)
+            for r, row in enumerate(c_tilde):
+                for c, v in enumerate(row):
+                    diff = max(diff, abs(v - a_tilde[c][r]))
             worst = max(worst, diff / scale)
     return CheckResult("orthonormal-transpose", worst <= tol, {
         "max_degree": max_degree, "max_residual": worst, "tolerance": tol})

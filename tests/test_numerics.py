@@ -6,8 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ortho2d import (
-    EXACT,
-    FLOAT,
     BandMatrix,
     ModeError,
     Scalar,
@@ -50,25 +48,28 @@ def test_scalar_constructors_and_str():
     assert str(q("3/4")) == "3/4"
     assert str(q(-2)) == "-2"
     assert str(Scalar.exact(Fraction(2, 6))) == "1/3"
-    assert Scalar.zero(EXACT).is_zero
-    assert not Scalar.one(EXACT).is_zero
-    assert float(Scalar.floating(0.5)) == 0.5
+    assert Scalar.zero().is_zero
+    assert not Scalar.one().is_zero
+    assert float(q("1/2")) == 0.5
+    assert not hasattr(q(1), "mode")
 
 
 def test_scalar_mode_discipline():
+    # a float meets exact arithmetic: ModeError at every entry point
     with pytest.raises(ModeError):
-        Scalar.exact(0.5)  # float literal cannot enter exact mode
+        Scalar.exact(0.5)
     with pytest.raises(ModeError):
-        Scalar.floating(Fraction(1, 2))
+        Scalar(0.5)
     with pytest.raises(TypeError):
         Scalar.exact(True)
-    with pytest.raises(ModeError):
-        q("1/2") + Scalar.floating(0.5)
-    with pytest.raises(ModeError):
-        q("1/2") < Scalar.floating(0.5)
-    # ints mix with both modes
+    for op in (lambda a: a + 0.5, lambda a: 0.5 + a, lambda a: a - 0.5,
+               lambda a: a * 0.5, lambda a: a / 0.5, lambda a: 0.5 / a,
+               lambda a: a < 0.5, lambda a: a >= 0.5, lambda a: a == 0.5):
+        with pytest.raises(ModeError):
+            op(q("1/2"))
+    # ints and exact rationals mix
     assert q("1/2") + 1 == q("3/2")
-    assert Scalar.floating(0.5) * 2 == Scalar.floating(1.0)
+    assert q("1/2") * Fraction(2, 3) == q("1/3")
 
 
 def test_scalar_arithmetic_basics():
@@ -107,8 +108,7 @@ def test_scalar_numerator_denominator():
     s = q("-6/8")
     assert (s.numerator, s.denominator) == (-3, 4)
     assert s.as_fraction() == Fraction(-3, 4)
-    with pytest.raises(ModeError):
-        Scalar.floating(0.5).numerator
+    assert isinstance(s.numerator, int) and isinstance(s.denominator, int)
 
 
 @given(rationals, rationals, rationals)
@@ -173,20 +173,20 @@ def test_poly_eval():
     p = SparsePoly2({(2, 0): 1, (1, 1): 2, (0, 0): "-1/3"})
     value = p.eval(q("1/2"), q(3))
     assert value == q("1/4") + q(3) - q("1/3") == q("35/12")
-    fp = p.to_float()
-    fv = fp.eval(Scalar.floating(0.5), Scalar.floating(3.0))
-    assert abs(float(fv) - float(value)) < 1e-15
+    assert p.eval(Fraction(1, 2), 3) == value
 
 
 def test_poly_mode_discipline():
+    with pytest.raises(ModeError):
+        SparsePoly2({(0, 0): 0.5})
+    with pytest.raises(ModeError):
+        SparsePoly2.monomial(1, 0, 1.0)
     p = SparsePoly2({(1, 0): 1})
-    fp = p.to_float()
+    assert not hasattr(p, "mode")
     with pytest.raises(ModeError):
-        p + fp
+        p.eval(1.0, q(2))
     with pytest.raises(ModeError):
-        poly_mul(p, fp)
-    with pytest.raises(ModeError):
-        p.eval(Scalar.floating(1.0), Scalar.floating(2.0))
+        p.eval(q(1), 2.0)
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), rationals),
@@ -237,7 +237,7 @@ def test_band_matrix_get_and_items():
 def test_band_matrix_from_dense_and_equality():
     diag = BandMatrix(2, 2, 0, 0, {(0, 0): 3, (1, 1): 4})
     full = BandMatrix.from_dense([[3, 0], [0, 4]])
-    # equality is by shape/mode/values; declared bands may differ
+    # equality is by shape and values; declared bands may differ
     assert diag == full
     assert diag != BandMatrix.from_dense([[3, 0], [0, 5]])
     with pytest.raises(ValueError):
@@ -250,7 +250,7 @@ def test_band_matrix_transforms():
     assert m.scale_rows([2, "1/3"]).dense() == [
         [q(2), q(4)], [q(1), q("4/3")]]
     assert m.scale_cols([0, 1]).dense() == [[q(0), q(2)], [q(0), q(4)]]
-    assert m.to_float().mode == FLOAT
+    assert not hasattr(m, "mode")
     assert BandMatrix(2, 2, 0, 0).is_zero
 
 
@@ -284,9 +284,15 @@ def test_rank_exact_scalar_rows_and_band_matrix():
 
 def test_rank_exact_rejects_float():
     with pytest.raises(ModeError):
-        rank_exact(BandMatrix.from_dense([[1.0]], mode=FLOAT))
+        BandMatrix.from_dense([[1.0]])
+    with pytest.raises(ModeError):
+        BandMatrix(1, 1, 0, 0, {(0, 0): 0.5})
+    with pytest.raises(ModeError):
+        BandMatrix.from_dense([[1, 2]]).scale_rows([0.5])
     with pytest.raises(ModeError):
         rank_exact([[0.5]])
+    with pytest.raises(ModeError):
+        rank_exact([[1, 2], [q(1), 0.25]])
 
 
 def test_rank_exact_needs_exact_division_to_hold():

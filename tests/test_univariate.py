@@ -2,6 +2,7 @@
 import pytest
 
 from ortho2d import (
+    ModeError,
     QuasiDefinitenessError,
     RecurrenceFamily,
     Scalar,
@@ -147,8 +148,9 @@ def test_eval_exact_and_float():
     leg = jacobi_std(0, 0)
     assert leg.eval(2, q("1/2")) == q("-1/8")
     assert leg.eval(3, q(1)) == q(1)
-    fv = leg.eval(2, Scalar.floating(0.5))
-    assert abs(float(fv) + 0.125) < 1e-15
+    # a float point is refused, not evaluated in floating point
+    with pytest.raises(ModeError):
+        leg.eval(2, 0.5)
 
 
 def test_quasi_definiteness_error_paths():

@@ -1,7 +1,9 @@
 """The verification layer: relations, orthogonality, symmetry, transpose."""
 import pytest
 
+import ortho2d.verify
 from ortho2d import (
+    BandMatrix,
     GramBlock,
     NotPositiveDefiniteError,
     Scalar,
@@ -54,6 +56,40 @@ def test_relation_float_without_points(disk):
     res = verify_relation(disk, 2, "x", mode="float")
     assert res.passed
     assert res.details["max_point_residual"] is None
+
+
+def _perturb_an_a_entry(monkeypatch):
+    """Make every relation matrix lookup return A with its first nonzero
+    entry raised by one part in a thousand."""
+    original = ortho2d.verify._relation_matrices
+
+    def perturbed(sys, n, axis):
+        mat_a, mat_b, mat_c = original(sys, n, axis)
+        entries = dict(mat_a.items())
+        first = next(iter(entries))
+        entries[first] = entries[first] * q("1001/1000")
+        bad = BandMatrix(mat_a.rows, mat_a.cols, mat_a.lower_bandwidth,
+                         mat_a.upper_bandwidth, entries)
+        return bad, mat_b, mat_c
+
+    monkeypatch.setattr(ortho2d.verify, "_relation_matrices", perturbed)
+
+
+def test_relation_float_detects_a_wrong_entry(disk, monkeypatch):
+    _perturb_an_a_entry(monkeypatch)
+    points = [(0.3, -0.7), (0.11, 0.53)]
+    for axis in ("x", "y"):
+        res = verify_relation(disk, 2, axis, mode="float", points=points)
+        assert res.passed is False
+        assert res.details["max_coeff_residual"] > res.details["tolerance"]
+        assert res.details["max_point_residual"] > res.details["tolerance"]
+
+
+def test_orthonormal_transpose_detects_a_wrong_entry(disk, monkeypatch):
+    _perturb_an_a_entry(monkeypatch)
+    res = verify_orthonormal_transpose(disk, 3)
+    assert res.passed is False
+    assert res.details["max_residual"] > res.details["tolerance"]
 
 
 def test_relation_argument_validation(disk):
