@@ -88,7 +88,7 @@ def _raw_params(cid):
     return {k: v.value for k, v in cid.params}
 
 
-def make_system(cid, max_m=16):
+def make_system(cid):
     """Assemble the BivariateSystem for a catalog family."""
     p = _raw_params(cid)
     label = cid.describe()
@@ -99,35 +99,35 @@ def make_system(cid, max_m=16):
             RhoSpec.sqrt_quadratic(-1, 0, 1),
             lambda m: jacobi_std(mu + m, mu + m),
             jacobi_std(mu - _HALF, mu - _HALF),
-            max_m=max_m, label=label)
+            label=label)
     if name == "biangle":
         al, be = p["alpha"], p["beta"]
         return assemble(
             RhoSpec.sqrt_quadratic(0, 1, 0),
             lambda m: jacobi_shift(al, be + m + _HALF),
             jacobi_std(be, be),
-            max_m=max_m, label=label)
+            label=label)
     if name == "simplex":
         al, be, ga = p["alpha"], p["beta"], p["gamma"]
         return assemble(
             RhoSpec.linear(-1, 1),
             lambda m: jacobi_shift(be + ga + 2 * m + 1, al),
             jacobi_shift(ga, be),
-            max_m=max_m, label=label)
+            label=label)
     if name == "square":
         al, be, ga, de = p["alpha"], p["beta"], p["gamma"], p["delta"]
         return assemble(
             RhoSpec.linear(0, 1),
             lambda m: jacobi_std(al, be),
             jacobi_std(ga, de),
-            max_m=max_m, label=label)
+            label=label)
     if name == "laguerre-jacobi":
         al, be = p["alpha"], p["beta"]
         return assemble(
             RhoSpec.linear(1, 0),
             lambda m: laguerre(al + 2 * m + 1),
             jacobi_std(be, 0),
-            max_m=max_m, label=label)
+            label=label)
     # bessel-laguerre
     g, ga = p["g"], p["gamma"]
     if not g:
@@ -143,7 +143,7 @@ def make_system(cid, max_m=16):
         RhoSpec.linear(1, 0),
         lambda m: bessel(g + 2 * m, -g),
         q,
-        max_m=max_m, label=label)
+        label=label)
 
 
 def positive_definite(cid):
@@ -519,8 +519,7 @@ def cross_check(cid, max_degree, corrupt=False, system=None):
     its caches."""
     if not isinstance(max_degree, int) or max_degree < 0:
         raise ValueError("max_degree must be a nonnegative int")
-    sys = system if system is not None else make_system(
-        cid, max_m=max(16, max_degree + 2))
+    sys = system if system is not None else make_system(cid)
     mismatches = []
     for n in range(max_degree + 1):
         closed = closed_form_ttr(cid, n)

@@ -14,7 +14,7 @@ everything before that rounding is exact.
 
 Family parameters are given as exact rational strings (``--mu 1/2``,
 ``--alpha -1/2``, ``--g 5``); decimal literals like ``0.25`` are read
-exactly.  JSON output is canonical: keys sorted, two-space indent, so a
+exactly, with a decimal exponent of at most 1000 in absolute value.  JSON output is canonical: keys sorted, two-space indent, so a
 parse/re-serialize round trip is byte-identical.
 
 Exit codes: 0 success; 1 verification failed; 2 usage or parameter
@@ -29,20 +29,17 @@ import io
 import json
 import sys
 
-from .catalog import FAMILY_PARAMS, catalog_id, closed_form_ttr, make_system
+from .catalog import (FAMILY_PARAMS, catalog_id, closed_form_first,
+                      closed_form_second, make_system)
 from .numerics import ModeError, Scalar, _eval_terms
 from .univariate import QuasiDefinitenessError
-from .verify import _float_terms, run_suite
+from .verify import _coeff_map, run_suite
 
 SCHEMA = "ortho2d/1"
 
 _PARAM_FLAGS = ("mu", "alpha", "beta", "gamma", "delta", "g")
 
-# (json key, which matrix, diagonal offset) for the per-degree tables.
-_FIRST_KEYS = (("a", 0), ("b", 1), ("c", 2))
-_SECOND_KEYS = (("a1", 0, -1), ("a2", 0, 0), ("a3", 0, 1),
-                ("b1", 1, -1), ("b2", 1, 0), ("b3", 1, 1),
-                ("c1", 2, -1), ("c2", 2, 0), ("c3", 2, 1))
+# Table keys in output order; catalog.closed_form_first/_second define them.
 _TABLE_KEY_ORDER = ("a", "b", "c",
                     "a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
 
@@ -92,24 +89,14 @@ def _check_max(value, name):
 
 
 def _degree_tables(cid, n):
-    """Per-degree coefficient table: one array per named diagonal,
+    """Per-degree coefficient table: one array per named band position,
     indexed by the row m; null marks positions outside the matrix."""
-    ts = closed_form_ttr(cid, n)
-    first = (ts.a_x, ts.b_x, ts.c_x)
-    second = (ts.a_y, ts.b_y, ts.c_y)
+    rows = [{**closed_form_first(cid, n, m), **closed_form_second(cid, n, m)}
+            for m in range(n + 1)]
     entry = {"n": n}
-    for key, which in _FIRST_KEYS:
-        mat = first[which]
-        entry[key] = [
-            str(mat.get(m, m)) if m < mat.cols else None
-            for m in range(n + 1)
-        ]
-    for key, which, off in _SECOND_KEYS:
-        mat = second[which]
-        entry[key] = [
-            str(mat.get(m, m + off)) if 0 <= m + off < mat.cols else None
-            for m in range(n + 1)
-        ]
+    for key in _TABLE_KEY_ORDER:
+        entry[key] = [None if row[key] is None else str(row[key])
+                      for row in rows]
     return entry
 
 
@@ -211,7 +198,7 @@ def _cmd_eval(args):
         px, py = str(x), str(y)
     else:
         px, py = float(x), float(y)
-        value = _eval_terms(_float_terms(poly), px, py, 0.0)
+        value = _eval_terms(_coeff_map(poly, float), px, py, 0.0)
     payload = {
         "schema": SCHEMA,
         "command": "eval",

@@ -51,6 +51,9 @@ _ONE = _RAT(1)
 CASE_I = "I"
 CASE_II = "II"
 
+# Largest index at which ``assemble`` checks a case-II q for symmetry.
+_SYMMETRY_PRECHECK = 16
+
 
 @dataclass(frozen=True)
 class RhoSpec:
@@ -136,10 +139,9 @@ def _list_mul(u, v):
 class BivariateSystem:
     """One assembled bivariate orthogonal system.  Build via ``assemble``."""
 
-    def __init__(self, rho, ladder_factory, q, max_m, label):
+    def __init__(self, rho, ladder_factory, q, label):
         self.rho = rho
         self.q = q
-        self.max_m = max_m
         self.label = label
         self._factory = ladder_factory
         self._lock = threading.RLock()
@@ -147,8 +149,12 @@ class BivariateSystem:
         self._P_cache = {}
         self._w_cache = {}
         self._w_table = (1, [])
-        self._rho_pow = {0: [_ONE]}
-        self._rho2_pow = {0: [_ONE]}
+        # Powers of rho, in steps of rho (case I) or of rho^2 (case II).
+        if rho.case == CASE_I:
+            step = {1: [rho.r0.value, rho.r1.value]}
+        else:
+            step = {2: [rho.s0.value, rho.s1.value, rho.s2.value]}
+        self._rho_pow = {0: [_ONE], **step}
         self._gram_cache = {}
 
     def __repr__(self):
@@ -188,38 +194,17 @@ class BivariateSystem:
     # -- powers of rho ---------------------------------------------------------
 
     def _rho_pow_raw(self, e):
-        """Coefficient list of rho(x)^e (case I only)."""
-        if self.case != CASE_I:
-            raise ValueError("direct rho powers exist only in case I")
+        """Coefficient list of rho(x)^e.  In case II only rho^2 is a
+        polynomial, so e must be even there."""
+        if self.case == CASE_II and e % 2:
+            raise ValueError("case II has only even powers of rho")
         with self._lock:
             cache = self._rho_pow
             if e not in cache:
-                base = [self.rho.r0.value, self.rho.r1.value]
-                top = max(cache)
-                cur = cache[top]
-                for j in range(top + 1, e + 1):
-                    cur = _list_mul(cur, base)
-                    cache[j] = cur
+                step = 1 if self.case == CASE_I else 2
+                for j in range(max(cache) + step, e + 1, step):
+                    cache[j] = _list_mul(cache[j - step], cache[step])
             return cache[e]
-
-    def _rho2_pow_raw(self, half):
-        """Coefficient list of (rho^2)^half."""
-        with self._lock:
-            cache = self._rho2_pow
-            if half not in cache:
-                base = [self.rho.s0.value, self.rho.s1.value, self.rho.s2.value]
-                top = max(cache)
-                cur = cache[top]
-                for j in range(top + 1, half + 1):
-                    cur = _list_mul(cur, base)
-                    cache[j] = cur
-            return cache[half]
-
-    def _rho_even_pow_raw(self, e):
-        """Coefficient list of rho^e for even e, valid in both cases."""
-        if e % 2:
-            raise ValueError("even power required")
-        return self._rho2_pow_raw(e // 2)
 
     # -- basis polynomials -------------------------------------------------------
 
@@ -238,14 +223,11 @@ class BivariateSystem:
             if not qc:
                 continue
             e = m - j
-            if self.case == CASE_I:
-                rho_e = self._rho_pow_raw(e)
-            else:
-                if e % 2:
-                    raise ValueError(
-                        f"{self.label}: case II second-variable family is "
-                        f"not symmetric (q_{m} has a y^{j} term)")
-                rho_e = self._rho_even_pow_raw(e)
+            if e % 2 and self.case == CASE_II:
+                raise ValueError(
+                    f"{self.label}: case II second-variable family is "
+                    f"not symmetric (q_{m} has a y^{j} term)")
+            rho_e = self._rho_pow_raw(e)
             for i, pc in enumerate(p_coeffs):
                 if not pc:
                     continue
@@ -276,10 +258,7 @@ class BivariateSystem:
         if self.case == CASE_II and k % 2:
             value = _ZERO
         else:
-            if self.case == CASE_I:
-                rho_k = self._rho_pow_raw(k)
-            else:
-                rho_k = self._rho_even_pow_raw(k)
+            rho_k = self._rho_pow_raw(k)
             base = self.ladder(0)
             base._moment_raw(h + len(rho_k) - 1)
             acc = _ZERO
@@ -397,11 +376,12 @@ class BivariateSystem:
         return _wrap(raw)
 
 
-def assemble(rho, ladder_factory, q, max_m=16, label="system"):
+def assemble(rho, ladder_factory, q, label="system"):
     """Build a BivariateSystem and run eager structural checks.
 
-    Case II requires the second-variable family to be symmetric; its
-    recurrence b-coefficients are checked up to max_m.
+    Case II requires the second-variable family to be symmetric: its
+    b-coefficients are checked here up to index ``_SYMMETRY_PRECHECK``, and
+    ``second_ttr`` and ``expand_P`` check them again at any degree.
     """
     if not isinstance(rho, RhoSpec):
         raise TypeError("rho must be a RhoSpec")
@@ -409,13 +389,11 @@ def assemble(rho, ladder_factory, q, max_m=16, label="system"):
         raise TypeError("q must be a RecurrenceFamily")
     if not callable(ladder_factory):
         raise TypeError("ladder_factory must map m to a RecurrenceFamily")
-    if not isinstance(max_m, int) or max_m < 0:
-        raise ValueError("max_m must be a nonnegative int")
     q_norm = q.with_h0(1)
     if rho.case == CASE_II:
-        for j in range(max_m + 1):
+        for j in range(_SYMMETRY_PRECHECK + 1):
             if q_norm._b_raw(j):
                 raise ValueError(
                     f"case II requires a symmetric second-variable family; "
                     f"{q_norm.label} has b({j}) != 0")
-    return BivariateSystem(rho, ladder_factory, q_norm, max_m, label)
+    return BivariateSystem(rho, ladder_factory, q_norm, label)

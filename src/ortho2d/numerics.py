@@ -13,14 +13,15 @@ Everything downstream is built on three value types, all exact rational
   are errors.
 
 Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (integer
-fraction-free elimination, no doubles anywhere).  The float checks round
-exact results to doubles themselves and work on plain coefficient maps
-with ``_add_terms`` and ``_eval_terms``, the helpers that ``SparsePoly2``
-uses too.
+fraction-free elimination, no doubles anywhere).  The relation checks
+work on plain coefficient maps, exact or rounded to doubles, with
+``_add_terms`` and ``_eval_terms``, the helpers that ``SparsePoly2`` uses
+too.
 """
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 try:
@@ -42,9 +43,20 @@ class ModeError(TypeError):
     """Raised when a float meets exact arithmetic."""
 
 
+# Largest |exponent| of a decimal literal such as 25e-2; Fraction would
+# expand 1e999999999 into an integer of a billion digits.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+
+
 def parse_rational(text):
     """Parse 'p', 'p/q' or a decimal literal into a raw exact rational."""
-    frac = Fraction(str(text).strip())
+    text = str(text).strip()
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent of {text[:40]!r} exceeds "
+                         f"{MAX_DECIMAL_EXPONENT} in absolute value")
+    frac = Fraction(text)
     return _RAT(frac.numerator, frac.denominator)
 
 
@@ -244,17 +256,6 @@ def _wrap(raw):
     s = object.__new__(Scalar)
     object.__setattr__(s, "value", raw)
     return s
-
-
-def pochhammer(v, k):
-    """Rising factorial v (v+1) ... (v+k-1); equals 1 when k = 0."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError("pochhammer order must be a nonnegative int")
-    acc = _RAT(1)
-    val = _as_raw_exact(v)
-    for i in range(k):
-        acc *= val + i
-    return _wrap(acc)
 
 
 def _add_terms(out, terms, negate=False):
@@ -519,9 +520,6 @@ class BandMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def in_band(self, r, c):
-        return -self.lower_bandwidth <= c - r <= self.upper_bandwidth
-
     def get(self, r, c):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"({r}, {c}) outside a {self.rows}x{self.cols} matrix")
@@ -556,37 +554,6 @@ class BandMatrix:
         object.__setattr__(out, "cols", self.rows)
         object.__setattr__(out, "lower_bandwidth", self.upper_bandwidth)
         object.__setattr__(out, "upper_bandwidth", self.lower_bandwidth)
-        object.__setattr__(out, "_entries", entries)
-        return out
-
-    def scale_rows(self, factors):
-        """New matrix with row r multiplied by factors[r]."""
-        if len(factors) != self.rows:
-            raise ValueError("need one factor per row")
-        raws = [_as_raw_exact(f) for f in factors]
-        entries = {}
-        for (r, off), v in self._entries.items():
-            scaled = v * raws[r]
-            if scaled:
-                entries[(r, off)] = scaled
-        return self._with_entries(entries)
-
-    def scale_cols(self, factors):
-        """New matrix with column c multiplied by factors[c]."""
-        if len(factors) != self.cols:
-            raise ValueError("need one factor per column")
-        raws = [_as_raw_exact(f) for f in factors]
-        entries = {}
-        for (r, off), v in self._entries.items():
-            scaled = v * raws[r + off]
-            if scaled:
-                entries[(r, off)] = scaled
-        return self._with_entries(entries)
-
-    def _with_entries(self, entries):
-        out = object.__new__(BandMatrix)
-        for slot in ("rows", "cols", "lower_bandwidth", "upper_bandwidth"):
-            object.__setattr__(out, slot, getattr(self, slot))
         object.__setattr__(out, "_entries", entries)
         return out
 

@@ -5,9 +5,9 @@ Four independent checks, each returning a structured CheckResult:
 * ``verify_relation`` -- the vector three-term relation along one axis at
   one degree: exactly (residual polynomial must vanish identically) or in
   floating point (coefficient residuals and optional random-point
-  residuals within a relative tolerance).  The float check rounds each
-  exact coefficient and matrix entry to a double once and works on plain
-  coefficient maps; the arithmetic itself has no float mode.
+  residuals within a relative tolerance).  Both modes form the residuals
+  on plain coefficient maps with one routine; float mode first rounds
+  each exact coefficient and matrix entry to a double, once.
 * ``verify_orthogonality`` -- Gram blocks of unequal degrees vanish and
   diagonal blocks are diagonal with the predicted norms.
 * ``verify_central_symmetry`` -- the equivalence "all odd moments vanish
@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .catalog import cross_check, make_system
-from .numerics import SparsePoly2, _add_terms, _eval_terms, poly_mul
+from .numerics import _add_terms, _eval_terms
 from .ttr import first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -80,32 +80,42 @@ def _relation_matrices(sys, n, axis):
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def _row_terms(matrix, row, polys):
-    """Scaled polynomials matrix[row, c] * polys[c] for stored columns."""
-    out = []
-    for c in range(matrix.cols):
-        v = matrix.get(row, c)
-        if not v.is_zero:
-            out.append(polys[c] * v)
-    return out
+def _dense(matrix, num):
+    """The matrix as dense rows, each entry converted once by num."""
+    return [[num(v.value) for v in row] for row in matrix.dense()]
 
 
-def _float_dense(matrix):
-    """The matrix as dense rows of doubles, each entry rounded once."""
-    return [[float(v) for v in row] for row in matrix.dense()]
+def _coeff_map(poly, num):
+    """The polynomial as a {(i, j): coefficient} map, each coefficient
+    converted once by num."""
+    return {k: num(v) for k, v in poly._terms.items()}
 
 
-def _float_terms(poly):
-    """The polynomial as a {(i, j): double} map, each coefficient rounded
-    once."""
-    return {k: float(v) for k, v in poly._terms.items()}
+def _exact(v):
+    return v
 
 
-def _float_row_terms(dense, row, maps):
-    """Float counterpart of ``_row_terms``: coefficient maps scaled by the
-    nonzero entries of one dense row."""
-    return [{k: coeff * entry for k, coeff in maps[c].items()}
-            for c, entry in enumerate(dense[row]) if entry]
+def _relation_rows(sys, n, axis, num):
+    """Yield (lhs, terms, rhs, residual) as coefficient maps for each row m
+    of t P_n = A P_{n+1} + B P_n + C P_{n-1}.  num converts every
+    coefficient and entry once (``_exact`` or ``float``); terms holds
+    coeff * entry per nonzero entry of row m of A, then B, then C, by
+    column; rhs is their sum and residual = lhs - rhs."""
+    mats = _relation_matrices(sys, n, axis)
+    dx, dy = (1, 0) if axis == "x" else (0, 1)
+    dense = [_dense(mat, num) for mat in mats]
+    # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
+    polys = [[_coeff_map(sys.expand_P(n + d, c), num)
+              for c in range(n + d + 1)] for d in (1, 0, -1)]
+    for m in range(n + 1):
+        lhs = {(i + dx, j + dy): c for (i, j), c in polys[1][m].items()}
+        terms = [{k: coeff * entry for k, coeff in maps[c].items()}
+                 for rows, maps in zip(dense, polys)
+                 for c, entry in enumerate(rows[m]) if entry]
+        rhs = {}
+        for t in terms:
+            _add_terms(rhs, t)
+        yield lhs, terms, rhs, _add_terms(dict(lhs), rhs, negate=True)
 
 
 def _max_abs_coeff(terms):
@@ -115,52 +125,31 @@ def _max_abs_coeff(terms):
 def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
     """Check the three-term relation along one axis at degree n.
 
-    Exact mode requires every residual polynomial to vanish identically.
+    Both modes form the residual of every row with ``_relation_rows``.
+    Exact mode requires each residual polynomial to vanish identically and
+    reports the first row that does not, with its smallest monomial.
     Float mode bounds the relative coefficient residual (and, if points
     are supplied, relative residuals at those evaluation points) by tol.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("degree must be a nonnegative int")
-    mat_a, mat_b, mat_c = _relation_matrices(sys, n, axis)
-    mono = SparsePoly2.monomial(1, 0) if axis == "x" else SparsePoly2.monomial(0, 1)
-    p_n = [sys.expand_P(n, m) for m in range(n + 1)]
-    p_up = [sys.expand_P(n + 1, m) for m in range(n + 2)]
-    p_dn = [sys.expand_P(n - 1, m) for m in range(n)] if n >= 1 else []
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     name = f"relation-{axis}"
 
     if mode == "exact":
-        for m in range(n + 1):
-            lhs = poly_mul(p_n[m], mono)
-            terms = (_row_terms(mat_a, m, p_up)
-                     + _row_terms(mat_b, m, p_n)
-                     + _row_terms(mat_c, m, p_dn))
-            residual = lhs - sum(terms, SparsePoly2.zero())
-            if not residual.is_zero:
-                (i, j), coeff = next(iter(sorted(residual.terms.items())))
+        for m, (_, _, _, residual) in enumerate(
+                _relation_rows(sys, n, axis, _exact)):
+            if residual:
+                i, j = min(residual)
                 return CheckResult(name, False, {
                     "n": n, "m": m, "mode": "exact",
-                    "monomial": [i, j], "coefficient": str(coeff)})
+                    "monomial": [i, j], "coefficient": str(residual[i, j])})
         return CheckResult(name, True, {"n": n, "mode": "exact"})
 
-    if mode != "float":
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-
-    fa, fb, fc = _float_dense(mat_a), _float_dense(mat_b), _float_dense(mat_c)
-    fp_n = [_float_terms(p) for p in p_n]
-    fp_up = [_float_terms(p) for p in p_up]
-    fp_dn = [_float_terms(p) for p in p_dn]
-    dx, dy = (1, 0) if axis == "x" else (0, 1)
     max_coeff = 0.0
     max_point = 0.0
-    for m in range(n + 1):
-        lhs = {(i + dx, j + dy): c for (i, j), c in fp_n[m].items()}
-        terms = (_float_row_terms(fa, m, fp_up)
-                 + _float_row_terms(fb, m, fp_n)
-                 + _float_row_terms(fc, m, fp_dn))
-        rhs = {}
-        for t in terms:
-            _add_terms(rhs, t)
-        residual = _add_terms(dict(lhs), rhs, negate=True)
+    for lhs, terms, rhs, residual in _relation_rows(sys, n, axis, float):
         scale = max([_max_abs_coeff(lhs)] + [_max_abs_coeff(t) for t in terms])
         rel = _max_abs_coeff(residual) / max(scale, _TINY)
         max_coeff = max(max_coeff, rel)
@@ -262,7 +251,7 @@ def _orthonormal(matrix, d_rows, d_cols):
     matrix rounded once."""
     inv = [1.0 / d for d in d_rows]
     return [[v * inv[r] * d_cols[c] for c, v in enumerate(row)]
-            for r, row in enumerate(_float_dense(matrix))]
+            for r, row in enumerate(_dense(matrix, float))]
 
 
 def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
@@ -309,7 +298,7 @@ def run_suite(cid, max_degree, mode="exact", points=0, seed=0, corrupt=False):
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    sys = make_system(cid, max_m=max(16, max_degree + 2))
+    sys = make_system(cid)
     checks = []
 
     cc = cross_check(cid, max_degree, corrupt=corrupt, system=sys)

@@ -219,6 +219,12 @@ def test_unparseable_rational_exits_two(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("value", ["1e999999999", "-1e-999999999"])
+def test_huge_decimal_exponent_exits_two(capsys, value):
+    code, out, err = run(capsys, "tables", "disk", f"--mu={value}")
+    assert code == 2 and out == "" and "exponent" in err
+
+
 def test_verify_has_no_csv_format(capsys):
     code, _, _ = run(capsys, "verify", "disk", "--mu", "1/2",
                      "--format", "csv")

@@ -6,6 +6,7 @@ from ortho2d import (
     CASE_II,
     ModeError,
     QuasiDefinitenessError,
+    RecurrenceFamily,
     RhoSpec,
     Scalar,
     SparsePoly2,
@@ -14,6 +15,7 @@ from ortho2d import (
     jacobi_shift,
     jacobi_std,
     make_system,
+    second_ttr,
 )
 
 q = Scalar.exact
@@ -68,6 +70,19 @@ def test_case_two_requires_symmetric_q():
         assemble(rho, lambda m: jacobi_std(m, m), jacobi_std(1, 0))
     # a symmetric q is accepted
     assemble(rho, lambda m: jacobi_std(m, m), jacobi_std(2, 2))
+
+
+def test_case_two_symmetry_is_checked_past_the_eager_range():
+    # q is symmetric up to index 16, which assemble checks eagerly; its
+    # first nonzero b-coefficient, b(17), is caught lazily where it is used
+    late = RecurrenceFamily("late-asymmetric", lambda n: 1,
+                            lambda n: 1 if n == 17 else 0, lambda n: 1)
+    rho = RhoSpec.sqrt_quadratic(-1, 0, 1)
+    sys_obj = assemble(rho, lambda m: jacobi_std(m, m), late)
+    with pytest.raises(ValueError, match="symmetric"):
+        second_ttr(sys_obj, 17)
+    with pytest.raises(ValueError, match="symmetric"):
+        sys_obj.expand_P(18, 18)
 
 
 def test_q_normalization_is_forced_to_one(disk):

@@ -85,6 +85,17 @@ def test_relation_float_detects_a_wrong_entry(disk, monkeypatch):
         assert res.details["max_point_residual"] > res.details["tolerance"]
 
 
+def test_relation_exact_detects_a_wrong_entry(disk, monkeypatch):
+    _perturb_an_a_entry(monkeypatch)
+    want = {"x": ([0, 0], "-7/25600"), "y": ([1, 1], "21/12800")}
+    for axis, (monomial, coefficient) in want.items():
+        res = verify_relation(disk, 3, axis)
+        assert res.passed is False
+        assert res.details == {"n": 3, "m": 0, "mode": "exact",
+                               "monomial": monomial,
+                               "coefficient": coefficient}
+
+
 def test_orthonormal_transpose_detects_a_wrong_entry(disk, monkeypatch):
     _perturb_an_a_entry(monkeypatch)
     res = verify_orthonormal_transpose(disk, 3)
