@@ -17,9 +17,13 @@ Family parameters are given as exact rational strings (``--mu 1/2``,
 exactly, with a decimal exponent of at most 1000 in absolute value.  JSON output is canonical: keys sorted, two-space indent, so a
 parse/re-serialize round trip is byte-identical.
 
+``--max-n``, ``--max-h`` and ``--max-k`` are bounded by ``MAX_DEGREE``
+(64); a larger value is a usage error.
+
 Exit codes: 0 success; 1 verification failed; 2 usage or parameter
-error; 3 the functional is not quasi-definite at these parameters
-(a required denominator or norm vanished).
+error (a degree bound above ``MAX_DEGREE`` included); 3 the functional
+is not quasi-definite at these parameters (a required denominator or
+norm vanished).
 """
 from __future__ import annotations
 
@@ -38,6 +42,11 @@ from .verify import _coeff_map, run_suite
 SCHEMA = "ortho2d/1"
 
 _PARAM_FLAGS = ("mu", "alpha", "beta", "gamma", "delta", "g")
+
+# Largest value of --max-n, --max-h and --max-k.  Exact work grows fast
+# with the degree, so a larger bound is refused rather than left to run
+# without end; at this ceiling, tables and moments finish in seconds.
+MAX_DEGREE = 64
 
 # Table keys in output order; catalog.closed_form_first/_second define them.
 _TABLE_KEY_ORDER = ("a", "b", "c",
@@ -82,6 +91,8 @@ def _csv_text(header, rows):
 def _check_max(value, name):
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
+    if value > MAX_DEGREE:
+        raise ValueError(f"{name} must be at most {MAX_DEGREE}, got {value}")
     return value
 
 

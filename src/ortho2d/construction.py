@@ -32,7 +32,6 @@ independent check.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .numerics import (
@@ -137,14 +136,18 @@ def _list_mul(u, v):
 
 
 class BivariateSystem:
-    """One assembled bivariate orthogonal system.  Build via ``assemble``."""
+    """One assembled bivariate orthogonal system.  Build via ``assemble``.
+
+    Ladders, basis polynomials, moments, Gram blocks and the relation
+    matrices of ``ttr.first_ttr``/``second_ttr`` are computed once and
+    cached on the system.  A system is not thread-safe.
+    """
 
     def __init__(self, rho, ladder_factory, q, label):
         self.rho = rho
         self.q = q
         self.label = label
         self._factory = ladder_factory
-        self._lock = threading.RLock()
         self._ladders = []
         self._P_cache = {}
         self._w_cache = {}
@@ -156,6 +159,9 @@ class BivariateSystem:
             step = {2: [rho.s0.value, rho.s1.value, rho.s2.value]}
         self._rho_pow = {0: [_ONE], **step}
         self._gram_cache = {}
+        # (A, B, C) of the relation along axis at degree n, keyed (n, axis);
+        # filled by ttr.first_ttr / second_ttr.
+        self._ttr_cache = {}
 
     def __repr__(self):
         return f"BivariateSystem({self.label!r})"
@@ -171,25 +177,24 @@ class BivariateSystem:
         norm normalization chained through the rho^2-moment recursion."""
         if not isinstance(m, int) or m < 0:
             raise ValueError("ladder index must be a nonnegative int")
-        with self._lock:
-            while len(self._ladders) <= m:
-                j = len(self._ladders)
-                if j == 0:
-                    self._ladders.append(self._factory(0).with_h0(1))
-                    continue
-                prev = self._ladders[j - 1]
-                mom = [prev._moment_raw(i) for i in range(3)]
-                chain = (self.rho.s2.value * mom[2]
-                         + self.rho.s1.value * mom[1]
-                         + self.rho.s0.value * mom[0])
-                fam = self._factory(j)
-                if not chain:
-                    raise QuasiDefinitenessError(
-                        f"{self.label}:{fam.label}", fam.params, j,
-                        f"weight-chain value <u, rho^2> vanished at ladder "
-                        f"step {j}")
-                self._ladders.append(fam.with_h0(chain))
-            return self._ladders[m]
+        while len(self._ladders) <= m:
+            j = len(self._ladders)
+            if j == 0:
+                self._ladders.append(self._factory(0).with_h0(1))
+                continue
+            prev = self._ladders[j - 1]
+            mom = [prev._moment_raw(i) for i in range(3)]
+            chain = (self.rho.s2.value * mom[2]
+                     + self.rho.s1.value * mom[1]
+                     + self.rho.s0.value * mom[0])
+            fam = self._factory(j)
+            if not chain:
+                raise QuasiDefinitenessError(
+                    f"{self.label}:{fam.label}", fam.params, j,
+                    f"weight-chain value <u, rho^2> vanished at ladder "
+                    f"step {j}")
+            self._ladders.append(fam.with_h0(chain))
+        return self._ladders[m]
 
     # -- powers of rho ---------------------------------------------------------
 
@@ -198,13 +203,12 @@ class BivariateSystem:
         polynomial, so e must be even there."""
         if self.case == CASE_II and e % 2:
             raise ValueError("case II has only even powers of rho")
-        with self._lock:
-            cache = self._rho_pow
-            if e not in cache:
-                step = 1 if self.case == CASE_I else 2
-                for j in range(max(cache) + step, e + 1, step):
-                    cache[j] = _list_mul(cache[j - step], cache[step])
-            return cache[e]
+        cache = self._rho_pow
+        if e not in cache:
+            step = 1 if self.case == CASE_I else 2
+            for j in range(max(cache) + step, e + 1, step):
+                cache[j] = _list_mul(cache[j - step], cache[step])
+        return cache[e]
 
     # -- basis polynomials -------------------------------------------------------
 
@@ -244,8 +248,7 @@ class BivariateSystem:
                     else:
                         terms.pop(key_t, None)
         poly = _poly(terms)
-        with self._lock:
-            self._P_cache[key] = poly
+        self._P_cache[key] = poly
         return poly
 
     # -- moments of the bivariate functional ----------------------------------
@@ -266,8 +269,7 @@ class BivariateSystem:
                 if rc:
                     acc = acc + rc * base._moment_raw(h + d)
             value = acc * self.q._moment_raw(k)
-        with self._lock:
-            self._w_cache[key] = value
+        self._w_cache[key] = value
         return value
 
     def w_moment(self, h, k):
@@ -283,19 +285,18 @@ class BivariateSystem:
         When a higher degree is asked for, the table grows: D becomes the
         lcm of all the moments' denominators and every entry is rescaled
         to it."""
-        with self._lock:
-            if top >= len(self._w_table[1]):
-                wm = self._w_moment_raw
-                moments = [[wm(h, k) for k in range(top + 1 - h)]
-                           for h in range(top + 1)]
-                d = 1
-                for row in moments:
-                    for v in row:
-                        d = math.lcm(d, int(v.denominator))
-                self._w_table = (d, [
-                    [int(v.numerator) * (d // int(v.denominator)) for v in row]
-                    for row in moments])
-            return self._w_table
+        if top >= len(self._w_table[1]):
+            wm = self._w_moment_raw
+            moments = [[wm(h, k) for k in range(top + 1 - h)]
+                       for h in range(top + 1)]
+            d = 1
+            for row in moments:
+                for v in row:
+                    d = math.lcm(d, int(v.denominator))
+            self._w_table = (d, [
+                [int(v.numerator) * (d // int(v.denominator)) for v in row]
+                for row in moments])
+        return self._w_table
 
     def _bilinear_raw(self, rows, cols, dx, dy):
         """Raw matrix <w, x^dx y^dy r c> over integer forms (see
@@ -365,8 +366,7 @@ class BivariateSystem:
                         self.label, {}, (n, m),
                         f"Gram diagonal <w, P_({n},{m})^2> vanishes")
         block = GramBlock(n, h, entries)
-        with self._lock:
-            self._gram_cache[key] = block
+        self._gram_cache[key] = block
         return block
 
     def block_norm(self, n, m):

@@ -538,8 +538,16 @@ class BandMatrix:
             yield (r, r + off), _wrap(self._entries[(r, off)])
 
     def dense(self):
-        return [[self.get(r, c) for c in range(self.cols)]
-                for r in range(self.rows)]
+        return [[_wrap(v) for v in row] for row in self._raw_rows()]
+
+    def _raw_rows(self):
+        """Dense rows of raw rationals, read from the stored entries; every
+        other position holds one shared exact zero."""
+        zero = _RAT(0)
+        rows = [[zero] * self.cols for _ in range(self.rows)]
+        for (r, off), raw in self._entries.items():
+            rows[r][r + off] = raw
+        return rows
 
     @property
     def is_zero(self):
@@ -580,8 +588,7 @@ class BandMatrix:
 def _int_rows(matrix):
     """Clear denominators row by row; returns a list of Python-int rows."""
     if isinstance(matrix, BandMatrix):
-        dense = [[matrix.get(r, c).value for c in range(matrix.cols)]
-                 for r in range(matrix.rows)]
+        dense = matrix._raw_rows()
     else:
         dense = []
         for row in matrix:

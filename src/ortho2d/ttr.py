@@ -57,9 +57,15 @@ class TTRSet:
 
 
 def first_ttr(sys, n):
-    """Matrices (A, B, C) of the x-relation at degree n; all diagonal."""
+    """Matrices (A, B, C) of the x-relation at degree n; all diagonal.
+
+    Built once per system and degree, then read from the system's cache.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError("degree must be a nonnegative int")
+    cached = sys._ttr_cache.get((n, "x"))
+    if cached is not None:
+        return cached
     ladders = [sys.ladder(m) for m in range(n + 1)]
     a_entries = {}
     b_entries = {}
@@ -70,11 +76,12 @@ def first_ttr(sys, n):
         b_entries[(m, m)] = fam._b_raw(n - m)
         if m <= n - 1:
             c_entries[(m, m)] = fam._c_raw(n - m)
-    return (
+    cached = sys._ttr_cache[(n, "x")] = (
         BandMatrix(n + 1, n + 2, 0, 0, a_entries),
         BandMatrix(n + 1, n + 1, 0, 0, b_entries),
         BandMatrix(n + 1, n, 0, 0, c_entries),
     )
+    return cached
 
 
 def second_ttr(sys, n):
@@ -85,9 +92,16 @@ def second_ttr(sys, n):
     upward triple between ladder steps m-1 and m, the superdiagonal the
     downward triple between steps m and m+1, and the diagonal (case I
     only) the first-variable recurrence itself.
+
+    Built once per system and degree, then read from the system's cache.
+    In case II the symmetry of q is checked before anything is stored, so
+    a failing degree fails again on every call.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("degree must be a nonnegative int")
+    cached = sys._ttr_cache.get((n, "y"))
+    if cached is not None:
+        return cached
     rho = sys.rho
     s2 = rho.s2
     case_i = sys.case == CASE_I
@@ -131,11 +145,12 @@ def second_ttr(sys, n):
             b_entries[(m, m + 1)] = qa * down.epsilon.value
         if m <= n - 2:
             c_entries[(m, m + 1)] = qa * down.zeta.value
-    return (
+    cached = sys._ttr_cache[(n, "y")] = (
         BandMatrix(n + 1, n + 2, 1, 1, a_entries),
         BandMatrix(n + 1, n + 1, 1, 1, b_entries),
         BandMatrix(n + 1, n, 1, 1, c_entries),
     )
+    return cached
 
 
 def build_ttr(sys, n):

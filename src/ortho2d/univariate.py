@@ -23,7 +23,6 @@ as a structured QuasiDefinitenessError.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .numerics import (
@@ -90,9 +89,10 @@ class RecurrenceFamily:
     """One univariate family, defined by recurrence closures.
 
     The closures a, b, c take an index n and return a raw exact rational;
-    c is only consulted for n >= 1.  All derived data (leading
-    coefficients, norms, moments, dense coefficients) is computed lazily,
-    cached, and shared safely across threads.
+    c is only consulted for n >= 1.  Each recurrence coefficient and all
+    derived data (leading coefficients, norms, moments, dense coefficients)
+    is computed lazily, once, and cached on the family.  A family is not
+    thread-safe: share it between threads only behind a lock of your own.
     """
 
     def __init__(self, label, a, b, c, h0=1, params=None):
@@ -105,7 +105,7 @@ class RecurrenceFamily:
         if not h0_raw:
             raise ValueError(f"{label}: h0 must be nonzero")
         self._h0 = h0_raw
-        self._lock = threading.RLock()
+        self._abc_cache = {"a": {}, "b": {}, "c": {}}
         self._kl_cache = [(_ONE, _ZERO)]
         self._h_cache = [h0_raw]
         self._mom_cache = [[_ONE]]
@@ -128,11 +128,17 @@ class RecurrenceFamily:
     def _raw(self, which, fn, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"index must be a nonnegative int, got {n!r}")
-        try:
-            return fn(n)
-        except ZeroDivisionError as exc:
-            self._fail(n, f"recurrence coefficient {which}({n}) is undefined "
-                          f"(zero denominator)", exc)
+        cache = self._abc_cache[which]
+        value = cache.get(n)
+        if value is None:
+            # A failure is never stored, so it raises on every access.
+            try:
+                value = fn(n)
+            except ZeroDivisionError as exc:
+                self._fail(n, f"recurrence coefficient {which}({n}) is "
+                              f"undefined (zero denominator)", exc)
+            cache[n] = value
+        return value
 
     def _a_raw(self, n):
         return self._raw("a", self._a_fn, n)
@@ -163,16 +169,15 @@ class RecurrenceFamily:
     # -- leading coefficients ------------------------------------------------
 
     def _kl_raw(self, n):
-        with self._lock:
-            cache = self._kl_cache
-            while len(cache) <= n:
-                j = len(cache) - 1
-                k, l = cache[j]
-                a_j = self._a_raw(j)
-                if not a_j:
-                    self._fail(j, f"a({j}) = 0: degree cannot advance")
-                cache.append((k / a_j, (l - self._b_raw(j) * k) / a_j))
-            return cache[n]
+        cache = self._kl_cache
+        while len(cache) <= n:
+            j = len(cache) - 1
+            k, l = cache[j]
+            a_j = self._a_raw(j)
+            if not a_j:
+                self._fail(j, f"a({j}) = 0: degree cannot advance")
+            cache.append((k / a_j, (l - self._b_raw(j) * k) / a_j))
+        return cache[n]
 
     def leading_coeffs(self, n):
         """k_n (always nonzero) and l_n, the top two coefficients of p_n."""
@@ -182,16 +187,15 @@ class RecurrenceFamily:
     # -- norms ---------------------------------------------------------------
 
     def _h_raw(self, n):
-        with self._lock:
-            cache = self._h_cache
-            while len(cache) <= n:
-                j = len(cache)
-                ratio = self._c_raw(j) / self._a_raw(j - 1)
-                if not ratio:
-                    self._fail(j, f"norm ratio h({j})/h({j - 1}) = "
-                                  f"c({j})/a({j - 1}) is zero")
-                cache.append(cache[j - 1] * ratio)
-            return cache[n]
+        cache = self._h_cache
+        while len(cache) <= n:
+            j = len(cache)
+            ratio = self._c_raw(j) / self._a_raw(j - 1)
+            if not ratio:
+                self._fail(j, f"norm ratio h({j})/h({j - 1}) = "
+                              f"c({j})/a({j - 1}) is zero")
+            cache.append(cache[j - 1] * ratio)
+        return cache[n]
 
     def norms(self, n):
         """Squared norm h_n of p_n (relative to the chosen h_0)."""
@@ -200,23 +204,22 @@ class RecurrenceFamily:
     # -- moments ---------------------------------------------------------------
 
     def _moment_raw(self, j):
-        with self._lock:
-            cache = self._mom_cache
-            while len(cache) <= j:
-                v = cache[-1]
-                top = len(v) - 1
-                new = []
-                for i in range(top + 2):
-                    acc = _ZERO
-                    if 1 <= i <= top + 1:
-                        acc = acc + self._a_raw(i - 1) * v[i - 1]
-                    if i <= top:
-                        acc = acc + self._b_raw(i) * v[i]
-                    if i + 1 <= top:
-                        acc = acc + self._c_raw(i + 1) * v[i + 1]
-                    new.append(acc)
-                cache.append(new)
-            return cache[j][0] * self._h0
+        cache = self._mom_cache
+        while len(cache) <= j:
+            v = cache[-1]
+            top = len(v) - 1
+            new = []
+            for i in range(top + 2):
+                acc = _ZERO
+                if 1 <= i <= top + 1:
+                    acc = acc + self._a_raw(i - 1) * v[i - 1]
+                if i <= top:
+                    acc = acc + self._b_raw(i) * v[i]
+                if i + 1 <= top:
+                    acc = acc + self._c_raw(i + 1) * v[i + 1]
+                new.append(acc)
+            cache.append(new)
+        return cache[j][0] * self._h0
 
     def moments(self, upto):
         """List of moments <u, x^j> for j = 0..upto (so moments(0) = [h_0])."""
@@ -228,24 +231,23 @@ class RecurrenceFamily:
     # -- dense coefficients / evaluation ------------------------------------
 
     def _coeffs_raw(self, n):
-        with self._lock:
-            cache = self._coeff_cache
-            while len(cache) <= n:
-                j = len(cache) - 1
-                cur = cache[j]
-                a_j = self._a_raw(j)
-                if not a_j:
-                    self._fail(j, f"a({j}) = 0: degree cannot advance")
-                b_j = self._b_raw(j)
-                new = [_ZERO] + list(cur)
-                for i, v in enumerate(cur):
-                    new[i] = new[i] - b_j * v
-                if j >= 1:
-                    c_j = self._c_raw(j)
-                    for i, v in enumerate(cache[j - 1]):
-                        new[i] = new[i] - c_j * v
-                cache.append([v / a_j for v in new])
-            return cache[n]
+        cache = self._coeff_cache
+        while len(cache) <= n:
+            j = len(cache) - 1
+            cur = cache[j]
+            a_j = self._a_raw(j)
+            if not a_j:
+                self._fail(j, f"a({j}) = 0: degree cannot advance")
+            b_j = self._b_raw(j)
+            new = [_ZERO] + list(cur)
+            for i, v in enumerate(cur):
+                new[i] = new[i] - b_j * v
+            if j >= 1:
+                c_j = self._c_raw(j)
+                for i, v in enumerate(cache[j - 1]):
+                    new[i] = new[i] - c_j * v
+            cache.append([v / a_j for v in new])
+        return cache[n]
 
     def coeffs(self, n):
         """Dense monomial coefficients of p_n, constant term first."""

@@ -5,9 +5,13 @@ Four independent checks, each returning a structured CheckResult:
 * ``verify_relation`` -- the vector three-term relation along one axis at
   one degree: exactly (residual polynomial must vanish identically) or in
   floating point (coefficient residuals and optional random-point
-  residuals within a relative tolerance).  Both modes form the residuals
-  on plain coefficient maps with one routine; float mode first rounds
-  each exact coefficient and matrix entry to a double, once.
+  residuals within a relative tolerance).  Exact mode sums each row's
+  residual in plain ints, every basis polynomial written once as integers
+  over its own denominator, and forms a rational only for a failing row.
+  Float mode rounds each exact coefficient and matrix entry to a double
+  once and forms the residuals on coefficient maps.  Both read the
+  relation matrices cached on the system (``ttr.first_ttr``/
+  ``second_ttr``).
 * ``verify_orthogonality`` -- Gram blocks of unequal degrees vanish and
   diagonal blocks are diagonal with the predicted norms.
 * ``verify_central_symmetry`` -- the equivalence "all odd moments vanish
@@ -27,7 +31,8 @@ import random
 from dataclasses import dataclass
 
 from .catalog import cross_check, make_system
-from .numerics import _add_terms, _eval_terms
+from .construction import _integer_form
+from .numerics import _RAT, _add_terms, _eval_terms
 from .ttr import first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -82,7 +87,7 @@ def _relation_matrices(sys, n, axis):
 
 def _dense(matrix, num):
     """The matrix as dense rows, each entry converted once by num."""
-    return [[num(v.value) for v in row] for row in matrix.dense()]
+    return [[num(v) for v in row] for row in matrix._raw_rows()]
 
 
 def _coeff_map(poly, num):
@@ -91,21 +96,54 @@ def _coeff_map(poly, num):
     return {k: num(v) for k, v in poly._terms.items()}
 
 
-def _exact(v):
-    return v
+def _exact_failure(sys, n, axis):
+    """The first row m of t P_n = A P_{n+1} + B P_n + C P_{n-1} whose
+    residual does not vanish, as (m, (i, j), coefficient) with (i, j) its
+    smallest monomial; None when every row holds.
+
+    Each basis polynomial is written once as integers over its own
+    denominator (``_integer_form``).  A row's lhs and its entry *
+    polynomial terms are brought over one lcm L and the residual is summed
+    in plain ints; only a failing coefficient becomes a rational num / L.
+    """
+    mats = _relation_matrices(sys, n, axis)
+    dx, dy = (1, 0) if axis == "x" else (0, 1)
+    rows = [mat._raw_rows() for mat in mats]
+    # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
+    forms = [[_integer_form(sys.expand_P(n + d, c)) for c in range(n + d + 1)]
+             for d in (1, 0, -1)]
+    for m in range(n + 1):
+        d_lhs, lhs = forms[1][m]
+        # Each term of the rhs as (numerator, denominator, integer terms).
+        terms = [(int(entry.numerator), int(entry.denominator) * polys[c][0],
+                  polys[c][1])
+                 for mat_rows, polys in zip(rows, forms)
+                 for c, entry in enumerate(mat_rows[m]) if entry]
+        lcm = math.lcm(d_lhs, *(den for _, den, _ in terms))
+        scale = lcm // d_lhs
+        residual = {(i + dx, j + dy): c * scale for i, j, c in lhs}
+        for num, den, poly in terms:
+            factor = num * (lcm // den)
+            for i, j, c in poly:
+                residual[i, j] = residual.get((i, j), 0) - factor * c
+        nonzero = [key for key, v in residual.items() if v]
+        if nonzero:
+            key = min(nonzero)
+            return m, key, _RAT(residual[key], lcm)
+    return None
 
 
-def _relation_rows(sys, n, axis, num):
-    """Yield (lhs, terms, rhs, residual) as coefficient maps for each row m
-    of t P_n = A P_{n+1} + B P_n + C P_{n-1}.  num converts every
-    coefficient and entry once (``_exact`` or ``float``); terms holds
+def _relation_rows(sys, n, axis):
+    """Yield (lhs, terms, rhs, residual) as float coefficient maps for each
+    row m of t P_n = A P_{n+1} + B P_n + C P_{n-1}.  Every exact
+    coefficient and entry is rounded to a double once; terms holds
     coeff * entry per nonzero entry of row m of A, then B, then C, by
     column; rhs is their sum and residual = lhs - rhs."""
     mats = _relation_matrices(sys, n, axis)
     dx, dy = (1, 0) if axis == "x" else (0, 1)
-    dense = [_dense(mat, num) for mat in mats]
+    dense = [_dense(mat, float) for mat in mats]
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
-    polys = [[_coeff_map(sys.expand_P(n + d, c), num)
+    polys = [[_coeff_map(sys.expand_P(n + d, c), float)
               for c in range(n + d + 1)] for d in (1, 0, -1)]
     for m in range(n + 1):
         lhs = {(i + dx, j + dy): c for (i, j), c in polys[1][m].items()}
@@ -125,11 +163,12 @@ def _max_abs_coeff(terms):
 def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
     """Check the three-term relation along one axis at degree n.
 
-    Both modes form the residual of every row with ``_relation_rows``.
     Exact mode requires each residual polynomial to vanish identically and
-    reports the first row that does not, with its smallest monomial.
-    Float mode bounds the relative coefficient residual (and, if points
-    are supplied, relative residuals at those evaluation points) by tol.
+    reports the first row that does not, with its smallest monomial; the
+    residuals are summed in integers (``_exact_failure``).  Float mode
+    forms them with ``_relation_rows`` and bounds the relative coefficient
+    residual (and, if points are supplied, relative residuals at those
+    evaluation points) by tol.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("degree must be a nonnegative int")
@@ -138,18 +177,17 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
     name = f"relation-{axis}"
 
     if mode == "exact":
-        for m, (_, _, _, residual) in enumerate(
-                _relation_rows(sys, n, axis, _exact)):
-            if residual:
-                i, j = min(residual)
-                return CheckResult(name, False, {
-                    "n": n, "m": m, "mode": "exact",
-                    "monomial": [i, j], "coefficient": str(residual[i, j])})
-        return CheckResult(name, True, {"n": n, "mode": "exact"})
+        failure = _exact_failure(sys, n, axis)
+        if failure is None:
+            return CheckResult(name, True, {"n": n, "mode": "exact"})
+        m, (i, j), coefficient = failure
+        return CheckResult(name, False, {
+            "n": n, "m": m, "mode": "exact",
+            "monomial": [i, j], "coefficient": str(coefficient)})
 
     max_coeff = 0.0
     max_point = 0.0
-    for lhs, terms, rhs, residual in _relation_rows(sys, n, axis, float):
+    for lhs, terms, rhs, residual in _relation_rows(sys, n, axis):
         scale = max([_max_abs_coeff(lhs)] + [_max_abs_coeff(t) for t in terms])
         rel = _max_abs_coeff(residual) / max(scale, _TINY)
         max_coeff = max(max_coeff, rel)

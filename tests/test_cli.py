@@ -1,9 +1,10 @@
 """End-to-end CLI behavior: output formats, schema, and exit codes."""
 import json
+import time
 
 import pytest
 
-from ortho2d.cli import canonical_json, main
+from ortho2d.cli import MAX_DEGREE, canonical_json, main
 
 
 def run(capsys, *argv):
@@ -235,6 +236,32 @@ def test_negative_max_n_exits_two(capsys):
     code, _, err = run(capsys, "tables", "disk", "--mu", "1/2",
                        "--max-n", "-1")
     assert code == 2 and "nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "disk", "--mu", "1/2", "--max-n"),
+    ("verify", "disk", "--mu", "1/2", "--max-n"),
+    ("moments", "disk", "--mu", "1/2", "--max-h"),
+    ("moments", "disk", "--mu", "1/2", "--max-k"),
+])
+def test_degree_bound_above_ceiling_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv, str(MAX_DEGREE + 1))
+    assert code == 2 and out == ""
+    assert f"at most {MAX_DEGREE}" in err
+
+
+def test_huge_max_n_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "tables", "disk", "--mu", "1/2",
+                       "--max-n", "100000")
+    assert code == 2 and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+def test_max_n_at_the_ceiling_is_accepted(capsys):
+    obj = run_json(capsys, "tables", "disk", "--mu", "1/2",
+                   "--max-n", str(MAX_DEGREE))
+    assert obj["max_degree"] == MAX_DEGREE
 
 
 def test_help_exits_zero(capsys):

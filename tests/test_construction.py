@@ -85,6 +85,17 @@ def test_case_two_symmetry_is_checked_past_the_eager_range():
         sys_obj.expand_P(18, 18)
 
 
+def test_case_two_symmetry_failure_is_not_cached():
+    late = RecurrenceFamily("late-asymmetric", lambda n: 1,
+                            lambda n: 1 if n == 17 else 0, lambda n: 1)
+    rho = RhoSpec.sqrt_quadratic(-1, 0, 1)
+    sys_obj = assemble(rho, lambda m: jacobi_std(m, m), late)
+    second_ttr(sys_obj, 16)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="symmetric"):
+            second_ttr(sys_obj, 17)
+
+
 def test_q_normalization_is_forced_to_one(disk):
     assert disk.q.norms(0) == q(1)
 

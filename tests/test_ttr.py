@@ -12,6 +12,7 @@ from ortho2d import (
     rank_conditions,
     second_ttr,
     ttr_from_gram,
+    verify_orthonormal_transpose,
 )
 
 q = Scalar.exact
@@ -25,6 +26,21 @@ def disk():
 @pytest.fixture(scope="module")
 def square():
     return make_system(catalog_id("square", alpha=0, beta=0, gamma=0, delta=0))
+
+
+@pytest.mark.parametrize("family, params", [
+    ("disk", {"mu": "3/2"}),
+    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}),
+    ("square", {"alpha": "1", "beta": "2", "gamma": "0", "delta": "1/2"}),
+])
+def test_cached_relations_equal_a_cold_build(family, params):
+    cid = catalog_id(family, **params)
+    warm = make_system(cid)
+    verify_orthonormal_transpose(warm, 8)
+    for n in range(8):
+        rank_conditions(warm, n)
+    for n in range(9):
+        assert build_ttr(warm, n) == build_ttr(make_system(cid), n)
 
 
 def test_matrix_shapes_and_bands(disk):

@@ -166,6 +166,24 @@ def test_quasi_definiteness_error_paths():
         flat.norms(1)
 
 
+def test_recurrence_failures_are_not_cached():
+    # a(2) = (2 + a - 1) b / ((4 + a - 1)(4 + a)) divides by zero at a = -3
+    fam = bessel(-3, 1)
+    assert fam.a(1) == q("-3/2")
+    for _ in range(2):
+        with pytest.raises(QuasiDefinitenessError, match=r"a\(2\)"):
+            fam.a(2)
+
+
+def test_recurrence_index_is_validated_after_caching():
+    leg = jacobi_std(0, 0)
+    assert leg.a(1) == q("2/3")
+    with pytest.raises(ValueError):
+        leg.a(1.0)
+    with pytest.raises(ValueError):
+        leg.b(-1)
+
+
 # -- moment-level orthogonality (independent Gram oracle) ------------------
 
 

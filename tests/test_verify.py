@@ -58,21 +58,27 @@ def test_relation_float_without_points(disk):
     assert res.details["max_point_residual"] is None
 
 
-def _perturb_an_a_entry(monkeypatch):
-    """Make every relation matrix lookup return A with its first nonzero
-    entry raised by one part in a thousand."""
+def _perturb_first_entry(monkeypatch, which):
+    """Make every relation matrix lookup return A, B, C with the first
+    nonzero entry of the one at position which (0 = A, 1 = B, 2 = C)
+    raised by one part in a thousand."""
     original = ortho2d.verify._relation_matrices
 
     def perturbed(sys, n, axis):
-        mat_a, mat_b, mat_c = original(sys, n, axis)
-        entries = dict(mat_a.items())
+        mats = list(original(sys, n, axis))
+        mat = mats[which]
+        entries = dict(mat.items())
         first = next(iter(entries))
         entries[first] = entries[first] * q("1001/1000")
-        bad = BandMatrix(mat_a.rows, mat_a.cols, mat_a.lower_bandwidth,
-                         mat_a.upper_bandwidth, entries)
-        return bad, mat_b, mat_c
+        mats[which] = BandMatrix(mat.rows, mat.cols, mat.lower_bandwidth,
+                                 mat.upper_bandwidth, entries)
+        return tuple(mats)
 
     monkeypatch.setattr(ortho2d.verify, "_relation_matrices", perturbed)
+
+
+def _perturb_an_a_entry(monkeypatch):
+    _perturb_first_entry(monkeypatch, 0)
 
 
 def test_relation_float_detects_a_wrong_entry(disk, monkeypatch):
@@ -92,6 +98,22 @@ def test_relation_exact_detects_a_wrong_entry(disk, monkeypatch):
         res = verify_relation(disk, 3, axis)
         assert res.passed is False
         assert res.details == {"n": 3, "m": 0, "mode": "exact",
+                               "monomial": monomial,
+                               "coefficient": coefficient}
+
+
+@pytest.mark.parametrize("which, want", [
+    (1, {"x": (0, [0, 0], "-1/66000"), "y": (0, [0, 0], "-1/10000")}),
+    (2, {"x": (0, [0, 0], "1/3000"), "y": (1, [0, 0], "9/35000")}),
+])
+def test_relation_exact_detects_a_wrong_b_or_c_entry(
+        asymmetric_square, monkeypatch, which, want):
+    # the square is not centrally symmetric, so both B matrices are nonzero
+    _perturb_first_entry(monkeypatch, which)
+    for axis, (m, monomial, coefficient) in want.items():
+        res = verify_relation(asymmetric_square, 3, axis)
+        assert res.passed is False
+        assert res.details == {"n": 3, "m": m, "mode": "exact",
                                "monomial": monomial,
                                "coefficient": coefficient}
 
