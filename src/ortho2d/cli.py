@@ -17,8 +17,8 @@ Family parameters are given as exact rational strings (``--mu 1/2``,
 exactly, with a decimal exponent of at most 1000 in absolute value.  JSON output is canonical: keys sorted, two-space indent, so a
 parse/re-serialize round trip is byte-identical.
 
-``--max-n``, ``--max-h`` and ``--max-k`` are bounded by ``MAX_DEGREE``
-(64); a larger value is a usage error.
+``--max-n``, ``--max-h``, ``--max-k`` and ``eval --n`` are bounded by
+``MAX_DEGREE`` (64); a larger value is a usage error.
 
 Exit codes: 0 success; 1 verification failed; 2 usage or parameter
 error (a degree bound above ``MAX_DEGREE`` included); 3 the functional
@@ -35,17 +35,17 @@ import sys
 
 from .catalog import (FAMILY_PARAMS, catalog_id, closed_form_first,
                       closed_form_second, make_system)
-from .numerics import ModeError, Scalar, _eval_terms
+from .numerics import ModeError, Scalar, _eval_terms, _powers
 from .univariate import QuasiDefinitenessError
-from .verify import _coeff_map, run_suite
+from .verify import _float_map, run_suite
 
 SCHEMA = "ortho2d/1"
 
 _PARAM_FLAGS = ("mu", "alpha", "beta", "gamma", "delta", "g")
 
-# Largest value of --max-n, --max-h and --max-k.  Exact work grows fast
-# with the degree, so a larger bound is refused rather than left to run
-# without end; at this ceiling, tables and moments finish in seconds.
+# Largest value of --max-n, --max-h, --max-k and eval's --n.  Exact work
+# grows fast with the degree, so a larger bound is refused rather than left
+# to run without end; at this ceiling, tables and moments finish in seconds.
 MAX_DEGREE = 64
 
 # Table keys in output order; catalog.closed_form_first/_second define them.
@@ -200,16 +200,17 @@ def _cmd_eval(args):
     cid = _family_id(args)
     if args.m < 0 or args.m > args.n:
         raise ValueError(f"need 0 <= m <= n, got (n, m) = ({args.n}, {args.m})")
+    _check_max(args.n, "--n")
     x = Scalar.exact(args.x)
     y = Scalar.exact(args.y)
     system = make_system(cid)
-    poly = system.expand_P(args.n, args.m)
     if args.mode == "exact":
-        value = str(poly.eval(x, y))
+        value = str(system.expand_P(args.n, args.m).eval(x, y))
         px, py = str(x), str(y)
     else:
         px, py = float(x), float(y)
-        value = _eval_terms(_coeff_map(poly, float), px, py, 0.0)
+        value = _eval_terms(_float_map(system._P_int(args.n, args.m)),
+                            _powers(px, args.n), _powers(py, args.n), 0.0)
     payload = {
         "schema": SCHEMA,
         "command": "eval",

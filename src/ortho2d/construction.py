@@ -20,14 +20,14 @@ the induced bivariate functional, and evaluates Gram blocks -- the
 independent ground truth against which the recurrence-built matrix
 relations are checked.
 
-Gram entries are computed fraction-free, in the manner of Bareiss
-elimination: the moments <w, x^h y^k> are kept as one integer table over a
-common denominator, each basis polynomial is scaled once to integer
-coefficients, each row polynomial is contracted once against the table,
-and all sums run in plain ints; every entry is then a single rational.
-The kernel reads the moments and the expanded polynomials only -- no
-norm, ladder, recurrence or connection coefficient -- so it stays an
-independent check.
+Everything is built fraction-free, in the manner of Bareiss elimination:
+basis polynomials, ladder coefficients and powers of rho are each cached
+once, as integer forms (integers over one least positive denominator).
+The moments <w, x^h y^k> form one integer table over a common denominator;
+each Gram row polynomial is contracted once against it, all sums run in
+plain ints, and every entry is a single rational.  The kernel reads the
+moments and the basis polynomials only -- no norm, ladder, recurrence or
+connection coefficient -- so it stays an independent check.
 """
 from __future__ import annotations
 
@@ -38,14 +38,15 @@ from .numerics import (
     Scalar,
     SparsePoly2,
     _RAT,
+    _add_terms,
     _as_raw_exact,
+    _int_list,
     _poly,
     _wrap,
 )
 from .univariate import QuasiDefinitenessError, RecurrenceFamily
 
 _ZERO = _RAT(0)
-_ONE = _RAT(1)
 
 CASE_I = "I"
 CASE_II = "II"
@@ -117,30 +118,16 @@ def _integer_form(poly):
     positive denominator d, terms being (i, j, d * coefficient) triples."""
     if not isinstance(poly, SparsePoly2):
         raise TypeError("expected a SparsePoly2")
-    d = 1
-    for c in poly._terms.values():
-        d = math.lcm(d, int(c.denominator))
-    return d, [(i, j, int(c.numerator) * (d // int(c.denominator)))
-               for (i, j), c in poly._terms.items()]
-
-
-def _list_mul(u, v):
-    out = [_ZERO] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return out
+    d, ints = _int_list(poly._terms.values())
+    return d, [(i, j, c) for (i, j), c in zip(poly._terms, ints)]
 
 
 class BivariateSystem:
     """One assembled bivariate orthogonal system.  Build via ``assemble``.
 
-    Ladders, basis polynomials, moments, Gram blocks and the relation
-    matrices of ``ttr.first_ttr``/``second_ttr`` are computed once and
-    cached on the system.  A system is not thread-safe.
+    Basis polynomials, ladder coefficients and powers of rho are cached
+    once, as integer forms; ladders, moments, Gram blocks and the matrices
+    of ``ttr.first_ttr``/``second_ttr`` once each.  Not thread-safe.
     """
 
     def __init__(self, rho, ladder_factory, q, label):
@@ -152,12 +139,13 @@ class BivariateSystem:
         self._P_cache = {}
         self._w_cache = {}
         self._w_table = (1, [])
-        # Powers of rho, in steps of rho (case I) or of rho^2 (case II).
+        # Powers of rho as integer forms (d, [ints]), in steps of rho
+        # (case I) or of rho^2 (case II).
         if rho.case == CASE_I:
-            step = {1: [rho.r0.value, rho.r1.value]}
+            step = {1: _int_list([rho.r0.value, rho.r1.value])}
         else:
-            step = {2: [rho.s0.value, rho.s1.value, rho.s2.value]}
-        self._rho_pow = {0: [_ONE], **step}
+            step = {2: _int_list([rho.s0.value, rho.s1.value, rho.s2.value])}
+        self._rho_pow = {0: (1, [1]), **step}
         self._gram_cache = {}
         # (A, B, C) of the relation along axis at degree n, keyed (n, axis);
         # filled by ttr.first_ttr / second_ttr.
@@ -198,58 +186,63 @@ class BivariateSystem:
 
     # -- powers of rho ---------------------------------------------------------
 
-    def _rho_pow_raw(self, e):
-        """Coefficient list of rho(x)^e.  In case II only rho^2 is a
-        polynomial, so e must be even there."""
+    def _rho_pow_int(self, e):
+        """rho(x)^e as (d, [ints]), constant term first.  In case II only
+        rho^2 is a polynomial, so e must be even there."""
         if self.case == CASE_II and e % 2:
             raise ValueError("case II has only even powers of rho")
-        cache = self._rho_pow
-        if e not in cache:
+        if e not in self._rho_pow:
             step = 1 if self.case == CASE_I else 2
-            for j in range(max(cache) + step, e + 1, step):
-                cache[j] = _list_mul(cache[j - step], cache[step])
-        return cache[e]
+            (d, u), (d_s, s) = self._rho_pow_int(e - step), self._rho_pow[step]
+            out = [0] * (len(u) + len(s) - 1)
+            for i, a in enumerate(u):
+                for k, b in enumerate(s):
+                    out[i + k] += a * b
+            self._rho_pow[e] = (d * d_s, out)
+        return self._rho_pow[e]
 
     # -- basis polynomials -------------------------------------------------------
 
-    def expand_P(self, n, m):
-        """The (n, m) basis polynomial as an exact SparsePoly2."""
+    def _P_int(self, n, m):
+        """The (n, m) basis polynomial as (d, [(i, j, c)]), c over the least
+        positive d; built once from the integer forms of q_m, p_{n-m}^{(m)}
+        and rho^(m-j), and read by the relation checks and the Gram kernel."""
         if not (isinstance(n, int) and isinstance(m, int) and 0 <= m <= n):
             raise ValueError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
         key = (n, m)
         cached = self._P_cache.get(key)
         if cached is not None:
             return cached
-        q_coeffs = self.q._coeffs_raw(m)
-        p_coeffs = self.ladder(m)._coeffs_raw(n - m)
-        terms = {}
+        d_q, q_coeffs = self.q._coeffs_int(m)
+        d_p, p_coeffs = self.ladder(m)._coeffs_int(n - m)
+        # Each y^j term carries rho^(m - j); bring them over one lcm.
+        rho = {}
         for j, qc in enumerate(q_coeffs):
-            if not qc:
-                continue
-            e = m - j
-            if e % 2 and self.case == CASE_II:
-                raise ValueError(
-                    f"{self.label}: case II second-variable family is "
-                    f"not symmetric (q_{m} has a y^{j} term)")
-            rho_e = self._rho_pow_raw(e)
+            if qc:
+                if (m - j) % 2 and self.case == CASE_II:
+                    raise ValueError(
+                        f"{self.label}: case II second-variable family is "
+                        f"not symmetric (q_{m} has a y^{j} term)")
+                rho[j] = self._rho_pow_int(m - j)
+        lcm = math.lcm(*(d for d, _ in rho.values()))
+        terms = {}
+        for j, (d_rho, rho_e) in rho.items():
+            scale = q_coeffs[j] * (lcm // d_rho)
             for i, pc in enumerate(p_coeffs):
-                if not pc:
-                    continue
-                factor = pc * qc
-                for d, rc in enumerate(rho_e):
-                    if not rc:
-                        continue
-                    key_t = (i + d, j)
-                    acc = terms.get(key_t)
-                    prod = factor * rc
-                    acc = prod if acc is None else acc + prod
-                    if acc:
-                        terms[key_t] = acc
-                    else:
-                        terms.pop(key_t, None)
-        poly = _poly(terms)
-        self._P_cache[key] = poly
-        return poly
+                if pc:
+                    _add_terms(terms, {(i + d, j): pc * scale * rc
+                                       for d, rc in enumerate(rho_e) if rc})
+        den = d_p * d_q * lcm
+        g = math.gcd(den, *terms.values())
+        form = (den // g, [(i, j, c // g) for (i, j), c in terms.items()])
+        self._P_cache[key] = form
+        return form
+
+    def expand_P(self, n, m):
+        """The (n, m) basis polynomial as an exact SparsePoly2, formed at
+        this boundary from the cached integer form (``_P_int``)."""
+        d, terms = self._P_int(n, m)
+        return _poly({(i, j): _RAT(c, d) for i, j, c in terms})
 
     # -- moments of the bivariate functional ----------------------------------
 
@@ -261,14 +254,12 @@ class BivariateSystem:
         if self.case == CASE_II and k % 2:
             value = _ZERO
         else:
-            rho_k = self._rho_pow_raw(k)
+            d_rho, rho_k = self._rho_pow_int(k)
             base = self.ladder(0)
             base._moment_raw(h + len(rho_k) - 1)
-            acc = _ZERO
-            for d, rc in enumerate(rho_k):
-                if rc:
-                    acc = acc + rc * base._moment_raw(h + d)
-            value = acc * self.q._moment_raw(k)
+            acc = sum(rc * base._moment_raw(h + d)
+                      for d, rc in enumerate(rho_k) if rc)
+            value = acc * self.q._moment_raw(k) / d_rho
         self._w_cache[key] = value
         return value
 
@@ -289,13 +280,9 @@ class BivariateSystem:
             wm = self._w_moment_raw
             moments = [[wm(h, k) for k in range(top + 1 - h)]
                        for h in range(top + 1)]
-            d = 1
-            for row in moments:
-                for v in row:
-                    d = math.lcm(d, int(v.denominator))
-            self._w_table = (d, [
-                [int(v.numerator) * (d // int(v.denominator)) for v in row]
-                for row in moments])
+            d, ints = _int_list([v for row in moments for v in row])
+            flat = iter(ints)
+            self._w_table = (d, [[next(flat) for _ in row] for row in moments])
         return self._w_table
 
     def _bilinear_raw(self, rows, cols, dx, dy):
@@ -347,8 +334,8 @@ class BivariateSystem:
     def _gram_raw(self, n, h, dx=0, dy=0):
         """Raw dense matrix <w, x^dx y^dy P_{n,m} P_{h,mp}>, rows m, columns
         mp: the Gram block and its shifted variants, from moments only."""
-        rows = [_integer_form(self.expand_P(n, m)) for m in range(n + 1)]
-        cols = [_integer_form(self.expand_P(h, mp)) for mp in range(h + 1)]
+        rows = [self._P_int(n, m) for m in range(n + 1)]
+        cols = [self._P_int(h, mp) for mp in range(h + 1)]
         return self._bilinear_raw(rows, cols, dx, dy)
 
     def gram_block(self, n, h):

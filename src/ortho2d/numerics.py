@@ -69,9 +69,9 @@ def _as_raw_exact(v):
     if isinstance(v, int):
         return _RAT(v)
     if isinstance(v, _RAT_TYPES):
-        if isinstance(v, Fraction):
-            return _RAT(v.numerator, v.denominator)
-        return v
+        if type(v) is _RAT_TYPES[-1]:  # already the backend's own type
+            return v
+        return _RAT(v.numerator, v.denominator)
     if isinstance(v, str):
         return parse_rational(v)
     if isinstance(v, float):
@@ -275,19 +275,16 @@ def _add_terms(out, terms, negate=False):
     return out
 
 
-def _eval_terms(terms, x, y, acc):
-    """acc plus the sum of c x^i y^j over the coefficient map terms, each
-    power of x and y computed once."""
-    xpow = {}
-    ypow = {}
+def _powers(v, top):
+    """[v ** 0, v ** 1, ..., v ** top]."""
+    return [v ** i for i in range(top + 1)]
+
+
+def _eval_terms(terms, xs, ys, acc):
+    """acc plus the sum of c x^i y^j over the coefficient map terms, the
+    powers read from xs[i] and ys[j] (see ``_powers``)."""
     for (i, j), raw in terms.items():
-        xi = xpow.get(i)
-        if xi is None:
-            xi = xpow[i] = x ** i
-        yj = ypow.get(j)
-        if yj is None:
-            yj = ypow[j] = y ** j
-        acc += raw * xi * yj
+        acc += raw * xs[i] * ys[j]
     return acc
 
 
@@ -395,8 +392,9 @@ class SparsePoly2:
 
     def eval(self, x, y):
         """Evaluate at exact x, y (Scalars, ints or rationals)."""
-        value = _eval_terms(self._terms, _as_raw_exact(x), _as_raw_exact(y),
-                            _RAT(0))
+        top = max((max(key) for key in self._terms), default=0)
+        value = _eval_terms(self._terms, _powers(_as_raw_exact(x), top),
+                            _powers(_as_raw_exact(y), top), _RAT(0))
         return _wrap(value)
 
     # -- comparison / rendering -----------------------------------------
@@ -585,6 +583,13 @@ class BandMatrix:
                 f"{len(self._entries)} stored)")
 
 
+def _int_list(values):
+    """(d, [ints]): a sequence of rationals as integers over their least
+    common denominator d."""
+    d = math.lcm(*(int(v.denominator) for v in values))
+    return d, [int(v.numerator) * (d // int(v.denominator)) for v in values]
+
+
 def _int_rows(matrix):
     """Clear denominators row by row; returns a list of Python-int rows."""
     if isinstance(matrix, BandMatrix):
@@ -595,13 +600,7 @@ def _int_rows(matrix):
             dense.append([_as_raw_exact(v) for v in row])
         if dense and any(len(r) != len(dense[0]) for r in dense):
             raise ValueError("ragged rows")
-    rows = []
-    for row in dense:
-        denoms = [int(v.denominator) for v in row]
-        scale = math.lcm(*denoms) if denoms else 1
-        rows.append([int(v.numerator) * (scale // int(v.denominator))
-                     for v in row])
-    return rows
+    return [_int_list(row)[1] for row in dense]
 
 
 def rank_exact(matrix):

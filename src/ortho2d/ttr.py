@@ -265,8 +265,8 @@ def rank_conditions(sys, n):
     a2, _, _ = second_ttr(sys, n)
     _, _, c1_next = first_ttr(sys, n + 1)
     _, _, c2_next = second_ttr(sys, n + 1)
-    joint_a = a1.dense() + a2.dense()
-    joint_c = c1_next.transpose().dense() + c2_next.transpose().dense()
+    joint_a = a1._raw_rows() + a2._raw_rows()
+    joint_c = c1_next.transpose()._raw_rows() + c2_next.transpose()._raw_rows()
     return RankReport(
         n,
         rank_exact(a1),

@@ -23,12 +23,14 @@ as a structured QuasiDefinitenessError.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .numerics import (
     Scalar,
     _RAT,
     _as_raw_exact,
+    _int_list,
     _wrap,
 )
 
@@ -109,7 +111,7 @@ class RecurrenceFamily:
         self._kl_cache = [(_ONE, _ZERO)]
         self._h_cache = [h0_raw]
         self._mom_cache = [[_ONE]]
-        self._coeff_cache = [[_ONE]]
+        self._coeff_cache = [(1, [1])]
 
     def __repr__(self):
         return f"RecurrenceFamily({self.label!r})"
@@ -230,28 +232,38 @@ class RecurrenceFamily:
 
     # -- dense coefficients / evaluation ------------------------------------
 
-    def _coeffs_raw(self, n):
+    def _coeffs_int(self, n):
+        """p_n as (d, [ints]): dense coefficients, constant term first, over
+        their least positive denominator d.  Only the three multipliers of
+        each recurrence step are rational; the coefficients stay ints."""
         cache = self._coeff_cache
         while len(cache) <= n:
             j = len(cache) - 1
-            cur = cache[j]
+            d, cur = cache[j]
             a_j = self._a_raw(j)
             if not a_j:
                 self._fail(j, f"a({j}) = 0: degree cannot advance")
-            b_j = self._b_raw(j)
-            new = [_ZERO] + list(cur)
-            for i, v in enumerate(cur):
-                new[i] = new[i] - b_j * v
+            # p_{j+1} = ((x - b_j) p_j - c_j p_{j-1}) / a_j over one lcm.
+            inv = _ONE / (a_j * d)
+            mults = [inv, -self._b_raw(j) * inv]
+            prev = ()
             if j >= 1:
-                c_j = self._c_raw(j)
-                for i, v in enumerate(cache[j - 1]):
-                    new[i] = new[i] - c_j * v
-            cache.append([v / a_j for v in new])
+                d_prev, prev = cache[j - 1]
+                mults.append(-self._c_raw(j) * inv * d / d_prev)
+            den, factors = _int_list(mults)
+            new = [0] + [factors[0] * v for v in cur]
+            for f, poly in zip(factors[1:], (cur, prev)):
+                for i, v in enumerate(poly):
+                    new[i] += f * v
+            g = math.gcd(den, *new)
+            cache.append((den // g, [v // g for v in new]))
         return cache[n]
 
     def coeffs(self, n):
-        """Dense monomial coefficients of p_n, constant term first."""
-        return [_wrap(v) for v in self._coeffs_raw(n)]
+        """Dense monomial coefficients of p_n, constant term first, formed
+        as rationals from the cached integer form at this boundary."""
+        d, ints = self._coeffs_int(n)
+        return [_wrap(_RAT(c, d)) for c in ints]
 
     def eval(self, n, x):
         """Evaluate p_n exactly at x (a Scalar, int or rational)."""

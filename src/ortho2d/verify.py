@@ -6,8 +6,8 @@ Four independent checks, each returning a structured CheckResult:
   one degree: exactly (residual polynomial must vanish identically) or in
   floating point (coefficient residuals and optional random-point
   residuals within a relative tolerance).  Exact mode sums each row's
-  residual in plain ints, every basis polynomial written once as integers
-  over its own denominator, and forms a rational only for a failing row.
+  residual in plain ints, reading each basis polynomial's cached integer
+  form, and forms a rational only for a failing row.
   Float mode rounds each exact coefficient and matrix entry to a double
   once and forms the residuals on coefficient maps.  Both read the
   relation matrices cached on the system (``ttr.first_ttr``/
@@ -31,8 +31,7 @@ import random
 from dataclasses import dataclass
 
 from .catalog import cross_check, make_system
-from .construction import _integer_form
-from .numerics import _RAT, _add_terms, _eval_terms
+from .numerics import _RAT, _add_terms, _eval_terms, _powers
 from .ttr import first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -90,10 +89,11 @@ def _dense(matrix, num):
     return [[num(v) for v in row] for row in matrix._raw_rows()]
 
 
-def _coeff_map(poly, num):
-    """The polynomial as a {(i, j): coefficient} map, each coefficient
-    converted once by num."""
-    return {k: num(v) for k, v in poly._terms.items()}
+def _float_map(form):
+    """Integer form (d, [(i, j, c)]) as a {(i, j): c / d} map of doubles,
+    each equal to float() of the exact coefficient (correct rounding)."""
+    d, terms = form
+    return {(i, j): c / d for i, j, c in terms}
 
 
 def _exact_failure(sys, n, axis):
@@ -101,8 +101,8 @@ def _exact_failure(sys, n, axis):
     residual does not vanish, as (m, (i, j), coefficient) with (i, j) its
     smallest monomial; None when every row holds.
 
-    Each basis polynomial is written once as integers over its own
-    denominator (``_integer_form``).  A row's lhs and its entry *
+    Each basis polynomial is read as integers over its own denominator
+    (``BivariateSystem._P_int``).  A row's lhs and its entry *
     polynomial terms are brought over one lcm L and the residual is summed
     in plain ints; only a failing coefficient becomes a rational num / L.
     """
@@ -110,7 +110,7 @@ def _exact_failure(sys, n, axis):
     dx, dy = (1, 0) if axis == "x" else (0, 1)
     rows = [mat._raw_rows() for mat in mats]
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
-    forms = [[_integer_form(sys.expand_P(n + d, c)) for c in range(n + d + 1)]
+    forms = [[sys._P_int(n + d, c) for c in range(n + d + 1)]
              for d in (1, 0, -1)]
     for m in range(n + 1):
         d_lhs, lhs = forms[1][m]
@@ -143,8 +143,8 @@ def _relation_rows(sys, n, axis):
     dx, dy = (1, 0) if axis == "x" else (0, 1)
     dense = [_dense(mat, float) for mat in mats]
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
-    polys = [[_coeff_map(sys.expand_P(n + d, c), float)
-              for c in range(n + d + 1)] for d in (1, 0, -1)]
+    polys = [[_float_map(sys._P_int(n + d, c)) for c in range(n + d + 1)]
+             for d in (1, 0, -1)]
     for m in range(n + 1):
         lhs = {(i + dx, j + dy): c for (i, j), c in polys[1][m].items()}
         terms = [{k: coeff * entry for k, coeff in maps[c].items()}
@@ -185,16 +185,17 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
             "n": n, "m": m, "mode": "exact",
             "monomial": [i, j], "coefficient": str(coefficient)})
 
+    powers = [(_powers(float(px), n + 1), _powers(float(py), n + 1))
+              for px, py in points or ()]  # no monomial exceeds degree n + 1
     max_coeff = 0.0
     max_point = 0.0
     for lhs, terms, rhs, residual in _relation_rows(sys, n, axis):
         scale = max([_max_abs_coeff(lhs)] + [_max_abs_coeff(t) for t in terms])
         rel = _max_abs_coeff(residual) / max(scale, _TINY)
         max_coeff = max(max_coeff, rel)
-        for (px, py) in points or ():
-            px, py = float(px), float(py)
-            lv = _eval_terms(lhs, px, py, 0.0)
-            rv = _eval_terms(rhs, px, py, 0.0)
+        for xs, ys in powers:
+            lv = _eval_terms(lhs, xs, ys, 0.0)
+            rv = _eval_terms(rhs, xs, ys, 0.0)
             rel_pt = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
             max_point = max(max_point, rel_pt)
     passed = max_coeff <= tol and max_point <= tol

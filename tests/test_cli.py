@@ -264,6 +264,24 @@ def test_max_n_at_the_ceiling_is_accepted(capsys):
     assert obj["max_degree"] == MAX_DEGREE
 
 
+@pytest.mark.parametrize("n", [str(MAX_DEGREE + 1), "100000"])
+def test_eval_degree_above_ceiling_exits_two_at_once(capsys, n):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "disk", "--mu", "1/2", "--n", n,
+                         "--m", "0", "--x", "0", "--y", "0")
+    assert code == 2 and out == ""
+    assert f"at most {MAX_DEGREE}" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_eval_degree_at_the_ceiling_is_accepted(capsys, mode):
+    obj = run_json(capsys, "eval", "disk", "--mu", "1/2",
+                   "--n", str(MAX_DEGREE), "--m", "3", "--x", "1/3",
+                   "--y", "1/5", "--mode", mode)
+    assert obj["n"] == MAX_DEGREE
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

@@ -1,4 +1,7 @@
 """Bivariate system assembly, basis expansion, moments and Gram blocks."""
+import math
+from fractions import Fraction
+
 import pytest
 
 from ortho2d import (
@@ -17,6 +20,7 @@ from ortho2d import (
     make_system,
     second_ttr,
 )
+from ortho2d.construction import _integer_form
 
 q = Scalar.exact
 
@@ -164,6 +168,71 @@ def test_expand_argument_validation(disk):
         disk.expand_P(1, 2)
     with pytest.raises(ValueError):
         disk.expand_P(-1, 0)
+
+
+def reference_basis(sys_obj, n, m):
+    """P_{n,m} as a {(i, j): Fraction} map in expansion order: for each y^j
+    term of q_m, each x^i term of the ladder polynomial, each x^d term of
+    rho^(m-j), add the product to key (i + d, j); a sum that vanishes drops
+    its key, and a later term puts it back at the end."""
+    rho = sys_obj.rho
+    if sys_obj.case == CASE_I:
+        step, base = 1, [rho.r0.value, rho.r1.value]
+    else:
+        step, base = 2, [rho.s0.value, rho.s1.value, rho.s2.value]
+    p_coeffs = [c.value for c in sys_obj.ladder(m).coeffs(n - m)]
+    terms = {}
+    for j, qc in enumerate(c.value for c in sys_obj.q.coeffs(m)):
+        if not qc:
+            continue
+        power = [Fraction(1)]
+        for _ in range((m - j) // step):
+            out = [Fraction(0)] * (len(power) + len(base) - 1)
+            for k, u in enumerate(power):
+                for e, v in enumerate(base):
+                    out[k + e] += u * v
+            power = out
+        for i, pc in enumerate(p_coeffs):
+            for d, rc in enumerate(power):
+                if pc and rc:
+                    acc = terms.get((i + d, j), 0) + pc * qc * rc
+                    if acc:
+                        terms[(i + d, j)] = acc
+                    else:
+                        terms.pop((i + d, j), None)
+    return terms
+
+
+@pytest.mark.parametrize("name, params", [
+    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}),
+    ("disk", {"mu": "1/2"}),
+    ("bessel-laguerre", {"g": 5, "gamma": "2/5"}),
+])
+def test_basis_integer_forms_are_least_in_expansion_order(name, params):
+    sys_obj = make_system(catalog_id(name, **params))
+    for n in range(11):
+        for m in range(n + 1):
+            want = reference_basis(sys_obj, n, m)
+            poly = sys_obj.expand_P(n, m)
+            assert list(poly._terms.items()) == list(want.items()), (n, m)
+            d, terms = _integer_form(poly)
+            assert d == math.lcm(*(c.denominator for c in want.values()))
+            assert [(i, j) for i, j, _ in terms] == list(want)
+            assert math.gcd(d, *(c for _, _, c in terms)) == 1
+            # The cached basis polynomial, kept either as a polynomial or
+            # as an integer form, must amount to this least integer form.
+            cached = sys_obj._P_cache[(n, m)]
+            if not isinstance(cached, tuple):
+                cached = _integer_form(cached)
+            assert cached == (d, terms), (n, m)
+
+
+def test_basis_key_order_is_pinned():
+    simplex = make_system(catalog_id("simplex", alpha="1/2", beta="1/2",
+                                     gamma="1/2"))
+    assert list(simplex.expand_P(4, 2).terms) == [
+        (0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 1), (1, 1), (2, 1),
+        (3, 1), (0, 2), (1, 2), (2, 2)]
 
 
 # -- moments -------------------------------------------------------------------

@@ -1,4 +1,7 @@
 """Univariate recurrence families and adjacent-family connections."""
+import math
+from fractions import Fraction
+
 import pytest
 
 from ortho2d import (
@@ -9,9 +12,11 @@ from ortho2d import (
     adjacent_down,
     adjacent_up,
     bessel,
+    catalog_id,
     jacobi_shift,
     jacobi_std,
     laguerre,
+    make_system,
 )
 
 q = Scalar.exact
@@ -182,6 +187,68 @@ def test_recurrence_index_is_validated_after_caching():
         leg.a(1.0)
     with pytest.raises(ValueError):
         leg.b(-1)
+
+
+def test_zero_a_raises_on_every_coeffs_call():
+    stall = RecurrenceFamily("stall", lambda n: 0 if n == 1 else 1,
+                             lambda n: 0, lambda n: 1)
+    assert stall.coeffs(1) == [q(0), q(1)]
+    for _ in range(2):
+        with pytest.raises(QuasiDefinitenessError, match=r"a\(1\) = 0"):
+            stall.coeffs(2)
+
+
+# -- dense coefficients against a plain Fraction recurrence ----------------
+
+# One parameter set per catalog family; bessel-laguerre's q and ladders
+# carry negative a, b and c.
+CATALOG_SETS = [
+    ("disk", {"mu": "1/2"}),
+    ("biangle", {"alpha": "1", "beta": "1/2"}),
+    ("simplex", {"alpha": "0", "beta": "1", "gamma": "2"}),
+    ("square", {"alpha": "1", "beta": "2", "gamma": "0", "delta": "1/2"}),
+    ("laguerre-jacobi", {"alpha": "1", "beta": "1/2"}),
+    ("bessel-laguerre", {"g": "5", "gamma": "2/5"}),
+]
+
+
+def reference_coeffs(fam, top):
+    """p_0..p_top from x p_j = a_j p_{j+1} + b_j p_j + c_j p_{j-1}, one
+    Fraction at a time."""
+    polys = [[Fraction(1)]]
+    for j in range(top):
+        cur = polys[j]
+        new = [Fraction(0)] + cur
+        for i, v in enumerate(cur):
+            new[i] -= fam.b(j).value * v
+        if j >= 1:
+            for i, v in enumerate(polys[j - 1]):
+                new[i] -= fam.c(j).value * v
+        polys.append([v / fam.a(j).value for v in new])
+    return polys
+
+
+def least_integer_form(values):
+    """(d, [ints]): rationals over their least positive common denominator."""
+    values = [Fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [int(v * d) for v in values]
+
+
+@pytest.mark.parametrize("name, params", CATALOG_SETS)
+def test_coeffs_match_a_fraction_recurrence(name, params):
+    system = make_system(catalog_id(name, **params))
+    for fam in [system.q] + [system.ladder(k) for k in range(4)]:
+        want = reference_coeffs(fam, 12)
+        for n in range(13):
+            assert [c.value for c in fam.coeffs(n)] == want[n], (fam, n)
+            # The cached coefficients, kept either as rationals or as an
+            # integer form, must amount to the least integer form: a
+            # positive denominator sharing no factor with the numerators.
+            cached = fam._coeff_cache[n]
+            if not isinstance(cached, tuple):
+                cached = least_integer_form(cached)
+            assert cached == least_integer_form(want[n]), (fam, n)
 
 
 # -- moment-level orthogonality (independent Gram oracle) ------------------

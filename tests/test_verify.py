@@ -81,6 +81,23 @@ def _perturb_an_a_entry(monkeypatch):
     _perturb_first_entry(monkeypatch, 0)
 
 
+def test_relation_float_residuals_are_pinned(asymmetric_square):
+    # Residuals of the float check, to the last bit, at three fixed points.
+    points = [(0.3, -0.7), (-0.45, 0.2), (0.9, 0.61)]
+    want = {
+        "x": "{'n': 5, 'mode': 'float', 'max_coeff_residual': "
+             "2.650042837333707e-16, 'max_point_residual': "
+             "3.2656416340363568e-15, 'tolerance': 1e-10}",
+        "y": "{'n': 5, 'mode': 'float', 'max_coeff_residual': "
+             "5.047700642540394e-17, 'max_point_residual': "
+             "4.440892098500626e-16, 'tolerance': 1e-10}",
+    }
+    for axis in ("x", "y"):
+        res = verify_relation(asymmetric_square, 5, axis, mode="float",
+                              points=points)
+        assert repr(res.details) == want[axis]
+
+
 def test_relation_float_detects_a_wrong_entry(disk, monkeypatch):
     _perturb_an_a_entry(monkeypatch)
     points = [(0.3, -0.7), (0.11, 0.53)]
