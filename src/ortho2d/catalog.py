@@ -420,15 +420,19 @@ def _check_index(n, m):
         raise ValueError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
 
 
+def _wrapped(row):
+    """A closed-form table row with each value as a Scalar; None stays."""
+    return {k: (None if v is None
+                else _wrap(_RAT(v) if isinstance(v, int) else v))
+            for k, v in row.items()}
+
+
 def closed_form_first(cid, n, m):
     """Row m of the three x-relation diagonals at degree n, from the
     family's closed-form table.  Keys 'a', 'b', 'c'; a value is None when
     the matrix has no such column (c at m = n)."""
     _check_index(n, m)
-    raw = _FIRST[cid.name](_raw_params(cid), n, m)
-    return {k: (None if v is None
-                else _wrap(_RAT(v) if isinstance(v, int) else v))
-            for k, v in raw.items()}
+    return _wrapped(_FIRST[cid.name](_raw_params(cid), n, m))
 
 
 def closed_form_second(cid, n, m):
@@ -437,25 +441,23 @@ def closed_form_second(cid, n, m):
     the degree-raising matrix), likewise 'b*' and 'c*'; a value is None
     when that band position falls outside the matrix."""
     _check_index(n, m)
-    raw = _SECOND[cid.name](_raw_params(cid), n, m)
-    return {k: (None if v is None
-                else _wrap(_RAT(v) if isinstance(v, int) else v))
-            for k, v in raw.items()}
+    return _wrapped(_SECOND[cid.name](_raw_params(cid), n, m))
 
 
 def closed_form_ttr(cid, n):
     """Assemble both relations at degree n purely from the closed forms."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("degree must be a nonnegative int")
+    p = _raw_params(cid)
     ax, bx, cx = {}, {}, {}
     ay, by, cy = {}, {}, {}
     for m in range(n + 1):
-        first = closed_form_first(cid, n, m)
+        first = _FIRST[cid.name](p, n, m)
         ax[(m, m)] = first["a"]
         bx[(m, m)] = first["b"]
         if first["c"] is not None:
             cx[(m, m)] = first["c"]
-        second = closed_form_second(cid, n, m)
+        second = _SECOND[cid.name](p, n, m)
         for key, target, pos in (
             ("a1", ay, (m, m - 1)), ("a2", ay, (m, m)), ("a3", ay, (m, m + 1)),
             ("b1", by, (m, m - 1)), ("b2", by, (m, m)), ("b3", by, (m, m + 1)),

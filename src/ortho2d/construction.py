@@ -126,8 +126,9 @@ class BivariateSystem:
     """One assembled bivariate orthogonal system.  Build via ``assemble``.
 
     Basis polynomials, ladder coefficients and powers of rho are cached
-    once, as integer forms; ladders, moments, Gram blocks and the matrices
-    of ``ttr.first_ttr``/``second_ttr`` once each.  Not thread-safe.
+    once, as integer forms; ladders, moments, the raw Gram blocks (shifted
+    ones included) and the matrices of ``ttr.first_ttr``/``second_ttr``
+    once each.  Not thread-safe.
     """
 
     def __init__(self, rho, ladder_factory, q, label):
@@ -146,6 +147,7 @@ class BivariateSystem:
         else:
             step = {2: _int_list([rho.s0.value, rho.s1.value, rho.s2.value])}
         self._rho_pow = {0: (1, [1]), **step}
+        # Raw Gram rows keyed (n, h, dx, dy); filled by _gram_raw.
         self._gram_cache = {}
         # (A, B, C) of the relation along axis at degree n, keyed (n, axis);
         # filled by ttr.first_ttr / second_ttr.
@@ -332,29 +334,29 @@ class BivariateSystem:
     # -- Gram blocks -------------------------------------------------------------
 
     def _gram_raw(self, n, h, dx=0, dy=0):
-        """Raw dense matrix <w, x^dx y^dy P_{n,m} P_{h,mp}>, rows m, columns
-        mp: the Gram block and its shifted variants, from moments only."""
-        rows = [self._P_int(n, m) for m in range(n + 1)]
-        cols = [self._P_int(h, mp) for mp in range(h + 1)]
-        return self._bilinear_raw(rows, cols, dx, dy)
-
-    def gram_block(self, n, h):
-        """Dense Gram block pairing total degrees n and h."""
-        key = (n, h)
+        """Raw dense rows <w, x^dx y^dy P_{n,m} P_{h,mp}>, rows m, columns
+        mp, from moments only; built once per (n, h, dx, dy).  A vanishing
+        diagonal of H_n (unshifted) raises before anything is stored."""
+        key = (n, h, dx, dy)
         cached = self._gram_cache.get(key)
         if cached is not None:
             return cached
-        entries = tuple(tuple(_wrap(v) for v in row)
-                        for row in self._gram_raw(n, h))
-        if n == h:
+        rows = [self._P_int(n, m) for m in range(n + 1)]
+        cols = [self._P_int(h, mp) for mp in range(h + 1)]
+        raw = self._bilinear_raw(rows, cols, dx, dy)
+        if n == h and not (dx or dy):
             for m in range(n + 1):
-                if entries[m][m].is_zero:
+                if not raw[m][m]:
                     raise QuasiDefinitenessError(
                         self.label, {}, (n, m),
                         f"Gram diagonal <w, P_({n},{m})^2> vanishes")
-        block = GramBlock(n, h, entries)
-        self._gram_cache[key] = block
-        return block
+        self._gram_cache[key] = raw
+        return raw
+
+    def gram_block(self, n, h):
+        """Dense Gram block pairing total degrees n and h."""
+        return GramBlock(n, h, tuple(tuple(_wrap(v) for v in row)
+                                     for row in self._gram_raw(n, h)))
 
     def block_norm(self, n, m):
         """Closed-form squared norm of P_{n,m}: the ladder norm times the

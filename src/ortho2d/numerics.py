@@ -208,10 +208,6 @@ class Scalar:
             return NotImplemented
         return self.value == o
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         o = self._coerced(other)
         if o is None:
@@ -404,10 +400,6 @@ class SparsePoly2:
             return NotImplemented
         return self._terms == other._terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __bool__(self):
@@ -570,10 +562,6 @@ class BandMatrix:
         if not isinstance(other, BandMatrix):
             return NotImplemented
         return self.shape == other.shape and self._entries == other._entries
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 

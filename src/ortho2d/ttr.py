@@ -17,23 +17,23 @@ matrices purely from bivariate moments,
 
     A_{n,i} = <w, t_i P_n P_{n+1}^t> H_{n+1}^{-1},
     B_{n,i} = <w, t_i P_n P_n^t> H_n^{-1},
-    C_{n,i} = H_n A_{n-1,i}^t H_{n-1}^{-1},
+    C_{n,i} = <w, t_i P_n P_{n-1}^t> H_{n-1}^{-1},
 
 with H_n the diagonal Gram block, making no structural assumption (full
-bandwidth).  The moment matrices <w, t_i P_n P_h^t> come from the integer
-Gram kernel of ``BivariateSystem``, which reads moments and the expanded
-basis polynomials only; here each entry is divided by its H entry once.
+bandwidth).  The moment matrices <w, t_i P_n P_h^t> are the raw Gram
+blocks that ``BivariateSystem`` caches, read from moments and the expanded
+basis polynomials only.  C is read from the block already cached for
+A_{n-1}: C[r][c] = <w, t_i P_{n-1,c} P_{n,r}> / H_{n-1}[c].
 ``rank_conditions`` checks the rank identities that make the recurrence
 well posed.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .construction import CASE_I
 from .numerics import BandMatrix, rank_exact
-from .univariate import adjacent_down, adjacent_up
+from .univariate import _down_raw, _up_raw
 
 AXES = ("x", "y")
 
@@ -103,7 +103,7 @@ def second_ttr(sys, n):
     if cached is not None:
         return cached
     rho = sys.rho
-    s2 = rho.s2
+    s2 = rho.s2.value
     case_i = sys.case == CASE_I
     q = sys.q
     if not case_i:
@@ -121,10 +121,11 @@ def second_ttr(sys, n):
         # between ladder steps m-1 and m, at first-variable index n-m.
         if m >= 1:
             qc = q._c_raw(m)
-            up = adjacent_up(sys.ladder(m - 1), sys.ladder(m), s2, n - m)
-            a_entries[(m, m - 1)] = qc * up.eta.value
-            b_entries[(m, m - 1)] = qc * up.theta.value
-            c_entries[(m, m - 1)] = qc * up.vartheta.value
+            eta, theta, vartheta = _up_raw(sys.ladder(m - 1), sys.ladder(m),
+                                           s2, n - m)
+            a_entries[(m, m - 1)] = qc * eta
+            b_entries[(m, m - 1)] = qc * theta
+            c_entries[(m, m - 1)] = qc * vartheta
         # Diagonal: vanishes in case II; otherwise q's b-coefficient times
         # the ladder recurrence mapped through rho = r1 x + r0.
         if case_i:
@@ -139,12 +140,13 @@ def second_ttr(sys, n):
                     c_entries[(m, m)] = qb * r1 * fam._c_raw(n - m)
         # Superdiagonal: q's a-coefficient times the downward connection
         # between ladder steps m and m+1, at first-variable index n-m.
-        down = adjacent_down(sys.ladder(m), sys.ladder(m + 1), s2, n - m)
-        a_entries[(m, m + 1)] = qa * down.delta.value
+        delta, epsilon, zeta = _down_raw(sys.ladder(m), sys.ladder(m + 1),
+                                         s2, n - m)
+        a_entries[(m, m + 1)] = qa * delta
         if m <= n - 1:
-            b_entries[(m, m + 1)] = qa * down.epsilon.value
+            b_entries[(m, m + 1)] = qa * epsilon
         if m <= n - 2:
-            c_entries[(m, m + 1)] = qa * down.zeta.value
+            c_entries[(m, m + 1)] = qa * zeta
     cached = sys._ttr_cache[(n, "y")] = (
         BandMatrix(n + 1, n + 2, 1, 1, a_entries),
         BandMatrix(n + 1, n + 1, 1, 1, b_entries),
@@ -162,62 +164,39 @@ def build_ttr(sys, n):
 
 # -- the moment/Gram oracle -----------------------------------------------------
 
-# Per system: the A moment matrices, keyed by (n, axis).  The Gram blocks
-# behind H are cached by the system itself.
-_ORACLE_CACHE = weakref.WeakKeyDictionary()
-
 
 def _h_diag(sys, n):
     """Raw diagonal of the Gram block H_n."""
-    block = sys.gram_block(n, n)
-    return [block.entries[m][m].value for m in range(n + 1)]
-
-
-def _moment_matrix(sys, n, axis):
-    """Dense raw matrix <w, t_axis P_n P_{n+1}^t> scaled by H_{n+1}^{-1}."""
-    cache = _ORACLE_CACHE.setdefault(sys, {})
-    key = (n, axis)
-    cached = cache.get(key)
-    if cached is None:
-        dx, dy = (1, 0) if axis == "x" else (0, 1)
-        h_next = _h_diag(sys, n + 1)
-        cached = [
-            [v / h for v, h in zip(row, h_next)]
-            for row in sys._gram_raw(n, n + 1, dx, dy)
-        ]
-        cache[key] = cached
-    return cached
+    rows = sys._gram_raw(n, n)
+    return [rows[m][m] for m in range(n + 1)]
 
 
 def ttr_from_gram(sys, n):
     """Both relations at degree n computed purely from bivariate moments.
 
-    The shifted Gram matrices behind A and B are accumulated in integers
-    over a common-denominator moment table (see ``BivariateSystem``), one
-    rational per entry; no norm, ladder, recurrence or connection
-    coefficient is read.  Returns full-bandwidth BandMatrices: any banded
-    structure in the result is a finding, not an assumption.
+    A and B divide the shifted Gram blocks <w, t_i P_n P_{n+1}^t> and
+    <w, t_i P_n P_n^t> column by column by H_{n+1} and H_n; C reads the
+    block cached for A_{n-1}: C[r][c] = <w, t_i P_{n-1} P_n^t>[c][r] /
+    H_{n-1}[c].  The blocks come from moments and the basis polynomials
+    only (see ``BivariateSystem``); no norm, ladder, recurrence or
+    connection coefficient is read.  Returns full-bandwidth BandMatrices:
+    any banded structure in the result is a finding, not an assumption.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("degree must be a nonnegative int")
     h_n = _h_diag(sys, n)
+    h_next = _h_diag(sys, n + 1)
+    h_prev = _h_diag(sys, n - 1) if n >= 1 else []
     out = {}
     for axis in AXES:
         dx, dy = (1, 0) if axis == "x" else (0, 1)
-        a_dense = _moment_matrix(sys, n, axis)
-        b_dense = [
-            [v / h for v, h in zip(row, h_n)]
-            for row in sys._gram_raw(n, n, dx, dy)
-        ]
-        if n >= 1:
-            h_prev = _h_diag(sys, n - 1)
-            a_prev = _moment_matrix(sys, n - 1, axis)
-            c_dense = [
-                [h_n[r] * a_prev[c][r] / h_prev[c] for c in range(n)]
-                for r in range(n + 1)
-            ]
-        else:
-            c_dense = [[] for _ in range(n + 1)]
+        a_dense = [[v / h for v, h in zip(row, h_next)]
+                   for row in sys._gram_raw(n, n + 1, dx, dy)]
+        b_dense = [[v / h for v, h in zip(row, h_n)]
+                   for row in sys._gram_raw(n, n, dx, dy)]
+        g_prev = sys._gram_raw(n - 1, n, dx, dy) if n >= 1 else []
+        c_dense = [[g_prev[c][r] / h_prev[c] for c in range(n)]
+                   for r in range(n + 1)]
         out[axis] = (
             BandMatrix.from_dense(a_dense),
             BandMatrix.from_dense(b_dense),

@@ -372,16 +372,9 @@ def bessel(a, b):
 # -- adjacent-family connections ----------------------------------------------
 
 
-def adjacent_down(fam_m, fam_m1, s2, n):
-    """Triple (delta, epsilon, zeta) expanding fam_m's degree-n polynomial
-    in fam_m1, the companion family whose weight carries an extra rho^2.
-
-    s2 is the leading coefficient of rho^2; fam_m1 must be normalized by
-    the rho^2-moment chain for the norm-dependent zeta to be meaningful.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("index must be a nonnegative int")
-    s2_raw = _as_raw_exact(s2)
+def _down_raw(fam_m, fam_m1, s2, n):
+    """Raw (delta, epsilon, zeta) of ``adjacent_down``; s2 is a raw
+    rational, and epsilon (n < 1) and zeta (n < 2) are None."""
     k_m_n, l_m_n = fam_m._kl_raw(n)
     k_m1_n, l_m1_n = fam_m1._kl_raw(n)
     delta = k_m_n / k_m1_n
@@ -391,8 +384,33 @@ def adjacent_down(fam_m, fam_m1, s2, n):
         k_m1_prev = fam_m1._kl_raw(n - 1)[0]
         epsilon = (l_m_n - delta * l_m1_n) / k_m1_prev
     if n >= 2:
-        zeta = (s2_raw * fam_m1._kl_raw(n - 2)[0] / k_m_n
+        zeta = (s2 * fam_m1._kl_raw(n - 2)[0] / k_m_n
                 * fam_m._h_raw(n) / fam_m1._h_raw(n - 2))
+    return delta, epsilon, zeta
+
+
+def _up_raw(fam_m, fam_m1, s2, n):
+    """Raw (eta, theta, vartheta) of ``adjacent_up``; s2 is a raw
+    rational."""
+    eta = s2 * fam_m1._kl_raw(n)[0] / fam_m._kl_raw(n + 2)[0]
+    delta = _down_raw(fam_m, fam_m1, s2, n)[0]
+    epsilon_next = _down_raw(fam_m, fam_m1, s2, n + 1)[1]
+    h_m1_n = fam_m1._h_raw(n)
+    theta = epsilon_next * h_m1_n / fam_m._h_raw(n + 1)
+    vartheta = delta * h_m1_n / fam_m._h_raw(n)
+    return eta, theta, vartheta
+
+
+def adjacent_down(fam_m, fam_m1, s2, n):
+    """Triple (delta, epsilon, zeta) expanding fam_m's degree-n polynomial
+    in fam_m1, the companion family whose weight carries an extra rho^2.
+
+    s2 is the leading coefficient of rho^2; fam_m1 must be normalized by
+    the rho^2-moment chain for the norm-dependent zeta to be meaningful.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("index must be a nonnegative int")
+    delta, epsilon, zeta = _down_raw(fam_m, fam_m1, _as_raw_exact(s2), n)
     return AdjacentDown(
         _wrap(delta),
         None if epsilon is None else _wrap(epsilon),
@@ -405,15 +423,5 @@ def adjacent_up(fam_m, fam_m1, s2, n):
     polynomial back in fam_m.  Defined for every n >= 0."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("index must be a nonnegative int")
-    s2_raw = _as_raw_exact(s2)
-    eta = s2_raw * fam_m1._kl_raw(n)[0] / fam_m._kl_raw(n + 2)[0]
-    down_n = adjacent_down(fam_m, fam_m1, s2_raw, n)
-    down_next = adjacent_down(fam_m, fam_m1, s2_raw, n + 1)
-    h_m1_n = fam_m1._h_raw(n)
-    theta = down_next.epsilon.value * h_m1_n / fam_m._h_raw(n + 1)
-    vartheta = down_n.delta.value * h_m1_n / fam_m._h_raw(n)
-    return AdjacentUp(
-        _wrap(eta),
-        _wrap(theta),
-        _wrap(vartheta),
-    )
+    eta, theta, vartheta = _up_raw(fam_m, fam_m1, _as_raw_exact(s2), n)
+    return AdjacentUp(_wrap(eta), _wrap(theta), _wrap(vartheta))

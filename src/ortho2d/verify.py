@@ -84,9 +84,13 @@ def _relation_matrices(sys, n, axis):
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def _dense(matrix, num):
-    """The matrix as dense rows, each entry converted once by num."""
-    return [[num(v) for v in row] for row in matrix._raw_rows()]
+def _dense(matrix):
+    """The matrix as dense rows of doubles: each stored entry rounded
+    once, 0.0 everywhere else."""
+    rows = [[0.0] * matrix.cols for _ in range(matrix.rows)]
+    for (r, off), raw in matrix._entries.items():
+        rows[r][r + off] = float(raw)
+    return rows
 
 
 def _float_map(form):
@@ -141,7 +145,7 @@ def _relation_rows(sys, n, axis):
     column; rhs is their sum and residual = lhs - rhs."""
     mats = _relation_matrices(sys, n, axis)
     dx, dy = (1, 0) if axis == "x" else (0, 1)
-    dense = [_dense(mat, float) for mat in mats]
+    dense = [_dense(mat) for mat in mats]
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
     polys = [[_float_map(sys._P_int(n + d, c)) for c in range(n + d + 1)]
              for d in (1, 0, -1)]
@@ -290,7 +294,7 @@ def _orthonormal(matrix, d_rows, d_cols):
     matrix rounded once."""
     inv = [1.0 / d for d in d_rows]
     return [[v * inv[r] * d_cols[c] for c, v in enumerate(row)]
-            for r, row in enumerate(_dense(matrix, float))]
+            for r, row in enumerate(_dense(matrix))]
 
 
 def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):

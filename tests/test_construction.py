@@ -19,6 +19,7 @@ from ortho2d import (
     jacobi_std,
     make_system,
     second_ttr,
+    ttr_from_gram,
 )
 from ortho2d.construction import _integer_form
 
@@ -350,6 +351,20 @@ def test_bessel_laguerre_norms_are_signed():
     block = sys_obj.gram_block(2, 2)
     for m in range(3):
         assert not block.entries[m][m].is_zero
+
+
+def test_vanishing_gram_diagonal_raises_on_every_call():
+    # c(n) = 0 gives q_1 = y a zero norm, so <w, P_(1,1)^2> vanishes; the
+    # failing block is never cached
+    flat_q = RecurrenceFamily("flat", lambda n: 1, lambda n: 0, lambda n: 0)
+    sys_obj = assemble(RhoSpec.linear(0, 1), lambda m: jacobi_std(0, 0),
+                       flat_q)
+    for call in (lambda: sys_obj.gram_block(1, 1),
+                 lambda: ttr_from_gram(sys_obj, 0)):
+        for _ in range(2):
+            with pytest.raises(QuasiDefinitenessError) as info:
+                call()
+            assert info.value.index == (1, 1)
 
 
 def test_case_one_with_offset_radical():

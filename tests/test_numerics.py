@@ -73,7 +73,8 @@ def test_scalar_mode_discipline():
         Scalar.exact(True)
     for op in (lambda a: a + 0.5, lambda a: 0.5 + a, lambda a: a - 0.5,
                lambda a: a * 0.5, lambda a: a / 0.5, lambda a: 0.5 / a,
-               lambda a: a < 0.5, lambda a: a >= 0.5, lambda a: a == 0.5):
+               lambda a: a < 0.5, lambda a: a >= 0.5, lambda a: a == 0.5,
+               lambda a: a != 0.5):
         with pytest.raises(ModeError):
             op(q("1/2"))
     # ints and exact rationals mix

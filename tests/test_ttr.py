@@ -43,6 +43,21 @@ def test_cached_relations_equal_a_cold_build(family, params):
         assert build_ttr(warm, n) == build_ttr(make_system(cid), n)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("biangle", {"alpha": 1, "beta": "1/2"}),
+    ("bessel-laguerre", {"g": 5, "gamma": "2/5"}),
+])
+def test_gram_oracle_on_a_cold_system_equals_a_warm_one(family, params):
+    # C at degree n reads the block that degree n-1 cached for its A
+    cid = catalog_id(family, **params)
+    warm = make_system(cid)
+    for n in range(6):
+        if n in (3, 5):
+            assert ttr_from_gram(make_system(cid), n) == ttr_from_gram(warm, n)
+        else:
+            ttr_from_gram(warm, n)
+
+
 def test_matrix_shapes_and_bands(disk):
     for n in range(4):
         a, b, c = first_ttr(disk, n)

@@ -4,7 +4,6 @@ import pytest
 import ortho2d.verify
 from ortho2d import (
     BandMatrix,
-    GramBlock,
     NotPositiveDefiniteError,
     Scalar,
     catalog_id,
@@ -162,9 +161,8 @@ def test_orthogonality_passes(disk):
 
 def test_orthogonality_reports_a_faulty_block(disk):
     sys_obj = make_system(catalog_id("disk", mu="1/2"))
-    # fault injection: plant a corrupted cross-degree block in the cache
-    bad = GramBlock(1, 0, ((q(0),), (q(1),)))
-    sys_obj._gram_cache[(1, 0)] = bad
+    # fault injection: plant corrupted raw rows of a cross-degree block
+    sys_obj._gram_cache[(1, 0, 0, 0)] = [[q(0).value], [q(1).value]]
     res = verify_orthogonality(sys_obj, 2)
     assert not res.passed
     assert res.details["kind"] == "cross-degree block not zero"
@@ -174,12 +172,11 @@ def test_orthogonality_reports_a_faulty_block(disk):
 
 def test_orthogonality_reports_wrong_norm(disk):
     sys_obj = make_system(catalog_id("disk", mu="1/2"))
-    good = sys_obj.gram_block(1, 1)
-    tampered = GramBlock(1, 1, (
-        (good.entries[0][0] + 1, good.entries[0][1]),
-        good.entries[1],
-    ))
-    sys_obj._gram_cache[(1, 1)] = tampered
+    good = sys_obj._gram_raw(1, 1)
+    sys_obj._gram_cache[(1, 1, 0, 0)] = [
+        [good[0][0] + 1, good[0][1]],
+        good[1],
+    ]
     res = verify_orthogonality(sys_obj, 1)
     assert not res.passed
     assert res.details["kind"] == "norm mismatch"
