@@ -13,14 +13,16 @@ The closed forms are rational expressions in (n, m) and the parameters.
 Where a single rational expression would degenerate to 0/0 at a
 structural index (typically m = n or m = 0) the algebraically cancelled
 branch is used, so the tables evaluate at every index their band admits.
+
+``closed_form_ttr`` and ``cross_check`` import ``ttr`` when called, so the
+tables and the systems alone never load it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .construction import RhoSpec, assemble
 from .numerics import BandMatrix, Scalar, _RAT, _wrap
-from .ttr import TTRSet, build_ttr, ttr_from_gram
 from .univariate import (
     RecurrenceFamily,
     bessel,
@@ -42,27 +44,30 @@ FAMILY_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogId:
-    """A family name plus its rational parameters (in declared order)."""
-
+class _CatalogIdFields(NamedTuple):
     name: str
     params: tuple
 
-    def __post_init__(self):
-        if self.name not in FAMILY_PARAMS:
+
+class CatalogId(_CatalogIdFields):
+    """A family name plus its rational parameters (in declared order)."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, params):
+        if name not in FAMILY_PARAMS:
             known = ", ".join(sorted(FAMILY_PARAMS))
-            raise ValueError(f"unknown family {self.name!r} (known: {known})")
-        declared = FAMILY_PARAMS[self.name]
-        given = dict(self.params)
+            raise ValueError(f"unknown family {name!r} (known: {known})")
+        declared = FAMILY_PARAMS[name]
+        given = dict(params)
         missing = [k for k in declared if k not in given]
         extra = [k for k in given if k not in declared]
         if missing or extra:
             raise ValueError(
-                f"family {self.name!r} takes parameters "
+                f"family {name!r} takes parameters "
                 f"({', '.join(declared)}); missing {missing}, extra {extra}")
         normalized = tuple((k, Scalar.exact(given[k])) for k in declared)
-        object.__setattr__(self, "params", normalized)
+        return super().__new__(cls, name, normalized)
 
     def param(self, key):
         for k, v in self.params:
@@ -448,6 +453,7 @@ def closed_form_ttr(cid, n):
     """Assemble both relations at degree n purely from the closed forms."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("degree must be a nonnegative int")
+    from .ttr import TTRSet
     p = _raw_params(cid)
     ax, bx, cx = {}, {}, {}
     ay, by, cy = {}, {}, {}
@@ -480,8 +486,7 @@ def closed_form_ttr(cid, n):
 # -- three-route cross-check -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """One entry where the three routes disagree, with all three values."""
 
     n: int
@@ -493,8 +498,7 @@ class Mismatch:
     gram: Scalar
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     family: str
     max_degree: int
     mismatches: tuple
@@ -510,7 +514,7 @@ def _corrupted(ts):
     dense[0][0] = dense[0][0] + 1
     bad = BandMatrix.from_dense(dense, ts.a_x.lower_bandwidth,
                                 ts.a_x.upper_bandwidth)
-    return replace(ts, a_x=bad)
+    return ts._replace(a_x=bad)
 
 
 def cross_check(cid, max_degree, corrupt=False, system=None):
@@ -521,6 +525,7 @@ def cross_check(cid, max_degree, corrupt=False, system=None):
     its caches."""
     if not isinstance(max_degree, int) or max_degree < 0:
         raise ValueError("max_degree must be a nonnegative int")
+    from .ttr import build_ttr, ttr_from_gram
     sys = system if system is not None else make_system(cid)
     mismatches = []
     for n in range(max_degree + 1):

@@ -18,10 +18,13 @@ exactly, with a decimal exponent of at most 1000 in absolute value.  JSON output
 parse/re-serialize round trip is byte-identical.
 
 ``--max-n``, ``--max-h``, ``--max-k`` and ``eval --n`` are bounded by
-``MAX_DEGREE`` (64); a larger value is a usage error.
+``MAX_DEGREE`` (64) and ``verify --points`` by ``MAX_POINTS`` (10000); a
+larger value is a usage error, as is an ``eval --mode float`` point or
+coefficient that overflows a double.  Only ``verify`` imports the
+relation builders (``ttr``) and the verification suite (``verify``).
 
 Exit codes: 0 success; 1 verification failed; 2 usage or parameter
-error (a degree bound above ``MAX_DEGREE`` included); 3 the functional
+error (a degree or point count above its ceiling included); 3 the functional
 is not quasi-definite at these parameters (a required denominator or
 norm vanished).
 """
@@ -35,9 +38,8 @@ import sys
 
 from .catalog import (FAMILY_PARAMS, catalog_id, closed_form_first,
                       closed_form_second, make_system)
-from .numerics import ModeError, Scalar, _eval_terms, _powers
+from .numerics import ModeError, Scalar, _eval_terms, _float_map, _powers
 from .univariate import QuasiDefinitenessError
-from .verify import _float_map, run_suite
 
 SCHEMA = "ortho2d/1"
 
@@ -47,6 +49,10 @@ _PARAM_FLAGS = ("mu", "alpha", "beta", "gamma", "delta", "g")
 # grows fast with the degree, so a larger bound is refused rather than left
 # to run without end; at this ceiling, tables and moments finish in seconds.
 MAX_DEGREE = 64
+
+# Largest value of verify's --points: the suite draws that many points per
+# degree and axis, so an unbounded value would exhaust memory.
+MAX_POINTS = 10000
 
 # Table keys in output order; catalog.closed_form_first/_second define them.
 _TABLE_KEY_ORDER = ("a", "b", "c",
@@ -88,11 +94,11 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def _check_max(value, name):
+def _check_max(value, name, ceiling=MAX_DEGREE):
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
-    if value > MAX_DEGREE:
-        raise ValueError(f"{name} must be at most {MAX_DEGREE}, got {value}")
+    if value > ceiling:
+        raise ValueError(f"{name} must be at most {ceiling}, got {value}")
     return value
 
 
@@ -144,8 +150,8 @@ def _cmd_tables(args):
 def _cmd_verify(args):
     cid = _family_id(args)
     max_n = _check_max(args.max_n, "--max-n")
-    if args.points < 0:
-        raise ValueError(f"--points must be nonnegative, got {args.points}")
+    _check_max(args.points, "--points", MAX_POINTS)
+    from .verify import run_suite
     report = run_suite(cid, max_n, mode=args.mode, points=args.points,
                        seed=args.seed, corrupt=args.corrupt)
     obj = report.to_obj()
@@ -208,9 +214,15 @@ def _cmd_eval(args):
         value = str(system.expand_P(args.n, args.m).eval(x, y))
         px, py = str(x), str(y)
     else:
-        px, py = float(x), float(y)
-        value = _eval_terms(_float_map(system._P_int(args.n, args.m)),
-                            _powers(px, args.n), _powers(py, args.n), 0.0)
+        try:
+            px, py = float(x), float(y)
+            value = _eval_terms(_float_map(system._P_int(args.n, args.m)),
+                                _powers(px, args.n), _powers(py, args.n), 0.0)
+        except OverflowError:
+            raise ValueError(
+                f"--mode float: the point ({args.x}, {args.y}), a power of "
+                f"it up to degree {args.n} or a coefficient of the "
+                f"polynomial overflows a double") from None
     payload = {
         "schema": SCHEMA,
         "command": "eval",

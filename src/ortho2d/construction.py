@@ -32,7 +32,7 @@ connection coefficient -- so it stays an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numerics import (
     Scalar,
@@ -55,8 +55,7 @@ CASE_II = "II"
 _SYMMETRY_PRECHECK = 16
 
 
-@dataclass(frozen=True)
-class RhoSpec:
+class RhoSpec(NamedTuple):
     """The radical factor.  s2, s1, s0 (coefficients of rho^2) are always
     populated; r1, r0 are present only in case I."""
 
@@ -101,8 +100,7 @@ class RhoSpec:
         )
 
 
-@dataclass(frozen=True)
-class GramBlock:
+class GramBlock(NamedTuple):
     """Dense block of bivariate inner products <w, P_{n,.} P_{h,.}>.
 
     entries[m][mp] pairs row degree (n, m) with column degree (h, mp).

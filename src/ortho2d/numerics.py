@@ -16,7 +16,7 @@ Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (integer
 fraction-free elimination, no doubles anywhere).  The relation checks
 work on plain coefficient maps, exact or rounded to doubles, with
 ``_add_terms`` and ``_eval_terms``, the helpers that ``SparsePoly2`` uses
-too.
+too; ``_float_map`` rounds an integer form to a map of doubles.
 """
 from __future__ import annotations
 
@@ -274,6 +274,13 @@ def _add_terms(out, terms, negate=False):
 def _powers(v, top):
     """[v ** 0, v ** 1, ..., v ** top]."""
     return [v ** i for i in range(top + 1)]
+
+
+def _float_map(form):
+    """Integer form (d, [(i, j, c)]) as a {(i, j): c / d} map of doubles,
+    each equal to float() of the exact coefficient (correct rounding)."""
+    d, terms = form
+    return {(i, j): c / d for i, j, c in terms}
 
 
 def _eval_terms(terms, xs, ys, acc):

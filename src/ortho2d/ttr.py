@@ -29,7 +29,7 @@ well posed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construction import CASE_I
 from .numerics import BandMatrix, rank_exact
@@ -38,8 +38,7 @@ from .univariate import _down_raw, _up_raw
 AXES = ("x", "y")
 
 
-@dataclass(frozen=True)
-class TTRSet:
+class TTRSet(NamedTuple):
     """The six matrices of both relations at one degree n."""
 
     n: int
@@ -210,8 +209,7 @@ def ttr_from_gram(sys, n):
 # -- rank conditions --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Exact ranks of the relation matrices at degree n.
 
     Well-posedness requires each A_{n,i} and each C_{n+1,i} to have full

@@ -24,7 +24,7 @@ as a structured QuasiDefinitenessError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numerics import (
     Scalar,
@@ -55,16 +55,14 @@ class QuasiDefinitenessError(ArithmeticError):
         super().__init__(f"{label}: {detail}{suffix}")
 
 
-@dataclass(frozen=True)
-class LeadingPair:
+class LeadingPair(NamedTuple):
     """Leading coefficient k_n and subleading coefficient l_n of p_n."""
 
     k: Scalar
     l: Scalar
 
 
-@dataclass(frozen=True)
-class AdjacentDown:
+class AdjacentDown(NamedTuple):
     """Coefficients expanding a base polynomial in the companion family.
 
     epsilon is None for n < 1 and zeta is None for n < 2 (those terms do
@@ -76,8 +74,7 @@ class AdjacentDown:
     zeta: Scalar | None
 
 
-@dataclass(frozen=True)
-class AdjacentUp:
+class AdjacentUp(NamedTuple):
     """Coefficients expanding rho^2 times a companion polynomial in the base
     family.  vartheta is always nonzero; eta vanishes when rho is constant
     or linear (s2 = 0)."""

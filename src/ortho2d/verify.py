@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import cross_check, make_system
-from .numerics import _RAT, _add_terms, _eval_terms, _powers
+from .numerics import _RAT, _add_terms, _eval_terms, _float_map, _powers
 from .ttr import first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -41,8 +41,7 @@ class NotPositiveDefiniteError(ValueError):
     """The operation requires a positive-definite system."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named check.  details is JSON-ready."""
 
     name: str
@@ -50,8 +49,7 @@ class CheckResult:
     details: dict
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     family: str
     max_degree: int
     mode: str
@@ -91,13 +89,6 @@ def _dense(matrix):
     for (r, off), raw in matrix._entries.items():
         rows[r][r + off] = float(raw)
     return rows
-
-
-def _float_map(form):
-    """Integer form (d, [(i, j, c)]) as a {(i, j): c / d} map of doubles,
-    each equal to float() of the exact coefficient (correct rounding)."""
-    d, terms = form
-    return {(i, j): c / d for i, j, c in terms}
 
 
 def _exact_failure(sys, n, axis):

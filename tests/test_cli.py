@@ -1,10 +1,16 @@
-"""End-to-end CLI behavior: output formats, schema, and exit codes."""
+"""End-to-end CLI behavior: output formats, schema, exit codes, and the
+modules each subcommand loads."""
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from ortho2d.cli import MAX_DEGREE, canonical_json, main
+import ortho2d
+from ortho2d.cli import MAX_DEGREE, MAX_POINTS, canonical_json, main
 
 
 def run(capsys, *argv):
@@ -286,3 +292,83 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "tables" in out and "verify" in out
+
+
+@pytest.mark.parametrize("mu, x", [("1/2", "1e400"), ("1/2", "1e300"),
+                                   ("1e300", "0")])
+def test_eval_float_overflow_exits_two(capsys, mu, x):
+    # 1e400 overflows as a double, 1e300 squared does, and so does a
+    # coefficient of P_{2,1} at mu = 1e300.
+    code, out, err = run(capsys, "eval", "disk", "--mu", mu, "--n", "2",
+                         "--m", "1", "--x", x, "--y", "0", "--mode", "float")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_points_above_ceiling_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "disk", "--mu", "1/2",
+                         "--mode", "float", "--points", str(MAX_POINTS + 1))
+    assert code == 2 and out == ""
+    assert f"at most {MAX_POINTS}" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_points_at_the_ceiling_are_accepted(capsys):
+    obj = run_json(capsys, "verify", "disk", "--mu", "1/2", "--max-n", "0",
+                   "--mode", "float", "--points", str(MAX_POINTS))
+    assert obj["passed"] is True
+
+
+# -- import laziness ---------------------------------------------------------
+
+
+PACKAGE = Path(ortho2d.__file__).resolve().parent
+
+
+def loaded_after(code):
+    """Names of the ortho2d modules loaded once code has run in a fresh
+    interpreter."""
+    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+                    "sys.modules if m.split('.')[0] == 'ortho2d')))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def main_call(*argv):
+    return ("from ortho2d.cli import main\n"
+            f"assert main({[*argv, '--output', os.devnull]!r}) == 0")
+
+
+def test_import_loads_no_submodule():
+    assert loaded_after("import ortho2d") == {"ortho2d"}
+
+
+def test_submodule_attribute_loads_that_module_only():
+    loaded = loaded_after("import ortho2d\northo2d.ttr.build_ttr")
+    assert "ortho2d.ttr" in loaded and "ortho2d.verify" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "disk", "--mu", "1/2", "--max-n", "2"),
+    ("moments", "disk", "--mu", "1/2", "--max-h", "2", "--max-k", "2"),
+    ("eval", "disk", "--mu", "1/2", "--n", "2", "--m", "1", "--x", "1/2",
+     "--y", "1/3", "--mode", "float"),
+])
+def test_tables_moments_eval_skip_the_relation_modules(argv):
+    loaded = loaded_after(main_call(*argv))
+    assert "ortho2d.cli" in loaded
+    assert not loaded & {"ortho2d.ttr", "ortho2d.verify"}
+
+
+def test_verify_loads_the_relation_modules():
+    loaded = loaded_after(main_call("verify", "disk", "--mu", "1/2",
+                                    "--max-n", "1"))
+    assert {"ortho2d.ttr", "ortho2d.verify"} <= loaded
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "dataclasses" not in path.read_text(encoding="utf-8"), path
