@@ -13,6 +13,8 @@ The closed forms are rational expressions in (n, m) and the parameters.
 Where a single rational expression would degenerate to 0/0 at a
 structural index (typically m = n or m = 0) the algebraically cancelled
 branch is used, so the tables evaluate at every index their band admits.
+A family's table gives only the entries it computes; the band layout
+(``_LAYOUT``) alone decides where a row holds None or an exact zero.
 
 ``closed_form_ttr`` and ``cross_check`` import ``ttr`` when called, so the
 tables and the systems alone never load it.
@@ -70,10 +72,7 @@ class CatalogId(_CatalogIdFields):
         return super().__new__(cls, name, normalized)
 
     def param(self, key):
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self.params_dict[key]
 
     @property
     def params_dict(self):
@@ -179,8 +178,10 @@ def _disk_first(p, n, m):
     else:
         a = ((n - m + 1) * (n + m + 2 * mu + 1)
              / ((n + mu + 1) * (2 * n + 2 * mu + 1)))
-    c = (n + mu) / (2 * n + 2 * mu + 1) if m <= n - 1 else None
-    return {"a": a, "b": _ZERO, "c": c}
+    out = {"a": a}
+    if m <= n - 1:
+        out["c"] = (n + mu) / (2 * n + 2 * mu + 1)
+    return out
 
 
 def _biangle_first(p, n, m):
@@ -194,10 +195,10 @@ def _biangle_first(p, n, m):
     b = (n + be + 3 * _HALF) * (n - m + 1) / (d + 5 * _HALF)
     if m < n:
         b = b - (n + be + _HALF) * (n - m) / (d + _HALF)
-    c = None
+    out = {"a": a, "b": b}
     if m <= n - 1:
-        c = (n - m + al) * (n + be + _HALF) / ((d + _HALF) * (d + 3 * _HALF))
-    return {"a": a, "b": b, "c": c}
+        out["c"] = (n - m + al) * (n + be + _HALF) / ((d + _HALF) * (d + 3 * _HALF))
+    return out
 
 
 def _simplex_first(p, n, m):
@@ -211,22 +212,24 @@ def _simplex_first(p, n, m):
     b = (n - m + al + 1) * (n - m + 1) / (2 * n + s + 3)
     if m < n:
         b = b - (n - m + al) * (n - m) / (2 * n + s + 1)
-    c = None
+    out = {"a": a, "b": b}
     if m <= n - 1:
-        c = (n + m + t + 1) * (n - m + al) / ((2 * n + s + 1) * (2 * n + s + 2))
-    return {"a": a, "b": b, "c": c}
+        out["c"] = (n + m + t + 1) * (n - m + al) / ((2 * n + s + 1) * (2 * n + s + 2))
+    return out
 
 
 def _square_first(p, n, m):
     fam = jacobi_std(p["alpha"], p["beta"])
-    c = fam._c_raw(n - m) if m <= n - 1 else None
-    return {"a": fam._a_raw(n - m), "b": fam._b_raw(n - m), "c": c}
+    out = {"c": fam._c_raw(n - m)} if m <= n - 1 else {}
+    return {**out, "a": fam._a_raw(n - m), "b": fam._b_raw(n - m)}
 
 
 def _lj_first(p, n, m):
     al = p["alpha"]
-    c = -(n + m + al + 1) if m <= n - 1 else None
-    return {"a": _RAT(-(n - m + 1)), "b": 2 * n + al + 2, "c": c}
+    out = {"a": _RAT(-(n - m + 1)), "b": 2 * n + al + 2}
+    if m <= n - 1:
+        out["c"] = -(n + m + al + 1)
+    return out
 
 
 def _bl_first(p, n, m):
@@ -237,20 +240,10 @@ def _bl_first(p, n, m):
     else:
         a = -g * (n + m + g - 1) / ((2 * n + g - 1) * (2 * n + g))
         b = g * (2 * m + g - 2) / ((2 * n + g - 2) * (2 * n + g))
-    c = None
+    out = {"a": a, "b": b}
     if m <= n - 1:
-        c = g * (n - m) / ((2 * n + g - 2) * (2 * n + g - 1))
-    return {"a": a, "b": b, "c": c}
-
-
-_FIRST = {
-    "disk": _disk_first,
-    "biangle": _biangle_first,
-    "simplex": _simplex_first,
-    "square": _square_first,
-    "laguerre-jacobi": _lj_first,
-    "bessel-laguerre": _bl_first,
-}
+        out["c"] = g * (n - m) / ((2 * n + g - 2) * (2 * n + g - 1))
+    return out
 
 
 # -- closed-form second relation (tridiagonal matrices) --------------------------
@@ -261,26 +254,16 @@ def _disk_second(p, n, m):
     # (m + 2 mu) / (2 m + 2 mu), cancelled to 1 at m = 0.
     f = _RAT(1) if m == 0 else (m + 2 * mu) / (2 * (m + mu))
     d = 2 * n + 2 * mu + 1
-    out = {k: _ZERO for k in ("a1", "a2", "a3", "b1", "b2", "b3",
-                              "c1", "c2", "c3")}
+    out = {}
     if m >= 1:
         out["a1"] = (-(m + mu - _HALF) * (n - m + 1) * (n - m + 2)
                      / ((m + mu) * (n + mu + 1) * d))
         out["c1"] = (m + mu - _HALF) * (n + mu) / ((m + mu) * d)
-    else:
-        out["a1"] = None
-        out["b1"] = None
-        out["c1"] = None
     out["a3"] = ((m + 1) * f * (n + m + 2 * mu + 1) * (n + m + 2 * mu + 2)
                  / ((2 * m + 2 * mu + 1) * d * (n + mu + 1)))
-    if m > n - 1:
-        out["b3"] = None
-        out["c2"] = None
     if m <= n - 2:
         out["c3"] = (-(m + 1) * f * (n + mu)
                      / ((2 * m + 2 * mu + 1) * d))
-    else:
-        out["c3"] = None
     return out
 
 
@@ -288,22 +271,13 @@ def _biangle_second(p, n, m):
     al, be = p["alpha"], p["beta"]
     d = 2 * n - m + al + be + 3 * _HALF
     e = (2 * m + 2 * be + 1) * (2 * m + 2 * be + 2)
-    out = {k: _ZERO for k in ("a1", "a2", "a3", "b1", "b2", "b3",
-                              "c1", "c2", "c3")}
+    out = {}
     if m >= 1:
         out["b1"] = (m + be) * (n - m + 1) / ((2 * m + 2 * be + 1) * d)
         out["c1"] = (m + be) * (n + be + _HALF) / ((2 * m + 2 * be + 1) * d)
-    else:
-        out["a1"] = None
-        out["b1"] = None
-        out["c1"] = None
     out["a3"] = 2 * (m + 1) * (m + 2 * be + 1) * (n + al + be + 3 * _HALF) / (e * d)
     if m <= n - 1:
         out["b3"] = 2 * (m + 1) * (m + 2 * be + 1) * (n - m + al) / (e * d)
-    else:
-        out["b3"] = None
-        out["c2"] = None
-    out["c3"] = _ZERO if m <= n - 2 else None
     return out
 
 
@@ -320,44 +294,34 @@ def _simplex_second(p, n, m):
     e0 = (2 * m + t) * (2 * m + t + 1)
     e1 = (2 * m + t + 1) * (2 * m + t + 2)
     out = {}
-    out["a1"] = ((m + be) * (m + ga) * (n - m + 1) * (n - m + 2)
-                 / (e0 * d2 * d3)) if m >= 1 else None
+    if m >= 1:
+        out["a1"] = ((m + be) * (m + ga) * (n - m + 1) * (n - m + 2)
+                     / (e0 * d2 * d3))
+        out["b1"] = (-2 * (m + be) * (m + ga) * (n - m + 1) * (n + m + t + 1)
+                     / (e0 * d1 * d3))
+        out["c1"] = ((m + be) * (m + ga) * (n + m + t) * (n + m + t + 1)
+                     / (e0 * d1 * d2))
     out["a2"] = lam * (n - m + 1) * (n + m + s + 2) / (d2 * d3)
     out["a3"] = (m + 1) * (m + t + 1) * (n + m + s + 2) * (n + m + s + 3) / (e1 * d2 * d3)
-    out["b1"] = (-2 * (m + be) * (m + ga) * (n - m + 1) * (n + m + t + 1)
-                 / (e0 * d1 * d3)) if m >= 1 else None
     inner = 1 - (n - m + al + 1) * (n - m + 1) / d3
     if m < n:
         inner = inner + (n - m + al) * (n - m) / d1
     out["b2"] = -lam * inner
-    out["b3"] = (-2 * (m + 1) * (m + t + 1) * (n - m + al) * (n + m + s + 2)
-                 / (e1 * d1 * d3)) if m <= n - 1 else None
-    out["c1"] = ((m + be) * (m + ga) * (n + m + t) * (n + m + t + 1)
-                 / (e0 * d1 * d2)) if m >= 1 else None
-    out["c2"] = (lam * (n - m + al) * (n + m + t + 1)
-                 / (d1 * d2)) if m <= n - 1 else None
-    out["c3"] = ((m + 1) * (m + t + 1) * (n - m + al) * (n - m + al - 1)
-                 / (e1 * d1 * d2)) if m <= n - 2 else None
+    if m <= n - 1:
+        out["b3"] = (-2 * (m + 1) * (m + t + 1) * (n - m + al) * (n + m + s + 2)
+                     / (e1 * d1 * d3))
+        out["c2"] = lam * (n - m + al) * (n + m + t + 1) / (d1 * d2)
+    if m <= n - 2:
+        out["c3"] = ((m + 1) * (m + t + 1) * (n - m + al) * (n - m + al - 1)
+                     / (e1 * d1 * d2))
     return out
 
 
 def _square_second(p, n, m):
     qfam = jacobi_std(p["gamma"], p["delta"])
-    out = {k: _ZERO for k in ("a1", "a2", "a3", "b1", "b2", "b3",
-                              "c1", "c2", "c3")}
-    out["a3"] = qfam._a_raw(m)
-    out["b2"] = qfam._b_raw(m)
+    out = {"a3": qfam._a_raw(m), "b2": qfam._b_raw(m)}
     if m >= 1:
         out["c1"] = qfam._c_raw(m)
-    else:
-        out["a1"] = None
-        out["b1"] = None
-        out["c1"] = None
-    if m > n - 1:
-        out["b3"] = None
-        out["c2"] = None
-    if m > n - 2:
-        out["c3"] = None
     return out
 
 
@@ -369,18 +333,18 @@ def _lj_second(p, n, m):
     e0 = (2 * m + be) * (2 * m + be + 1)
     e1 = (2 * m + be + 1) * (2 * m + be + 2)
     out = {}
-    out["a1"] = (2 * m * (m + be) * (n - m + 1) * (n - m + 2) / e0
-                 ) if m >= 1 else None
+    if m >= 1:
+        out["a1"] = 2 * m * (m + be) * (n - m + 1) * (n - m + 2) / e0
+        out["b1"] = -4 * m * (m + be) * (n + m + al + 1) * (n - m + 1) / e0
+        out["c1"] = 2 * m * (m + be) * (n + m + al) * (n + m + al + 1) / e0
     out["a2"] = -qb * (n - m + 1)
     out["a3"] = 2 * (m + 1) * (m + be + 1) / e1
-    out["b1"] = (-4 * m * (m + be) * (n + m + al + 1) * (n - m + 1) / e0
-                 ) if m >= 1 else None
     out["b2"] = qb * (2 * n + al + 2)
-    out["b3"] = (-4 * (m + 1) * (m + be + 1) / e1) if m <= n - 1 else None
-    out["c1"] = (2 * m * (m + be) * (n + m + al) * (n + m + al + 1) / e0
-                 ) if m >= 1 else None
-    out["c2"] = (-qb * (n + m + al + 1)) if m <= n - 1 else None
-    out["c3"] = (2 * (m + 1) * (m + be + 1) / e1) if m <= n - 2 else None
+    if m <= n - 1:
+        out["b3"] = -4 * (m + 1) * (m + be + 1) / e1
+        out["c2"] = -qb * (n + m + al + 1)
+    if m <= n - 2:
+        out["c3"] = 2 * (m + 1) * (m + be + 1) / e1
     return out
 
 
@@ -391,7 +355,8 @@ def _bl_second(p, n, m):
     d1 = 2 * n + g - 1
     d2 = 2 * n + g
     out = {}
-    out["a1"] = (-(m + gg - 1) * g / (d1 * d2)) if m >= 1 else None
+    if m >= 1:
+        out["a1"] = -(m + gg - 1) * g / (d1 * d2)
     if m == n:
         out["a2"] = -(2 * n + gg) / d2
         out["a3"] = _RAT(-(n + 1)) / g
@@ -400,44 +365,69 @@ def _bl_second(p, n, m):
         out["a2"] = -(2 * m + gg) * (n + m + g - 1) / (d1 * d2)
         out["a3"] = -(m + 1) * (n + m + g - 1) * (n + m + g) / (g * d1 * d2)
         out["b2"] = (2 * m + gg) * (2 * m + g - 2) / (d0 * d2)
-    out["b1"] = (2 * (m + gg - 1) * g / (d0 * d2)) if m >= 1 else None
-    out["b3"] = (-2 * (m + 1) * (n - m) * (n + m + g - 1) / (g * d0 * d2)
-                 ) if m <= n - 1 else None
-    out["c1"] = (-(m + gg - 1) * g / (d0 * d1)) if m >= 1 else None
-    out["c2"] = ((2 * m + gg) * (n - m) / (d0 * d1)) if m <= n - 1 else None
-    out["c3"] = (-(m + 1) * (n - m) * (n - m - 1) / (g * d0 * d1)
-                 ) if m <= n - 2 else None
+    if m >= 1:
+        out["b1"] = 2 * (m + gg - 1) * g / (d0 * d2)
+        out["c1"] = -(m + gg - 1) * g / (d0 * d1)
+    if m <= n - 1:
+        out["b3"] = -2 * (m + 1) * (n - m) * (n + m + g - 1) / (g * d0 * d2)
+        out["c2"] = (2 * m + gg) * (n - m) / (d0 * d1)
+    if m <= n - 2:
+        out["c3"] = -(m + 1) * (n - m) * (n - m - 1) / (g * d0 * d1)
     return out
 
 
-_SECOND = {
-    "disk": _disk_second,
-    "biangle": _biangle_second,
-    "simplex": _simplex_second,
-    "square": _square_second,
-    "laguerre-jacobi": _lj_second,
-    "bessel-laguerre": _bl_second,
+# Each family's closed-form tables: (x-relation, y-relation).
+_TABLES = {
+    "disk": (_disk_first, _disk_second),
+    "biangle": (_biangle_first, _biangle_second),
+    "simplex": (_simplex_first, _simplex_second),
+    "square": (_square_first, _square_second),
+    "laguerre-jacobi": (_lj_first, _lj_second),
+    "bessel-laguerre": (_bl_first, _bl_second),
 }
 
 
-def _check_index(n, m):
+# The band layout of both relations, stated once.  At degree n the matrices
+# are A (n+1)x(n+2), B (n+1)x(n+1) and C (n+1)xn; those of the x-relation
+# are diagonal, those of the y-relation tridiagonal.  _MATRICES gives, in
+# TTRSet order, each matrix's columns beyond n and its bandwidth; _LAYOUT
+# maps each table key to its matrix and to its column offset from row m.
+_MATRICES = ((2, 0), (1, 0), (0, 0), (2, 1), (1, 1), (0, 1))
+_LAYOUT = {
+    "a": (0, 0), "b": (1, 0), "c": (2, 0),
+    "a1": (3, -1), "a2": (3, 0), "a3": (3, 1),
+    "b1": (4, -1), "b2": (4, 0), "b3": (4, 1),
+    "c1": (5, -1), "c2": (5, 0), "c3": (5, 1),
+}
+TABLE_KEYS = tuple(_LAYOUT)
+_KEYS = (TABLE_KEYS[:3], TABLE_KEYS[3:])
+
+
+def _row(name, which, p, n, m):
+    """Row m at degree n of the x- (which = 0) or y-relation (which = 1)
+    table of family name: None where (m, m + offset) falls outside the
+    matrix, an exact zero where the family gives no value inside it."""
     if not (isinstance(n, int) and isinstance(m, int) and 0 <= m <= n):
         raise ValueError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
+    values = _TABLES[name][which](p, n, m)
+    row = {}
+    for key in _KEYS[which]:
+        matrix, offset = _LAYOUT[key]
+        inside = 0 <= m + offset < n + _MATRICES[matrix][0]
+        row[key] = values.get(key, _ZERO) if inside else None
+    return row
 
 
 def _wrapped(row):
     """A closed-form table row with each value as a Scalar; None stays."""
-    return {k: (None if v is None
-                else _wrap(_RAT(v) if isinstance(v, int) else v))
-            for k, v in row.items()}
+    return {k: None if v is None else _wrap(v) for k, v in row.items()}
 
 
 def closed_form_first(cid, n, m):
     """Row m of the three x-relation diagonals at degree n, from the
     family's closed-form table.  Keys 'a', 'b', 'c'; a value is None when
     the matrix has no such column (c at m = n)."""
-    _check_index(n, m)
-    return _wrapped(_FIRST[cid.name](_raw_params(cid), n, m))
+    return _wrapped(_row(cid.name, 0, _raw_params(cid), n, m))
 
 
 def closed_form_second(cid, n, m):
@@ -445,8 +435,7 @@ def closed_form_second(cid, n, m):
     closed-form table.  Keys 'a1', 'a2', 'a3' (sub/main/super diagonal of
     the degree-raising matrix), likewise 'b*' and 'c*'; a value is None
     when that band position falls outside the matrix."""
-    _check_index(n, m)
-    return _wrapped(_SECOND[cid.name](_raw_params(cid), n, m))
+    return _wrapped(_row(cid.name, 1, _raw_params(cid), n, m))
 
 
 def closed_form_ttr(cid, n):
@@ -455,32 +444,15 @@ def closed_form_ttr(cid, n):
         raise ValueError("degree must be a nonnegative int")
     from .ttr import TTRSet
     p = _raw_params(cid)
-    ax, bx, cx = {}, {}, {}
-    ay, by, cy = {}, {}, {}
+    entries = tuple({} for _ in _MATRICES)
     for m in range(n + 1):
-        first = _FIRST[cid.name](p, n, m)
-        ax[(m, m)] = first["a"]
-        bx[(m, m)] = first["b"]
-        if first["c"] is not None:
-            cx[(m, m)] = first["c"]
-        second = _SECOND[cid.name](p, n, m)
-        for key, target, pos in (
-            ("a1", ay, (m, m - 1)), ("a2", ay, (m, m)), ("a3", ay, (m, m + 1)),
-            ("b1", by, (m, m - 1)), ("b2", by, (m, m)), ("b3", by, (m, m + 1)),
-            ("c1", cy, (m, m - 1)), ("c2", cy, (m, m)), ("c3", cy, (m, m + 1)),
-        ):
-            v = second[key]
-            if v is not None:
-                target[pos] = v
-    return TTRSet(
-        n,
-        BandMatrix(n + 1, n + 2, 0, 0, ax),
-        BandMatrix(n + 1, n + 1, 0, 0, bx),
-        BandMatrix(n + 1, n, 0, 0, cx),
-        BandMatrix(n + 1, n + 2, 1, 1, ay),
-        BandMatrix(n + 1, n + 1, 1, 1, by),
-        BandMatrix(n + 1, n, 1, 1, cy),
-    )
+        for which in (0, 1):
+            for key, v in _row(cid.name, which, p, n, m).items():
+                if v is not None:
+                    matrix, offset = _LAYOUT[key]
+                    entries[matrix][(m, m + offset)] = v
+    return TTRSet(n, *(BandMatrix(n + 1, n + extra, band, band, e)
+                       for (extra, band), e in zip(_MATRICES, entries)))
 
 
 # -- three-route cross-check -------------------------------------------------------

@@ -19,7 +19,7 @@ parse/re-serialize round trip is byte-identical.
 
 ``--max-n``, ``--max-h``, ``--max-k`` and ``eval --n`` are bounded by
 ``MAX_DEGREE`` (64) and ``verify --points`` by ``MAX_POINTS`` (10000); a
-larger value is a usage error, as is an ``eval --mode float`` point or
+larger value is a usage error, as is a ``--mode float`` point, power or
 coefficient that overflows a double.  Only ``verify`` imports the
 relation builders (``ttr``) and the verification suite (``verify``).
 
@@ -36,8 +36,8 @@ import io
 import json
 import sys
 
-from .catalog import (FAMILY_PARAMS, catalog_id, closed_form_first,
-                      closed_form_second, make_system)
+from .catalog import (FAMILY_PARAMS, TABLE_KEYS, catalog_id,
+                      closed_form_first, closed_form_second, make_system)
 from .numerics import ModeError, Scalar, _eval_terms, _float_map, _powers
 from .univariate import QuasiDefinitenessError
 
@@ -53,11 +53,6 @@ MAX_DEGREE = 64
 # Largest value of verify's --points: the suite draws that many points per
 # degree and axis, so an unbounded value would exhaust memory.
 MAX_POINTS = 10000
-
-# Table keys in output order; catalog.closed_form_first/_second define them.
-_TABLE_KEY_ORDER = ("a", "b", "c",
-                    "a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
-
 
 def canonical_json(obj):
     """Deterministic JSON text: sorted keys, two-space indent, trailing
@@ -111,7 +106,7 @@ def _degree_tables(cid, n):
     rows = [{**closed_form_first(cid, n, m), **closed_form_second(cid, n, m)}
             for m in range(n + 1)]
     entry = {"n": n}
-    for key in _TABLE_KEY_ORDER:
+    for key in TABLE_KEYS:
         entry[key] = [None if row[key] is None else str(row[key])
                       for row in rows]
     return entry
@@ -136,7 +131,7 @@ def _cmd_tables(args):
         for entry in tables:
             n = entry["n"]
             for m in range(n + 1):
-                for key in _TABLE_KEY_ORDER:
+                for key in TABLE_KEYS:
                     value = entry[key][m]
                     if value is not None:
                         rows.append([n, m, key, value])
@@ -214,15 +209,9 @@ def _cmd_eval(args):
         value = str(system.expand_P(args.n, args.m).eval(x, y))
         px, py = str(x), str(y)
     else:
-        try:
-            px, py = float(x), float(y)
-            value = _eval_terms(_float_map(system._P_int(args.n, args.m)),
-                                _powers(px, args.n), _powers(py, args.n), 0.0)
-        except OverflowError:
-            raise ValueError(
-                f"--mode float: the point ({args.x}, {args.y}), a power of "
-                f"it up to degree {args.n} or a coefficient of the "
-                f"polynomial overflows a double") from None
+        px, py = float(x), float(y)
+        value = _eval_terms(_float_map(system._P_int(args.n, args.m)),
+                            _powers(px, args.n), _powers(py, args.n), 0.0)
     payload = {
         "schema": SCHEMA,
         "command": "eval",
@@ -328,10 +317,11 @@ def main(argv=None):
               f"parameters ({exc}); the functional is not quasi-definite",
               file=sys.stderr)
         return 3
-    except (ValueError, ModeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"error: --mode float: a point, a power of it or a "
+              f"coefficient overflows a double ({exc})", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (ValueError, ModeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -215,15 +215,11 @@ class BivariateSystem:
             return cached
         d_q, q_coeffs = self.q._coeffs_int(m)
         d_p, p_coeffs = self.ladder(m)._coeffs_int(n - m)
+        if self.case == CASE_II:
+            _check_symmetric(self.q, self.label, m - 1)
         # Each y^j term carries rho^(m - j); bring them over one lcm.
-        rho = {}
-        for j, qc in enumerate(q_coeffs):
-            if qc:
-                if (m - j) % 2 and self.case == CASE_II:
-                    raise ValueError(
-                        f"{self.label}: case II second-variable family is "
-                        f"not symmetric (q_{m} has a y^{j} term)")
-                rho[j] = self._rho_pow_int(m - j)
+        rho = {j: self._rho_pow_int(m - j)
+               for j, qc in enumerate(q_coeffs) if qc}
         lcm = math.lcm(*(d for d, _ in rho.values()))
         terms = {}
         for j, (d_rho, rho_e) in rho.items():
@@ -378,9 +374,15 @@ def assemble(rho, ladder_factory, q, label="system"):
         raise TypeError("ladder_factory must map m to a RecurrenceFamily")
     q_norm = q.with_h0(1)
     if rho.case == CASE_II:
-        for j in range(_SYMMETRY_PRECHECK + 1):
-            if q_norm._b_raw(j):
-                raise ValueError(
-                    f"case II requires a symmetric second-variable family; "
-                    f"{q_norm.label} has b({j}) != 0")
+        _check_symmetric(q_norm, label, _SYMMETRY_PRECHECK)
     return BivariateSystem(rho, ladder_factory, q_norm, label)
+
+
+def _check_symmetric(q, label, upto):
+    """Raise ValueError unless b(j) = 0 for every j <= upto, as case II
+    requires of q.  Nothing is stored, so a failure repeats on every call."""
+    for j in range(upto + 1):
+        if q._b_raw(j):
+            raise ValueError(
+                f"{label}: case II requires a symmetric second-variable "
+                f"family; {q.label} has b({j}) != 0")

@@ -93,6 +93,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return _wrap, (self.value,)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -316,6 +319,9 @@ class SparsePoly2:
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly2 is immutable")
 
+    def __reduce__(self):
+        return _poly, (self._terms,)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -492,6 +498,10 @@ class BandMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("BandMatrix is immutable")
+
+    def __reduce__(self):
+        return BandMatrix, (self.rows, self.cols, self.lower_bandwidth,
+                            self.upper_bandwidth, dict(self.items()))
 
     @classmethod
     def from_dense(cls, values, lower_bandwidth=None, upper_bandwidth=None):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .construction import CASE_I
+from .construction import CASE_I, _check_symmetric
 from .numerics import BandMatrix, rank_exact
 from .univariate import _down_raw, _up_raw
 
@@ -106,11 +106,7 @@ def second_ttr(sys, n):
     case_i = sys.case == CASE_I
     q = sys.q
     if not case_i:
-        for m in range(n + 1):
-            if q._b_raw(m):
-                raise ValueError(
-                    f"{sys.label}: case II second-variable family is not "
-                    f"symmetric at index {m}")
+        _check_symmetric(q, sys.label, n)
     a_entries = {}
     b_entries = {}
     c_entries = {}

@@ -71,6 +71,31 @@ def test_closed_form_structural_markers():
     assert closed_form_first(cid, 2, 1)["c"] is not None
 
 
+# Each table key: (columns of its matrix beyond n, column offset from row
+# m).  At degree n, A has n + 2 columns, B n + 1 and C n.
+BAND_LAYOUT = {
+    "a": (2, 0), "b": (1, 0), "c": (0, 0),
+    "a1": (2, -1), "a2": (2, 0), "a3": (2, 1),
+    "b1": (1, -1), "b2": (1, 0), "b3": (1, 1),
+    "c1": (0, -1), "c2": (0, 0), "c3": (0, 1),
+}
+
+
+@pytest.mark.parametrize("name,params", PINNED)
+def test_closed_form_nulls_follow_the_band_layout(name, params):
+    cid = catalog_id(name, **params)
+    for n in range(9):
+        for m in range(n + 1):
+            first = closed_form_first(cid, n, m)
+            second = closed_form_second(cid, n, m)
+            assert set(first) == {"a", "b", "c"}
+            assert set(first) | set(second) == set(BAND_LAYOUT)
+            row = {**first, **second}
+            for key, (extra, offset) in BAND_LAYOUT.items():
+                outside = not 0 <= m + offset < n + extra
+                assert (row[key] is None) == outside, (n, m, key)
+
+
 def test_closed_form_disk_anchor_values():
     cid = catalog_id("disk", mu="1/2")
     ts = closed_form_ttr(cid, 1)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output formats, schema, exit codes, and the
 modules each subcommand loads."""
+import hashlib
 import json
 import os
 import subprocess
@@ -80,6 +81,54 @@ def test_tables_csv(capsys):
     assert "1,1,c1,1/4" in lines
     # null positions are skipped entirely
     assert not any(line.endswith(",") for line in lines)
+
+
+# SHA-256 of `tables --max-n 6` stdout for the pinned parameter sets, JSON
+# then CSV; pins every value, every null and every "0" of the tables.
+TABLE_DIGESTS = [
+    ("disk", {"mu": "1/2"},
+     "4f6871ad06308ec4fa3c7f55eca39fa8d6586969c3f0c13c5993cda408f0fef1",
+     "e5d35642cda709e34fb3ba0c339c4f9d80358e86650e7b0e48b3e649980ce1b9"),
+    ("disk", {"mu": "3/2"},
+     "90f1ae1af79740b32dee3fcf45ea526a158eee6f4124b5ae50f6b902139f669b",
+     "98721957dd47ee9cb6d581c4feabbb16d34d17847629effeef12312ebffe9c1c"),
+    ("biangle", {"alpha": "0", "beta": "0"},
+     "8096f72bfda5ae05a972a6e9357b558cf52275b4232dae90e08542c91efbd334",
+     "674c55605b04e39e4e7a69457a583e25ba8e71875d3184c2e29f2479a30de432"),
+    ("biangle", {"alpha": "1", "beta": "1/2"},
+     "2909687155a97c8d9f4a4d6349320d5a9b478e105969a2a2c507934bf2152fb2",
+     "dc3fc8b2b02b1a9ff359cb7ded40c03efc1bf0e6de8c632a27a58f1b42283429"),
+    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"},
+     "ed4076979145f9831326d7b7e3279c774e358811d0d4ac9a9cce7dc9dc095ae8",
+     "1ea856801cee72340ffa1c0dd1936047168239674c1f85477b36bdf90c8620b3"),
+    ("simplex", {"alpha": "0", "beta": "1", "gamma": "2"},
+     "d40b5bd1a2cd309ae110759b23924d49e65bbfe91ebf4670a4891f39df60c66d",
+     "c3d59638511680fe5630b2efbe3c79b0badea3eaf5f6a2aa7dc61665e74702af"),
+    ("square", {"alpha": "0", "beta": "0", "gamma": "0", "delta": "0"},
+     "fd0b56dea9152295e51e48f80b5765c9c7e4090e111de7b7a8fdae985dd0d67c",
+     "ec9cd4614f744f28850796c45fdfd5d15c79c7be3fdd410b39af52164fb4e19e"),
+    ("square", {"alpha": "1", "beta": "2", "gamma": "0", "delta": "1/2"},
+     "f5aaba52334c59a71a1463db5b68edde975b46b66f232f5014e36e8048bc9463",
+     "7034e340c30c7ff375ee332c737ceebe3167ebcccfce716d3ebd8f2b72c877da"),
+    ("laguerre-jacobi", {"alpha": "1", "beta": "1/2"},
+     "81986a1611c65d35b41481d3f48af221df51087f33c5d18ac71e2248136de62c",
+     "89365c6b58f1dda7be72a8a79b5019e42162b106b4971b18dd6d337cb140f9c6"),
+    ("bessel-laguerre", {"g": "5", "gamma": "2/5"},
+     "f9c769623cad3297c7666ac98889afdfc7d878cd58d742f69816d13daffede62",
+     "f1bb5111ef281f976443ba08eb1462ccc50b24428120ca05f1884792330748d5"),
+]
+
+
+@pytest.mark.parametrize("family,params,json_sha,csv_sha", TABLE_DIGESTS,
+                         ids=[f"{row[0]}-{i}" for i, row
+                              in enumerate(TABLE_DIGESTS)])
+def test_tables_bytes_are_pinned(capsys, family, params, json_sha, csv_sha):
+    flags = [f"--{k}={v}" for k, v in params.items()]
+    for fmt, digest in (("json", json_sha), ("csv", csv_sha)):
+        code, out, err = run(capsys, "tables", family, *flags, "--max-n",
+                             "6", "--format", fmt)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_tables_bessel_laguerre_anchor(capsys):
@@ -301,6 +350,14 @@ def test_eval_float_overflow_exits_two(capsys, mu, x):
     # coefficient of P_{2,1} at mu = 1e300.
     code, out, err = run(capsys, "eval", "disk", "--mu", mu, "--n", "2",
                          "--m", "1", "--x", x, "--y", "0", "--mode", "float")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_float_overflow_exits_two(capsys):
+    # at mu = 1e300 a basis coefficient overflows a double
+    code, out, err = run(capsys, "verify", "disk", "--mu", "1e300",
+                         "--max-n", "2", "--mode", "float")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

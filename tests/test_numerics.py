@@ -1,4 +1,6 @@
 """Scalar, polynomial, band-matrix and exact-rank primitives."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,9 @@ from ortho2d import (
     ModeError,
     Scalar,
     SparsePoly2,
+    build_ttr,
+    catalog_id,
+    make_system,
     parse_rational,
     poly_mul,
     rank_exact,
@@ -250,6 +255,24 @@ def test_band_matrix_transforms():
     assert m.transpose().dense() == [[q(1), q(3)], [q(2), q(4)]]
     assert not hasattr(m, "mode")
     assert BandMatrix(2, 2, 0, 0).is_zero
+
+
+def test_values_copy_and_pickle():
+    cid = catalog_id("disk", mu="1/2")
+    band = BandMatrix(2, 3, 1, 1, {(0, 0): 1, (0, 1): "1/2", (1, 2): -3})
+    values = [q("-2/3"), SparsePoly2({(1, 2): "1/3", (0, 0): 5}), band, cid,
+              build_ttr(make_system(cid), 3)]
+    round_trips = (copy.copy, copy.deepcopy,
+                   lambda v: pickle.loads(pickle.dumps(v)))
+    for value in values:
+        for round_trip in round_trips:
+            again = round_trip(value)
+            assert type(again) is type(value) and again == value
+    again = pickle.loads(pickle.dumps(band))
+    assert (again.lower_bandwidth, again.upper_bandwidth) == (1, 1)
+    s = copy.deepcopy(q("1/2"))
+    with pytest.raises(AttributeError):
+        s.value = 7
 
 
 def test_band_matrix_zero_columns():
