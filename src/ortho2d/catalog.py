@@ -89,7 +89,13 @@ def catalog_id(name, **values):
 
 
 def _raw_params(cid):
-    return {k: v.value for k, v in cid.params}
+    """The raw parameters of cid, refused (ValueError) where they define no
+    family at all: the one parameter check of ``make_system``, every
+    closed form and ``positive_definite``."""
+    p = {k: v.value for k, v in cid.params}
+    if cid.name == "bessel-laguerre" and not p["g"]:
+        raise ValueError("bessel-laguerre requires a nonzero parameter g")
+    return p
 
 
 def make_system(cid):
@@ -134,8 +140,6 @@ def make_system(cid):
             label=label)
     # bessel-laguerre
     g, ga = p["g"], p["gamma"]
-    if not g:
-        raise ValueError("bessel-laguerre requires a nonzero parameter g")
     gg = g * ga
     q = RecurrenceFamily(
         f"scaled-laguerre({gg - 1};1/{g})",
@@ -218,10 +222,22 @@ def _simplex_first(p, n, m):
     return out
 
 
+def _jacobi_abc(al, be, k):
+    """Recurrence coefficients a_k, b_k and c_k (None at k = 0) of the
+    Jacobi polynomials for the weight (1-x)^al (1+x)^be on [-1, 1], in the
+    normalisation p_k(1) = binomial(k + al, k)."""
+    s = al + be
+    if k == 0:
+        return 2 / (s + 2), (be - al) / (s + 2), None
+    return (2 * (k + 1) * (k + s + 1) / ((2 * k + s + 1) * (2 * k + s + 2)),
+            (be * be - al * al) / ((2 * k + s) * (2 * k + s + 2)),
+            2 * (k + al) * (k + be) / ((2 * k + s) * (2 * k + s + 1)))
+
+
 def _square_first(p, n, m):
-    fam = jacobi_std(p["alpha"], p["beta"])
-    out = {"c": fam._c_raw(n - m)} if m <= n - 1 else {}
-    return {**out, "a": fam._a_raw(n - m), "b": fam._b_raw(n - m)}
+    a, b, c = _jacobi_abc(p["alpha"], p["beta"], n - m)
+    out = {"c": c} if m <= n - 1 else {}
+    return {**out, "a": a, "b": b}
 
 
 def _lj_first(p, n, m):
@@ -318,10 +334,10 @@ def _simplex_second(p, n, m):
 
 
 def _square_second(p, n, m):
-    qfam = jacobi_std(p["gamma"], p["delta"])
-    out = {"a3": qfam._a_raw(m), "b2": qfam._b_raw(m)}
+    a, b, c = _jacobi_abc(p["gamma"], p["delta"], m)
+    out = {"a3": a, "b2": b}
     if m >= 1:
-        out["c1"] = qfam._c_raw(m)
+        out["c1"] = c
     return out
 
 

@@ -23,11 +23,15 @@ relations are checked.
 Everything is built fraction-free, in the manner of Bareiss elimination:
 basis polynomials, ladder coefficients and powers of rho are each cached
 once, as integer forms (integers over one least positive denominator).
-The moments <w, x^h y^k> form one integer table over a common denominator;
-each Gram row polynomial is contracted once against it, all sums run in
-plain ints, and every entry is a single rational.  The kernel reads the
-moments and the basis polynomials only -- no norm, ladder, recurrence or
-connection coefficient -- so it stays an independent check.
+The moments <w, x^h y^k> form one integer table over a common denominator
+D.  Each basis polynomial is contracted against it once per monomial: its
+row moments <w, P_{n,m} x^a y^b> are kept as ints over D, rescaled by the
+integer D_new / D_old when the table grows, and extended only by the
+monomials not yet seen.  A Gram entry is one integer dot product of a
+column polynomial with those row moments and a single rational, the
+shared zero when it vanishes.  The kernel reads the moments and the basis
+polynomials only -- no norm, ladder, recurrence or connection coefficient
+-- so it stays an independent check.
 """
 from __future__ import annotations
 
@@ -111,6 +115,11 @@ class GramBlock(NamedTuple):
     entries: tuple
 
 
+def _rat(num, den):
+    """num / den as a raw rational; a zero is the shared zero."""
+    return _RAT(num, den) if num else _ZERO
+
+
 def _integer_form(poly):
     """(d, terms): an exact polynomial as integer coefficients over one
     positive denominator d, terms being (i, j, d * coefficient) triples."""
@@ -124,9 +133,10 @@ class BivariateSystem:
     """One assembled bivariate orthogonal system.  Build via ``assemble``.
 
     Basis polynomials, ladder coefficients and powers of rho are cached
-    once, as integer forms; ladders, moments, the raw Gram blocks (shifted
-    ones included) and the matrices of ``ttr.first_ttr``/``second_ttr``
-    once each.  Not thread-safe.
+    once, as integer forms; ladders, moments, the row moments of each
+    basis polynomial, the raw Gram blocks (shifted ones included) and the
+    matrices of ``ttr.first_ttr``/``second_ttr`` once each.  Not
+    thread-safe.
     """
 
     def __init__(self, rho, ladder_factory, q, label):
@@ -145,6 +155,9 @@ class BivariateSystem:
         else:
             step = {2: _int_list([rho.s0.value, rho.s1.value, rho.s2.value])}
         self._rho_pow = {0: (1, [1]), **step}
+        # Row moments of the basis polynomials, keyed (n, m), as
+        # [D, deg, {(a, b): int}]; filled by _row_moments.
+        self._row_cache = {}
         # Raw Gram rows keyed (n, h, dx, dy); filled by _gram_raw.
         self._gram_cache = {}
         # (A, B, C) of the relation along axis at degree n, keyed (n, axis);
@@ -281,63 +294,76 @@ class BivariateSystem:
             self._w_table = (d, [[next(flat) for _ in row] for row in moments])
         return self._w_table
 
-    def _bilinear_raw(self, rows, cols, dx, dy):
-        """Raw matrix <w, x^dx y^dy r c> over integer forms (see
-        ``_integer_form``) of the row and column polynomials.
+    def _row_moments(self, n, m, deg):
+        """{(a, b): D d <w, x^a y^b P_{n,m}>} for every a + b <= deg, with
+        d the basis polynomial's denominator and D the moment table's.
 
-        Each row is contracted once against the integer moment table, one
-        sum per column monomial; every column is then a dot product with
-        that contraction.  All sums are plain ints, and each entry becomes
-        one rational num / (D d_r d_c)."""
-        col_monos = {(i, j) for _, terms in cols for i, j, _ in terms}
-        top = (max((i + j for _, terms in rows for i, j, _ in terms),
-                   default=0)
-               + max((i + j for i, j in col_monos), default=0) + dx + dy)
-        d_w, table = self._moment_table(top)
-        out = []
-        for d_r, r_terms in rows:
-            r_shifted = [(i + dx, j + dy, c) for i, j, c in r_terms]
-            contracted = {
-                (i2, j2): sum(c * table[i + i2][j + j2]
-                              for i, j, c in r_shifted)
-                for i2, j2 in col_monos
-            }
-            den_r = d_w * d_r
-            out.append([
-                _RAT(sum(c * contracted[(i, j)] for i, j, c in c_terms),
-                     den_r * d_c)
-                for d_c, c_terms in cols
-            ])
-        return out
+        Each value is one contraction of the basis polynomial against the
+        integer moment table, taken once per system: when the table grows
+        the stored values are rescaled by the integer D_new / D_old, and a
+        larger deg contracts only the monomials not yet seen."""
+        d_w, table = self._moment_table(n + deg)
+        entry = self._row_cache.get((n, m))
+        if entry is None:
+            entry = self._row_cache[(n, m)] = [d_w, -1, {}]
+        d_old, seen, moms = entry
+        if d_old != d_w:
+            f = d_w // d_old
+            for key in moms:
+                moms[key] *= f
+            entry[0] = d_w
+        if deg > seen:
+            terms = self._P_int(n, m)[1]
+            for t in range(seen + 1, deg + 1):
+                for a in range(t + 1):
+                    moms[(a, t - a)] = sum(c * table[i + a][j + t - a]
+                                           for i, j, c in terms)
+            entry[1] = deg
+        return moms
 
     def moment_bilinear(self, p, q_poly, dx=0, dy=0):
         """<w, x^dx y^dy p(x,y) q_poly(x,y)> for two exact polynomials.
 
         The sum over term pairs of c_p c_q <w, x^(i_p+i_q+dx) y^(j_p+j_q+dy)>,
-        computed from the moments alone with the integer kernel of the
-        Gram blocks: both polynomials are scaled to integer coefficients,
-        the sum runs in ints over the integer moment table, and the exact
-        result is one rational."""
+        computed from the moments alone: both polynomials are scaled to
+        integer coefficients, the sum runs in ints over the integer moment
+        table, and the exact result is one rational."""
         if not (isinstance(dx, int) and isinstance(dy, int)
                 and dx >= 0 and dy >= 0):
             raise ValueError("shift exponents must be nonnegative ints")
-        raw = self._bilinear_raw([_integer_form(p)], [_integer_form(q_poly)],
-                                 dx, dy)
-        return _wrap(raw[0][0])
+        d_p, p_terms = _integer_form(p)
+        d_q, q_terms = _integer_form(q_poly)
+        top = (max((i + j for i, j, _ in p_terms), default=0)
+               + max((i + j for i, j, _ in q_terms), default=0) + dx + dy)
+        d_w, table = self._moment_table(top)
+        num = sum(cp * cq * table[ip + iq + dx][jp + jq + dy]
+                  for ip, jp, cp in p_terms for iq, jq, cq in q_terms)
+        return _wrap(_rat(num, d_w * d_p * d_q))
 
     # -- Gram blocks -------------------------------------------------------------
 
     def _gram_raw(self, n, h, dx=0, dy=0):
         """Raw dense rows <w, x^dx y^dy P_{n,m} P_{h,mp}>, rows m, columns
-        mp, from moments only; built once per (n, h, dx, dy).  A vanishing
-        diagonal of H_n (unshifted) raises before anything is stored."""
+        mp, from moments only; built once per (n, h, dx, dy).  Each entry
+        is one integer dot product of the column polynomial with the row
+        moments (``_row_moments``), and one rational.  A vanishing diagonal
+        of H_n (unshifted) raises before anything is stored."""
         key = (n, h, dx, dy)
         cached = self._gram_cache.get(key)
         if cached is not None:
             return cached
-        rows = [self._P_int(n, m) for m in range(n + 1)]
+        deg = h + dx + dy
+        d_w = self._moment_table(n + deg)[0]
         cols = [self._P_int(h, mp) for mp in range(h + 1)]
-        raw = self._bilinear_raw(rows, cols, dx, dy)
+        raw = []
+        for m in range(n + 1):
+            moms = self._row_moments(n, m, deg)
+            den_r = d_w * self._P_int(n, m)[0]
+            raw.append([
+                _rat(sum(c * moms[(i + dx, j + dy)] for i, j, c in c_terms),
+                     den_r * d_c)
+                for d_c, c_terms in cols
+            ])
         if n == h and not (dx or dy):
             for m in range(n + 1):
                 if not raw[m][m]:

@@ -166,6 +166,12 @@ def _h_diag(sys, n):
     return [rows[m][m] for m in range(n + 1)]
 
 
+def _ratio(v, h):
+    """v / h; a zero Gram entry, most of those off the band, is returned
+    as it is, with no division."""
+    return v / h if v else v
+
+
 def ttr_from_gram(sys, n):
     """Both relations at degree n computed purely from bivariate moments.
 
@@ -185,12 +191,12 @@ def ttr_from_gram(sys, n):
     out = {}
     for axis in AXES:
         dx, dy = (1, 0) if axis == "x" else (0, 1)
-        a_dense = [[v / h for v, h in zip(row, h_next)]
+        a_dense = [[_ratio(v, h) for v, h in zip(row, h_next)]
                    for row in sys._gram_raw(n, n + 1, dx, dy)]
-        b_dense = [[v / h for v, h in zip(row, h_n)]
+        b_dense = [[_ratio(v, h) for v, h in zip(row, h_n)]
                    for row in sys._gram_raw(n, n, dx, dy)]
         g_prev = sys._gram_raw(n - 1, n, dx, dy) if n >= 1 else []
-        c_dense = [[g_prev[c][r] / h_prev[c] for c in range(n)]
+        c_dense = [[_ratio(g_prev[c][r], h_prev[c]) for c in range(n)]
                    for r in range(n + 1)]
         out[axis] = (
             BandMatrix.from_dense(a_dense),

@@ -7,6 +7,8 @@ A family is defined by the three-term recurrence
 together with the squared norm h_0 of p_0.  From the recurrence alone the
 module derives leading coefficients, norms, moments of the underlying
 functional, dense coefficient lists and point evaluation -- all exactly.
+Dense coefficients and moments are built fraction-free: each recurrence
+step runs on integers over one denominator, with one gcd reduction.
 
 It also computes the two connection triples between a family and the
 companion family obtained by appending a factor rho(x)^2 to its weight:
@@ -90,7 +92,8 @@ class RecurrenceFamily:
     The closures a, b, c take an index n and return a raw exact rational;
     c is only consulted for n >= 1.  Each recurrence coefficient and all
     derived data (leading coefficients, norms, moments, dense coefficients)
-    is computed lazily, once, and cached on the family.  A family is not
+    is computed lazily, once, and cached on the family; the moment
+    recursion keeps only its last integer vector.  A family is not
     thread-safe: share it between threads only behind a lock of your own.
     """
 
@@ -107,7 +110,12 @@ class RecurrenceFamily:
         self._abc_cache = {"a": {}, "b": {}, "c": {}}
         self._kl_cache = [(_ONE, _ZERO)]
         self._h_cache = [h0_raw]
-        self._mom_cache = [[_ONE]]
+        # Moments <u, x^j>, each stored once; the integer vector of the last
+        # x^j in the p-basis as (d, [ints]); the recurrence coefficients
+        # as ints over one denominator (see ``_int_coeffs``).
+        self._moments = [h0_raw]
+        self._mom_vec = (1, [1])
+        self._mom_coeffs = (1, [], [], [])
         self._coeff_cache = [(1, [1])]
 
     def __repr__(self):
@@ -202,30 +210,60 @@ class RecurrenceFamily:
 
     # -- moments ---------------------------------------------------------------
 
+    def _int_coeffs(self, top):
+        """The recurrence coefficients a(i), b(i) (i <= top) and c(i)
+        (1 <= i <= top), as lists of ints over one common denominator L:
+        (L, A, B, C) with C[0] = 0.  Grown one index at a time and rescaled
+        by the integer factor L_new / L_old when L grows."""
+        L, A, B, C = self._mom_coeffs
+        while len(A) <= top:
+            i = len(A)
+            # Read c, b, a in the order the recurrence first needs them.
+            new = (self._c_raw(i) if i else _ZERO, self._b_raw(i),
+                   self._a_raw(i))
+            dens = [int(v.denominator) for v in new]
+            grown = math.lcm(L, *dens)
+            if grown != L:
+                f = grown // L
+                A, B, C = ([f * v for v in lst] for lst in (A, B, C))
+                L = grown
+            for lst, v, d in zip((C, B, A), new, dens):
+                lst.append(int(v.numerator) * (L // d))
+            self._mom_coeffs = (L, A, B, C)
+        return self._mom_coeffs
+
     def _moment_raw(self, j):
-        cache = self._mom_cache
-        while len(cache) <= j:
-            v = cache[-1]
+        """<u, x^j>.  x^j in the p-basis is one integer vector over one
+        denominator, advanced by x p_i = a_i p_{i+1} + b_i p_i + c_i p_{i-1};
+        its constant entry times h_0 is the moment, stored once."""
+        moments = self._moments
+        while len(moments) <= j:
+            d, v = self._mom_vec
             top = len(v) - 1
-            new = []
-            for i in range(top + 2):
-                acc = _ZERO
-                if 1 <= i <= top + 1:
-                    acc = acc + self._a_raw(i - 1) * v[i - 1]
+            L, A, B, C = self._int_coeffs(top)
+            new = [B[0] * v[0] + (C[1] * v[1] if top else 0)]
+            for i in range(1, top + 2):
+                acc = A[i - 1] * v[i - 1]
                 if i <= top:
-                    acc = acc + self._b_raw(i) * v[i]
-                if i + 1 <= top:
-                    acc = acc + self._c_raw(i + 1) * v[i + 1]
+                    acc += B[i] * v[i]
+                    if i < top:
+                        acc += C[i + 1] * v[i + 1]
                 new.append(acc)
-            cache.append(new)
-        return cache[j][0] * self._h0
+            den = d * L
+            g = math.gcd(den, *new)
+            if g > 1:
+                den //= g
+                new = [x // g for x in new]
+            self._mom_vec = (den, new)
+            moments.append(_RAT(new[0], den) * self._h0)
+        return moments[j]
 
     def moments(self, upto):
         """List of moments <u, x^j> for j = 0..upto (so moments(0) = [h_0])."""
         if not isinstance(upto, int) or upto < 0:
             raise ValueError("moment bound must be a nonnegative int")
         self._moment_raw(upto)
-        return [_wrap(self._moment_raw(j)) for j in range(upto + 1)]
+        return [_wrap(v) for v in self._moments[:upto + 1]]
 
     # -- dense coefficients / evaluation ------------------------------------
 

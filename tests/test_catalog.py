@@ -1,15 +1,20 @@
 """Catalog families: identifiers, closed forms, and the three-way check."""
+import sys
+
 import pytest
 
 from ortho2d import (
     Scalar,
+    build_ttr,
     catalog_id,
     closed_form_first,
     closed_form_second,
     closed_form_ttr,
+    construction,
     cross_check,
     make_system,
     positive_definite,
+    univariate,
 )
 
 q = Scalar.exact
@@ -42,8 +47,15 @@ def test_catalog_id_validation():
 
 
 def test_bessel_laguerre_rejects_zero_g():
-    with pytest.raises(ValueError):
-        make_system(catalog_id("bessel-laguerre", g=0, gamma=1))
+    cid = catalog_id("bessel-laguerre", g=0, gamma=1)
+    # one check, shared by the system, the closed forms and the flag
+    for route in (lambda: make_system(cid),
+                  lambda: positive_definite(cid),
+                  lambda: closed_form_first(cid, 2, 1),
+                  lambda: closed_form_second(cid, 2, 1),
+                  lambda: closed_form_ttr(cid, 2)):
+        with pytest.raises(ValueError, match="nonzero parameter g"):
+            route()
 
 
 def test_positive_definite_flags():
@@ -96,6 +108,26 @@ def test_closed_form_nulls_follow_the_band_layout(name, params):
                 assert (row[key] is None) == outside, (n, m, key)
 
 
+@pytest.mark.parametrize("name,params", PINNED)
+def test_closed_forms_run_nothing_in_univariate_or_construction(name, params):
+    cid = catalog_id(name, **params)
+    closed_form_ttr(cid, 0)  # loads ttr before the trace starts
+    banned = {univariate.__file__, construction.__file__}
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        for n in range(8):
+            closed_form_ttr(cid, n)
+    finally:
+        sys.setprofile(None)
+    assert seen and not seen & banned, sorted(seen & banned)
+
+
 def test_closed_form_disk_anchor_values():
     cid = catalog_id("disk", mu="1/2")
     ts = closed_form_ttr(cid, 1)
@@ -136,6 +168,46 @@ def test_cross_check_detects_injected_fault():
     assert (mm.n, mm.matrix, mm.row, mm.col) == (0, "A_x", 0, 0)
     assert mm.built == mm.gram  # the two independent routes still agree
     assert mm.closed == mm.built + 1
+
+
+def test_oracle_reads_the_moments_that_the_builder_never_reads():
+    cid = catalog_id("simplex", alpha="1/2", beta="1/2", gamma="1/2")
+    clean = make_system(cid)
+    sys_obj = make_system(cid)
+    base = sys_obj.ladder(0)
+    base._moment_raw(12)
+    # moments 0..2 normalise the next ladder step; moment 5 feeds only the
+    # bivariate moments <w, x^h y^k> with h + deg(rho^k) >= 5
+    base._moments[5] += 1
+    for n in range(5):
+        assert build_ttr(sys_obj, n) == build_ttr(clean, n)
+    report = cross_check(cid, 4, system=sys_obj)
+    assert not report.ok
+    for mm in report.mismatches:
+        assert mm.closed == mm.built and mm.built != mm.gram
+    assert cross_check(cid, 4, system=clean).ok
+    for n in range(5):
+        assert build_ttr(sys_obj, n) == build_ttr(clean, n)
+        assert closed_form_ttr(cid, n) == build_ttr(clean, n)
+
+
+def test_square_closed_forms_catch_a_reflected_jacobi_recurrence(
+        monkeypatch):
+    # b of jacobi(beta, alpha) still gives a valid recurrence, for another
+    # weight; only closed forms stated apart from univariate can notice.
+    closures = univariate._jacobi_raw_closures
+
+    def reflected(al, be):
+        a, _, c = closures(al, be)
+        return a, closures(be, al)[1], c
+
+    monkeypatch.setattr(univariate, "_jacobi_raw_closures", reflected)
+    cid = catalog_id("square", alpha=1, beta=2, gamma=0, delta="1/2")
+    report = cross_check(cid, 3)
+    assert not report.ok
+    assert {mm.matrix for mm in report.mismatches} >= {"B_x", "B_y"}
+    for mm in report.mismatches:
+        assert mm.built == mm.gram != mm.closed
 
 
 def test_cross_check_shares_a_prebuilt_system():

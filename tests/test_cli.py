@@ -190,6 +190,17 @@ def test_verify_quasi_definiteness_exit_three(capsys):
     assert "error" in err
 
 
+def test_zero_bessel_scale_exits_two_in_every_subcommand(capsys):
+    errors = set()
+    for command in ("tables", "moments", "verify"):
+        code, out, err = run(capsys, command, "bessel-laguerre", "--g", "0",
+                             "--gamma", "1")
+        assert (code, out) == (2, "")
+        errors.add(err)
+    assert errors == {
+        "error: bessel-laguerre requires a nonzero parameter g\n"}
+
+
 def test_tables_quasi_definiteness_exit_three(capsys):
     code, _, err = run(capsys, "tables", "square", "--alpha", "-1",
                        "--beta", "-1", "--gamma", "0", "--delta", "0")

@@ -317,6 +317,45 @@ def test_moment_bilinear_equals_defining_sum(name, params, case):
         sys_obj, frac, frac, 1, 0)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}),
+    ("disk", {"mu": "3/2"}),
+    ("bessel-laguerre", {"g": 5, "gamma": "2/5"}),
+])
+def test_row_moments_stay_coherent_when_the_table_grows(name, params):
+    # Degree 6 first builds the full moment table and the row moments of
+    # degrees 5..7 over it; degrees 0..4 then add rows over that table.
+    # The fresh system runs in ascending order, so its table grows and
+    # its cached row moments are rescaled at every degree.
+    cid = catalog_id(name, **params)
+    late = make_system(cid)
+    top_first = ttr_from_gram(late, 6)
+    got = [ttr_from_gram(late, n) for n in range(6)] + [top_first]
+    fresh = make_system(cid)
+    assert got == [ttr_from_gram(fresh, n) for n in range(7)]
+    # Every cached Gram entry up to degree 4 is the naive term-pair sum.
+    checked = 0
+    for (n, h, dx, dy), rows in late._gram_cache.items():
+        if max(n, h) > 4:
+            continue
+        for m, row in enumerate(rows):
+            for mp, v in enumerate(row):
+                want = _defining_sum(late, late.expand_P(n, m),
+                                     late.expand_P(h, mp), dx, dy)
+                assert v == want.value, (n, h, dx, dy, m, mp)
+                checked += 1
+    assert checked > 200
+    # moment_bilinear reads the same table and agrees with a system on
+    # which nothing else ran.
+    clean = make_system(cid)
+    for n, m, h, mp, dx, dy in [(2, 1, 3, 0, 1, 0), (4, 4, 4, 2, 0, 1),
+                                (6, 3, 7, 5, 0, 0), (1, 0, 0, 0, 0, 0)]:
+        p, p2 = late.expand_P(n, m), late.expand_P(h, mp)
+        assert (late.moment_bilinear(p, p2, dx, dy)
+                == clean.moment_bilinear(p, p2, dx, dy)
+                == late._gram_raw(n, h, dx, dy)[m][mp])
+
+
 def test_moment_bilinear_refuses_float_polynomials(disk):
     # float coefficients never reach the kernel: the polynomial is refused
     with pytest.raises(ModeError):

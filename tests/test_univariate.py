@@ -1,5 +1,6 @@
 """Univariate recurrence families and adjacent-family connections."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,99 @@ def test_coeffs_match_a_fraction_recurrence(name, params):
             if not isinstance(cached, tuple):
                 cached = least_integer_form(cached)
             assert cached == least_integer_form(want[n]), (fam, n)
+
+
+# -- moments against a plain Fraction recursion ------------------------------
+
+# The ten pinned parameter sets of the acceptance suite.
+PINNED_SETS = [
+    ("disk", {"mu": "1/2"}),
+    ("disk", {"mu": "3/2"}),
+    ("biangle", {"alpha": 0, "beta": 0}),
+    ("biangle", {"alpha": 1, "beta": "1/2"}),
+    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}),
+    ("simplex", {"alpha": 0, "beta": 1, "gamma": 2}),
+    ("square", {"alpha": 0, "beta": 0, "gamma": 0, "delta": 0}),
+    ("square", {"alpha": 1, "beta": 2, "gamma": 0, "delta": "1/2"}),
+    ("laguerre-jacobi", {"alpha": 1, "beta": "1/2"}),
+    ("bessel-laguerre", {"g": 5, "gamma": "2/5"}),
+]
+
+# Lower ends of each positive-definite family's region; a seeded draw
+# lies in (lower, lower + 3], over the denominators 7, 11, 13 and 17 by
+# position, like the parameters of the sweep benchmark.
+SWEEP_LOWER = [
+    ("disk", {"mu": Fraction(-1, 2)}),
+    ("biangle", {"alpha": -1, "beta": -1}),
+    ("simplex", {"alpha": -1, "beta": -1, "gamma": -1}),
+    ("square", {"alpha": -1, "beta": -1, "gamma": -1, "delta": -1}),
+    ("laguerre-jacobi", {"alpha": -2, "beta": -1}),
+]
+
+
+def sweep_draws(seed):
+    rng = random.Random(seed)
+    out = []
+    for name, lower in SWEEP_LOWER:
+        params = {}
+        for key, den in zip(lower, (7, 11, 13, 17)):
+            num = rng.randrange(1, 3 * den + 1)
+            params[key] = str(Fraction(lower[key]) + Fraction(num, den))
+        out.append((name, params))
+    return out
+
+
+def reference_moments(fam, top):
+    """<u, x^j> for j = 0..top: x^(j+1) = x * x^j expanded in the p-basis
+    by scattering x p_i = a_i p_(i+1) + b_i p_i + c_i p_(i-1), one Fraction
+    at a time; the moment is the p_0 coefficient times h_0."""
+    h0 = fam.h0.as_fraction()
+    v = [Fraction(1)]
+    out = [h0]
+    for _ in range(top):
+        new = [Fraction(0)] * (len(v) + 1)
+        for i, x in enumerate(v):
+            new[i + 1] += fam.a(i).as_fraction() * x
+            new[i] += fam.b(i).as_fraction() * x
+            if i:
+                new[i - 1] += fam.c(i).as_fraction() * x
+        v = new
+        out.append(v[0] * h0)
+    return out
+
+
+def _moment_families():
+    fams = []
+    for name, params in PINNED_SETS + sweep_draws(71) + sweep_draws(72):
+        cid = catalog_id(name, **params)
+        system = make_system(cid)
+        fams += [(f"{cid.describe()}:ladder0", system.ladder(0)),
+                 (f"{cid.describe()}:q", system.q)]
+    fams += [(f"bessel({a},{b})", bessel(a, b))
+             for a, b in ((3, -2), ("1/2", 5), ("-7/3", "2/5"))]
+    return [pytest.param(label, fam, id=label) for label, fam in fams]
+
+
+@pytest.mark.parametrize("label, fam", _moment_families())
+def test_moments_match_a_fraction_recursion(label, fam):
+    want = reference_moments(fam, 40)
+    assert [v.as_fraction() for v in fam.moments(40)] == want, label
+    # a shorter list read after the recursion ran further
+    assert [v.as_fraction() for v in fam.moments(17)] == want[:18]
+
+
+def test_reflected_jacobi_b_changes_the_moments():
+    al, be = q(1), q("1/2")
+    jac = jacobi_std(al, be)
+    mirror = jacobi_std(be, al)
+    # a valid recurrence of another weight: b of jacobi(beta, alpha)
+    mutant = RecurrenceFamily("mutant", lambda n: jac.a(n).value,
+                              lambda n: mirror.b(n).value,
+                              lambda n: jac.c(n).value)
+    got = [v.as_fraction() for v in mutant.moments(40)]
+    assert got == reference_moments(mutant, 40)
+    assert got != [v.as_fraction() for v in jac.moments(40)]
+    assert got[1] == -jac.moments(1)[1].as_fraction()
 
 
 # -- moment-level orthogonality (independent Gram oracle) ------------------
