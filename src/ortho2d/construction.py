@@ -42,7 +42,6 @@ from .numerics import (
     Scalar,
     SparsePoly2,
     _RAT,
-    _add_terms,
     _as_raw_exact,
     _int_list,
     _poly,
@@ -120,6 +119,25 @@ def _rat(num, den):
     return _RAT(num, den) if num else _ZERO
 
 
+def _product(p, r):
+    """The product of two dense integer coefficient lists as {k: c}, each
+    nonzero coefficient c of x^k.  The products p_i r_d are summed term by
+    term (i, then d, ascending) and a key whose sum vanishes is dropped, so
+    the keys stand in the order of ``numerics._add_terms`` merging them."""
+    r_terms = [(d, rc) for d, rc in enumerate(r) if rc]
+    out = {}
+    for i, pc in enumerate(p):
+        if pc:
+            for d, rc in r_terms:
+                k = i + d
+                v = out.get(k, 0) + pc * rc
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+    return out
+
+
 def _integer_form(poly):
     """(d, terms): an exact polynomial as integer coefficients over one
     positive denominator d, terms being (i, j, d * coefficient) triples."""
@@ -134,7 +152,8 @@ class BivariateSystem:
 
     Basis polynomials, ladder coefficients and powers of rho are cached
     once, as integer forms; ladders, moments, the row moments of each
-    basis polynomial, the raw Gram blocks (shifted ones included) and the
+    basis polynomial, the raw Gram blocks (shifted ones included), the
+    diagonals of H_n, the connection triples between ladder steps and the
     matrices of ``ttr.first_ttr``/``second_ttr`` once each.  Not
     thread-safe.
     """
@@ -160,9 +179,14 @@ class BivariateSystem:
         self._row_cache = {}
         # Raw Gram rows keyed (n, h, dx, dy); filled by _gram_raw.
         self._gram_cache = {}
+        # Raw diagonals of the Gram blocks H_n keyed n; filled by _gram_diag.
+        self._diag_cache = {}
         # (A, B, C) of the relation along axis at degree n, keyed (n, axis);
         # filled by ttr.first_ttr / second_ttr.
         self._ttr_cache = {}
+        # Raw connection triples (delta, epsilon, zeta) between ladder steps
+        # m and m + 1, keyed (m, k); filled by ttr._down.
+        self._down_cache = {}
 
     def __repr__(self):
         return f"BivariateSystem({self.label!r})"
@@ -234,16 +258,14 @@ class BivariateSystem:
         rho = {j: self._rho_pow_int(m - j)
                for j, qc in enumerate(q_coeffs) if qc}
         lcm = math.lcm(*(d for d, _ in rho.values()))
-        terms = {}
+        terms = []
         for j, (d_rho, rho_e) in rho.items():
             scale = q_coeffs[j] * (lcm // d_rho)
-            for i, pc in enumerate(p_coeffs):
-                if pc:
-                    _add_terms(terms, {(i + d, j): pc * scale * rc
-                                       for d, rc in enumerate(rho_e) if rc})
+            terms += [(i, j, c * scale)
+                      for i, c in _product(p_coeffs, rho_e).items()]
         den = d_p * d_q * lcm
-        g = math.gcd(den, *terms.values())
-        form = (den // g, [(i, j, c // g) for (i, j), c in terms.items()])
+        g = math.gcd(den, *(c for _, _, c in terms))
+        form = (den // g, [(i, j, c // g) for i, j, c in terms])
         self._P_cache[key] = form
         return form
 
@@ -282,16 +304,27 @@ class BivariateSystem:
         """(D, W): the moments of total degree <= top over one common
         denominator D, as integers W[h][k] = D * <w, x^h y^k>.
 
-        When a higher degree is asked for, the table grows: D becomes the
-        lcm of all the moments' denominators and every entry is rescaled
-        to it."""
-        if top >= len(self._w_table[1]):
+        When a higher degree is asked for, the table grows by the new total
+        degrees only: D becomes the lcm of its old value and the new
+        moments' denominators, and the old entries are rescaled by the
+        integer D_new / D_old."""
+        d_old, table = self._w_table
+        old_top = len(table) - 1
+        if top > old_top:
             wm = self._w_moment_raw
-            moments = [[wm(h, k) for k in range(top + 1 - h)]
-                       for h in range(top + 1)]
-            d, ints = _int_list([v for row in moments for v in row])
-            flat = iter(ints)
-            self._w_table = (d, [[next(flat) for _ in row] for row in moments])
+            # Row h gains the degrees k above old_top - h, row by row.
+            new = [[wm(h, k) for k in range(max(old_top + 1 - h, 0),
+                                            top + 1 - h)]
+                   for h in range(top + 1)]
+            d = math.lcm(d_old, *(int(v.denominator)
+                                  for row in new for v in row))
+            f = d // d_old
+            table = [[f * v for v in row] for row in table]
+            table += [[] for _ in range(top - old_top)]
+            for row, values in zip(table, new):
+                row += [int(v.numerator) * (d // int(v.denominator))
+                        for v in values]
+            self._w_table = (d, table)
         return self._w_table
 
     def _row_moments(self, n, m, deg):
@@ -365,22 +398,51 @@ class BivariateSystem:
                 for d_c, c_terms in cols
             ])
         if n == h and not (dx or dy):
-            for m in range(n + 1):
-                if not raw[m][m]:
-                    raise QuasiDefinitenessError(
-                        self.label, {}, (n, m),
-                        f"Gram diagonal <w, P_({n},{m})^2> vanishes")
+            self._check_diagonal(n, [raw[m][m] for m in range(n + 1)])
         self._gram_cache[key] = raw
         return raw
 
+    def _gram_diag(self, n):
+        """Raw diagonal <w, P_{n,m}^2>, m = 0..n, of the Gram block H_n,
+        built once per n without the rest of the block: each entry is the
+        dot product ``_gram_raw`` forms for it, in the same order.  A
+        vanishing entry raises before anything is stored."""
+        cached = self._diag_cache.get(n)
+        if cached is not None:
+            return cached
+        d_w = self._moment_table(2 * n)[0]
+        forms = [self._P_int(n, m) for m in range(n + 1)]
+        diag = []
+        for m, (d, terms) in enumerate(forms):
+            moms = self._row_moments(n, m, n)
+            diag.append(_rat(sum(c * moms[(i, j)] for i, j, c in terms),
+                             d_w * d * d))
+        self._check_diagonal(n, diag)
+        self._diag_cache[n] = diag
+        return diag
+
+    def _check_diagonal(self, n, diag):
+        """Raise at the first vanishing <w, P_{n,m}^2> of diag."""
+        for m, v in enumerate(diag):
+            if not v:
+                raise QuasiDefinitenessError(
+                    self.label, {}, (n, m),
+                    f"Gram diagonal <w, P_({n},{m})^2> vanishes")
+
     def gram_block(self, n, h):
         """Dense Gram block pairing total degrees n and h."""
+        if not (isinstance(n, int) and isinstance(h, int)
+                and n >= 0 and h >= 0):
+            raise ValueError(f"degrees must be nonnegative ints, got "
+                             f"(n, h) = ({n}, {h})")
         return GramBlock(n, h, tuple(tuple(_wrap(v) for v in row)
                                      for row in self._gram_raw(n, h)))
 
     def block_norm(self, n, m):
         """Closed-form squared norm of P_{n,m}: the ladder norm times the
         second-variable norm."""
+        if not (isinstance(n, int) and isinstance(m, int) and 0 <= m <= n):
+            raise ValueError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
         raw = self.ladder(m)._h_raw(n - m) * self.q._h_raw(m)
         return _wrap(raw)
 

@@ -12,11 +12,13 @@ Everything downstream is built on three value types, all exact rational
   declared band; reads outside the band are exact zeros, writes outside it
   are errors.
 
-Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (integer
-fraction-free elimination, no doubles anywhere).  The relation checks
-work on plain coefficient maps, exact or rounded to doubles, with
-``_add_terms`` and ``_eval_terms``, the helpers that ``SparsePoly2`` uses
-too; ``_float_map`` rounds an integer form to a map of doubles.
+Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (Bareiss's
+integer fraction-free elimination, no doubles anywhere; a BandMatrix is
+read from its stored entries, never expanded to rational rows).  The
+relation checks work on plain coefficient maps, exact or rounded to
+doubles, with ``_add_terms`` and ``_eval_terms``, the helpers that
+``SparsePoly2`` uses too; ``_float_map`` rounds an integer form to a map
+of doubles.
 """
 from __future__ import annotations
 
@@ -596,15 +598,28 @@ def _int_list(values):
 
 
 def _int_rows(matrix):
-    """Clear denominators row by row; returns a list of Python-int rows."""
+    """Clear denominators row by row; returns a list of Python-int rows.
+
+    A BandMatrix is read from its stored entries: each row is scaled by the
+    lcm of its own entries' denominators, which is the lcm over the whole
+    row, its zeros having denominator 1."""
     if isinstance(matrix, BandMatrix):
-        dense = matrix._raw_rows()
-    else:
-        dense = []
-        for row in matrix:
-            dense.append([_as_raw_exact(v) for v in row])
-        if dense and any(len(r) != len(dense[0]) for r in dense):
-            raise ValueError("ragged rows")
+        by_row = [[] for _ in range(matrix.rows)]
+        for (r, off), raw in matrix._entries.items():
+            by_row[r].append((r + off, raw))
+        rows = []
+        for entries in by_row:
+            row = [0] * matrix.cols
+            d = math.lcm(*(int(v.denominator) for _, v in entries))
+            for c, v in entries:
+                row[c] = int(v.numerator) * (d // int(v.denominator))
+            rows.append(row)
+        return rows
+    dense = []
+    for row in matrix:
+        dense.append([_as_raw_exact(v) for v in row])
+    if dense and any(len(r) != len(dense[0]) for r in dense):
+        raise ValueError("ragged rows")
     return [_int_list(row)[1] for row in dense]
 
 
@@ -612,11 +627,31 @@ def rank_exact(matrix):
     """Exact rank of a matrix of rationals (fraction-free elimination).
 
     Accepts a BandMatrix or a list of rows of exact scalars/ints/rationals.
-    A float entry raises ModeError.
+    A float entry raises ModeError.  The rows are cleared of denominators
+    one by one (``_int_rows``; a BandMatrix straight from its stored
+    entries) and eliminated in integers (``_rank_int``).
     """
-    m = _int_rows(matrix)
+    return _rank_int(_int_rows(matrix))
+
+
+def _rank_int(rows):
+    """Rank of equal-length int rows by Bareiss's fraction-free
+    elimination (Bareiss 1968).  The rows are read, never written: every
+    update makes a new list.
+
+    Each step turns a row below the pivot into (lead * row - head *
+    pivot_row) / prev, exactly.  A row whose head is zero is only scaled by
+    lead / prev, and these factors telescope over the steps, so such a row
+    is left as it stands and keeps the divisor it is over, div[i]: one
+    update (lead * row - head * pivot_row) / div[i] brings it through every
+    step it skipped, and a pivot row is first brought up to prev / div[i].
+    Scaling by a nonzero integer keeps every zero a zero, so the pivots and
+    the rank are those of the plain elimination; on banded rows only the
+    few rows with a nonzero head are touched per column."""
+    m = list(rows)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    div = [1] * nrows
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -628,14 +663,20 @@ def rank_exact(matrix):
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][col]
+        div[rank], div[pivot] = div[pivot], div[rank]
         row_r = m[rank]
+        if div[rank] != prev:
+            row_r = [v * prev // div[rank] for v in row_r]
+        lead = row_r[col]
         for i in range(rank + 1, nrows):
             row_i = m[i]
             head = row_i[col]
-            for j in range(col + 1, ncols):
-                row_i[j] = (lead * row_i[j] - head * row_r[j]) // prev
-            row_i[col] = 0
+            if head:
+                d = div[i]
+                m[i] = [0] * (col + 1) + [
+                    (lead * a - head * b) // d
+                    for a, b in zip(row_i[col + 1:], row_r[col + 1:])]
+                div[i] = lead
         prev = lead
         rank += 1
         if rank == nrows:

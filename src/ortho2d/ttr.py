@@ -19,9 +19,9 @@ matrices purely from bivariate moments,
     B_{n,i} = <w, t_i P_n P_n^t> H_n^{-1},
     C_{n,i} = <w, t_i P_n P_{n-1}^t> H_{n-1}^{-1},
 
-with H_n the diagonal Gram block, making no structural assumption (full
-bandwidth).  The moment matrices <w, t_i P_n P_h^t> are the raw Gram
-blocks that ``BivariateSystem`` caches, read from moments and the expanded
+with H_n the Gram block of degree n, of which only the diagonal is formed,
+making no structural assumption (full bandwidth).  The moment matrices
+<w, t_i P_n P_h^t> are the raw Gram blocks that ``BivariateSystem`` caches, read from moments and the expanded
 basis polynomials only.  C is read from the block already cached for
 A_{n-1}: C[r][c] = <w, t_i P_{n-1,c} P_{n,r}> / H_{n-1}[c].
 ``rank_conditions`` checks the rank identities that make the recurrence
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .construction import CASE_I, _check_symmetric
-from .numerics import BandMatrix, rank_exact
+from .numerics import BandMatrix, _int_rows, _rank_int
 from .univariate import _down_raw, _up_raw
 
 AXES = ("x", "y")
@@ -83,6 +83,17 @@ def first_ttr(sys, n):
     return cached
 
 
+def _down(sys, m, k):
+    """Raw (delta, epsilon, zeta) between ladder steps m and m + 1 at index
+    k (``univariate._down_raw``), formed once per system: the superdiagonal
+    of one degree and the subdiagonal of the next two read the same one."""
+    triple = sys._down_cache.get((m, k))
+    if triple is None:
+        triple = sys._down_cache[(m, k)] = _down_raw(
+            sys.ladder(m), sys.ladder(m + 1), sys.rho.s2.value, k)
+    return triple
+
+
 def second_ttr(sys, n):
     """Matrices (A, B, C) of the y-relation at degree n; all tridiagonal.
 
@@ -116,8 +127,9 @@ def second_ttr(sys, n):
         # between ladder steps m-1 and m, at first-variable index n-m.
         if m >= 1:
             qc = q._c_raw(m)
-            eta, theta, vartheta = _up_raw(sys.ladder(m - 1), sys.ladder(m),
-                                           s2, n - m)
+            eta, theta, vartheta = _up_raw(
+                sys.ladder(m - 1), sys.ladder(m), s2, n - m,
+                lambda k: _down(sys, m - 1, k))
             a_entries[(m, m - 1)] = qc * eta
             b_entries[(m, m - 1)] = qc * theta
             c_entries[(m, m - 1)] = qc * vartheta
@@ -135,8 +147,7 @@ def second_ttr(sys, n):
                     c_entries[(m, m)] = qb * r1 * fam._c_raw(n - m)
         # Superdiagonal: q's a-coefficient times the downward connection
         # between ladder steps m and m+1, at first-variable index n-m.
-        delta, epsilon, zeta = _down_raw(sys.ladder(m), sys.ladder(m + 1),
-                                         s2, n - m)
+        delta, epsilon, zeta = _down(sys, m, n - m)
         a_entries[(m, m + 1)] = qa * delta
         if m <= n - 1:
             b_entries[(m, m + 1)] = qa * epsilon
@@ -160,12 +171,6 @@ def build_ttr(sys, n):
 # -- the moment/Gram oracle -----------------------------------------------------
 
 
-def _h_diag(sys, n):
-    """Raw diagonal of the Gram block H_n."""
-    rows = sys._gram_raw(n, n)
-    return [rows[m][m] for m in range(n + 1)]
-
-
 def _ratio(v, h):
     """v / h; a zero Gram entry, most of those off the band, is returned
     as it is, with no division."""
@@ -185,9 +190,9 @@ def ttr_from_gram(sys, n):
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("degree must be a nonnegative int")
-    h_n = _h_diag(sys, n)
-    h_next = _h_diag(sys, n + 1)
-    h_prev = _h_diag(sys, n - 1) if n >= 1 else []
+    h_n = sys._gram_diag(n)
+    h_next = sys._gram_diag(n + 1)
+    h_prev = sys._gram_diag(n - 1) if n >= 1 else []
     out = {}
     for axis in AXES:
         dx, dy = (1, 0) if axis == "x" else (0, 1)
@@ -239,19 +244,23 @@ class RankReport(NamedTuple):
 
 
 def rank_conditions(sys, n):
-    """Evaluate the rank conditions at degree n (uses exact rank only)."""
+    """Evaluate the rank conditions at degree n (uses exact rank only).
+
+    The integer rows of A_{n,x}, A_{n,y} and of the transposes of C_{n+1,x},
+    C_{n+1,y} are formed once each, from the stored band entries, and serve
+    both a single rank and a joint rank (rank C = rank C^t)."""
     a1, _, _ = first_ttr(sys, n)
     a2, _, _ = second_ttr(sys, n)
     _, _, c1_next = first_ttr(sys, n + 1)
     _, _, c2_next = second_ttr(sys, n + 1)
-    joint_a = a1._raw_rows() + a2._raw_rows()
-    joint_c = c1_next.transpose()._raw_rows() + c2_next.transpose()._raw_rows()
+    a_x, a_y, ct_x, ct_y = (_int_rows(mat) for mat in (
+        a1, a2, c1_next.transpose(), c2_next.transpose()))
     return RankReport(
         n,
-        rank_exact(a1),
-        rank_exact(a2),
-        rank_exact(c1_next),
-        rank_exact(c2_next),
-        rank_exact(joint_a),
-        rank_exact(joint_c),
+        _rank_int(a_x),
+        _rank_int(a_y),
+        _rank_int(ct_x),
+        _rank_int(ct_y),
+        _rank_int(a_x + a_y),
+        _rank_int(ct_x + ct_y),
     )

@@ -188,6 +188,8 @@ class RecurrenceFamily:
 
     def leading_coeffs(self, n):
         """k_n (always nonzero) and l_n, the top two coefficients of p_n."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("degree must be a nonnegative int")
         k, l = self._kl_raw(n)
         return LeadingPair(_wrap(k), _wrap(l))
 
@@ -206,6 +208,8 @@ class RecurrenceFamily:
 
     def norms(self, n):
         """Squared norm h_n of p_n (relative to the chosen h_0)."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("degree must be a nonnegative int")
         return _wrap(self._h_raw(n))
 
     # -- moments ---------------------------------------------------------------
@@ -297,6 +301,8 @@ class RecurrenceFamily:
     def coeffs(self, n):
         """Dense monomial coefficients of p_n, constant term first, formed
         as rationals from the cached integer form at this boundary."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("degree must be a nonnegative int")
         d, ints = self._coeffs_int(n)
         return [_wrap(_RAT(c, d)) for c in ints]
 
@@ -424,12 +430,12 @@ def _down_raw(fam_m, fam_m1, s2, n):
     return delta, epsilon, zeta
 
 
-def _up_raw(fam_m, fam_m1, s2, n):
-    """Raw (eta, theta, vartheta) of ``adjacent_up``; s2 is a raw
-    rational."""
+def _up_raw(fam_m, fam_m1, s2, n, down):
+    """Raw (eta, theta, vartheta) of ``adjacent_up``; s2 is a raw rational
+    and down(k) the raw (delta, epsilon, zeta) of ``_down_raw`` at k."""
     eta = s2 * fam_m1._kl_raw(n)[0] / fam_m._kl_raw(n + 2)[0]
-    delta = _down_raw(fam_m, fam_m1, s2, n)[0]
-    epsilon_next = _down_raw(fam_m, fam_m1, s2, n + 1)[1]
+    delta = down(n)[0]
+    epsilon_next = down(n + 1)[1]
     h_m1_n = fam_m1._h_raw(n)
     theta = epsilon_next * h_m1_n / fam_m._h_raw(n + 1)
     vartheta = delta * h_m1_n / fam_m._h_raw(n)
@@ -458,5 +464,7 @@ def adjacent_up(fam_m, fam_m1, s2, n):
     polynomial back in fam_m.  Defined for every n >= 0."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("index must be a nonnegative int")
-    eta, theta, vartheta = _up_raw(fam_m, fam_m1, _as_raw_exact(s2), n)
+    s2 = _as_raw_exact(s2)
+    eta, theta, vartheta = _up_raw(
+        fam_m, fam_m1, s2, n, lambda k: _down_raw(fam_m, fam_m1, s2, k))
     return AdjacentUp(_wrap(eta), _wrap(theta), _wrap(vartheta))

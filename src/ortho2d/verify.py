@@ -10,16 +10,17 @@ Four independent checks, each returning a structured CheckResult:
   form, and forms a rational only for a failing row.
   Float mode rounds each exact coefficient and matrix entry to a double
   once and forms the residuals on coefficient maps.  Both read the
-  relation matrices cached on the system (``ttr.first_ttr``/
-  ``second_ttr``).
+  stored band entries of the relation matrices cached on the system
+  (``ttr.first_ttr``/``second_ttr``), row by row.
 * ``verify_orthogonality`` -- Gram blocks of unequal degrees vanish and
   diagonal blocks are diagonal with the predicted norms.
 * ``verify_central_symmetry`` -- the equivalence "all odd moments vanish
   iff both B matrices vanish", checked from both sides independently.
 * ``verify_orthonormal_transpose`` -- for positive-definite systems the
   norm-rescaled matrices satisfy the transpose identity
-  C~_{n+1,i} = A~_{n,i}^t in floating point, on dense double matrices;
-  non-positive-definite input is rejected with NotPositiveDefiniteError.
+  C~_{n+1,i} = A~_{n,i}^t in floating point, on the stored entries of
+  both matrices rounded to doubles; non-positive-definite input is
+  rejected with NotPositiveDefiniteError.
 
 ``run_suite`` bundles cross-check, relations, orthogonality, ranks and
 central symmetry into one VerifyReport.
@@ -82,13 +83,13 @@ def _relation_matrices(sys, n, axis):
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def _dense(matrix):
-    """The matrix as dense rows of doubles: each stored entry rounded
-    once, 0.0 everywhere else."""
-    rows = [[0.0] * matrix.cols for _ in range(matrix.rows)]
-    for (r, off), raw in matrix._entries.items():
-        rows[r][r + off] = float(raw)
-    return rows
+def _row_entries(matrix, r):
+    """[(c, raw)]: the stored entries of row r, by column."""
+    entries = matrix._entries
+    return [(r + off, entries[r, off])
+            for off in range(-matrix.lower_bandwidth,
+                             matrix.upper_bandwidth + 1)
+            if (r, off) in entries]
 
 
 def _exact_failure(sys, n, axis):
@@ -99,33 +100,43 @@ def _exact_failure(sys, n, axis):
     Each basis polynomial is read as integers over its own denominator
     (``BivariateSystem._P_int``).  A row's lhs and its entry *
     polynomial terms are brought over one lcm L and the residual is summed
-    in plain ints; only a failing coefficient becomes a rational num / L.
+    in plain ints, in a dense list indexed i * width + j, so that its first
+    nonzero entry is the smallest monomial; only a failing coefficient
+    becomes a rational num / L.
     """
     mats = _relation_matrices(sys, n, axis)
-    dx, dy = (1, 0) if axis == "x" else (0, 1)
-    rows = [mat._raw_rows() for mat in mats]
-    # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
-    forms = [[sys._P_int(n + d, c) for c in range(n + d + 1)]
+    width = n + 2  # no monomial exceeds degree n + 1
+    shift = width if axis == "x" else 1
+    # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1,
+    # each as (d, flat indices, coefficients).
+    forms = [[_flat(sys._P_int(n + d, c), width) for c in range(n + d + 1)]
              for d in (1, 0, -1)]
     for m in range(n + 1):
-        d_lhs, lhs = forms[1][m]
-        # Each term of the rhs as (numerator, denominator, integer terms).
+        d_lhs, lhs_at, lhs_c = forms[1][m]
+        # Each term of the rhs as (numerator, denominator, form).
         terms = [(int(entry.numerator), int(entry.denominator) * polys[c][0],
-                  polys[c][1])
-                 for mat_rows, polys in zip(rows, forms)
-                 for c, entry in enumerate(mat_rows[m]) if entry]
+                  polys[c])
+                 for mat, polys in zip(mats, forms)
+                 for c, entry in _row_entries(mat, m)]
         lcm = math.lcm(d_lhs, *(den for _, den, _ in terms))
         scale = lcm // d_lhs
-        residual = {(i + dx, j + dy): c * scale for i, j, c in lhs}
-        for num, den, poly in terms:
+        residual = [0] * (width * width)
+        for k, c in zip(lhs_at, lhs_c):
+            residual[k + shift] = c * scale
+        for num, den, (_, at, coeffs) in terms:
             factor = num * (lcm // den)
-            for i, j, c in poly:
-                residual[i, j] = residual.get((i, j), 0) - factor * c
-        nonzero = [key for key, v in residual.items() if v]
-        if nonzero:
-            key = min(nonzero)
-            return m, key, _RAT(residual[key], lcm)
+            for k, c in zip(at, coeffs):
+                residual[k] -= factor * c
+        if any(residual):
+            k = next(k for k, v in enumerate(residual) if v)
+            return m, divmod(k, width), _RAT(residual[k], lcm)
     return None
+
+
+def _flat(form, width):
+    """Integer form (d, [(i, j, c)]) as (d, [i * width + j], [c])."""
+    d, terms = form
+    return d, [i * width + j for i, j, _ in terms], [c for _, _, c in terms]
 
 
 def _relation_rows(sys, n, axis):
@@ -136,15 +147,16 @@ def _relation_rows(sys, n, axis):
     column; rhs is their sum and residual = lhs - rhs."""
     mats = _relation_matrices(sys, n, axis)
     dx, dy = (1, 0) if axis == "x" else (0, 1)
-    dense = [_dense(mat) for mat in mats]
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
     polys = [[_float_map(sys._P_int(n + d, c)) for c in range(n + d + 1)]
              for d in (1, 0, -1)]
     for m in range(n + 1):
         lhs = {(i + dx, j + dy): c for (i, j), c in polys[1][m].items()}
-        terms = [{k: coeff * entry for k, coeff in maps[c].items()}
-                 for rows, maps in zip(dense, polys)
-                 for c, entry in enumerate(rows[m]) if entry]
+        rounded = [(maps[c], float(raw))
+                   for mat, maps in zip(mats, polys)
+                   for c, raw in _row_entries(mat, m)]
+        terms = [{k: coeff * entry for k, coeff in poly.items()}
+                 for poly, entry in rounded if entry]
         rhs = {}
         for t in terms:
             _add_terms(rhs, t)
@@ -152,7 +164,7 @@ def _relation_rows(sys, n, axis):
 
 
 def _max_abs_coeff(terms):
-    return max((abs(v) for v in terms.values()), default=0.0)
+    return max(map(abs, terms.values()), default=0.0)
 
 
 def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
@@ -281,16 +293,19 @@ def verify_central_symmetry(sys, max_degree, moment_bound=None):
 
 
 def _orthonormal(matrix, d_rows, d_cols):
-    """Dense doubles v * (1 / d_row) * d_col, each entry v of the exact
-    matrix rounded once."""
+    """{(r, c): v * (1 / d_row) * d_col} of doubles over the stored entries
+    of the exact matrix, each entry v rounded once."""
     inv = [1.0 / d for d in d_rows]
-    return [[v * inv[r] * d_cols[c] for c, v in enumerate(row)]
-            for r, row in enumerate(_dense(matrix))]
+    return {(r, r + off): float(raw) * inv[r] * d_cols[r + off]
+            for (r, off), raw in matrix._entries.items()}
 
 
 def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
     """For a positive-definite system, check the float transpose identity
-    between the norm-rescaled raising and lowering matrices."""
+    between the norm-rescaled raising and lowering matrices.
+
+    Only stored entries are compared: a position where both A~ and C~^t
+    hold zero adds |0.0 - 0.0| = 0.0 to a max, which leaves it as it is."""
     if not isinstance(max_degree, int) or max_degree < 0:
         raise ValueError("max_degree must be a nonnegative int")
     norms = {}
@@ -311,13 +326,13 @@ def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
         for axis in ("x", "y"):
             a_tilde = _orthonormal(_relation_matrices(sys, n, axis)[0],
                                    d_n, d_up)
-            c_tilde = _orthonormal(_relation_matrices(sys, n + 1, axis)[2],
-                                   d_up, d_n)
-            scale = max([1.0] + [abs(v) for row in a_tilde for v in row])
-            diff = 0.0
-            for r, row in enumerate(c_tilde):
-                for c, v in enumerate(row):
-                    diff = max(diff, abs(v - a_tilde[c][r]))
+            # C~_{n+1} transposed, keyed like A~.
+            c_tilde_t = {(c, r): v for (r, c), v in _orthonormal(
+                _relation_matrices(sys, n + 1, axis)[2], d_up, d_n).items()}
+            scale = max([1.0, *map(abs, a_tilde.values())])
+            diff = max((abs(c_tilde_t.get(key, 0.0) - a_tilde.get(key, 0.0))
+                        for key in a_tilde.keys() | c_tilde_t.keys()),
+                       default=0.0)
             worst = max(worst, diff / scale)
     return CheckResult("orthonormal-transpose", worst <= tol, {
         "max_degree": max_degree, "max_residual": worst, "tolerance": tol})

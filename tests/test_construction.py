@@ -1,8 +1,11 @@
 """Bivariate system assembly, basis expansion, moments and Gram blocks."""
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ortho2d import (
     CASE_I,
@@ -21,7 +24,8 @@ from ortho2d import (
     second_ttr,
     ttr_from_gram,
 )
-from ortho2d.construction import _integer_form
+from ortho2d.construction import _integer_form, _product
+from ortho2d.numerics import _add_terms
 
 q = Scalar.exact
 
@@ -171,6 +175,16 @@ def test_expand_argument_validation(disk):
         disk.expand_P(-1, 0)
 
 
+def test_block_norm_and_gram_block_validate_degrees(disk):
+    disk.block_norm(3, 3)
+    for n, m in ((2, 5), (-1, 0), (1, -1), (2.0, 0)):
+        with pytest.raises(ValueError):
+            disk.block_norm(n, m)
+    for n, h in ((-1, 0), (0, -1), (1, 0.5)):
+        with pytest.raises(ValueError):
+            disk.gram_block(n, h)
+
+
 def reference_basis(sys_obj, n, m):
     """P_{n,m} as a {(i, j): Fraction} map in expansion order: for each y^j
     term of q_m, each x^i term of the ladder polynomial, each x^d term of
@@ -226,6 +240,66 @@ def test_basis_integer_forms_are_least_in_expansion_order(name, params):
             if not isinstance(cached, tuple):
                 cached = _integer_form(cached)
             assert cached == (d, terms), (n, m)
+
+
+def test_product_keeps_the_order_of_a_term_by_term_merge():
+    # x^2 first gets 2 * 1, loses it to 1 * (-2) and comes back from 5 * 1
+    # after x^3 has entered: a merge into a dict puts it behind x^3.
+    assert list(_product([2, 1, 5], [1, -2, 1]).items()) == [
+        (0, 2), (1, -3), (3, -9), (2, 5), (4, 5)]
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+def test_product_equals_a_term_by_term_merge(p, r):
+    want = {}
+    for i, pc in enumerate(p):
+        if pc:
+            _add_terms(want, {i + d: pc * rc for d, rc in enumerate(r) if rc})
+    assert list(_product(p, r).items()) == list(want.items())
+
+
+def test_basis_order_follows_the_merge_where_rho_powers_have_gaps():
+    # rho^2 = 1 - x^2 has no x term; a ladder without parity then meets
+    # it in an order that is not ascending.
+    sys_obj = assemble(RhoSpec.sqrt_quadratic(-1, 0, 1),
+                       lambda m: jacobi_std(m + 1, m), jacobi_std(0, 0))
+    keys = [(j, i) for i, j, _ in sys_obj._P_int(5, 2)[1]]
+    assert keys != sorted(keys)  # y-powers ascend, x-powers do not
+    for n in range(7):
+        for m in range(n + 1):
+            want = reference_basis(sys_obj, n, m)
+            assert list(sys_obj.expand_P(n, m)._terms.items()) == \
+                list(want.items()), (n, m)
+
+
+# The ten pinned parameter sets of the acceptance suite.
+PINNED = [
+    ("disk", {"mu": "1/2"}),
+    ("disk", {"mu": "3/2"}),
+    ("biangle", {"alpha": "0", "beta": "0"}),
+    ("biangle", {"alpha": "1", "beta": "1/2"}),
+    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}),
+    ("simplex", {"alpha": "0", "beta": "1", "gamma": "2"}),
+    ("square", {"alpha": "0", "beta": "0", "gamma": "0", "delta": "0"}),
+    ("square", {"alpha": "1", "beta": "2", "gamma": "0", "delta": "1/2"}),
+    ("laguerre-jacobi", {"alpha": "1", "beta": "1/2"}),
+    ("bessel-laguerre", {"g": "5", "gamma": "2/5"}),
+]
+
+
+def test_basis_integer_forms_are_pinned():
+    # Denominators, coefficients and term order of every basis polynomial
+    # up to degree 14 of the pinned systems: the float checks sum in this
+    # order, so a change of order alone would move their residuals.
+    digest = hashlib.sha256()
+    for name, params in PINNED:
+        sys_obj = make_system(catalog_id(name, **params))
+        for n in range(15):
+            for m in range(n + 1):
+                digest.update(repr(sys_obj._P_int(n, m)).encode())
+    assert digest.hexdigest() == (
+        "958b29187e4ec17c8b894321c37a511b5c91cc30e6bdf9e7659638ac47d73eec")
 
 
 def test_basis_key_order_is_pinned():
@@ -344,6 +418,14 @@ def test_row_moments_stay_coherent_when_the_table_grows(name, params):
                                      late.expand_P(h, mp), dx, dy)
                 assert v == want.value, (n, h, dx, dy, m, mp)
                 checked += 1
+    # So is every cached diagonal of H_n, which the oracle forms alone.
+    for n, diag in late._diag_cache.items():
+        if n > 4:
+            continue
+        for m, v in enumerate(diag):
+            p = late.expand_P(n, m)
+            assert v == _defining_sum(late, p, p, 0, 0).value, (n, m)
+            checked += 1
     assert checked > 200
     # moment_bilinear reads the same table and agrees with a system on
     # which nothing else ran.

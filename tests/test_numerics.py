@@ -324,3 +324,48 @@ def test_rank_exact_needs_exact_division_to_hold():
     assert rank_exact(m) == 4
     singular = [[2, 1, 1], [4, 3, 3], [6, 4, 4]]
     assert rank_exact(singular) == 2
+
+
+def reference_rank(rows):
+    """Rank by plain Gaussian elimination over Fraction."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+# Mostly zeros, so that rows skip pivot columns and the elimination leaves
+# them over an older divisor (see numerics._rank_int).
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
+                           st.fractions(-20, 20, max_denominator=12))
+
+
+def sparse_rows(cols):
+    return st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols),
+                    min_size=1, max_size=8)
+
+
+# Rows mixed from fewer sparse rows: their rank needs exact cancellation,
+# which an inexact division in the elimination would break.
+mixed_rows = st.integers(1, 7).flatmap(lambda cols: st.tuples(
+    sparse_rows(cols), st.lists(st.lists(sparse_entries, min_size=8,
+                                         max_size=8),
+                                min_size=1, max_size=9))).map(
+    lambda pair: [[sum(c * row[j] for c, row in zip(mix, pair[0]))
+                   for j in range(len(pair[0][0]))] for mix in pair[1]])
+
+
+@given(st.one_of(st.integers(1, 7).flatmap(sparse_rows), mixed_rows))
+def test_rank_exact_matches_a_fraction_elimination(rows):
+    want = reference_rank(rows)
+    assert rank_exact(rows) == want
+    band = BandMatrix.from_dense(rows)
+    assert rank_exact(band) == rank_exact(band.transpose()) == want

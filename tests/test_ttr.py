@@ -2,8 +2,11 @@
 import pytest
 
 from ortho2d import (
+    BandMatrix,
     Scalar,
     SparsePoly2,
+    adjacent_down,
+    adjacent_up,
     build_ttr,
     catalog_id,
     first_ttr,
@@ -14,6 +17,7 @@ from ortho2d import (
     ttr_from_gram,
     verify_orthonormal_transpose,
 )
+from ortho2d.ttr import RankReport
 
 q = Scalar.exact
 
@@ -141,9 +145,97 @@ def test_rank_conditions_hold(disk, square):
             assert report.rank_joint_a == n + 2
 
 
-def test_rank_report_flags_degenerate_input():
-    from ortho2d.ttr import RankReport
+@pytest.mark.parametrize("family, params", [
+    ("disk", {"mu": "3/2"}),
+    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}),
+    ("bessel-laguerre", {"g": 5, "gamma": "2/5"}),
+])
+def test_connection_memo_equals_fresh_triples(family, params):
+    # second_ttr forms each downward triple once per system; every one it
+    # used to degree 12, and every upward triple it formed from them, is
+    # the triple a fresh adjacent_down / adjacent_up gives.
+    sys_obj = make_system(catalog_id(family, **params))
+    for n in range(13):
+        second_ttr(sys_obj, n)
+    s2 = sys_obj.rho.s2
+    # Row m of degree n: the superdiagonal reads (m, n - m), and the
+    # subdiagonal's upward triple (m - 1, n - m) reads two downward ones.
+    used = {(m, n - m) for n in range(13) for m in range(n + 1)}
+    used |= {(m - 1, n - m + e) for n in range(13) for m in range(1, n + 1)
+             for e in (0, 1)}
+    assert set(sys_obj._down_cache) == used
+    for (m, k), triple in sys_obj._down_cache.items():
+        fresh = adjacent_down(sys_obj.ladder(m), sys_obj.ladder(m + 1), s2, k)
+        assert triple == tuple(None if v is None else v.value for v in fresh)
+    q_fam = sys_obj.q
+    for n in range(13):
+        a_y, b_y, c_y = second_ttr(sys_obj, n)
+        for m in range(1, n + 1):
+            up = adjacent_up(sys_obj.ladder(m - 1), sys_obj.ladder(m), s2,
+                             n - m)
+            qc = q_fam.c(m)
+            assert a_y[m, m - 1] == qc * up.eta
+            assert b_y[m, m - 1] == qc * up.theta
+            if m <= n - 1:
+                assert c_y[m, m - 1] == qc * up.vartheta
 
+
+def reference_rank(matrix):
+    """Rank of a BandMatrix by Gaussian elimination over its dense
+    Fraction rows."""
+    m = [[v.as_fraction() for v in row] for row in matrix.dense()]
+    rank = 0
+    for col in range(matrix.cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def stacked(top, bottom):
+    return BandMatrix.from_dense(top.dense() + bottom.dense())
+
+
+@pytest.mark.parametrize("family, params", [
+    ("disk", {"mu": "1/2"}),
+    ("square", {"alpha": 0, "beta": 0, "gamma": 0, "delta": 0}),
+    ("simplex", {"alpha": 0, "beta": 1, "gamma": 2}),
+])
+def test_rank_conditions_on_a_zeroed_entry_match_dense_rows(family, params):
+    # Zero one stored entry of A_{n,y} at a time, in the relation cache
+    # that rank_conditions reads, and compare every rank with a plain
+    # elimination over dense rows.
+    n = 4
+    cid = catalog_id(family, **params)
+    base = make_system(cid)
+    a_x = first_ttr(base, n)[0]
+    c_x = first_ttr(base, n + 1)[2]
+    c_y = second_ttr(base, n + 1)[2]
+    a_y, b_y, c_y_n = second_ttr(base, n)
+    deficient = 0
+    for key, _ in a_y.items():
+        entries = dict(a_y.items())
+        entries[key] = 0
+        zeroed = BandMatrix(a_y.rows, a_y.cols, 1, 1, entries)
+        sys_obj = make_system(cid)
+        sys_obj._ttr_cache[(n, "y")] = (zeroed, b_y, c_y_n)
+        want = RankReport(
+            n, reference_rank(a_x), reference_rank(zeroed),
+            reference_rank(c_x), reference_rank(c_y),
+            reference_rank(stacked(a_x, zeroed)),
+            reference_rank(stacked(c_x.transpose(), c_y.transpose())))
+        got = rank_conditions(sys_obj, n)
+        assert got == want, key
+        deficient += not got.ok
+    assert deficient > 0
+
+
+def test_rank_report_flags_degenerate_input():
     good = RankReport(1, 2, 2, 2, 2, 3, 3)
     bad = RankReport(1, 2, 1, 2, 2, 3, 3)
     assert good.ok and not bad.ok

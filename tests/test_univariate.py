@@ -190,6 +190,16 @@ def test_recurrence_index_is_validated_after_caching():
         leg.b(-1)
 
 
+def test_public_degree_is_validated_after_caching():
+    # a negative degree must not read a cache from its end
+    fam = jacobi_std(1, 2)
+    assert fam.norms(5) == q("9/14")
+    for method in (fam.norms, fam.leading_coeffs, fam.coeffs):
+        for bad in (-1, 1.0):
+            with pytest.raises(ValueError):
+                method(bad)
+
+
 def test_zero_a_raises_on_every_coeffs_call():
     stall = RecurrenceFamily("stall", lambda n: 0 if n == 1 else 1,
                              lambda n: 0, lambda n: 1)

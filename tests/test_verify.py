@@ -218,6 +218,17 @@ def test_orthonormal_transpose_positive_definite(disk):
     assert res.details["max_residual"] <= 1e-10
 
 
+def test_orthonormal_transpose_residuals_are_pinned(asymmetric_square):
+    # The largest transpose residual, to the last bit, to degree 12.
+    lj = make_system(catalog_id("laguerre-jacobi", alpha=1, beta="1/2"))
+    for sys_obj, want in ((asymmetric_square, 2.220446049250313e-16),
+                          (lj, 5.597692996922351e-16)):
+        res = verify_orthonormal_transpose(sys_obj, 12)
+        assert res.passed
+        assert repr(res.details) == repr(
+            {"max_degree": 12, "max_residual": want, "tolerance": 1e-10})
+
+
 def test_orthonormal_transpose_rejects_indefinite():
     sys_obj = make_system(catalog_id("bessel-laguerre", g=5, gamma="2/5"))
     with pytest.raises(NotPositiveDefiniteError, match="not positive-definite"):
