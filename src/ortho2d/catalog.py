@@ -510,9 +510,12 @@ def cross_check(cid, max_degree, corrupt=False, system=None):
     every matrix entry up to max_degree.  With corrupt=True one closed-form
     entry is deliberately perturbed, to exercise the failure path.  A
     pre-built ``system`` for the same catalog id may be passed to share
-    its caches."""
+    its caches; a system built for another id is a ValueError."""
     if not isinstance(max_degree, int) or max_degree < 0:
         raise ValueError("max_degree must be a nonnegative int")
+    if system is not None and system.label != cid.describe():
+        raise ValueError(f"system {system.label!r} was not built for "
+                         f"{cid.describe()!r}")
     from .ttr import build_ttr, ttr_from_gram
     sys = system if system is not None else make_system(cid)
     mismatches = []

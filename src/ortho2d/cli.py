@@ -38,7 +38,7 @@ import sys
 
 from .catalog import (FAMILY_PARAMS, TABLE_KEYS, catalog_id,
                       closed_form_first, closed_form_second, make_system)
-from .numerics import ModeError, Scalar, _eval_terms, _float_map, _powers
+from .numerics import ModeError, Scalar, _eval_terms, _powers
 from .univariate import QuasiDefinitenessError
 
 SCHEMA = "ortho2d/1"
@@ -210,7 +210,7 @@ def _cmd_eval(args):
         px, py = str(x), str(y)
     else:
         px, py = float(x), float(y)
-        value = _eval_terms(_float_map(system._P_int(args.n, args.m)),
+        value = _eval_terms(system._P_float(args.n, args.m)[0],
                             _powers(px, args.n), _powers(py, args.n), 0.0)
     payload = {
         "schema": SCHEMA,

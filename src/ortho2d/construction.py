@@ -151,11 +151,12 @@ class BivariateSystem:
     """One assembled bivariate orthogonal system.  Build via ``assemble``.
 
     Basis polynomials, ladder coefficients and powers of rho are cached
-    once, as integer forms; ladders, moments, the row moments of each
-    basis polynomial, the raw Gram blocks (shifted ones included), the
-    diagonals of H_n, the connection triples between ladder steps and the
-    matrices of ``ttr.first_ttr``/``second_ttr`` once each.  Not
-    thread-safe.
+    once, as integer forms, and each basis polynomial once more rounded to
+    doubles for the float checks; ladders, moments, the row moments of
+    each basis polynomial, the raw Gram blocks (shifted ones included), the
+    diagonals of H_n, the connection triples between ladder steps, the
+    matrices of ``ttr.first_ttr``/``second_ttr`` and the square roots of
+    the block norms once each.  Not thread-safe.
     """
 
     def __init__(self, rho, ladder_factory, q, label):
@@ -165,6 +166,9 @@ class BivariateSystem:
         self._factory = ladder_factory
         self._ladders = []
         self._P_cache = {}
+        # Basis polynomials rounded to doubles, keyed (n, m), as
+        # ({(i, j): float}, largest |coefficient|); filled by _P_float.
+        self._float_cache = {}
         self._w_cache = {}
         self._w_table = (1, [])
         # Powers of rho as integer forms (d, [ints]), in steps of rho
@@ -187,6 +191,9 @@ class BivariateSystem:
         # Raw connection triples (delta, epsilon, zeta) between ladder steps
         # m and m + 1, keyed (m, k); filled by ttr._down.
         self._down_cache = {}
+        # Square roots of the block norms of degree n as doubles, keyed n;
+        # filled by verify._norm_roots.
+        self._root_cache = {}
 
     def __repr__(self):
         return f"BivariateSystem({self.label!r})"
@@ -268,6 +275,18 @@ class BivariateSystem:
         form = (den // g, [(i, j, c // g) for i, j, c in terms])
         self._P_cache[key] = form
         return form
+
+    def _P_float(self, n, m):
+        """The (n, m) basis polynomial as ({(i, j): c / d}, peak): each
+        coefficient of ``_P_int`` rounded to a double once (correct
+        rounding), in its key order, and the largest |coefficient|."""
+        cached = self._float_cache.get((n, m))
+        if cached is None:
+            d, terms = self._P_int(n, m)
+            coeffs = {(i, j): c / d for i, j, c in terms}
+            cached = (coeffs, max(map(abs, coeffs.values())))
+            self._float_cache[(n, m)] = cached
+        return cached
 
     def expand_P(self, n, m):
         """The (n, m) basis polynomial as an exact SparsePoly2, formed at

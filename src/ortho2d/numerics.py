@@ -15,10 +15,8 @@ Everything downstream is built on three value types, all exact rational
 Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (Bareiss's
 integer fraction-free elimination, no doubles anywhere; a BandMatrix is
 read from its stored entries, never expanded to rational rows).  The
-relation checks work on plain coefficient maps, exact or rounded to
-doubles, with ``_add_terms`` and ``_eval_terms``, the helpers that
-``SparsePoly2`` uses too; ``_float_map`` rounds an integer form to a map
-of doubles.
+float relation check evaluates coefficient maps of doubles with
+``_eval_terms``; ``SparsePoly2`` uses it and ``_add_terms`` too.
 """
 from __future__ import annotations
 
@@ -261,9 +259,7 @@ def _wrap(raw):
 
 def _add_terms(out, terms, negate=False):
     """Add (or subtract) the coefficient map terms into out, in place, and
-    return out.  A key whose sum vanishes is dropped.  Coefficients may be
-    exact rationals or floats; SparsePoly2 and the float checks share this
-    one accumulation."""
+    return out.  A key whose sum vanishes is dropped."""
     for key, raw in terms.items():
         if negate:
             raw = -raw
@@ -279,13 +275,6 @@ def _add_terms(out, terms, negate=False):
 def _powers(v, top):
     """[v ** 0, v ** 1, ..., v ** top]."""
     return [v ** i for i in range(top + 1)]
-
-
-def _float_map(form):
-    """Integer form (d, [(i, j, c)]) as a {(i, j): c / d} map of doubles,
-    each equal to float() of the exact coefficient (correct rounding)."""
-    d, terms = form
-    return {(i, j): c / d for i, j, c in terms}
 
 
 def _eval_terms(terms, xs, ys, acc):

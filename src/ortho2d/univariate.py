@@ -32,7 +32,6 @@ from .numerics import (
     Scalar,
     _RAT,
     _as_raw_exact,
-    _int_list,
     _wrap,
 )
 
@@ -273,8 +272,8 @@ class RecurrenceFamily:
 
     def _coeffs_int(self, n):
         """p_n as (d, [ints]): dense coefficients, constant term first, over
-        their least positive denominator d.  Only the three multipliers of
-        each recurrence step are rational; the coefficients stay ints."""
+        their least positive denominator d.  Each recurrence step runs in
+        plain ints on the numerators and denominators of a_j, b_j, c_j."""
         cache = self._coeff_cache
         while len(cache) <= n:
             j = len(cache) - 1
@@ -282,18 +281,29 @@ class RecurrenceFamily:
             a_j = self._a_raw(j)
             if not a_j:
                 self._fail(j, f"a({j}) = 0: degree cannot advance")
-            # p_{j+1} = ((x - b_j) p_j - c_j p_{j-1}) / a_j over one lcm.
-            inv = _ONE / (a_j * d)
-            mults = [inv, -self._b_raw(j) * inv]
-            prev = ()
+            b_j = self._b_raw(j)
+            # p_{j+1} = ((x - b_j) p_j - c_j p_{j-1}) / a_j: the p_j terms
+            # over d * den(b_j), the p_{j-1} terms over d_prev * den(c_j),
+            # both over their lcm, then times 1 / a_j with the sign of a_j
+            # moved to the numerators.
+            an, ad = int(a_j.numerator), int(a_j.denominator)
+            bn, bd = int(b_j.numerator), int(b_j.denominator)
+            if an < 0:
+                an, ad = -an, -ad
+            lcm = d * bd
+            f_c, prev = 0, ()
             if j >= 1:
+                c_j = self._c_raw(j)
                 d_prev, prev = cache[j - 1]
-                mults.append(-self._c_raw(j) * inv * d / d_prev)
-            den, factors = _int_list(mults)
-            new = [0] + [factors[0] * v for v in cur]
-            for f, poly in zip(factors[1:], (cur, prev)):
+                cd = d_prev * int(c_j.denominator)
+                lcm = math.lcm(lcm, cd)
+                f_c = -ad * int(c_j.numerator) * (lcm // cd)
+            f_x = ad * (lcm // d)
+            new = [0] + [f_x * v for v in cur]
+            for f, poly in ((-bn * (f_x // bd), cur), (f_c, prev)):
                 for i, v in enumerate(poly):
                     new[i] += f * v
+            den = lcm * an
             g = math.gcd(den, *new)
             cache.append((den // g, [v // g for v in new]))
         return cache[n]

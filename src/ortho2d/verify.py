@@ -8,10 +8,12 @@ Four independent checks, each returning a structured CheckResult:
   residuals within a relative tolerance).  Exact mode sums each row's
   residual in plain ints, reading each basis polynomial's cached integer
   form, and forms a rational only for a failing row.
-  Float mode rounds each exact coefficient and matrix entry to a double
-  once and forms the residuals on coefficient maps.  Both read the
-  stored band entries of the relation matrices cached on the system
-  (``ttr.first_ttr``/``second_ttr``), row by row.
+  Float mode reads each basis polynomial rounded to doubles once per
+  system (``BivariateSystem._P_float``), with its largest |coefficient|,
+  rounds the band entries on each call, and sums each row's rhs on one
+  coefficient map, keeping the coefficient residual as a running max.
+  Both read the stored band entries of the relation matrices cached on
+  the system (``ttr.first_ttr``/``second_ttr``), row by row.
 * ``verify_orthogonality`` -- Gram blocks of unequal degrees vanish and
   diagonal blocks are diagonal with the predicted norms.
 * ``verify_central_symmetry`` -- the equivalence "all odd moments vanish
@@ -19,8 +21,9 @@ Four independent checks, each returning a structured CheckResult:
 * ``verify_orthonormal_transpose`` -- for positive-definite systems the
   norm-rescaled matrices satisfy the transpose identity
   C~_{n+1,i} = A~_{n,i}^t in floating point, on the stored entries of
-  both matrices rounded to doubles; non-positive-definite input is
-  rejected with NotPositiveDefiniteError.
+  both matrices rounded to doubles on each call and the square roots of
+  the block norms rounded once per system; non-positive-definite input
+  is rejected with NotPositiveDefiniteError.
 
 ``run_suite`` bundles cross-check, relations, orthogonality, ranks and
 central symmetry into one VerifyReport.
@@ -32,7 +35,7 @@ import random
 from typing import NamedTuple
 
 from .catalog import cross_check, make_system
-from .numerics import _RAT, _add_terms, _eval_terms, _float_map, _powers
+from .numerics import _RAT, _eval_terms, _powers
 from .ttr import first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -139,48 +142,26 @@ def _flat(form, width):
     return d, [i * width + j for i, j, _ in terms], [c for _, _, c in terms]
 
 
-def _relation_rows(sys, n, axis):
-    """Yield (lhs, terms, rhs, residual) as float coefficient maps for each
-    row m of t P_n = A P_{n+1} + B P_n + C P_{n-1}.  Every exact
-    coefficient and entry is rounded to a double once; terms holds
-    coeff * entry per nonzero entry of row m of A, then B, then C, by
-    column; rhs is their sum and residual = lhs - rhs."""
-    mats = _relation_matrices(sys, n, axis)
-    dx, dy = (1, 0) if axis == "x" else (0, 1)
-    # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
-    polys = [[_float_map(sys._P_int(n + d, c)) for c in range(n + d + 1)]
-             for d in (1, 0, -1)]
-    for m in range(n + 1):
-        lhs = {(i + dx, j + dy): c for (i, j), c in polys[1][m].items()}
-        rounded = [(maps[c], float(raw))
-                   for mat, maps in zip(mats, polys)
-                   for c, raw in _row_entries(mat, m)]
-        terms = [{k: coeff * entry for k, coeff in poly.items()}
-                 for poly, entry in rounded if entry]
-        rhs = {}
-        for t in terms:
-            _add_terms(rhs, t)
-        yield lhs, terms, rhs, _add_terms(dict(lhs), rhs, negate=True)
-
-
-def _max_abs_coeff(terms):
-    return max(map(abs, terms.values()), default=0.0)
-
-
 def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
     """Check the three-term relation along one axis at degree n.
 
     Exact mode requires each residual polynomial to vanish identically and
     reports the first row that does not, with its smallest monomial; the
     residuals are summed in integers (``_exact_failure``).  Float mode
-    forms them with ``_relation_rows`` and bounds the relative coefficient
-    residual (and, if points are supplied, relative residuals at those
-    evaluation points) by tol.
+    sums each row's rhs from the basis polynomials rounded to doubles once
+    per system (``BivariateSystem._P_float``) times the band entries
+    rounded on each call, and bounds the relative coefficient residual
+    (and, if points are supplied, relative residuals at those evaluation
+    points) by tol.  A non-finite point coordinate is a ValueError.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("degree must be a nonnegative int")
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    points = [(float(px), float(py)) for px, py in points or ()]
+    for point in points:
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"evaluation points must be finite, got {point}")
     name = f"relation-{axis}"
 
     if mode == "exact":
@@ -192,16 +173,56 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
             "n": n, "m": m, "mode": "exact",
             "monomial": [i, j], "coefficient": str(coefficient)})
 
-    powers = [(_powers(float(px), n + 1), _powers(float(py), n + 1))
-              for px, py in points or ()]  # no monomial exceeds degree n + 1
+    powers = [(_powers(px, n + 1), _powers(py, n + 1))
+              for px, py in points]  # no monomial exceeds degree n + 1
+    mats = _relation_matrices(sys, n, axis)
+    dx, dy = (1, 0) if axis == "x" else (0, 1)
+    # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
+    polys = [[sys._P_float(n + d, c) for c in range(n + d + 1)]
+             for d in (1, 0, -1)]
     max_coeff = 0.0
     max_point = 0.0
-    for lhs, terms, rhs, residual in _relation_rows(sys, n, axis):
-        scale = max([_max_abs_coeff(lhs)] + [_max_abs_coeff(t) for t in terms])
-        rel = _max_abs_coeff(residual) / max(scale, _TINY)
+    for m in range(n + 1):
+        lhs, scale = polys[1][m]  # t P_{n,m}, keyed before the shift
+        rhs = {}
+        for mat, row in zip(mats, polys):
+            for c, raw in _row_entries(mat, m):
+                entry = float(raw)
+                if not entry:
+                    continue
+                poly, peak = row[c]
+                scale = max(scale, peak * abs(entry))
+                for key, coeff in poly.items():
+                    v = coeff * entry
+                    acc = rhs.get(key)
+                    if acc is not None:
+                        v += acc
+                    if v:
+                        rhs[key] = v
+                    else:
+                        rhs.pop(key, None)
+        # The largest |lhs - rhs| over the nonzero entries of the residual,
+        # in the key order of lhs - rhs merged into one map: the keys of
+        # lhs, then those of rhs alone; the order matters only for a NaN.
+        worst = None
+        for (i, j), v in lhs.items():
+            rv = rhs.get((i + dx, j + dy))
+            if rv is not None:
+                v -= rv
+                if not v:
+                    continue
+            v = abs(v)
+            if worst is None or v > worst:
+                worst = v
+        for (i, j), v in rhs.items():
+            if (i - dx, j - dy) not in lhs:
+                v = abs(v)
+                if worst is None or v > worst:
+                    worst = v
+        rel = (0.0 if worst is None else worst) / max(scale, _TINY)
         max_coeff = max(max_coeff, rel)
         for xs, ys in powers:
-            lv = _eval_terms(lhs, xs, ys, 0.0)
+            lv = _eval_terms(lhs, xs[dx:], ys[dy:], 0.0)
             rv = _eval_terms(rhs, xs, ys, 0.0)
             rel_pt = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
             max_point = max(max_point, rel_pt)
@@ -259,6 +280,8 @@ def verify_central_symmetry(sys, max_degree, moment_bound=None):
         raise ValueError("max_degree must be a nonnegative int")
     if moment_bound is None:
         moment_bound = 2 * max_degree + 1
+    elif not isinstance(moment_bound, int) or moment_bound < 0:
+        raise ValueError("moment_bound must be a nonnegative int")
     odd_ok = True
     first_moment = None
     for total in range(1, moment_bound + 1, 2):
@@ -300,6 +323,24 @@ def _orthonormal(matrix, d_rows, d_cols):
             for (r, off), raw in matrix._entries.items()}
 
 
+def _norm_roots(sys, n):
+    """[sqrt(h_{n,m}) for m = 0..n] as doubles, each squared norm
+    (``block_norm``) rounded once; built once per system and degree, and
+    stored only when every norm of the degree is positive."""
+    roots = sys._root_cache.get(n)
+    if roots is None:
+        roots = []
+        for m in range(n + 1):
+            h = sys.block_norm(n, m)
+            if h <= 0:
+                raise NotPositiveDefiniteError(
+                    f"{sys.label} is not positive-definite: squared norm "
+                    f"of the ({n},{m}) basis polynomial is {h}")
+            roots.append(math.sqrt(float(h)))
+        sys._root_cache[n] = roots
+    return roots
+
+
 def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
     """For a positive-definite system, check the float transpose identity
     between the norm-rescaled raising and lowering matrices.
@@ -308,17 +349,7 @@ def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
     hold zero adds |0.0 - 0.0| = 0.0 to a max, which leaves it as it is."""
     if not isinstance(max_degree, int) or max_degree < 0:
         raise ValueError("max_degree must be a nonnegative int")
-    norms = {}
-    for n in range(max_degree + 1):
-        row = []
-        for m in range(n + 1):
-            h = sys.block_norm(n, m)
-            if h <= 0:
-                raise NotPositiveDefiniteError(
-                    f"{sys.label} is not positive-definite: squared norm "
-                    f"of the ({n},{m}) basis polynomial is {h}")
-            row.append(math.sqrt(float(h)))
-        norms[n] = row
+    norms = [_norm_roots(sys, n) for n in range(max_degree + 1)]
     worst = 0.0
     for n in range(max_degree):
         d_n = norms[n]

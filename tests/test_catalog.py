@@ -216,6 +216,12 @@ def test_cross_check_shares_a_prebuilt_system():
     assert cross_check(cid, 3, system=sys_obj).ok
 
 
+def test_cross_check_rejects_a_system_built_for_another_id():
+    other = make_system(catalog_id("disk", mu="3/2"))
+    with pytest.raises(ValueError, match="disk"):
+        cross_check(catalog_id("disk", mu="1/2"), 3, system=other)
+
+
 def test_cross_check_validates_degree():
     with pytest.raises(ValueError):
         cross_check(catalog_id("disk", mu="1/2"), -1)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ortho2d import (
     ModeError,
@@ -260,6 +262,35 @@ def test_coeffs_match_a_fraction_recurrence(name, params):
             if not isinstance(cached, tuple):
                 cached = least_integer_form(cached)
             assert cached == least_integer_form(want[n]), (fam, n)
+
+
+# Parameters of each univariate family, drawn exactly; laguerre's a(n) is
+# negative at every n, and bessel's a, b and c take either sign.
+small_rationals = st.fractions(min_value=-4, max_value=6, max_denominator=9)
+drawn_families = st.one_of(
+    st.tuples(small_rationals, small_rationals).map(
+        lambda ab: jacobi_std(*ab)),
+    st.tuples(small_rationals, small_rationals).map(
+        lambda ab: jacobi_shift(*ab)),
+    small_rationals.map(laguerre),
+    st.tuples(small_rationals, small_rationals.filter(bool)).map(
+        lambda ab: bessel(*ab)),
+)
+
+
+@settings(deadline=None)
+@given(drawn_families)
+def test_integer_coeffs_match_a_fraction_recurrence(fam):
+    # Both recurrences read the same a(j), b(j), c(j), so a degenerate
+    # draw fails both.
+    try:
+        want = reference_coeffs(fam, 10)
+    except (QuasiDefinitenessError, ZeroDivisionError):
+        with pytest.raises(QuasiDefinitenessError):
+            fam._coeffs_int(10)
+        return
+    for n in range(11):
+        assert fam._coeffs_int(n) == least_integer_form(want[n]), (fam, n)
 
 
 # -- moments against a plain Fraction recursion ------------------------------

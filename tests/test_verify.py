@@ -9,7 +9,9 @@ from ortho2d import (
     catalog_id,
     make_system,
 )
+from ortho2d.numerics import _add_terms, _eval_terms, _powers
 from ortho2d.verify import (
+    _row_entries,
     run_suite,
     verify_central_symmetry,
     verify_orthogonality,
@@ -134,6 +136,95 @@ def test_relation_exact_detects_a_wrong_b_or_c_entry(
                                "coefficient": coefficient}
 
 
+# -- the float check against the per-term dict algorithm ------------------
+
+# The ten pinned parameter sets of the acceptance suite.
+PINNED = [
+    ("disk", {"mu": "1/2"}),
+    ("disk", {"mu": "3/2"}),
+    ("biangle", {"alpha": "0", "beta": "0"}),
+    ("biangle", {"alpha": "1", "beta": "1/2"}),
+    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}),
+    ("simplex", {"alpha": "0", "beta": "1", "gamma": "2"}),
+    ("square", {"alpha": "0", "beta": "0", "gamma": "0", "delta": "0"}),
+    ("square", {"alpha": "1", "beta": "2", "gamma": "0", "delta": "1/2"}),
+    ("laguerre-jacobi", {"alpha": "1", "beta": "1/2"}),
+    ("bessel-laguerre", {"g": "5", "gamma": "2/5"}),
+]
+
+FIXED_POINTS = [(0.3, -0.7), (-0.45, 0.2), (0.9, 0.61), (0.05, -0.95),
+                (-0.8, -0.33)]
+
+
+def reference_float_details(sys_obj, n, axis, points, tol=1e-10):
+    """The float check's details as a dict per term, one for the rhs and
+    one for the residual: every basis coefficient and band entry rounded
+    to a double on each call, each row's rhs merged term by term."""
+    mats = ortho2d.verify._relation_matrices(sys_obj, n, axis)
+    dx, dy = (1, 0) if axis == "x" else (0, 1)
+
+    def float_map(n, m):
+        d, terms = sys_obj._P_int(n, m)
+        return {(i, j): c / d for i, j, c in terms}
+
+    def max_abs(terms):
+        return max(map(abs, terms.values()), default=0.0)
+
+    polys = [[float_map(n + d, c) for c in range(n + d + 1)]
+             for d in (1, 0, -1)]
+    powers = [(_powers(px, n + 1), _powers(py, n + 1)) for px, py in points]
+    max_coeff = 0.0
+    max_point = 0.0
+    for m in range(n + 1):
+        lhs = {(i + dx, j + dy): c for (i, j), c in polys[1][m].items()}
+        rounded = [(maps[c], float(raw))
+                   for mat, maps in zip(mats, polys)
+                   for c, raw in _row_entries(mat, m)]
+        terms = [{k: coeff * entry for k, coeff in poly.items()}
+                 for poly, entry in rounded if entry]
+        rhs = {}
+        for t in terms:
+            _add_terms(rhs, t)
+        residual = _add_terms(dict(lhs), rhs, negate=True)
+        scale = max([max_abs(lhs)] + [max_abs(t) for t in terms])
+        max_coeff = max(max_coeff, max_abs(residual) / max(scale, 1e-300))
+        for xs, ys in powers:
+            lv = _eval_terms(lhs, xs, ys, 0.0)
+            rv = _eval_terms(rhs, xs, ys, 0.0)
+            rel_pt = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
+            max_point = max(max_point, rel_pt)
+    return {"n": n, "mode": "float", "max_coeff_residual": max_coeff,
+            "max_point_residual": max_point if points else None,
+            "tolerance": tol}
+
+
+@pytest.mark.parametrize("name, params", PINNED)
+def test_relation_float_details_match_the_dict_algorithm(
+        name, params, monkeypatch):
+    sys_obj = make_system(catalog_id(name, **params))
+    for perturbed in (False, True):
+        if perturbed:
+            _perturb_an_a_entry(monkeypatch)
+        for n in range(11):
+            for axis in ("x", "y"):
+                for points in (FIXED_POINTS, []):
+                    res = verify_relation(sys_obj, n, axis, mode="float",
+                                          points=points)
+                    want = reference_float_details(sys_obj, n, axis, points)
+                    assert repr(res.details) == repr(want), (perturbed, n,
+                                                             axis, points)
+
+
+@pytest.mark.parametrize("axis, point", [
+    ("x", (float("inf"), 0.5)),
+    ("y", (float("nan"), 0.5)),
+    ("x", (0.5, float("-inf"))),
+])
+def test_relation_float_rejects_a_non_finite_point(disk, axis, point):
+    with pytest.raises(ValueError, match="finite"):
+        verify_relation(disk, 3, axis, mode="float", points=[point])
+
+
 def test_orthonormal_transpose_detects_a_wrong_entry(disk, monkeypatch):
     _perturb_an_a_entry(monkeypatch)
     res = verify_orthonormal_transpose(disk, 3)
@@ -209,6 +300,18 @@ def test_central_symmetry_moment_bound_override(disk):
     assert res.details["moment_bound"] == 9
 
 
+@pytest.mark.parametrize("bound", [-3, -1, 2.0, "5"])
+def test_central_symmetry_rejects_a_bad_moment_bound(disk, bound):
+    with pytest.raises(ValueError, match="moment_bound"):
+        verify_central_symmetry(disk, 2, moment_bound=bound)
+
+
+def test_central_symmetry_moment_bound_zero_reads_no_moment(disk):
+    res = verify_central_symmetry(disk, 2, moment_bound=0)
+    assert res.passed
+    assert res.details["moment_bound"] == 0
+
+
 # -- verify_orthonormal_transpose --------------------------------------------
 
 
@@ -231,8 +334,10 @@ def test_orthonormal_transpose_residuals_are_pinned(asymmetric_square):
 
 def test_orthonormal_transpose_rejects_indefinite():
     sys_obj = make_system(catalog_id("bessel-laguerre", g=5, gamma="2/5"))
-    with pytest.raises(NotPositiveDefiniteError, match="not positive-definite"):
-        verify_orthonormal_transpose(sys_obj, 3)
+    for _ in range(2):  # a failed degree is not stored, so it fails again
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="not positive-definite"):
+            verify_orthonormal_transpose(sys_obj, 3)
 
 
 # -- run_suite -----------------------------------------------------------------
