@@ -123,7 +123,7 @@ def _product(p, r):
     """The product of two dense integer coefficient lists as {k: c}, each
     nonzero coefficient c of x^k.  The products p_i r_d are summed term by
     term (i, then d, ascending) and a key whose sum vanishes is dropped, so
-    the keys stand in the order of ``numerics._add_terms`` merging them."""
+    the keys stand in the order of a term-by-term merge into a dict."""
     r_terms = [(d, rc) for d, rc in enumerate(r) if rc]
     out = {}
     for i, pc in enumerate(p):
@@ -136,15 +136,6 @@ def _product(p, r):
                 else:
                     del out[k]
     return out
-
-
-def _integer_form(poly):
-    """(d, terms): an exact polynomial as integer coefficients over one
-    positive denominator d, terms being (i, j, d * coefficient) triples."""
-    if not isinstance(poly, SparsePoly2):
-        raise TypeError("expected a SparsePoly2")
-    d, ints = _int_list(poly._terms.values())
-    return d, [(i, j, c) for (i, j), c in zip(poly._terms, ints)]
 
 
 class BivariateSystem:
@@ -383,13 +374,16 @@ class BivariateSystem:
         if not (isinstance(dx, int) and isinstance(dy, int)
                 and dx >= 0 and dy >= 0):
             raise ValueError("shift exponents must be nonnegative ints")
-        d_p, p_terms = _integer_form(p)
-        d_q, q_terms = _integer_form(q_poly)
-        top = (max((i + j for i, j, _ in p_terms), default=0)
-               + max((i + j for i, j, _ in q_terms), default=0) + dx + dy)
+        if not all(isinstance(v, SparsePoly2) for v in (p, q_poly)):
+            raise TypeError("moment_bilinear takes two SparsePoly2")
+        d_p, p_ints = _int_list(p._terms.values())
+        d_q, q_ints = _int_list(q_poly._terms.values())
+        top = (max((i + j for i, j in p._terms), default=0)
+               + max((i + j for i, j in q_poly._terms), default=0) + dx + dy)
         d_w, table = self._moment_table(top)
         num = sum(cp * cq * table[ip + iq + dx][jp + jq + dy]
-                  for ip, jp, cp in p_terms for iq, jq, cq in q_terms)
+                  for (ip, jp), cp in zip(p._terms, p_ints)
+                  for (iq, jq), cq in zip(q_poly._terms, q_ints))
         return _wrap(_rat(num, d_w * d_p * d_q))
 
     # -- Gram blocks -------------------------------------------------------------

@@ -6,8 +6,10 @@ Everything downstream is built on three value types, all exact rational
 * ``Scalar`` -- an immutable exact rational.  A float meeting it in any
   operation raises ModeError, so an exact pipeline cannot silently degrade
   to doubles.
-* ``SparsePoly2`` -- a bivariate polynomial stored as a map from exponent
-  pairs to nonzero coefficients.
+* ``SparsePoly2`` -- a read-only bivariate polynomial stored as a map from
+  exponent pairs to nonzero coefficients: the public form of a basis
+  polynomial.  It has no arithmetic operators; every route works on
+  integer forms instead.
 * ``BandMatrix`` -- a rectangular matrix that only admits entries inside a
   declared band; reads outside the band are exact zeros, writes outside it
   are errors.
@@ -16,7 +18,7 @@ Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (Bareiss's
 integer fraction-free elimination, no doubles anywhere; a BandMatrix is
 read from its stored entries, never expanded to rational rows).  The
 float relation check evaluates coefficient maps of doubles with
-``_eval_terms``; ``SparsePoly2`` uses it and ``_add_terms`` too.
+``_eval_terms``; ``SparsePoly2.eval`` uses it on exact coefficients.
 """
 from __future__ import annotations
 
@@ -35,8 +37,6 @@ if _mpq is not None:
 else:  # pragma: no cover
     _RAT = Fraction
     _RAT_TYPES = (Fraction,)
-
-NEG_INF = float("-inf")
 
 
 class ModeError(TypeError):
@@ -257,21 +257,6 @@ def _wrap(raw):
     return s
 
 
-def _add_terms(out, terms, negate=False):
-    """Add (or subtract) the coefficient map terms into out, in place, and
-    return out.  A key whose sum vanishes is dropped."""
-    for key, raw in terms.items():
-        if negate:
-            raw = -raw
-        acc = out.get(key)
-        acc = raw if acc is None else acc + raw
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return out
-
-
 def _powers(v, top):
     """[v ** 0, v ** 1, ..., v ** top]."""
     return [v ** i for i in range(top + 1)]
@@ -286,11 +271,12 @@ def _eval_terms(terms, xs, ys, acc):
 
 
 class SparsePoly2:
-    """Bivariate polynomial: map from exponent pairs (i, j) to exact
-    coefficients.
+    """Read-only bivariate polynomial: map from exponent pairs (i, j) to
+    exact coefficients, as ``BivariateSystem.expand_P`` returns it or as a
+    caller builds it for ``moment_bilinear``.
 
-    Only nonzero coefficients are stored.  The zero polynomial has degree
-    -inf (``NEG_INF``).
+    Only nonzero coefficients are stored.  It reads, evaluates, compares
+    and pickles; its one product is ``poly_mul``.
     """
 
     __slots__ = ("_terms",)
@@ -313,20 +299,6 @@ class SparsePoly2:
     def __reduce__(self):
         return _poly, (self._terms,)
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return _poly({})
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, i, j, coeff=1):
-        return cls({(i, j): coeff})
-
     # -- inspection ----------------------------------------------------
 
     @property
@@ -339,56 +311,6 @@ class SparsePoly2:
         if raw is None:
             return Scalar.zero()
         return _wrap(raw)
-
-    @property
-    def degree(self):
-        """Total degree, or -inf for the zero polynomial."""
-        if not self._terms:
-            return NEG_INF
-        return max(i + j for i, j in self._terms)
-
-    @property
-    def x_degree(self):
-        if not self._terms:
-            return NEG_INF
-        return max(i for i, _ in self._terms)
-
-    @property
-    def y_degree(self):
-        if not self._terms:
-            return NEG_INF
-        return max(j for _, j in self._terms)
-
-    @property
-    def is_zero(self):
-        return not self._terms
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, SparsePoly2):
-            return NotImplemented
-        return _poly(_add_terms(dict(self._terms), other._terms))
-
-    def __sub__(self, other):
-        if not isinstance(other, SparsePoly2):
-            return NotImplemented
-        return _poly(_add_terms(dict(self._terms), other._terms, negate=True))
-
-    def __neg__(self):
-        return _poly({k: -v for k, v in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, SparsePoly2):
-            return poly_mul(self, other)
-        if isinstance(other, (Scalar, int)) and not isinstance(other, bool):
-            raw = _as_raw_exact(other)
-            if not raw:
-                return _poly({})
-            return _poly({k: v * raw for k, v in self._terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def eval(self, x, y):
         """Evaluate at exact x, y (Scalars, ints or rationals)."""
@@ -405,9 +327,6 @@ class SparsePoly2:
         return self._terms == other._terms
 
     __hash__ = None
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __repr__(self):
         if not self._terms:
@@ -536,15 +455,12 @@ class BandMatrix:
             yield (r, r + off), _wrap(self._entries[(r, off)])
 
     def dense(self):
-        return [[_wrap(v) for v in row] for row in self._raw_rows()]
-
-    def _raw_rows(self):
-        """Dense rows of raw rationals, read from the stored entries; every
-        other position holds one shared exact zero."""
-        zero = _RAT(0)
+        """Dense rows of Scalars; every position outside the stored entries
+        holds one shared exact zero."""
+        zero = Scalar.zero()
         rows = [[zero] * self.cols for _ in range(self.rows)]
         for (r, off), raw in self._entries.items():
-            rows[r][r + off] = raw
+            rows[r][r + off] = _wrap(raw)
         return rows
 
     @property

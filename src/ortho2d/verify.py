@@ -373,11 +373,14 @@ def run_suite(cid, max_degree, mode="exact", points=0, seed=0, corrupt=False):
     """Full verification of one catalog family up to max_degree.
 
     mode='float' switches the relation checks to floating point with
-    ``points`` random evaluation points per degree; all structural checks
+    ``points`` (an int >= 0) random evaluation points per degree; a
+    negative or non-int count is a ValueError.  All structural checks
     (cross-check, orthogonality, ranks, central symmetry) stay exact.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    if type(points) is not int or points < 0:
+        raise ValueError(f"points must be an int >= 0, got {points!r}")
     sys = make_system(cid)
     checks = []
 

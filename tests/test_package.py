@@ -1,6 +1,11 @@
-"""The package namespace and the record types."""
+"""The package namespace, the record types, the README's Python API
+example and the test settings."""
+import ast
 import importlib
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +89,59 @@ def test_records_are_immutable_tuples(record):
     with pytest.raises(AttributeError):
         value.extra = -1
 
+
+
+# -- README example ------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_python_api_example_gives_its_commented_results():
+    # Run the example line by line as written; an expression followed by a
+    # comment line holding a Python literal must evaluate to that literal.
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Python API", 1)[1].split("```python\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    namespace = {}
+    checked = []
+    for line, after in zip(lines, lines[1:] + [""]):
+        if not line.strip() or line.startswith("#"):
+            continue
+        try:
+            want = ast.literal_eval(after.lstrip("# ").split("#")[0])
+        except (SyntaxError, ValueError):
+            exec(line, namespace)
+            continue
+        assert eval(line, namespace) == want, line
+        checked.append(want)
+    assert checked == [{(1, 1): "5/2"},
+                       [["3/5", "0", "0"], ["0", "2/5", "0"]],
+                       True]
+
+
+# -- test settings -------------------------------------------------------------
+
+FAILING_HYPOTHESIS_TEST = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
+    # Hypothesis reports a failure through an import that may warn; with
+    # warnings as errors that must not end the session before test_passes.
+    (tmp_path / "test_probe.py").write_text(FAILING_HYPOTHESIS_TEST)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout

@@ -120,20 +120,20 @@ def test_relations_hold_on_basis_polynomials(disk):
             d: [disk.expand_P(d, m) for m in range(d + 1)]
             for d in (n - 1, n, n + 1) if d >= 0
         }
-        for axis, mono in (("x", SparsePoly2.monomial(1, 0)),
-                           ("y", SparsePoly2.monomial(0, 1))):
+        for axis, mono in (("x", SparsePoly2({(1, 0): 1})),
+                           ("y", SparsePoly2({(0, 1): 1}))):
             mats = first_ttr(disk, n) if axis == "x" else second_ttr(disk, n)
             for m in range(n + 1):
                 lhs = poly_mul(disk.expand_P(n, m), mono)
-                rhs = SparsePoly2.zero()
+                rhs = {}
                 for mat, deg in zip(mats, (n + 1, n, n - 1)):
                     if deg < 0:
                         continue
                     for col in range(mat.cols):
                         v = mat.get(m, col)
-                        if not v.is_zero:
-                            rhs = rhs + polys[deg][col] * v
-                assert (lhs - rhs).is_zero, (axis, n, m)
+                        for key, c in polys[deg][col].terms.items():
+                            rhs[key] = rhs.get(key, 0) + c * v
+                assert lhs == SparsePoly2(rhs), (axis, n, m)
 
 
 def test_rank_conditions_hold(disk, square):

@@ -9,7 +9,7 @@ from ortho2d import (
     catalog_id,
     make_system,
 )
-from ortho2d.numerics import _add_terms, _eval_terms, _powers
+from ortho2d.numerics import _eval_terms, _powers
 from ortho2d.verify import (
     _row_entries,
     run_suite,
@@ -156,6 +156,18 @@ FIXED_POINTS = [(0.3, -0.7), (-0.45, 0.2), (0.9, 0.61), (0.05, -0.95),
                 (-0.8, -0.33)]
 
 
+def merge(out, terms):
+    """Add the coefficient map terms into out, key by key, and return out;
+    a key whose sum vanishes is dropped, a new key goes to the end."""
+    for key, c in terms.items():
+        acc = out.get(key, 0) + c
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
+
+
 def reference_float_details(sys_obj, n, axis, points, tol=1e-10):
     """The float check's details as a dict per term, one for the rhs and
     one for the residual: every basis coefficient and band entry rounded
@@ -184,8 +196,8 @@ def reference_float_details(sys_obj, n, axis, points, tol=1e-10):
                  for poly, entry in rounded if entry]
         rhs = {}
         for t in terms:
-            _add_terms(rhs, t)
-        residual = _add_terms(dict(lhs), rhs, negate=True)
+            merge(rhs, t)
+        residual = merge(dict(lhs), {k: -c for k, c in rhs.items()})
         scale = max([max_abs(lhs)] + [max_abs(t) for t in terms])
         max_coeff = max(max_coeff, max_abs(residual) / max(scale, 1e-300))
         for xs, ys in powers:
@@ -376,3 +388,22 @@ def test_run_suite_corrupt_fails_cross_check_only():
 def test_run_suite_validates_mode():
     with pytest.raises(ValueError):
         run_suite(catalog_id("disk", mu="1/2"), 2, mode="fuzzy")
+
+
+@pytest.mark.parametrize("points", [-3, -1, 2.0, "5", None, True])
+def test_run_suite_refuses_a_bad_point_count_before_any_work(
+        points, monkeypatch):
+    def no_work(cid):
+        raise AssertionError("a system was built")
+
+    monkeypatch.setattr(ortho2d.verify, "make_system", no_work)
+    for mode in ("exact", "float"):
+        with pytest.raises(ValueError, match="points"):
+            run_suite(catalog_id("disk", mu="1/2"), 1, mode=mode,
+                      points=points)
+
+
+def test_run_suite_float_without_points_reports_no_point_residual():
+    report = run_suite(catalog_id("disk", mu="1/2"), 1, mode="float")
+    for check in report.checks[1:3]:
+        assert check.details["max_point_residual"] is None
