@@ -24,7 +24,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .construction import RhoSpec, assemble
-from .numerics import BandMatrix, Scalar, _RAT, _wrap
+from .numerics import (BandMatrix, Scalar, _RAT, _check_degrees,
+                       _check_index, _wrap)
 from .univariate import (
     RecurrenceFamily,
     bessel,
@@ -423,8 +424,7 @@ def _row(name, which, p, n, m):
     """Row m at degree n of the x- (which = 0) or y-relation (which = 1)
     table of family name: None where (m, m + offset) falls outside the
     matrix, an exact zero where the family gives no value inside it."""
-    if not (isinstance(n, int) and isinstance(m, int) and 0 <= m <= n):
-        raise ValueError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
+    _check_degrees(n, m)
     values = _TABLES[name][which](p, n, m)
     row = {}
     for key in _KEYS[which]:
@@ -456,8 +456,7 @@ def closed_form_second(cid, n, m):
 
 def closed_form_ttr(cid, n):
     """Assemble both relations at degree n purely from the closed forms."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("degree must be a nonnegative int")
+    _check_index(n, "degree")
     from .ttr import TTRSet
     p = _raw_params(cid)
     entries = tuple({} for _ in _MATRICES)
@@ -511,8 +510,7 @@ def cross_check(cid, max_degree, corrupt=False, system=None):
     entry is deliberately perturbed, to exercise the failure path.  A
     pre-built ``system`` for the same catalog id may be passed to share
     its caches; a system built for another id is a ValueError."""
-    if not isinstance(max_degree, int) or max_degree < 0:
-        raise ValueError("max_degree must be a nonnegative int")
+    _check_index(max_degree, "max_degree")
     if system is not None and system.label != cid.describe():
         raise ValueError(f"system {system.label!r} was not built for "
                          f"{cid.describe()!r}")

@@ -13,9 +13,11 @@ matrix entries and point to doubles once and evaluates in floating point;
 everything before that rounding is exact.
 
 Family parameters are given as exact rational strings (``--mu 1/2``,
-``--alpha -1/2``, ``--g 5``); decimal literals like ``0.25`` are read
-exactly, with a decimal exponent of at most 1000 in absolute value.  JSON output is canonical: keys sorted, two-space indent, so a
-parse/re-serialize round trip is byte-identical.
+``--alpha -1/2``, ``--g 5``), at most 10000 characters long; decimal
+literals like ``0.25`` are read exactly, with a decimal exponent of at
+most 1000 in absolute value.  Exact results print in full.  JSON output
+is canonical: keys sorted, two-space indent, so a parse/re-serialize
+round trip is byte-identical.
 
 ``--max-n``, ``--max-h``, ``--max-k`` and ``eval --n`` are bounded by
 ``MAX_DEGREE`` (64) and ``verify --points`` by ``MAX_POINTS`` (10000); a
@@ -24,9 +26,9 @@ coefficient that overflows a double.  Only ``verify`` imports the
 relation builders (``ttr``) and the verification suite (``verify``).
 
 Exit codes: 0 success; 1 verification failed; 2 usage or parameter
-error (a degree or point count above its ceiling included); 3 the functional
-is not quasi-definite at these parameters (a required denominator or
-norm vanished).
+error (a degree, point count or literal above its ceiling included); 3
+the functional is not quasi-definite at these parameters (a required
+denominator or norm vanished).
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ import sys
 
 from .catalog import (FAMILY_PARAMS, TABLE_KEYS, catalog_id,
                       closed_form_first, closed_form_second, make_system)
-from .numerics import ModeError, Scalar, _eval_terms, _powers
+from .numerics import ModeError, Scalar, _check_degrees, _eval_terms, _powers
 from .univariate import QuasiDefinitenessError
 
 SCHEMA = "ortho2d/1"
@@ -69,8 +71,13 @@ def _family_id(args):
     return catalog_id(args.family, **values)
 
 
-def _params_obj(cid):
-    return {key: str(value) for key, value in cid.params}
+def _write_json(args, command, cid, **fields):
+    """Write a subcommand's JSON: the head all four share (schema, command,
+    family, parameters) plus the command's own fields."""
+    _write_output(args, canonical_json({
+        "schema": SCHEMA, "command": command, "family": cid.name,
+        "parameters": {key: str(value) for key, value in cid.params},
+        **fields}))
 
 
 def _write_output(args, text):
@@ -117,15 +124,7 @@ def _cmd_tables(args):
     max_n = _check_max(args.max_n, "--max-n")
     tables = [_degree_tables(cid, n) for n in range(max_n + 1)]
     if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "tables",
-            "family": cid.name,
-            "parameters": _params_obj(cid),
-            "max_degree": max_n,
-            "tables": tables,
-        }
-        _write_output(args, canonical_json(payload))
+        _write_json(args, "tables", cid, max_degree=max_n, tables=tables)
     else:
         rows = []
         for entry in tables:
@@ -149,18 +148,9 @@ def _cmd_verify(args):
     from .verify import run_suite
     report = run_suite(cid, max_n, mode=args.mode, points=args.points,
                        seed=args.seed, corrupt=args.corrupt)
-    obj = report.to_obj()
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "family": cid.name,
-        "parameters": _params_obj(cid),
-        "max_degree": obj["max_degree"],
-        "mode": obj["mode"],
-        "passed": obj["passed"],
-        "checks": obj["checks"],
-    }
-    _write_output(args, canonical_json(payload))
+    fields = report.to_obj()
+    del fields["family"]  # the head names the family by its bare name
+    _write_json(args, "verify", cid, **fields)
     return 0 if report.ok else 1
 
 
@@ -178,16 +168,8 @@ def _cmd_moments(args):
         for k in range(max_k + 1)
     ]
     if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "moments",
-            "family": cid.name,
-            "parameters": _params_obj(cid),
-            "max_h": max_h,
-            "max_k": max_k,
-            "moments": moments,
-        }
-        _write_output(args, canonical_json(payload))
+        _write_json(args, "moments", cid, max_h=max_h, max_k=max_k,
+                    moments=moments)
     else:
         rows = [[mm["h"], mm["k"], mm["value"]] for mm in moments]
         _write_output(args, _csv_text(["h", "k", "value"], rows))
@@ -199,8 +181,7 @@ def _cmd_moments(args):
 
 def _cmd_eval(args):
     cid = _family_id(args)
-    if args.m < 0 or args.m > args.n:
-        raise ValueError(f"need 0 <= m <= n, got (n, m) = ({args.n}, {args.m})")
+    _check_degrees(args.n, args.m)
     _check_max(args.n, "--n")
     x = Scalar.exact(args.x)
     y = Scalar.exact(args.y)
@@ -212,19 +193,8 @@ def _cmd_eval(args):
         px, py = float(x), float(y)
         value = _eval_terms(system._P_float(args.n, args.m)[0],
                             _powers(px, args.n), _powers(py, args.n), 0.0)
-    payload = {
-        "schema": SCHEMA,
-        "command": "eval",
-        "family": cid.name,
-        "parameters": _params_obj(cid),
-        "n": args.n,
-        "m": args.m,
-        "mode": args.mode,
-        "x": px,
-        "y": py,
-        "value": value,
-    }
-    _write_output(args, canonical_json(payload))
+    _write_json(args, "eval", cid, n=args.n, m=args.m, mode=args.mode,
+                x=px, y=py, value=value)
     return 0
 
 
@@ -253,7 +223,6 @@ def build_parser():
     p.add_argument("--max-n", type=int, default=3,
                    help="largest total degree (default 3)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", metavar="PATH", help="write here, not stdout")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("verify", help="run the verification suite")
@@ -269,7 +238,6 @@ def build_parser():
     p.add_argument("--corrupt", action="store_true",
                    help="deliberately perturb one closed-form entry to "
                         "demonstrate that the cross-check catches it")
-    p.add_argument("--output", metavar="PATH", help="write here, not stdout")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("moments",
@@ -280,7 +248,6 @@ def build_parser():
     p.add_argument("--max-k", type=int, default=6,
                    help="largest second-variable exponent (default 6)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", metavar="PATH", help="write here, not stdout")
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("eval", help="evaluate one basis polynomial")
@@ -293,15 +260,23 @@ def build_parser():
     p.add_argument("--y", required=True, metavar="Q",
                    help="second coordinate (exact rational)")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.add_argument("--output", metavar="PATH", help="write here, not stdout")
     p.set_defaults(func=_cmd_eval)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", metavar="PATH",
+                       help="write here, not stdout")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
+    # A valid exact result may print as an integer longer than the
+    # interpreter's int-to-str digit limit (none before Python 3.10.7):
+    # lift it for the call and restore it after.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
@@ -324,6 +299,9 @@ def main(argv=None):
     except (ValueError, ModeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

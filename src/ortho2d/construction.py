@@ -43,6 +43,8 @@ from .numerics import (
     SparsePoly2,
     _RAT,
     _as_raw_exact,
+    _check_degrees,
+    _check_index,
     _int_list,
     _poly,
     _wrap,
@@ -143,11 +145,11 @@ class BivariateSystem:
 
     Basis polynomials, ladder coefficients and powers of rho are cached
     once, as integer forms, and each basis polynomial once more rounded to
-    doubles for the float checks; ladders, moments, the row moments of
-    each basis polynomial, the raw Gram blocks (shifted ones included), the
-    diagonals of H_n, the connection triples between ladder steps, the
-    matrices of ``ttr.first_ttr``/``second_ttr`` and the square roots of
-    the block norms once each.  Not thread-safe.
+    doubles for the float checks; ladders, the moment table, the row
+    moments of each basis polynomial, the raw Gram blocks (shifted ones
+    included), the diagonals of H_n, the connection triples between ladder
+    steps, the matrices of ``ttr.first_ttr``/``second_ttr`` and the square
+    roots of the block norms once each.  Not thread-safe.
     """
 
     def __init__(self, rho, ladder_factory, q, label):
@@ -160,7 +162,6 @@ class BivariateSystem:
         # Basis polynomials rounded to doubles, keyed (n, m), as
         # ({(i, j): float}, largest |coefficient|); filled by _P_float.
         self._float_cache = {}
-        self._w_cache = {}
         self._w_table = (1, [])
         # Powers of rho as integer forms (d, [ints]), in steps of rho
         # (case I) or of rho^2 (case II).
@@ -198,8 +199,7 @@ class BivariateSystem:
     def ladder(self, m):
         """First-variable family for second-variable degree m, with its
         norm normalization chained through the rho^2-moment recursion."""
-        if not isinstance(m, int) or m < 0:
-            raise ValueError("ladder index must be a nonnegative int")
+        _check_index(m, "ladder index")
         while len(self._ladders) <= m:
             j = len(self._ladders)
             if j == 0:
@@ -242,8 +242,7 @@ class BivariateSystem:
         """The (n, m) basis polynomial as (d, [(i, j, c)]), c over the least
         positive d; built once from the integer forms of q_m, p_{n-m}^{(m)}
         and rho^(m-j), and read by the relation checks and the Gram kernel."""
-        if not (isinstance(n, int) and isinstance(m, int) and 0 <= m <= n):
-            raise ValueError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
+        _check_degrees(n, m)
         key = (n, m)
         cached = self._P_cache.get(key)
         if cached is not None:
@@ -288,26 +287,20 @@ class BivariateSystem:
     # -- moments of the bivariate functional ----------------------------------
 
     def _w_moment_raw(self, h, k):
-        key = (h, k)
-        cached = self._w_cache.get(key)
-        if cached is not None:
-            return cached
+        """<w, x^h y^k>, from the moments each univariate family stores."""
         if self.case == CASE_II and k % 2:
-            value = _ZERO
-        else:
-            d_rho, rho_k = self._rho_pow_int(k)
-            base = self.ladder(0)
-            base._moment_raw(h + len(rho_k) - 1)
-            acc = sum(rc * base._moment_raw(h + d)
-                      for d, rc in enumerate(rho_k) if rc)
-            value = acc * self.q._moment_raw(k) / d_rho
-        self._w_cache[key] = value
-        return value
+            return _ZERO
+        d_rho, rho_k = self._rho_pow_int(k)
+        base = self.ladder(0)
+        base._moment_raw(h + len(rho_k) - 1)
+        acc = sum(rc * base._moment_raw(h + d)
+                  for d, rc in enumerate(rho_k) if rc)
+        return acc * self.q._moment_raw(k) / d_rho
 
     def w_moment(self, h, k):
         """Moment <w, x^h y^k> of the bivariate functional."""
-        if not (isinstance(h, int) and isinstance(k, int) and h >= 0 and k >= 0):
-            raise ValueError("moment exponents must be nonnegative ints")
+        _check_index(h, "moment exponent")
+        _check_index(k, "moment exponent")
         return _wrap(self._w_moment_raw(h, k))
 
     def _moment_table(self, top):
@@ -371,9 +364,8 @@ class BivariateSystem:
         computed from the moments alone: both polynomials are scaled to
         integer coefficients, the sum runs in ints over the integer moment
         table, and the exact result is one rational."""
-        if not (isinstance(dx, int) and isinstance(dy, int)
-                and dx >= 0 and dy >= 0):
-            raise ValueError("shift exponents must be nonnegative ints")
+        _check_index(dx, "shift exponent")
+        _check_index(dy, "shift exponent")
         if not all(isinstance(v, SparsePoly2) for v in (p, q_poly)):
             raise TypeError("moment_bilinear takes two SparsePoly2")
         d_p, p_ints = _int_list(p._terms.values())
@@ -444,18 +436,15 @@ class BivariateSystem:
 
     def gram_block(self, n, h):
         """Dense Gram block pairing total degrees n and h."""
-        if not (isinstance(n, int) and isinstance(h, int)
-                and n >= 0 and h >= 0):
-            raise ValueError(f"degrees must be nonnegative ints, got "
-                             f"(n, h) = ({n}, {h})")
+        _check_index(n, "degree")
+        _check_index(h, "degree")
         return GramBlock(n, h, tuple(tuple(_wrap(v) for v in row)
                                      for row in self._gram_raw(n, h)))
 
     def block_norm(self, n, m):
         """Closed-form squared norm of P_{n,m}: the ladder norm times the
         second-variable norm."""
-        if not (isinstance(n, int) and isinstance(m, int) and 0 <= m <= n):
-            raise ValueError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
+        _check_degrees(n, m)
         raw = self.ladder(m)._h_raw(n - m) * self.q._h_raw(m)
         return _wrap(raw)
 

@@ -3,9 +3,10 @@
 Everything downstream is built on three value types, all exact rational
 (gmpy2.mpq when available, fractions.Fraction otherwise):
 
-* ``Scalar`` -- an immutable exact rational.  A float meeting it in any
-  operation raises ModeError, so an exact pipeline cannot silently degrade
-  to doubles.
+* ``Scalar`` -- an immutable exact rational.  Its binary operators come
+  from one factory (``_operator``) that reads the other operand through
+  ``_as_raw_exact``, so a float meeting it raises ModeError and an exact
+  pipeline cannot silently degrade to doubles.
 * ``SparsePoly2`` -- a read-only bivariate polynomial stored as a map from
   exponent pairs to nonzero coefficients: the public form of a basis
   polynomial.  It has no arithmetic operators; every route works on
@@ -19,10 +20,14 @@ integer fraction-free elimination, no doubles anywhere; a BandMatrix is
 read from its stored entries, never expanded to rational rows).  The
 float relation check evaluates coefficient maps of doubles with
 ``_eval_terms``; ``SparsePoly2.eval`` uses it on exact coefficients.
+Every degree, index, bound, count, exponent and matrix dimension in the
+package passes one rule, ``_check_index`` (``_check_degrees`` for a pair
+0 <= m <= n): a plain int >= 0, never a bool or a float.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -46,12 +51,19 @@ class ModeError(TypeError):
 # Largest |exponent| of a decimal literal such as 25e-2; Fraction would
 # expand 1e999999999 into an integer of a billion digits.
 MAX_DECIMAL_EXPONENT = 1000
+# Longest literal parse_rational reads: parsing a digit string takes time
+# quadratic in its length, so input stays bounded whatever the
+# interpreter's int-to-str digit limit is.
+MAX_LITERAL_LENGTH = 10_000
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 
 
 def parse_rational(text):
     """Parse 'p', 'p/q' or a decimal literal into a raw exact rational."""
     text = str(text).strip()
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise ValueError(f"a rational literal of {len(text)} characters "
+                         f"exceeds {MAX_LITERAL_LENGTH}")
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"decimal exponent of {text[:40]!r} exceeds "
@@ -77,6 +89,38 @@ def _as_raw_exact(v):
     if isinstance(v, float):
         raise ModeError("a float is not an exact rational")
     raise TypeError(f"cannot interpret {type(v).__name__} as an exact rational")
+
+
+def _check_index(value, name):
+    """The one rule for a degree, index, bound, count, exponent or matrix
+    dimension: an int >= 0, not a bool, else a ValueError naming it."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
+
+
+def _check_degrees(n, m):
+    """The rule for a basis degree pair: ints (not bools), 0 <= m <= n."""
+    if not (type(n) is type(m) is int and 0 <= m <= n):
+        raise ValueError(f"need 0 <= m <= n, got (n, m) = ({n}, {m})")
+
+
+def _divide(a, b):
+    if not b:
+        raise ZeroDivisionError("division by exact zero")
+    return a / b
+
+
+def _operator(op, wrap=True, reflected=False):
+    """A binary Scalar operator: op on the raw values, the Scalar's own
+    first (second when reflected), the result a Scalar when wrap is set;
+    an operand ``Scalar._coerced`` refuses gives NotImplemented."""
+    def method(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        v = op(o, self.value) if reflected else op(self.value, o)
+        return _wrap(v) if wrap else v
+    return method
 
 
 class Scalar:
@@ -130,65 +174,26 @@ class Scalar:
     def __float__(self):
         return float(self.value)
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic and comparison ----------------------------------------
 
     def _coerced(self, other):
-        """Return other as a raw rational, or None if foreign."""
-        if isinstance(other, Scalar):
-            return other.value
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, int):
-            return _RAT(other)
-        if isinstance(other, float):
-            raise ModeError("cannot mix a float with an exact scalar")
-        if isinstance(other, _RAT_TYPES):
+        """other read by ``_as_raw_exact`` (a float raises ModeError), or
+        None for a type that does not mix: a str, a bool, None, ..."""
+        if isinstance(other, _OPERANDS) and not isinstance(other, bool):
             return _as_raw_exact(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return _wrap(self.value + o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return _wrap(self.value - o)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return _wrap(o - self.value)
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return _wrap(self.value * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by exact zero")
-        return _wrap(self.value / o)
-
-    def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero:
-            raise ZeroDivisionError("division by exact zero")
-        return _wrap(o / self.value)
+    __add__ = __radd__ = _operator(operator.add)
+    __sub__ = _operator(operator.sub)
+    __rsub__ = _operator(operator.sub, reflected=True)
+    __mul__ = __rmul__ = _operator(operator.mul)
+    __truediv__ = _operator(_divide)
+    __rtruediv__ = _operator(_divide, reflected=True)
+    __eq__ = _operator(operator.eq, wrap=False)
+    __lt__ = _operator(operator.lt, wrap=False)
+    __le__ = _operator(operator.le, wrap=False)
+    __gt__ = _operator(operator.gt, wrap=False)
+    __ge__ = _operator(operator.ge, wrap=False)
 
     def __pow__(self, k):
         if not isinstance(k, int) or isinstance(k, bool):
@@ -203,38 +208,6 @@ class Scalar:
     def __abs__(self):
         return _wrap(abs(self.value))
 
-    # -- comparison ----------------------------------------------------
-
-    def __eq__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o
-
-    def __lt__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.value < o
-
-    def __le__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.value <= o
-
-    def __gt__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.value > o
-
-    def __ge__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.value >= o
-
     def __hash__(self):
         return hash(self.value)
 
@@ -248,6 +221,9 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self!s})"
+
+
+_OPERANDS = (Scalar, int, float, *_RAT_TYPES)
 
 
 def _wrap(raw):
@@ -286,8 +262,8 @@ class SparsePoly2:
         if terms:
             for key, coeff in terms.items():
                 i, j = key
-                if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
-                    raise ValueError(f"bad exponent pair {key!r}")
+                _check_index(i, "exponent")
+                _check_index(j, "exponent")
                 raw = _as_raw_exact(coeff)
                 if raw:
                     clean[(i, j)] = raw
@@ -382,14 +358,11 @@ class BandMatrix:
 
     def __init__(self, rows, cols, lower_bandwidth, upper_bandwidth,
                  entries=None):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if lower_bandwidth < 0 or upper_bandwidth < 0:
-            raise ValueError("bandwidths must be nonnegative")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "lower_bandwidth", lower_bandwidth)
-        object.__setattr__(self, "upper_bandwidth", upper_bandwidth)
+        for name, value in (("rows", rows), ("cols", cols),
+                            ("lower_bandwidth", lower_bandwidth),
+                            ("upper_bandwidth", upper_bandwidth)):
+            _check_index(value, name)
+            object.__setattr__(self, name, value)
         stored = {}
         if entries:
             for (r, c), coeff in entries.items():

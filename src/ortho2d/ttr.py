@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .construction import CASE_I, _check_symmetric
-from .numerics import BandMatrix, _int_rows, _rank_int
+from .numerics import BandMatrix, _check_index, _int_rows, _rank_int
 from .univariate import _down_raw, _up_raw
 
 AXES = ("x", "y")
@@ -60,8 +60,7 @@ def first_ttr(sys, n):
 
     Built once per system and degree, then read from the system's cache.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("degree must be a nonnegative int")
+    _check_index(n, "degree")
     cached = sys._ttr_cache.get((n, "x"))
     if cached is not None:
         return cached
@@ -107,8 +106,7 @@ def second_ttr(sys, n):
     In case II the symmetry of q is checked before anything is stored, so
     a failing degree fails again on every call.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("degree must be a nonnegative int")
+    _check_index(n, "degree")
     cached = sys._ttr_cache.get((n, "y"))
     if cached is not None:
         return cached
@@ -188,8 +186,7 @@ def ttr_from_gram(sys, n):
     connection coefficient is read.  Returns full-bandwidth BandMatrices:
     any banded structure in the result is a finding, not an assumption.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("degree must be a nonnegative int")
+    _check_index(n, "degree")
     h_n = sys._gram_diag(n)
     h_next = sys._gram_diag(n + 1)
     h_prev = sys._gram_diag(n - 1) if n >= 1 else []

@@ -32,6 +32,7 @@ from .numerics import (
     Scalar,
     _RAT,
     _as_raw_exact,
+    _check_index,
     _wrap,
 )
 
@@ -132,8 +133,7 @@ class RecurrenceFamily:
                                      detail) from cause
 
     def _raw(self, which, fn, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"index must be a nonnegative int, got {n!r}")
+        _check_index(n, "index")
         cache = self._abc_cache[which]
         value = cache.get(n)
         if value is None:
@@ -187,8 +187,7 @@ class RecurrenceFamily:
 
     def leading_coeffs(self, n):
         """k_n (always nonzero) and l_n, the top two coefficients of p_n."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("degree must be a nonnegative int")
+        _check_index(n, "degree")
         k, l = self._kl_raw(n)
         return LeadingPair(_wrap(k), _wrap(l))
 
@@ -207,8 +206,7 @@ class RecurrenceFamily:
 
     def norms(self, n):
         """Squared norm h_n of p_n (relative to the chosen h_0)."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("degree must be a nonnegative int")
+        _check_index(n, "degree")
         return _wrap(self._h_raw(n))
 
     # -- moments ---------------------------------------------------------------
@@ -263,8 +261,7 @@ class RecurrenceFamily:
 
     def moments(self, upto):
         """List of moments <u, x^j> for j = 0..upto (so moments(0) = [h_0])."""
-        if not isinstance(upto, int) or upto < 0:
-            raise ValueError("moment bound must be a nonnegative int")
+        _check_index(upto, "moment bound")
         self._moment_raw(upto)
         return [_wrap(v) for v in self._moments[:upto + 1]]
 
@@ -311,16 +308,14 @@ class RecurrenceFamily:
     def coeffs(self, n):
         """Dense monomial coefficients of p_n, constant term first, formed
         as rationals from the cached integer form at this boundary."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("degree must be a nonnegative int")
+        _check_index(n, "degree")
         d, ints = self._coeffs_int(n)
         return [_wrap(_RAT(c, d)) for c in ints]
 
     def eval(self, n, x):
         """Evaluate p_n exactly at x (a Scalar, int or rational)."""
         xv = _as_raw_exact(x)
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("degree must be a nonnegative int")
+        _check_index(n, "degree")
         p_prev = None
         p_cur = _ONE
         for j in range(n):
@@ -459,8 +454,7 @@ def adjacent_down(fam_m, fam_m1, s2, n):
     s2 is the leading coefficient of rho^2; fam_m1 must be normalized by
     the rho^2-moment chain for the norm-dependent zeta to be meaningful.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("index must be a nonnegative int")
+    _check_index(n, "index")
     delta, epsilon, zeta = _down_raw(fam_m, fam_m1, _as_raw_exact(s2), n)
     return AdjacentDown(
         _wrap(delta),
@@ -472,8 +466,7 @@ def adjacent_down(fam_m, fam_m1, s2, n):
 def adjacent_up(fam_m, fam_m1, s2, n):
     """Triple (eta, theta, vartheta) expanding rho^2 times fam_m1's degree-n
     polynomial back in fam_m.  Defined for every n >= 0."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("index must be a nonnegative int")
+    _check_index(n, "index")
     s2 = _as_raw_exact(s2)
     eta, theta, vartheta = _up_raw(
         fam_m, fam_m1, s2, n, lambda k: _down_raw(fam_m, fam_m1, s2, k))

@@ -35,7 +35,7 @@ import random
 from typing import NamedTuple
 
 from .catalog import cross_check, make_system
-from .numerics import _RAT, _eval_terms, _powers
+from .numerics import _RAT, _check_index, _eval_terms, _powers
 from .ttr import first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -154,8 +154,7 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
     (and, if points are supplied, relative residuals at those evaluation
     points) by tol.  A non-finite point coordinate is a ValueError.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("degree must be a nonnegative int")
+    _check_index(n, "degree")
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     points = [(float(px), float(py)) for px, py in points or ()]
@@ -237,8 +236,7 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
 def verify_orthogonality(sys, max_degree):
     """Gram blocks up to max_degree: off-degree blocks vanish, diagonal
     blocks are diagonal with the closed-form norms on the diagonal."""
-    if not isinstance(max_degree, int) or max_degree < 0:
-        raise ValueError("max_degree must be a nonnegative int")
+    _check_index(max_degree, "max_degree")
     for n in range(max_degree + 1):
         for h in range(n):
             block = sys.gram_block(n, h)
@@ -276,12 +274,10 @@ def verify_central_symmetry(sys, max_degree, moment_bound=None):
     """Check the equivalence: all odd moments vanish iff both B matrices
     vanish at every degree.  Both sides are evaluated independently; the
     check passes when the two verdicts agree."""
-    if not isinstance(max_degree, int) or max_degree < 0:
-        raise ValueError("max_degree must be a nonnegative int")
+    _check_index(max_degree, "max_degree")
     if moment_bound is None:
         moment_bound = 2 * max_degree + 1
-    elif not isinstance(moment_bound, int) or moment_bound < 0:
-        raise ValueError("moment_bound must be a nonnegative int")
+    _check_index(moment_bound, "moment_bound")
     odd_ok = True
     first_moment = None
     for total in range(1, moment_bound + 1, 2):
@@ -347,8 +343,7 @@ def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
 
     Only stored entries are compared: a position where both A~ and C~^t
     hold zero adds |0.0 - 0.0| = 0.0 to a max, which leaves it as it is."""
-    if not isinstance(max_degree, int) or max_degree < 0:
-        raise ValueError("max_degree must be a nonnegative int")
+    _check_index(max_degree, "max_degree")
     norms = [_norm_roots(sys, n) for n in range(max_degree + 1)]
     worst = 0.0
     for n in range(max_degree):
@@ -373,14 +368,15 @@ def run_suite(cid, max_degree, mode="exact", points=0, seed=0, corrupt=False):
     """Full verification of one catalog family up to max_degree.
 
     mode='float' switches the relation checks to floating point with
-    ``points`` (an int >= 0) random evaluation points per degree; a
-    negative or non-int count is a ValueError.  All structural checks
-    (cross-check, orthogonality, ranks, central symmetry) stay exact.
+    ``points`` (a non-bool int >= 0) random evaluation points per degree;
+    any other count, like a bool or float max_degree, is a ValueError.
+    All structural checks (cross-check, orthogonality, ranks, central
+    symmetry) stay exact.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    if type(points) is not int or points < 0:
-        raise ValueError(f"points must be an int >= 0, got {points!r}")
+    _check_index(max_degree, "max_degree")
+    _check_index(points, "points")
     sys = make_system(cid)
     checks = []
 

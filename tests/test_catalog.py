@@ -223,5 +223,11 @@ def test_cross_check_rejects_a_system_built_for_another_id():
 
 
 def test_cross_check_validates_degree():
-    with pytest.raises(ValueError):
-        cross_check(catalog_id("disk", mu="1/2"), -1)
+    cid = catalog_id("disk", mu="1/2")
+    for bad in (-1, True, 1.0):
+        for call in (lambda: cross_check(cid, bad),
+                     lambda: closed_form_ttr(cid, bad),
+                     lambda: closed_form_first(cid, bad, 0),
+                     lambda: closed_form_second(cid, 1, bad)):
+            with pytest.raises(ValueError):
+                call()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,48 +88,163 @@ def test_tables_csv(capsys):
 # then CSV; pins every value, every null and every "0" of the tables.
 TABLE_DIGESTS = [
     ("disk", {"mu": "1/2"},
-     "4f6871ad06308ec4fa3c7f55eca39fa8d6586969c3f0c13c5993cda408f0fef1",
+        "4f6871ad06308ec4fa3c7f55eca39fa8d6586969c3f0c13c5993cda408f0fef1",
      "e5d35642cda709e34fb3ba0c339c4f9d80358e86650e7b0e48b3e649980ce1b9"),
     ("disk", {"mu": "3/2"},
-     "90f1ae1af79740b32dee3fcf45ea526a158eee6f4124b5ae50f6b902139f669b",
+        "90f1ae1af79740b32dee3fcf45ea526a158eee6f4124b5ae50f6b902139f669b",
      "98721957dd47ee9cb6d581c4feabbb16d34d17847629effeef12312ebffe9c1c"),
     ("biangle", {"alpha": "0", "beta": "0"},
-     "8096f72bfda5ae05a972a6e9357b558cf52275b4232dae90e08542c91efbd334",
+        "8096f72bfda5ae05a972a6e9357b558cf52275b4232dae90e08542c91efbd334",
      "674c55605b04e39e4e7a69457a583e25ba8e71875d3184c2e29f2479a30de432"),
     ("biangle", {"alpha": "1", "beta": "1/2"},
-     "2909687155a97c8d9f4a4d6349320d5a9b478e105969a2a2c507934bf2152fb2",
+        "2909687155a97c8d9f4a4d6349320d5a9b478e105969a2a2c507934bf2152fb2",
      "dc3fc8b2b02b1a9ff359cb7ded40c03efc1bf0e6de8c632a27a58f1b42283429"),
     ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"},
-     "ed4076979145f9831326d7b7e3279c774e358811d0d4ac9a9cce7dc9dc095ae8",
+        "ed4076979145f9831326d7b7e3279c774e358811d0d4ac9a9cce7dc9dc095ae8",
      "1ea856801cee72340ffa1c0dd1936047168239674c1f85477b36bdf90c8620b3"),
     ("simplex", {"alpha": "0", "beta": "1", "gamma": "2"},
-     "d40b5bd1a2cd309ae110759b23924d49e65bbfe91ebf4670a4891f39df60c66d",
+        "d40b5bd1a2cd309ae110759b23924d49e65bbfe91ebf4670a4891f39df60c66d",
      "c3d59638511680fe5630b2efbe3c79b0badea3eaf5f6a2aa7dc61665e74702af"),
     ("square", {"alpha": "0", "beta": "0", "gamma": "0", "delta": "0"},
-     "fd0b56dea9152295e51e48f80b5765c9c7e4090e111de7b7a8fdae985dd0d67c",
+        "fd0b56dea9152295e51e48f80b5765c9c7e4090e111de7b7a8fdae985dd0d67c",
      "ec9cd4614f744f28850796c45fdfd5d15c79c7be3fdd410b39af52164fb4e19e"),
     ("square", {"alpha": "1", "beta": "2", "gamma": "0", "delta": "1/2"},
-     "f5aaba52334c59a71a1463db5b68edde975b46b66f232f5014e36e8048bc9463",
+        "f5aaba52334c59a71a1463db5b68edde975b46b66f232f5014e36e8048bc9463",
      "7034e340c30c7ff375ee332c737ceebe3167ebcccfce716d3ebd8f2b72c877da"),
     ("laguerre-jacobi", {"alpha": "1", "beta": "1/2"},
-     "81986a1611c65d35b41481d3f48af221df51087f33c5d18ac71e2248136de62c",
+        "81986a1611c65d35b41481d3f48af221df51087f33c5d18ac71e2248136de62c",
      "89365c6b58f1dda7be72a8a79b5019e42162b106b4971b18dd6d337cb140f9c6"),
     ("bessel-laguerre", {"g": "5", "gamma": "2/5"},
-     "f9c769623cad3297c7666ac98889afdfc7d878cd58d742f69816d13daffede62",
+        "f9c769623cad3297c7666ac98889afdfc7d878cd58d742f69816d13daffede62",
      "f1bb5111ef281f976443ba08eb1462ccc50b24428120ca05f1884792330748d5"),
 ]
 
 
-@pytest.mark.parametrize("family,params,json_sha,csv_sha", TABLE_DIGESTS,
-                         ids=[f"{row[0]}-{i}" for i, row
-                              in enumerate(TABLE_DIGESTS)])
-def test_tables_bytes_are_pinned(capsys, family, params, json_sha, csv_sha):
+# The other subcommands, each as (command, options, exit code); the SHA-256
+# of their stdout per pinned set, in this order, is in COMMAND_DIGESTS.
+PINNED_COMMANDS = (
+    ("moments", ("--max-h", "4", "--max-k", "5"), 0),
+    ("moments", ("--max-h", "4", "--max-k", "5", "--format", "csv"), 0),
+    ("eval", ("--n", "4", "--m", "2", "--x", "1/3", "--y=-2/5"), 0),
+    ("eval", ("--n", "4", "--m", "2", "--x", "1/3", "--y=-2/5", "--mode",
+              "float"), 0),
+    ("verify", ("--max-n", "3"), 0),
+    ("verify", ("--max-n", "3", "--mode", "float", "--points", "5",
+                "--seed", "3"), 0),
+    ("verify", ("--max-n", "3", "--corrupt"), 1),
+)
+
+COMMAND_DIGESTS = [
+    (  # disk {'mu': '1/2'}
+        "c0ee409512c83751728c9a15637ee84bd5b02f46dc2a495e694b7217aa39218e",
+        "37dcd55faa6180367bcdeb52ae0fc020f659110a35fd76ca697494be24b224fb",
+        "cf59d7e78a9c4e388a9a5eba7f9a45a98c4ad76b8da11c8febbbcce162a6bafa",
+        "f7bbf935d92f1eb1cf0dd8d97cb96eaf1521441e538501eb0e76d4ad140aa24d",
+        "49f4825be744188570dfd62991f595690530f06740422e49230839354ece1ca8",
+        "1af09325522bfac5b35da0093195748a5fc6a1685137915672ebcfbad9e20d52",
+        "a36b25321b47b59708b87b957b942e62885b561b7740c4af9ab80b7707124822",
+    ),
+    (  # disk {'mu': '3/2'}
+        "c32a1e0e87b3e0d4bc52546ffbac294b30e1e52ef228b8a7493dd22058c684c5",
+        "262e590eb2b5f98a27e5ae77da2a36aef4948807e1feafe9619e8b0d4f2bd7bf",
+        "ddaeb76df7078581d79938db8ba7e8dacb5f7af9eeb5e2d6f8bbe8d685f5e27e",
+        "2d28b0ffb8d710174eb47cbea595809eddfb449d5975c61e0d44143b3599600f",
+        "4e30c87bb480ab82b2eec89c351ce3924ca904a6a548427586f757ff3365cc74",
+        "03b3dd5e19bd465e17fb81c5fe31ac9fa5a1823e9bd96887dcf367a630b3955f",
+        "1f61179dbb61ab6f760a09b3d7df654ff0668477e5982d7a93cbf11acb9a6860",
+    ),
+    (  # biangle {'alpha': '0', 'beta': '0'}
+        "d9a1b8d747c2cace607a8286da0b38dda2292576dde7350466c50d1b1c02bc61",
+        "bb619b9ee0b229ecb416dcfb29772cfd8fad57619c87681e75e4099befcadc81",
+        "281061166ef395c0e879ac63e8949956da49250d7e770284b124f625399cc0fb",
+        "5d004f834c1ea26474ad8f23b80442c70d5b44143c68b0420efacdf122c4a4dc",
+        "19035b800bede7e61dad804eea4f89ba45362a97951f30777b3466a618933822",
+        "69c54b0a962741a01947b227148f090dce2b26343ffb244a5e3ad5ff21c45887",
+        "ea77bc4116a5ae37b736b56fbf4d6dba2e37300f855f3b3b314800878971b474",
+    ),
+    (  # biangle {'alpha': '1', 'beta': '1/2'}
+        "db2b5234f98ed09ccb57848689212e6030bc23abf10524d3ae7f7ba6af92da7b",
+        "0174a02be95e6162fd85cb160e194ebeb6bd8150d7a906d680238e044993b41a",
+        "3a14c593ca054ddfa6e596dca64b29a2278e0b556eded3dd864757ca9a03dd7a",
+        "3248de1f215be4ecb84ef1cb56f03b9865fd14b3007e86f5fa1bee5a0be9ea00",
+        "089195d4932256f1b730e5ad40afb1853e79ed591a4b48566e38caefc10f36b6",
+        "2c927fd8a7d678832c37560405d2d2f140f0e44a67e805936c413c313b02cfaf",
+        "f43c6509a2d76af658b0b002498953011f3e08a73a9780dfcf28c99bad77c86e",
+    ),
+    (  # simplex {'alpha': '1/2', 'beta': '1/2', 'gamma': '1/2'}
+        "5ce87588833ced0d20ca9129d894f054e446592e5e95fcc8836dfc68501cf70e",
+        "a99c3855489732758246441629afbd7e5ee679e0cebab6e4d3ccb39d720f6240",
+        "3af2e4baeb18249db07ff0c9771fc73fd87ff09f98c5340b0be1cf9c983afce1",
+        "408de7f2ab8f2ac34dae9439e929fecd813a010908eb7a84627bea7868cf4f02",
+        "26a52ce110e5c975e396d71d2814dd365b67b51f2244c628508cd0eee99de3b5",
+        "a0d0c28ee72a63f853e3744a68e89a8df42cca91bcc32bfe35788bb63b78ed53",
+        "338a73191e075388b09b7c114214edbb52c772f999f5780319dc2d7f61d1c09b",
+    ),
+    (  # simplex {'alpha': '0', 'beta': '1', 'gamma': '2'}
+        "ab8251e9d079681da56abdc5dab0891db3bd070b928a6b793a5e04cdf6b07315",
+        "8a50b9e1eab23e902f4b86543fbbbec9efa4a535c092e5c69b2f839753125c27",
+        "975c03f424923f228323e927395e770448c192f57998a61b09f0894ba082f8d6",
+        "1a58a2853d8bbe799397ee950e3068a717e6cc90a0501f93ef0fcd04239be4af",
+        "4117e2fcb534bd25a7933e295c0f7874781afdcb821a692936df6d7b4223b5da",
+        "146e13d3e1a65a91626d8c3616cef590793af5780b213d32dc1ffd30f6c17286",
+        "788186233814f2f1d4f9bf33b01e464f4de348802a1a11fb6dc082ab728869ad",
+    ),
+    (  # square {'alpha': '0', 'beta': '0', 'gamma': '0', 'delta': '0'}
+        "59eeaea8aa58d3c6c227bc65b2668a3bbba11fd6ad4161301507e7e374a9d091",
+        "8b5c7565029fa4be20844d9119e698ae4bf06aeb8b24bfe0b171e2d8738f8c1c",
+        "3d29bbff4c36e1c8d31ff665a58cfeaa0b75b7b5bd1487947f134c4003a4e7af",
+        "1002950c4034825c253e77c4e02612eef3668c871f52738f9a57452d777867dd",
+        "6fe1a6e93cf12624f057863d2c7ed3323f4a4a77a1c5b3ce292e7cfc4fdd9547",
+        "b293761817e0f95e337ba9dea290347579c03e36de03e86ad8444faed31c21f6",
+        "773a81239f6fba48d00f77b056789bc77f3a41a54b6b6efed068b1254336bee8",
+    ),
+    (  # square {'alpha': '1', 'beta': '2', 'gamma': '0', 'delta': '1/2'}
+        "86348f0cc0a307c64dde2c7425856dbe45099737b6537afef9d5a7a3b79d1671",
+        "5e9a0547fd4a725b245b421b5acb5795efededa9ef176a1233703489b24d5097",
+        "c59d5e2a5e5a6244e10327e1f20c292be2d75ae0e1627cad53be4f05b5406f12",
+        "69fbfeaf2f857f657c77af324ce3fc968c312f5ab29783a37174cd5714c6aafe",
+        "59b8db9c35b6ee02b75f1f0f1117f9c4a43c72d5c74607f56fecdd78b2c1cfe3",
+        "5118ecaff7c88213ddb67fedfd592894c29eba18183d8e7f2a32ed3848d50253",
+        "ed2ee18bdc5add73ab2be053ec992f38b37bde4c253d1cfafd78162fa47c3ca7",
+    ),
+    (  # laguerre-jacobi {'alpha': '1', 'beta': '1/2'}
+        "2dff3e2702f3b8c97b98ef34242bf6b4566c7582fab0b014548016b76d24b80a",
+        "cd3581b3d9d35c4da0da3f107c444b6f30d0a8c4aabcb1caf84c9fccb063340a",
+        "0f139fd7a67ced532b336fcb795054af6817dfa05ccc53619c675f67917321e0",
+        "ec7658e5ed420d73b3b55a413aad29bc07b83108b2485426387a1b7e86f22764",
+        "a0b8ede9b9c0a50d4d524f9931a1540c7c8fac27e95773a3655b0e5977945f16",
+        "55239bbdfc6a5f20dde3712bd2cb98710f5a8da80186b5343913ff58e726b5a0",
+        "8b4c85080bd06454a6eecc5bd7355f8ef91b12059aa5b401ffe0c218ce1e49d3",
+    ),
+    (  # bessel-laguerre {'g': '5', 'gamma': '2/5'}
+        "cc8a6b733df192b08c7f89c23ded7c240116e16dd23025eca7c419c4a52ae41e",
+        "33d17c04bf9133d2305193c89a6d411bc3f8548853fe522aacf5684e80e326a3",
+        "47e6b61634dffb4d7eba9bee9e24c659ccc8935c46a18a0fb8385876dac4a9cb",
+        "2e1dc4e47690e58af7b435cc0ee7ae15c969d655f716945f060192b00fa09a55",
+        "47603a94a9658fb60e486465d28b31d17229401b4aac6548255c6d0d63996b86",
+        "8f36576038fc5366eaee76a747340b36afa5e451bf87b24f720b59cf5df60910",
+        "9a08188a655a436e15d74a09e1453fe0fc9c4880703ab3e7d56347aebf388e12",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "family,params,json_sha,csv_sha,command_shas",
+    [(*row, shas) for row, shas in zip(TABLE_DIGESTS, COMMAND_DIGESTS)],
+    ids=[f"{row[0]}-{i}" for i, row in enumerate(TABLE_DIGESTS)])
+def test_tables_bytes_are_pinned(capsys, family, params, json_sha, csv_sha,
+                                 command_shas):
     flags = [f"--{k}={v}" for k, v in params.items()]
     for fmt, digest in (("json", json_sha), ("csv", csv_sha)):
         code, out, err = run(capsys, "tables", family, *flags, "--max-n",
                              "6", "--format", fmt)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+    for (command, options, exit_code), digest in zip(PINNED_COMMANDS,
+                                                     command_shas):
+        code, out, err = run(capsys, command, family, *flags, *options)
+        assert code == exit_code and err == "", options
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, options
 
 
 def test_tables_bessel_laguerre_anchor(capsys):
@@ -290,6 +406,42 @@ def test_unparseable_rational_exits_two(capsys):
 def test_huge_decimal_exponent_exits_two(capsys, value):
     code, out, err = run(capsys, "tables", "disk", f"--mu={value}")
     assert code == 2 and out == "" and "exponent" in err
+
+
+def _int_digit_limit():
+    """The interpreter's int-to-str digit limit; None before Python 3.10.7,
+    which has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_an_exact_value_past_the_int_digit_limit_prints(capsys):
+    limit = _int_digit_limit()
+    obj = run_json(capsys, "eval", "disk", "--mu", "1/2", "--n", "5", "--m",
+                   "0", "--x", "1e-1000", "--y", "0")
+    assert _int_digit_limit() == limit  # restored after main returns
+    x = Fraction(1, 10 ** 1000)
+    want = ortho2d.make_system(ortho2d.catalog_id("disk", mu="1/2")) \
+        .expand_P(5, 0).eval(x, 0)
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert len(obj["value"]) > 4300 and obj["value"] == str(want)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_the_int_digit_limit_is_restored_on_an_error_exit(capsys):
+    limit = _int_digit_limit()
+    code, _, _ = run(capsys, "tables", "disk", "--mu", "1/x")
+    assert code == 2 and _int_digit_limit() == limit
+
+
+def test_an_over_long_literal_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tables", "disk", "--mu", "7" * 200_000)
+    assert code == 2 and out == "" and "characters" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_has_no_csv_format(capsys):

@@ -128,8 +128,9 @@ def test_ladder_chain_can_degenerate():
 
 
 def test_ladder_index_validation(disk):
-    with pytest.raises(ValueError):
-        disk.ladder(-1)
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError, match="ladder index"):
+            disk.ladder(bad)
 
 
 # -- basis polynomials ---------------------------------------------------------
@@ -177,11 +178,12 @@ def test_expand_argument_validation(disk):
 
 def test_block_norm_and_gram_block_validate_degrees(disk):
     disk.block_norm(3, 3)
-    for n, m in ((2, 5), (-1, 0), (1, -1), (2.0, 0)):
-        with pytest.raises(ValueError):
-            disk.block_norm(n, m)
-    for n, h in ((-1, 0), (0, -1), (1, 0.5)):
-        with pytest.raises(ValueError):
+    for n, m in ((2, 5), (-1, 0), (1, -1), (2.0, 0), (1, True), (True, 0)):
+        for call in (disk.block_norm, disk.expand_P):
+            with pytest.raises(ValueError, match="0 <= m <= n"):
+                call(n, m)
+    for n, h in ((-1, 0), (0, -1), (1, 0.5), (True, 0)):
+        with pytest.raises(ValueError, match="degree"):
             disk.gram_block(n, h)
 
 
@@ -342,8 +344,9 @@ def test_lj_moment_factorizes(lj):
 
 
 def test_moment_validation(disk):
-    with pytest.raises(ValueError):
-        disk.w_moment(-1, 0)
+    for h, k in ((-1, 0), (0, True), (1.0, 0)):
+        with pytest.raises(ValueError, match="exponent"):
+            disk.w_moment(h, k)
 
 
 def test_moment_bilinear_matches_block_norm(disk, lj):

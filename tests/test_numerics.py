@@ -1,5 +1,6 @@
 """Scalar, polynomial, band-matrix and exact-rank primitives."""
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -24,6 +25,9 @@ rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=10**4
 )
 
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+ORDERING = (operator.lt, operator.le, operator.gt, operator.ge)
+
 
 def q(text):
     return Scalar.exact(text)
@@ -47,6 +51,14 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects_huge_decimal_exponents(text):
     with pytest.raises(ValueError, match="exponent"):
         parse_rational(text)
+
+
+def test_parse_rational_bounds_the_literal_length():
+    from ortho2d.numerics import MAX_LITERAL_LENGTH
+    assert parse_rational("7" * 4000) == int("7" * 4000)
+    # refused before Fraction parses it, whatever the int digit limit
+    with pytest.raises(ValueError, match="characters"):
+        parse_rational("7" * (MAX_LITERAL_LENGTH + 1))
 
 
 def test_parse_rational_rejects_garbage():
@@ -81,9 +93,27 @@ def test_scalar_mode_discipline():
                lambda a: a != 0.5):
         with pytest.raises(ModeError):
             op(q("1/2"))
+    # ... on either side of every operator
+    for op in (*ARITHMETIC, *ORDERING, operator.eq, operator.ne):
+        for left, right in ((q("1/2"), 0.5), (0.5, q("1/2"))):
+            with pytest.raises(ModeError):
+                op(left, right)
     # ints and exact rationals mix
     assert q("1/2") + 1 == q("3/2")
     assert q("1/2") * Fraction(2, 3) == q("1/3")
+    # division by an exact zero, from either side
+    for left, right in ((1, q(0)), (Fraction(1, 2), q(0)), (q(1), 0),
+                        (q(1), q(0)), (q(1), Fraction(0))):
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            left / right
+    # a str, None or bool does not mix: TypeError for arithmetic and
+    # ordering, unequal for ==
+    for foreign in ("1/2", None, True, False):
+        for left, right in ((q(1), foreign), (foreign, q(1))):
+            for op in (*ARITHMETIC, *ORDERING):
+                with pytest.raises(TypeError):
+                    op(left, right)
+            assert (left == right) is False and (left != right) is True
 
 
 def test_scalar_arithmetic_basics():
@@ -136,6 +166,19 @@ def test_scalar_field_arithmetic_matches_fraction(x, y, z):
     ).as_fraction()
     if y:
         assert (sx / sy).as_fraction() == x / y
+    # every operator with a Scalar on one side and a Scalar, an int or a
+    # Fraction on the other agrees with plain Fractions
+    for left, right in ((sx, sy), (sx, y), (sx, y.numerator), (x, sy),
+                        (x.numerator, sy), (sx, z), (z.numerator, sx)):
+        lv, rv = (Fraction(v.as_fraction() if isinstance(v, Scalar) else v)
+                  for v in (left, right))
+        for op in ARITHMETIC:
+            if op is operator.truediv and not rv:
+                continue
+            got = op(left, right)
+            assert isinstance(got, Scalar) and got.as_fraction() == op(lv, rv)
+        for op in (*ORDERING, operator.eq, operator.ne):
+            assert op(left, right) is op(lv, rv)
 
 
 # -- SparsePoly2 ----------------------------------------------------------
@@ -148,8 +191,9 @@ def test_poly_constructor():
     # zero coefficients are pruned on construction
     assert SparsePoly2({(1, 1): 0}) == SparsePoly2()
     assert SparsePoly2().terms == {}
-    with pytest.raises(ValueError):
-        SparsePoly2({(-1, 0): 1})
+    for key in ((-1, 0), (True, 0), (0, 1.0)):
+        with pytest.raises(ValueError, match="exponent"):
+            SparsePoly2({key: 1})
 
 
 def test_poly_mul_known_product():
@@ -214,8 +258,10 @@ def test_poly_mul_distributes(ta, tb, tc):
 
 
 def test_band_matrix_shape_and_band_errors():
-    with pytest.raises(ValueError):
-        BandMatrix(2, 2, -1, 0)
+    for shape in ((2, 2, -1, 0), (2.0, 2, 0, 0), (2, True, 0, 0),
+                  (2, 2, 0, 1.0)):
+        with pytest.raises(ValueError, match="must be a nonnegative int"):
+            BandMatrix(*shape)
     with pytest.raises(IndexError):
         BandMatrix(2, 2, 0, 0, {(2, 0): 1})
     with pytest.raises(ValueError):

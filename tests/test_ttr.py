@@ -242,7 +242,7 @@ def test_rank_report_flags_degenerate_input():
 
 
 def test_degree_validation(disk):
-    with pytest.raises(ValueError):
-        first_ttr(disk, -1)
-    with pytest.raises(ValueError):
-        second_ttr(disk, -1)
+    for bad in (-1, True, 1.0):
+        for build in (first_ttr, second_ttr, ttr_from_gram):
+            with pytest.raises(ValueError, match="degree"):
+                build(disk, bad)

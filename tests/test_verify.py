@@ -390,6 +390,23 @@ def test_run_suite_validates_mode():
         run_suite(catalog_id("disk", mu="1/2"), 2, mode="fuzzy")
 
 
+@pytest.mark.parametrize("bad", [-1, True, 1.0])
+def test_a_bool_or_float_degree_is_refused(disk, bad, monkeypatch):
+    for call in (lambda: verify_relation(disk, bad, "x"),
+                 lambda: verify_orthogonality(disk, bad),
+                 lambda: verify_central_symmetry(disk, bad),
+                 lambda: verify_orthonormal_transpose(disk, bad)):
+        with pytest.raises(ValueError, match="degree"):
+            call()
+
+    def no_work(cid):
+        raise AssertionError("a system was built")
+
+    monkeypatch.setattr(ortho2d.verify, "make_system", no_work)
+    with pytest.raises(ValueError, match="max_degree"):
+        run_suite(catalog_id("disk", mu="1/2"), bad)
+
+
 @pytest.mark.parametrize("points", [-3, -1, 2.0, "5", None, True])
 def test_run_suite_refuses_a_bad_point_count_before_any_work(
         points, monkeypatch):
