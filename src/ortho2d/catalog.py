@@ -1,11 +1,12 @@
 """The six classical system families, with closed-form coefficient tables.
 
-Each family is identified by a CatalogId (name plus rational parameters).
+Each family is identified by a CatalogId (name plus rational parameters,
+each stored as a backend rational: gmpy2.mpq or fractions.Fraction).
 ``make_system`` assembles the corresponding BivariateSystem from its
 univariate ingredients; ``closed_form_first``/``closed_form_second``
 evaluate the per-family closed-form coefficient tables directly, without
-touching any recurrence machinery; and ``cross_check`` confronts three
-independent routes entry by entry:
+touching any recurrence machinery, into rows of backend rationals; and
+``cross_check`` confronts three independent routes entry by entry:
 
     closed-form table  ==  recurrence builders  ==  moment/Gram oracle.
 
@@ -24,8 +25,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .construction import RhoSpec, assemble
-from .numerics import (BandMatrix, Scalar, _RAT, _check_degrees,
-                       _check_index, _wrap)
+from .numerics import (BandMatrix, Scalar, _RAT, _as_raw_exact,
+                       _check_degrees, _check_index)
 from .univariate import (
     RecurrenceFamily,
     bessel,
@@ -53,7 +54,8 @@ class _CatalogIdFields(NamedTuple):
 
 
 class CatalogId(_CatalogIdFields):
-    """A family name plus its rational parameters (in declared order)."""
+    """A family name plus its rational parameters (in declared order), each
+    a backend rational."""
 
     __slots__ = ()
 
@@ -69,7 +71,7 @@ class CatalogId(_CatalogIdFields):
             raise ValueError(
                 f"family {name!r} takes parameters "
                 f"({', '.join(declared)}); missing {missing}, extra {extra}")
-        normalized = tuple((k, Scalar.exact(given[k])) for k in declared)
+        normalized = tuple((k, _as_raw_exact(given[k])) for k in declared)
         return super().__new__(cls, name, normalized)
 
     def param(self, key):
@@ -89,11 +91,11 @@ def catalog_id(name, **values):
     return CatalogId(name, tuple(values.items()))
 
 
-def _raw_params(cid):
-    """The raw parameters of cid, refused (ValueError) where they define no
-    family at all: the one parameter check of ``make_system``, every
-    closed form and ``positive_definite``."""
-    p = {k: v.value for k, v in cid.params}
+def _params(cid):
+    """The parameters of cid as a dict, refused (ValueError) where they
+    define no family at all: the one parameter check of ``make_system``,
+    every closed form and ``positive_definite``."""
+    p = cid.params_dict
     if cid.name == "bessel-laguerre" and not p["g"]:
         raise ValueError("bessel-laguerre requires a nonzero parameter g")
     return p
@@ -101,7 +103,7 @@ def _raw_params(cid):
 
 def make_system(cid):
     """Assemble the BivariateSystem for a catalog family."""
-    p = _raw_params(cid)
+    p = _params(cid)
     label = cid.describe()
     name = cid.name
     if name == "disk":
@@ -147,7 +149,7 @@ def make_system(cid):
         lambda m: -(m + 1) / g,
         lambda m: (2 * m + gg) / g,
         lambda m: -(m + gg - 1) / g,
-        params={"g": _wrap(g), "gamma": _wrap(ga)})
+        params={"g": g, "gamma": ga})
     return assemble(
         RhoSpec.linear(1, 0),
         lambda m: bessel(g + 2 * m, -g),
@@ -158,7 +160,7 @@ def make_system(cid):
 def positive_definite(cid):
     """Whether the family's functional is positive-definite (not merely
     quasi-definite) for these parameters."""
-    p = _raw_params(cid)
+    p = _params(cid)
     name = cid.name
     if name == "disk":
         return p["mu"] > -_HALF
@@ -434,31 +436,27 @@ def _row(name, which, p, n, m):
     return row
 
 
-def _wrapped(row):
-    """A closed-form table row with each value as a Scalar; None stays."""
-    return {k: None if v is None else _wrap(v) for k, v in row.items()}
-
-
 def closed_form_first(cid, n, m):
     """Row m of the three x-relation diagonals at degree n, from the
-    family's closed-form table.  Keys 'a', 'b', 'c'; a value is None when
-    the matrix has no such column (c at m = n)."""
-    return _wrapped(_row(cid.name, 0, _raw_params(cid), n, m))
+    family's closed-form table.  Keys 'a', 'b', 'c'; a value is a backend
+    rational, or None when the matrix has no such column (c at m = n)."""
+    return _row(cid.name, 0, _params(cid), n, m)
 
 
 def closed_form_second(cid, n, m):
     """Row m of the y-relation bands at degree n, from the family's
     closed-form table.  Keys 'a1', 'a2', 'a3' (sub/main/super diagonal of
-    the degree-raising matrix), likewise 'b*' and 'c*'; a value is None
-    when that band position falls outside the matrix."""
-    return _wrapped(_row(cid.name, 1, _raw_params(cid), n, m))
+    the degree-raising matrix), likewise 'b*' and 'c*'; a value is a
+    backend rational, or None when that band position falls outside the
+    matrix."""
+    return _row(cid.name, 1, _params(cid), n, m)
 
 
 def closed_form_ttr(cid, n):
     """Assemble both relations at degree n purely from the closed forms."""
     _check_index(n, "degree")
     from .ttr import TTRSet
-    p = _raw_params(cid)
+    p = _params(cid)
     entries = tuple({} for _ in _MATRICES)
     for m in range(n + 1):
         for which in (0, 1):

@@ -40,7 +40,8 @@ import sys
 
 from .catalog import (FAMILY_PARAMS, TABLE_KEYS, catalog_id,
                       closed_form_first, closed_form_second, make_system)
-from .numerics import ModeError, Scalar, _check_degrees, _eval_terms, _powers
+from .numerics import (ModeError, _check_degrees, _eval_terms, _powers,
+                       parse_rational)
 from .univariate import QuasiDefinitenessError
 
 SCHEMA = "ortho2d/1"
@@ -67,7 +68,7 @@ def _family_id(args):
     for key in _PARAM_FLAGS:
         v = getattr(args, key)
         if v is not None:
-            values[key] = Scalar.exact(v)
+            values[key] = parse_rational(v)
     return catalog_id(args.family, **values)
 
 
@@ -183,8 +184,8 @@ def _cmd_eval(args):
     cid = _family_id(args)
     _check_degrees(args.n, args.m)
     _check_max(args.n, "--n")
-    x = Scalar.exact(args.x)
-    y = Scalar.exact(args.y)
+    x = parse_rational(args.x)
+    y = parse_rational(args.y)
     system = make_system(cid)
     if args.mode == "exact":
         value = str(system.expand_P(args.n, args.m).eval(x, y))
@@ -287,9 +288,9 @@ def main(argv=None):
     except QuasiDefinitenessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ZeroDivisionError as exc:
-        print(f"error: a closed-form denominator vanished at these "
-              f"parameters ({exc}); the functional is not quasi-definite",
+    except ZeroDivisionError:  # its text is a backend repr: not shown
+        print("error: a closed-form denominator vanished at these "
+              "parameters; the functional is not quasi-definite",
               file=sys.stderr)
         return 3
     except OverflowError as exc:

@@ -32,14 +32,18 @@ column polynomial with those row moments and a single rational, the
 shared zero when it vanishes.  The kernel reads the moments and the basis
 polynomials only -- no norm, ladder, recurrence or connection coefficient
 -- so it stays an independent check.
+
+Every value a system returns -- a moment, a Gram entry, a block norm, a
+coefficient of ``RhoSpec`` or of an expanded basis polynomial -- is a
+backend rational (gmpy2.mpq or fractions.Fraction).
 """
 from __future__ import annotations
 
 import math
+from numbers import Rational
 from typing import NamedTuple
 
 from .numerics import (
-    Scalar,
     SparsePoly2,
     _RAT,
     _as_raw_exact,
@@ -47,7 +51,6 @@ from .numerics import (
     _check_index,
     _int_list,
     _poly,
-    _wrap,
 )
 from .univariate import QuasiDefinitenessError, RecurrenceFamily
 
@@ -62,47 +65,31 @@ _SYMMETRY_PRECHECK = 16
 
 class RhoSpec(NamedTuple):
     """The radical factor.  s2, s1, s0 (coefficients of rho^2) are always
-    populated; r1, r0 are present only in case I."""
+    populated; r1, r0 are present only in case I.  Each is a backend
+    rational."""
 
     case: str
-    r1: Scalar | None
-    r0: Scalar | None
-    s2: Scalar
-    s1: Scalar
-    s0: Scalar
+    r1: Rational | None
+    r0: Rational | None
+    s2: Rational
+    s1: Rational
+    s0: Rational
 
     @classmethod
     def linear(cls, r1, r0):
         """Case I: rho(x) = r1 x + r0 itself is a polynomial."""
-        r1_raw = _as_raw_exact(r1)
-        r0_raw = _as_raw_exact(r0)
-        if not r1_raw and not r0_raw:
+        r1, r0 = map(_as_raw_exact, (r1, r0))
+        if not r1 and not r0:
             raise ValueError("rho must not be identically zero")
-        return cls(
-            CASE_I,
-            _wrap(r1_raw),
-            _wrap(r0_raw),
-            _wrap(r1_raw * r1_raw),
-            _wrap(2 * r1_raw * r0_raw),
-            _wrap(r0_raw * r0_raw),
-        )
+        return cls(CASE_I, r1, r0, r1 * r1, 2 * r1 * r0, r0 * r0)
 
     @classmethod
     def sqrt_quadratic(cls, s2, s1, s0):
         """Case II: only rho(x)^2 = s2 x^2 + s1 x + s0 is a polynomial."""
-        s2_raw = _as_raw_exact(s2)
-        s1_raw = _as_raw_exact(s1)
-        s0_raw = _as_raw_exact(s0)
-        if not (s2_raw or s1_raw or s0_raw):
+        s2, s1, s0 = map(_as_raw_exact, (s2, s1, s0))
+        if not (s2 or s1 or s0):
             raise ValueError("rho^2 must not be identically zero")
-        return cls(
-            CASE_II,
-            None,
-            None,
-            _wrap(s2_raw),
-            _wrap(s1_raw),
-            _wrap(s0_raw),
-        )
+        return cls(CASE_II, None, None, s2, s1, s0)
 
 
 class GramBlock(NamedTuple):
@@ -166,9 +153,9 @@ class BivariateSystem:
         # Powers of rho as integer forms (d, [ints]), in steps of rho
         # (case I) or of rho^2 (case II).
         if rho.case == CASE_I:
-            step = {1: _int_list([rho.r0.value, rho.r1.value])}
+            step = {1: _int_list([rho.r0, rho.r1])}
         else:
-            step = {2: _int_list([rho.s0.value, rho.s1.value, rho.s2.value])}
+            step = {2: _int_list([rho.s0, rho.s1, rho.s2])}
         self._rho_pow = {0: (1, [1]), **step}
         # Row moments of the basis polynomials, keyed (n, m), as
         # [D, deg, {(a, b): int}]; filled by _row_moments.
@@ -180,8 +167,8 @@ class BivariateSystem:
         # (A, B, C) of the relation along axis at degree n, keyed (n, axis);
         # filled by ttr.first_ttr / second_ttr.
         self._ttr_cache = {}
-        # Raw connection triples (delta, epsilon, zeta) between ladder steps
-        # m and m + 1, keyed (m, k); filled by ttr._down.
+        # Connection triples (AdjacentDown) between ladder steps m and
+        # m + 1, keyed (m, k); filled by ttr._down.
         self._down_cache = {}
         # Square roots of the block norms of degree n as doubles, keyed n;
         # filled by verify._norm_roots.
@@ -207,9 +194,8 @@ class BivariateSystem:
                 continue
             prev = self._ladders[j - 1]
             mom = [prev._moment_raw(i) for i in range(3)]
-            chain = (self.rho.s2.value * mom[2]
-                     + self.rho.s1.value * mom[1]
-                     + self.rho.s0.value * mom[0])
+            chain = (self.rho.s2 * mom[2] + self.rho.s1 * mom[1]
+                     + self.rho.s0 * mom[0])
             fam = self._factory(j)
             if not chain:
                 raise QuasiDefinitenessError(
@@ -286,8 +272,11 @@ class BivariateSystem:
 
     # -- moments of the bivariate functional ----------------------------------
 
-    def _w_moment_raw(self, h, k):
-        """<w, x^h y^k>, from the moments each univariate family stores."""
+    def w_moment(self, h, k):
+        """Moment <w, x^h y^k> of the bivariate functional, from the
+        moments each univariate family stores."""
+        _check_index(h, "moment exponent")
+        _check_index(k, "moment exponent")
         if self.case == CASE_II and k % 2:
             return _ZERO
         d_rho, rho_k = self._rho_pow_int(k)
@@ -296,12 +285,6 @@ class BivariateSystem:
         acc = sum(rc * base._moment_raw(h + d)
                   for d, rc in enumerate(rho_k) if rc)
         return acc * self.q._moment_raw(k) / d_rho
-
-    def w_moment(self, h, k):
-        """Moment <w, x^h y^k> of the bivariate functional."""
-        _check_index(h, "moment exponent")
-        _check_index(k, "moment exponent")
-        return _wrap(self._w_moment_raw(h, k))
 
     def _moment_table(self, top):
         """(D, W): the moments of total degree <= top over one common
@@ -314,7 +297,7 @@ class BivariateSystem:
         d_old, table = self._w_table
         old_top = len(table) - 1
         if top > old_top:
-            wm = self._w_moment_raw
+            wm = self.w_moment
             # Row h gains the degrees k above old_top - h, row by row.
             new = [[wm(h, k) for k in range(max(old_top + 1 - h, 0),
                                             top + 1 - h)]
@@ -376,7 +359,7 @@ class BivariateSystem:
         num = sum(cp * cq * table[ip + iq + dx][jp + jq + dy]
                   for (ip, jp), cp in zip(p._terms, p_ints)
                   for (iq, jq), cq in zip(q_poly._terms, q_ints))
-        return _wrap(_rat(num, d_w * d_p * d_q))
+        return _rat(num, d_w * d_p * d_q)
 
     # -- Gram blocks -------------------------------------------------------------
 
@@ -438,15 +421,13 @@ class BivariateSystem:
         """Dense Gram block pairing total degrees n and h."""
         _check_index(n, "degree")
         _check_index(h, "degree")
-        return GramBlock(n, h, tuple(tuple(_wrap(v) for v in row)
-                                     for row in self._gram_raw(n, h)))
+        return GramBlock(n, h, tuple(map(tuple, self._gram_raw(n, h))))
 
     def block_norm(self, n, m):
         """Closed-form squared norm of P_{n,m}: the ladder norm times the
         second-variable norm."""
         _check_degrees(n, m)
-        raw = self.ladder(m)._h_raw(n - m) * self.q._h_raw(m)
-        return _wrap(raw)
+        return self.ladder(m).norms(n - m) * self.q.norms(m)
 
 
 def assemble(rho, ladder_factory, q, label="system"):
@@ -472,7 +453,7 @@ def _check_symmetric(q, label, upto):
     """Raise ValueError unless b(j) = 0 for every j <= upto, as case II
     requires of q.  Nothing is stored, so a failure repeats on every call."""
     for j in range(upto + 1):
-        if q._b_raw(j):
+        if q.b(j):
             raise ValueError(
                 f"{label}: case II requires a symmetric second-variable "
                 f"family; {q.label} has b({j}) != 0")

@@ -1,12 +1,14 @@
 """Exact scalar arithmetic, sparse bivariate polynomials, banded matrices.
 
-Everything downstream is built on three value types, all exact rational
-(gmpy2.mpq when available, fractions.Fraction otherwise):
+Every value the package computes is a raw exact rational of the backend
+(gmpy2.mpq when available, fractions.Fraction otherwise).  Three types
+hold such values:
 
-* ``Scalar`` -- an immutable exact rational.  Its binary operators come
-  from one factory (``_operator``) that reads the other operand through
-  ``_as_raw_exact``, so a float meeting it raises ModeError and an exact
-  pipeline cannot silently degrade to doubles.
+* ``Scalar`` -- an immutable exact rational at the public boundary, which
+  no call returns but ``Scalar.exact`` and the ``BandMatrix`` reads.  Its
+  binary operators come from one factory (``_operator``) that reads the
+  other operand through ``_as_raw_exact``, so a float meeting it raises
+  ModeError and an exact pipeline cannot silently degrade to doubles.
 * ``SparsePoly2`` -- a read-only bivariate polynomial stored as a map from
   exponent pairs to nonzero coefficients: the public form of a basis
   polynomial.  It has no arithmetic operators; every route works on
@@ -42,6 +44,8 @@ if _mpq is not None:
 else:  # pragma: no cover
     _RAT = Fraction
     _RAT_TYPES = (Fraction,)
+
+_ZERO = _RAT(0)
 
 
 class ModeError(TypeError):
@@ -125,8 +129,9 @@ def _operator(op, wrap=True, reflected=False):
 
 class Scalar:
     """An immutable exact rational, in lowest terms with positive
-    denominator.  Plain ints and Fraction/mpq values mix with it; a float
-    raises ModeError.
+    denominator, from ``Scalar.exact``, the ``BandMatrix`` reads and its
+    own arithmetic.  Plain ints and Fraction/mpq values mix with it; a
+    float raises ModeError.
     """
 
     __slots__ = ("value",)
@@ -146,30 +151,11 @@ class Scalar:
     def exact(cls, value):
         return cls(value)
 
-    @classmethod
-    def zero(cls):
-        return _wrap(_RAT(0))
-
-    @classmethod
-    def one(cls):
-        return _wrap(_RAT(1))
-
     # -- inspection ----------------------------------------------------
 
     @property
     def is_zero(self):
         return not self.value
-
-    @property
-    def numerator(self):
-        return int(self.value.numerator)
-
-    @property
-    def denominator(self):
-        return int(self.value.denominator)
-
-    def as_fraction(self):
-        return Fraction(int(self.value.numerator), int(self.value.denominator))
 
     def __float__(self):
         return float(self.value)
@@ -279,21 +265,18 @@ class SparsePoly2:
 
     @property
     def terms(self):
-        """Dict {(i, j): Scalar} of the nonzero terms (a fresh copy)."""
-        return {k: _wrap(v) for k, v in self._terms.items()}
+        """Dict {(i, j): rational} of the nonzero terms (a fresh copy)."""
+        return dict(self._terms)
 
     def coeff(self, i, j):
-        raw = self._terms.get((i, j))
-        if raw is None:
-            return Scalar.zero()
-        return _wrap(raw)
+        return self._terms.get((i, j), _ZERO)
 
     def eval(self, x, y):
-        """Evaluate at exact x, y (Scalars, ints or rationals)."""
+        """The backend rational value at exact x, y (Scalars, ints or
+        rationals)."""
         top = max((max(key) for key in self._terms), default=0)
-        value = _eval_terms(self._terms, _powers(_as_raw_exact(x), top),
-                            _powers(_as_raw_exact(y), top), _RAT(0))
-        return _wrap(value)
+        return _eval_terms(self._terms, _powers(_as_raw_exact(x), top),
+                           _powers(_as_raw_exact(y), top), _ZERO)
 
     # -- comparison / rendering -----------------------------------------
 
@@ -413,10 +396,7 @@ class BandMatrix:
     def get(self, r, c):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"({r}, {c}) outside a {self.rows}x{self.cols} matrix")
-        raw = self._entries.get((r, c - r))
-        if raw is None:
-            return Scalar.zero()
-        return _wrap(raw)
+        return _wrap(self._entries.get((r, c - r), _ZERO))
 
     def __getitem__(self, key):
         r, c = key
@@ -430,7 +410,7 @@ class BandMatrix:
     def dense(self):
         """Dense rows of Scalars; every position outside the stored entries
         holds one shared exact zero."""
-        zero = Scalar.zero()
+        zero = _wrap(_ZERO)
         rows = [[zero] * self.cols for _ in range(self.rows)]
         for (r, off), raw in self._entries.items():
             rows[r][r + off] = _wrap(raw)

@@ -21,9 +21,10 @@ matrices purely from bivariate moments,
 
 with H_n the Gram block of degree n, of which only the diagonal is formed,
 making no structural assumption (full bandwidth).  The moment matrices
-<w, t_i P_n P_h^t> are the raw Gram blocks that ``BivariateSystem`` caches, read from moments and the expanded
-basis polynomials only.  C is read from the block already cached for
-A_{n-1}: C[r][c] = <w, t_i P_{n-1,c} P_{n,r}> / H_{n-1}[c].
+<w, t_i P_n P_h^t> are the raw Gram blocks that ``BivariateSystem``
+caches, read from moments and the expanded basis polynomials only.  C
+is read from the block already cached for A_{n-1}:
+C[r][c] = <w, t_i P_{n-1,c} P_{n,r}> / H_{n-1}[c].
 ``rank_conditions`` checks the rank identities that make the recurrence
 well posed.
 """
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 from .construction import CASE_I, _check_symmetric
 from .numerics import BandMatrix, _check_index, _int_rows, _rank_int
-from .univariate import _down_raw, _up_raw
+from .univariate import _adjacent_down, _adjacent_up
 
 AXES = ("x", "y")
 
@@ -70,10 +71,10 @@ def first_ttr(sys, n):
     c_entries = {}
     for m in range(n + 1):
         fam = ladders[m]
-        a_entries[(m, m)] = fam._a_raw(n - m)
-        b_entries[(m, m)] = fam._b_raw(n - m)
+        a_entries[(m, m)] = fam.a(n - m)
+        b_entries[(m, m)] = fam.b(n - m)
         if m <= n - 1:
-            c_entries[(m, m)] = fam._c_raw(n - m)
+            c_entries[(m, m)] = fam.c(n - m)
     cached = sys._ttr_cache[(n, "x")] = (
         BandMatrix(n + 1, n + 2, 0, 0, a_entries),
         BandMatrix(n + 1, n + 1, 0, 0, b_entries),
@@ -83,13 +84,13 @@ def first_ttr(sys, n):
 
 
 def _down(sys, m, k):
-    """Raw (delta, epsilon, zeta) between ladder steps m and m + 1 at index
-    k (``univariate._down_raw``), formed once per system: the superdiagonal
-    of one degree and the subdiagonal of the next two read the same one."""
+    """The ``AdjacentDown`` triple between ladder steps m and m + 1 at index
+    k, formed once per system: the superdiagonal of one degree and the
+    subdiagonal of the next two read the same one."""
     triple = sys._down_cache.get((m, k))
     if triple is None:
-        triple = sys._down_cache[(m, k)] = _down_raw(
-            sys.ladder(m), sys.ladder(m + 1), sys.rho.s2.value, k)
+        triple = sys._down_cache[(m, k)] = _adjacent_down(
+            sys.ladder(m), sys.ladder(m + 1), sys.rho.s2, k)
     return triple
 
 
@@ -111,7 +112,6 @@ def second_ttr(sys, n):
     if cached is not None:
         return cached
     rho = sys.rho
-    s2 = rho.s2.value
     case_i = sys.case == CASE_I
     q = sys.q
     if not case_i:
@@ -120,13 +120,13 @@ def second_ttr(sys, n):
     b_entries = {}
     c_entries = {}
     for m in range(n + 1):
-        qa = q._a_raw(m)
+        qa = q.a(m)
         # Subdiagonal: q's c-coefficient times the upward connection
         # between ladder steps m-1 and m, at first-variable index n-m.
         if m >= 1:
-            qc = q._c_raw(m)
-            eta, theta, vartheta = _up_raw(
-                sys.ladder(m - 1), sys.ladder(m), s2, n - m,
+            qc = q.c(m)
+            eta, theta, vartheta = _adjacent_up(
+                sys.ladder(m - 1), sys.ladder(m), rho.s2, n - m,
                 lambda k: _down(sys, m - 1, k))
             a_entries[(m, m - 1)] = qc * eta
             b_entries[(m, m - 1)] = qc * theta
@@ -134,15 +134,13 @@ def second_ttr(sys, n):
         # Diagonal: vanishes in case II; otherwise q's b-coefficient times
         # the ladder recurrence mapped through rho = r1 x + r0.
         if case_i:
-            qb = q._b_raw(m)
+            qb = q.b(m)
             if qb:
-                r1 = rho.r1.value
-                r0 = rho.r0.value
                 fam = sys.ladder(m)
-                a_entries[(m, m)] = qb * r1 * fam._a_raw(n - m)
-                b_entries[(m, m)] = qb * (r1 * fam._b_raw(n - m) + r0)
+                a_entries[(m, m)] = qb * rho.r1 * fam.a(n - m)
+                b_entries[(m, m)] = qb * (rho.r1 * fam.b(n - m) + rho.r0)
                 if m <= n - 1:
-                    c_entries[(m, m)] = qb * r1 * fam._c_raw(n - m)
+                    c_entries[(m, m)] = qb * rho.r1 * fam.c(n - m)
         # Superdiagonal: q's a-coefficient times the downward connection
         # between ladder steps m and m+1, at first-variable index n-m.
         delta, epsilon, zeta = _down(sys, m, n - m)

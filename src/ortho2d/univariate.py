@@ -19,6 +19,11 @@ companion family obtained by appending a factor rho(x)^2 to its weight:
 where q is the companion family normalized so that its h_0 equals the
 rho^2-moment of the base family (``adjacent_down`` / ``adjacent_up``).
 
+Every value returned -- recurrence, leading, dense and connection
+coefficients, norms, moments, point values, parameters -- is a backend
+rational (gmpy2.mpq or fractions.Fraction); inputs may be Scalars, ints
+or rationals.
+
 Division by zero anywhere in the lazy recurrence data signals that the
 parameter choice does not define a quasi-definite functional; it surfaces
 as a structured QuasiDefinitenessError.
@@ -26,15 +31,10 @@ as a structured QuasiDefinitenessError.
 from __future__ import annotations
 
 import math
+from numbers import Rational
 from typing import NamedTuple
 
-from .numerics import (
-    Scalar,
-    _RAT,
-    _as_raw_exact,
-    _check_index,
-    _wrap,
-)
+from .numerics import _RAT, _as_raw_exact, _check_index
 
 _ONE = _RAT(1)
 _ZERO = _RAT(0)
@@ -60,8 +60,8 @@ class QuasiDefinitenessError(ArithmeticError):
 class LeadingPair(NamedTuple):
     """Leading coefficient k_n and subleading coefficient l_n of p_n."""
 
-    k: Scalar
-    l: Scalar
+    k: Rational
+    l: Rational
 
 
 class AdjacentDown(NamedTuple):
@@ -71,9 +71,9 @@ class AdjacentDown(NamedTuple):
     not occur).  delta is always nonzero.
     """
 
-    delta: Scalar
-    epsilon: Scalar | None
-    zeta: Scalar | None
+    delta: Rational
+    epsilon: Rational | None
+    zeta: Rational | None
 
 
 class AdjacentUp(NamedTuple):
@@ -81,9 +81,9 @@ class AdjacentUp(NamedTuple):
     family.  vartheta is always nonzero; eta vanishes when rho is constant
     or linear (s2 = 0)."""
 
-    eta: Scalar
-    theta: Scalar
-    vartheta: Scalar
+    eta: Rational
+    theta: Rational
+    vartheta: Rational
 
 
 class RecurrenceFamily:
@@ -108,7 +108,7 @@ class RecurrenceFamily:
             raise ValueError(f"{label}: h0 must be nonzero")
         self._h0 = h0_raw
         self._abc_cache = {"a": {}, "b": {}, "c": {}}
-        self._kl_cache = [(_ONE, _ZERO)]
+        self._kl_cache = [LeadingPair(_ONE, _ZERO)]
         self._h_cache = [h0_raw]
         # Moments <u, x^j>, each stored once; the integer vector of the last
         # x^j in the p-basis as (d, [ints]); the recurrence coefficients
@@ -126,13 +126,13 @@ class RecurrenceFamily:
         return RecurrenceFamily(self.label, self._a_fn, self._b_fn,
                                 self._c_fn, h0, self.params)
 
-    # -- guarded raw recurrence access -------------------------------------
+    # -- recurrence coefficients ---------------------------------------------
 
     def _fail(self, index, detail, cause=None):
         raise QuasiDefinitenessError(self.label, self.params, index,
                                      detail) from cause
 
-    def _raw(self, which, fn, n):
+    def _coefficient(self, which, fn, n):
         _check_index(n, "index")
         cache = self._abc_cache[which]
         value = cache.get(n)
@@ -146,68 +146,50 @@ class RecurrenceFamily:
             cache[n] = value
         return value
 
-    def _a_raw(self, n):
-        return self._raw("a", self._a_fn, n)
-
-    def _b_raw(self, n):
-        return self._raw("b", self._b_fn, n)
-
-    def _c_raw(self, n):
-        if n < 1:
-            raise ValueError("c(n) is only defined for n >= 1")
-        return self._raw("c", self._c_fn, n)
-
-    # -- public recurrence coefficients ------------------------------------
-
     def a(self, n):
-        return _wrap(self._a_raw(n))
+        return self._coefficient("a", self._a_fn, n)
 
     def b(self, n):
-        return _wrap(self._b_raw(n))
+        return self._coefficient("b", self._b_fn, n)
 
     def c(self, n):
-        return _wrap(self._c_raw(n))
+        if n < 1:
+            raise ValueError("c(n) is only defined for n >= 1")
+        return self._coefficient("c", self._c_fn, n)
 
     @property
     def h0(self):
-        return _wrap(self._h0)
+        return self._h0
 
     # -- leading coefficients ------------------------------------------------
-
-    def _kl_raw(self, n):
-        cache = self._kl_cache
-        while len(cache) <= n:
-            j = len(cache) - 1
-            k, l = cache[j]
-            a_j = self._a_raw(j)
-            if not a_j:
-                self._fail(j, f"a({j}) = 0: degree cannot advance")
-            cache.append((k / a_j, (l - self._b_raw(j) * k) / a_j))
-        return cache[n]
 
     def leading_coeffs(self, n):
         """k_n (always nonzero) and l_n, the top two coefficients of p_n."""
         _check_index(n, "degree")
-        k, l = self._kl_raw(n)
-        return LeadingPair(_wrap(k), _wrap(l))
+        cache = self._kl_cache
+        while len(cache) <= n:
+            j = len(cache) - 1
+            k, l = cache[j]
+            a_j = self.a(j)
+            if not a_j:
+                self._fail(j, f"a({j}) = 0: degree cannot advance")
+            cache.append(LeadingPair(k / a_j, (l - self.b(j) * k) / a_j))
+        return cache[n]
 
     # -- norms ---------------------------------------------------------------
 
-    def _h_raw(self, n):
+    def norms(self, n):
+        """Squared norm h_n of p_n (relative to the chosen h_0)."""
+        _check_index(n, "degree")
         cache = self._h_cache
         while len(cache) <= n:
             j = len(cache)
-            ratio = self._c_raw(j) / self._a_raw(j - 1)
+            ratio = self.c(j) / self.a(j - 1)
             if not ratio:
                 self._fail(j, f"norm ratio h({j})/h({j - 1}) = "
                               f"c({j})/a({j - 1}) is zero")
             cache.append(cache[j - 1] * ratio)
         return cache[n]
-
-    def norms(self, n):
-        """Squared norm h_n of p_n (relative to the chosen h_0)."""
-        _check_index(n, "degree")
-        return _wrap(self._h_raw(n))
 
     # -- moments ---------------------------------------------------------------
 
@@ -220,8 +202,7 @@ class RecurrenceFamily:
         while len(A) <= top:
             i = len(A)
             # Read c, b, a in the order the recurrence first needs them.
-            new = (self._c_raw(i) if i else _ZERO, self._b_raw(i),
-                   self._a_raw(i))
+            new = (self.c(i) if i else _ZERO, self.b(i), self.a(i))
             dens = [int(v.denominator) for v in new]
             grown = math.lcm(L, *dens)
             if grown != L:
@@ -263,7 +244,7 @@ class RecurrenceFamily:
         """List of moments <u, x^j> for j = 0..upto (so moments(0) = [h_0])."""
         _check_index(upto, "moment bound")
         self._moment_raw(upto)
-        return [_wrap(v) for v in self._moments[:upto + 1]]
+        return self._moments[:upto + 1]
 
     # -- dense coefficients / evaluation ------------------------------------
 
@@ -275,10 +256,10 @@ class RecurrenceFamily:
         while len(cache) <= n:
             j = len(cache) - 1
             d, cur = cache[j]
-            a_j = self._a_raw(j)
+            a_j = self.a(j)
             if not a_j:
                 self._fail(j, f"a({j}) = 0: degree cannot advance")
-            b_j = self._b_raw(j)
+            b_j = self.b(j)
             # p_{j+1} = ((x - b_j) p_j - c_j p_{j-1}) / a_j: the p_j terms
             # over d * den(b_j), the p_{j-1} terms over d_prev * den(c_j),
             # both over their lcm, then times 1 / a_j with the sign of a_j
@@ -290,7 +271,7 @@ class RecurrenceFamily:
             lcm = d * bd
             f_c, prev = 0, ()
             if j >= 1:
-                c_j = self._c_raw(j)
+                c_j = self.c(j)
                 d_prev, prev = cache[j - 1]
                 cd = d_prev * int(c_j.denominator)
                 lcm = math.lcm(lcm, cd)
@@ -310,23 +291,23 @@ class RecurrenceFamily:
         as rationals from the cached integer form at this boundary."""
         _check_index(n, "degree")
         d, ints = self._coeffs_int(n)
-        return [_wrap(_RAT(c, d)) for c in ints]
+        return [_RAT(c, d) for c in ints]
 
     def eval(self, n, x):
-        """Evaluate p_n exactly at x (a Scalar, int or rational)."""
+        """p_n(x) as a backend rational, x a Scalar, int or rational."""
         xv = _as_raw_exact(x)
         _check_index(n, "degree")
         p_prev = None
         p_cur = _ONE
         for j in range(n):
-            a_j = self._a_raw(j)
+            a_j = self.a(j)
             if not a_j:
                 self._fail(j, f"a({j}) = 0: degree cannot advance")
-            p_next = (xv - self._b_raw(j)) * p_cur
+            p_next = (xv - self.b(j)) * p_cur
             if j >= 1:
-                p_next = p_next - self._c_raw(j) * p_prev
+                p_next = p_next - self.c(j) * p_prev
             p_prev, p_cur = p_cur, p_next / a_j
-        return _wrap(p_cur)
+        return p_cur
 
 
 # -- family constructors ----------------------------------------------------
@@ -354,25 +335,23 @@ def _jacobi_raw_closures(alpha, beta):
 
 def jacobi_std(alpha, beta):
     """Jacobi-type family on the symmetric interval, weight (1-x)^alpha (1+x)^beta."""
-    al = _as_raw_exact(alpha)
-    be = _as_raw_exact(beta)
+    al, be = map(_as_raw_exact, (alpha, beta))
     a, b, c = _jacobi_raw_closures(al, be)
     return RecurrenceFamily(
         f"jacobi({al},{be})", a, b, c,
-        params={"alpha": _wrap(al), "beta": _wrap(be)})
+        params={"alpha": al, "beta": be})
 
 
 def jacobi_shift(alpha, beta):
     """Jacobi-type family on the unit interval, weight (1-x)^alpha x^beta."""
-    al = _as_raw_exact(alpha)
-    be = _as_raw_exact(beta)
+    al, be = map(_as_raw_exact, (alpha, beta))
     a, b, c = _jacobi_raw_closures(al, be)
     return RecurrenceFamily(
         f"jacobi01({al},{be})",
         lambda n: a(n) / 2,
         lambda n: (b(n) + 1) / 2,
         lambda n: c(n) / 2,
-        params={"alpha": _wrap(al), "beta": _wrap(be)})
+        params={"alpha": al, "beta": be})
 
 
 def laguerre(alpha):
@@ -383,7 +362,7 @@ def laguerre(alpha):
         lambda n: _RAT(-(n + 1)),
         lambda n: 2 * n + al + 1,
         lambda n: -(n + al),
-        params={"alpha": _wrap(al)})
+        params={"alpha": al})
 
 
 def bessel(a, b):
@@ -392,8 +371,7 @@ def bessel(a, b):
     Normalized so every polynomial takes the value 1 at the origin.
     Requires b != 0; degenerate values of a surface lazily.
     """
-    av = _as_raw_exact(a)
-    bv = _as_raw_exact(b)
+    av, bv = map(_as_raw_exact, (a, b))
     if not bv:
         raise ValueError("bessel scale parameter b must be nonzero")
 
@@ -412,39 +390,37 @@ def bessel(a, b):
 
     return RecurrenceFamily(
         f"bessel({av},{bv})", a_fn, b_fn, c_fn,
-        params={"a": _wrap(av), "b": _wrap(bv)})
+        params={"a": av, "b": bv})
 
 
 # -- adjacent-family connections ----------------------------------------------
 
 
-def _down_raw(fam_m, fam_m1, s2, n):
-    """Raw (delta, epsilon, zeta) of ``adjacent_down``; s2 is a raw
-    rational, and epsilon (n < 1) and zeta (n < 2) are None."""
-    k_m_n, l_m_n = fam_m._kl_raw(n)
-    k_m1_n, l_m1_n = fam_m1._kl_raw(n)
+def _adjacent_down(fam_m, fam_m1, s2, n):
+    """``adjacent_down`` without the index check; s2 is a raw rational."""
+    k_m_n, l_m_n = fam_m.leading_coeffs(n)
+    k_m1_n, l_m1_n = fam_m1.leading_coeffs(n)
     delta = k_m_n / k_m1_n
     epsilon = None
     zeta = None
     if n >= 1:
-        k_m1_prev = fam_m1._kl_raw(n - 1)[0]
+        k_m1_prev = fam_m1.leading_coeffs(n - 1).k
         epsilon = (l_m_n - delta * l_m1_n) / k_m1_prev
     if n >= 2:
-        zeta = (s2 * fam_m1._kl_raw(n - 2)[0] / k_m_n
-                * fam_m._h_raw(n) / fam_m1._h_raw(n - 2))
-    return delta, epsilon, zeta
+        zeta = (s2 * fam_m1.leading_coeffs(n - 2).k / k_m_n
+                * fam_m.norms(n) / fam_m1.norms(n - 2))
+    return AdjacentDown(delta, epsilon, zeta)
 
 
-def _up_raw(fam_m, fam_m1, s2, n, down):
-    """Raw (eta, theta, vartheta) of ``adjacent_up``; s2 is a raw rational
-    and down(k) the raw (delta, epsilon, zeta) of ``_down_raw`` at k."""
-    eta = s2 * fam_m1._kl_raw(n)[0] / fam_m._kl_raw(n + 2)[0]
-    delta = down(n)[0]
-    epsilon_next = down(n + 1)[1]
-    h_m1_n = fam_m1._h_raw(n)
-    theta = epsilon_next * h_m1_n / fam_m._h_raw(n + 1)
-    vartheta = delta * h_m1_n / fam_m._h_raw(n)
-    return eta, theta, vartheta
+def _adjacent_up(fam_m, fam_m1, s2, n, down):
+    """``adjacent_up`` without the index check; s2 is a raw rational and
+    down(k) the ``AdjacentDown`` triple at k."""
+    eta = s2 * fam_m1.leading_coeffs(n).k / fam_m.leading_coeffs(n + 2).k
+    delta, epsilon_next = down(n).delta, down(n + 1).epsilon
+    h_m1_n = fam_m1.norms(n)
+    theta = epsilon_next * h_m1_n / fam_m.norms(n + 1)
+    vartheta = delta * h_m1_n / fam_m.norms(n)
+    return AdjacentUp(eta, theta, vartheta)
 
 
 def adjacent_down(fam_m, fam_m1, s2, n):
@@ -455,12 +431,7 @@ def adjacent_down(fam_m, fam_m1, s2, n):
     the rho^2-moment chain for the norm-dependent zeta to be meaningful.
     """
     _check_index(n, "index")
-    delta, epsilon, zeta = _down_raw(fam_m, fam_m1, _as_raw_exact(s2), n)
-    return AdjacentDown(
-        _wrap(delta),
-        None if epsilon is None else _wrap(epsilon),
-        None if zeta is None else _wrap(zeta),
-    )
+    return _adjacent_down(fam_m, fam_m1, _as_raw_exact(s2), n)
 
 
 def adjacent_up(fam_m, fam_m1, s2, n):
@@ -468,6 +439,5 @@ def adjacent_up(fam_m, fam_m1, s2, n):
     polynomial back in fam_m.  Defined for every n >= 0."""
     _check_index(n, "index")
     s2 = _as_raw_exact(s2)
-    eta, theta, vartheta = _up_raw(
-        fam_m, fam_m1, s2, n, lambda k: _down_raw(fam_m, fam_m1, s2, k))
-    return AdjacentUp(_wrap(eta), _wrap(theta), _wrap(vartheta))
+    return _adjacent_up(fam_m, fam_m1, s2, n,
+                        lambda k: _adjacent_down(fam_m, fam_m1, s2, k))

@@ -243,7 +243,7 @@ def verify_orthogonality(sys, max_degree):
             for m in range(n + 1):
                 for mp in range(h + 1):
                     v = block.entries[m][mp]
-                    if not v.is_zero:
+                    if v:
                         return CheckResult("orthogonality", False, {
                             "max_degree": max_degree,
                             "kind": "cross-degree block not zero",
@@ -254,7 +254,7 @@ def verify_orthogonality(sys, max_degree):
             for mp in range(n + 1):
                 v = block.entries[m][mp]
                 if m != mp:
-                    if not v.is_zero:
+                    if v:
                         return CheckResult("orthogonality", False, {
                             "max_degree": max_degree,
                             "kind": "diagonal block not diagonal",
@@ -283,7 +283,7 @@ def verify_central_symmetry(sys, max_degree, moment_bound=None):
     for total in range(1, moment_bound + 1, 2):
         for h in range(total + 1):
             k = total - h
-            if not sys.w_moment(h, k).is_zero:
+            if sys.w_moment(h, k):
                 odd_ok = False
                 first_moment = [h, k]
                 break

@@ -247,6 +247,112 @@ def test_tables_bytes_are_pinned(capsys, family, params, json_sha, csv_sha,
         assert hashlib.sha256(out.encode()).hexdigest() == digest, options
 
 
+# A stand-in for gmpy2, put into sys.modules before ortho2d is imported, so
+# that the mpq backend path runs where gmpy2 is not installed.  Its mpq is
+# a Fraction whose arithmetic returns mpq, whose numerator and denominator
+# are an int subclass (a type other than int, as mpz is) and whose repr
+# differs from Fraction's.  It does not model these gmpy2 behaviours: mpz
+# is no int subclass at all and mpq no Fraction subclass (isinstance
+# checks against int or Fraction fail there), mpq + float gives an mpfr,
+# the text of gmpy2's ZeroDivisionError differs, and mpq is C-fast.
+STUB_GMPY2 = """
+import sys
+import types
+from fractions import Fraction
+
+
+class mpz(int):
+    def __repr__(self):
+        return f"mpz({int(self)})"
+
+
+class mpq(Fraction):
+    __slots__ = ()
+    numerator = property(lambda self: mpz(self._numerator))
+    denominator = property(lambda self: mpz(self._denominator))
+
+    def __repr__(self):
+        return f"mpq({self._numerator},{self._denominator})"
+
+
+def _lift(name):
+    method = getattr(Fraction, name)
+
+    def lifted(*args):
+        value = method(*args)
+        return mpq(value) if type(value) is Fraction else value
+    return lifted
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+              "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+              "__neg__", "__pos__", "__abs__"):
+    setattr(mpq, _name, _lift(_name))
+
+gmpy2 = types.ModuleType("gmpy2")
+gmpy2.mpq, gmpy2.mpz = mpq, mpz
+sys.modules["gmpy2"] = gmpy2
+"""
+
+# Under the stand-in: the pinned CLI bytes of test_tables_bytes_are_pinned
+# as SHA-256 per pinned set, the backend type of the public values and
+# the three-route cross-check of the pinned systems to degree 6.
+STUB_RUN = STUB_GMPY2 + """
+import contextlib
+import hashlib
+import io
+import json
+
+from ortho2d import Scalar, catalog_id, cross_check, make_system
+from ortho2d.cli import main
+
+
+def sha(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+result = {"types": [], "digests": [], "cross_check": []}
+for family, params in PINNED:
+    flags = [f"--{k}={v}" for k, v in params.items()]
+    result["digests"].append(
+        [sha("tables", family, *flags, "--max-n", "6", "--format", fmt)
+         for fmt in ("json", "csv")]
+        + [sha(command, family, *flags, *options)
+           for command, options, _ in PINNED_COMMANDS])
+    cid = catalog_id(family, **params)
+    system = make_system(cid)
+    result["types"] += [type(v).__name__ for v in (
+        Scalar.exact(1).value, cid.params[0][1], system.w_moment(0, 0),
+        system.q.a(0), system.block_norm(1, 0))]
+    result["cross_check"].append(cross_check(cid, 6, system=system).ok)
+result["repr"] = repr(catalog_id("disk", mu="1/2"))
+print(json.dumps(result))
+"""
+
+
+def test_the_mpq_backend_keeps_the_pinned_bytes():
+    pinned = [(family, params) for family, params, _, _ in TABLE_DIGESTS]
+    code = (f"PINNED = {pinned!r}\nPINNED_COMMANDS = {PINNED_COMMANDS!r}\n"
+            + STUB_RUN)
+    env = dict(os.environ, PYTHONPATH=str(Path(ortho2d.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=600)
+    result = json.loads(done.stdout)
+    assert set(result["types"]) == {"mpq"}
+    assert result["repr"] == ("CatalogId(name='disk', "
+                              "params=(('mu', mpq(1,2)),))")
+    for got, (_, _, json_sha, csv_sha), command_shas in zip(
+            result["digests"], TABLE_DIGESTS, COMMAND_DIGESTS):
+        want = [(0, json_sha), (0, csv_sha)] + [
+            (exit_code, digest) for (_, _, exit_code), digest
+            in zip(PINNED_COMMANDS, command_shas)]
+        assert [tuple(pair) for pair in got] == want
+    assert all(result["cross_check"])
+
+
 def test_tables_bessel_laguerre_anchor(capsys):
     obj = run_json(capsys, "tables", "bessel-laguerre", "--g", "5",
                    "--gamma", "2/5", "--max-n", "0")
@@ -304,6 +410,15 @@ def test_verify_quasi_definiteness_exit_three(capsys):
                          "--max-n", "2")
     assert code == 3
     assert "error" in err
+
+
+def test_a_vanishing_closed_form_denominator_shows_no_backend_repr(capsys):
+    # mu = -1 makes n + mu + 1 vanish at n = 0
+    code, out, err = run(capsys, "verify", "disk", "--mu", "-1")
+    assert (code, out) == (3, "")
+    assert err == ("error: a closed-form denominator vanished at these "
+                   "parameters; the functional is not quasi-definite\n")
+    assert "Fraction(" not in err and "mpq(" not in err
 
 
 def test_zero_bessel_scale_exits_two_in_every_subcommand(capsys):
