@@ -15,7 +15,8 @@ Where a single rational expression would degenerate to 0/0 at a
 structural index (typically m = n or m = 0) the algebraically cancelled
 branch is used, so the tables evaluate at every index their band admits.
 A family's table gives only the entries it computes; the band layout
-(``_LAYOUT``) alone decides where a row holds None or an exact zero.
+(``numerics._LAYOUT``) alone decides where a row holds None or an exact
+zero.  Each family is stated once, in one ``_Family`` record.
 
 ``closed_form_ttr`` and ``cross_check`` import ``ttr`` when called, so the
 tables and the systems alone never load it.
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 from .construction import RhoSpec, assemble
 from .numerics import (BandMatrix, Scalar, _RAT, _as_raw_exact,
-                       _check_degrees, _check_index)
+                       _band_row, _check_degrees, _check_index, _relation)
 from .univariate import (
     RecurrenceFamily,
     bessel,
@@ -36,16 +37,6 @@ from .univariate import (
 )
 
 _HALF = _RAT(1, 2)
-_ZERO = _RAT(0)
-
-FAMILY_PARAMS = {
-    "disk": ("mu",),
-    "biangle": ("alpha", "beta"),
-    "simplex": ("alpha", "beta", "gamma"),
-    "square": ("alpha", "beta", "gamma", "delta"),
-    "laguerre-jacobi": ("alpha", "beta"),
-    "bessel-laguerre": ("g", "gamma"),
-}
 
 
 class _CatalogIdFields(NamedTuple):
@@ -103,79 +94,32 @@ def _params(cid):
 
 def make_system(cid):
     """Assemble the BivariateSystem for a catalog family."""
-    p = _params(cid)
-    label = cid.describe()
-    name = cid.name
-    if name == "disk":
-        mu = p["mu"]
-        return assemble(
-            RhoSpec.sqrt_quadratic(-1, 0, 1),
-            lambda m: jacobi_std(mu + m, mu + m),
-            jacobi_std(mu - _HALF, mu - _HALF),
-            label=label)
-    if name == "biangle":
-        al, be = p["alpha"], p["beta"]
-        return assemble(
-            RhoSpec.sqrt_quadratic(0, 1, 0),
-            lambda m: jacobi_shift(al, be + m + _HALF),
-            jacobi_std(be, be),
-            label=label)
-    if name == "simplex":
-        al, be, ga = p["alpha"], p["beta"], p["gamma"]
-        return assemble(
-            RhoSpec.linear(-1, 1),
-            lambda m: jacobi_shift(be + ga + 2 * m + 1, al),
-            jacobi_shift(ga, be),
-            label=label)
-    if name == "square":
-        al, be, ga, de = p["alpha"], p["beta"], p["gamma"], p["delta"]
-        return assemble(
-            RhoSpec.linear(0, 1),
-            lambda m: jacobi_std(al, be),
-            jacobi_std(ga, de),
-            label=label)
-    if name == "laguerre-jacobi":
-        al, be = p["alpha"], p["beta"]
-        return assemble(
-            RhoSpec.linear(1, 0),
-            lambda m: laguerre(al + 2 * m + 1),
-            jacobi_std(be, 0),
-            label=label)
-    # bessel-laguerre
-    g, ga = p["g"], p["gamma"]
-    gg = g * ga
-    q = RecurrenceFamily(
-        f"scaled-laguerre({gg - 1};1/{g})",
-        lambda m: -(m + 1) / g,
-        lambda m: (2 * m + gg) / g,
-        lambda m: -(m + gg - 1) / g,
-        params={"g": g, "gamma": ga})
-    return assemble(
-        RhoSpec.linear(1, 0),
-        lambda m: bessel(g + 2 * m, -g),
-        q,
-        label=label)
+    values = _params(cid).values()
+    return assemble(*_FAMILIES[cid.name].ingredients(*values),
+                    label=cid.describe())
 
 
 def positive_definite(cid):
     """Whether the family's functional is positive-definite (not merely
     quasi-definite) for these parameters."""
-    p = _params(cid)
-    name = cid.name
-    if name == "disk":
-        return p["mu"] > -_HALF
-    if name == "biangle":
-        return p["alpha"] > -1 and p["beta"] > -1
-    if name == "simplex":
-        return all(p[k] > -1 for k in ("alpha", "beta", "gamma"))
-    if name == "square":
-        return all(p[k] > -1 for k in ("alpha", "beta", "gamma", "delta"))
-    if name == "laguerre-jacobi":
-        return p["alpha"] > -2 and p["beta"] > -1
-    return False  # bessel-laguerre is quasi-definite only
+    values = _params(cid).values()
+    bounds = _FAMILIES[cid.name].bounds
+    return bounds is not None and all(v > b for v, b in zip(values, bounds))
 
 
-# -- closed-form first relation (diagonal matrices) ----------------------------
+def _scaled_laguerre(g, gamma):
+    """The second-variable family of bessel-laguerre: Laguerre-type with
+    parameter g gamma - 1, its recurrence coefficients divided by g."""
+    gg = g * gamma
+    return RecurrenceFamily(
+        f"scaled-laguerre({gg - 1};1/{g})",
+        lambda m: -(m + 1) / g,
+        lambda m: (2 * m + gg) / g,
+        lambda m: -(m + gg - 1) / g,
+        params={"g": g, "gamma": gamma})
+
+
+# -- closed-form first relation (diagonal matrices) ---------------------------
 
 
 def _disk_first(p, n, m):
@@ -204,7 +148,8 @@ def _biangle_first(p, n, m):
         b = b - (n + be + _HALF) * (n - m) / (d + _HALF)
     out = {"a": a, "b": b}
     if m <= n - 1:
-        out["c"] = (n - m + al) * (n + be + _HALF) / ((d + _HALF) * (d + 3 * _HALF))
+        out["c"] = ((n - m + al) * (n + be + _HALF)
+                    / ((d + _HALF) * (d + 3 * _HALF)))
     return out
 
 
@@ -221,7 +166,8 @@ def _simplex_first(p, n, m):
         b = b - (n - m + al) * (n - m) / (2 * n + s + 1)
     out = {"a": a, "b": b}
     if m <= n - 1:
-        out["c"] = (n + m + t + 1) * (n - m + al) / ((2 * n + s + 1) * (2 * n + s + 2))
+        out["c"] = ((n + m + t + 1) * (n - m + al)
+                    / ((2 * n + s + 1) * (2 * n + s + 2)))
     return out
 
 
@@ -265,7 +211,7 @@ def _bl_first(p, n, m):
     return out
 
 
-# -- closed-form second relation (tridiagonal matrices) --------------------------
+# -- closed-form second relation (tridiagonal matrices) -----------------------
 
 
 def _disk_second(p, n, m):
@@ -294,7 +240,8 @@ def _biangle_second(p, n, m):
     if m >= 1:
         out["b1"] = (m + be) * (n - m + 1) / ((2 * m + 2 * be + 1) * d)
         out["c1"] = (m + be) * (n + be + _HALF) / ((2 * m + 2 * be + 1) * d)
-    out["a3"] = 2 * (m + 1) * (m + 2 * be + 1) * (n + al + be + 3 * _HALF) / (e * d)
+    out["a3"] = (2 * (m + 1) * (m + 2 * be + 1) * (n + al + be + 3 * _HALF)
+                 / (e * d))
     if m <= n - 1:
         out["b3"] = 2 * (m + 1) * (m + 2 * be + 1) * (n - m + al) / (e * d)
     return out
@@ -321,14 +268,15 @@ def _simplex_second(p, n, m):
         out["c1"] = ((m + be) * (m + ga) * (n + m + t) * (n + m + t + 1)
                      / (e0 * d1 * d2))
     out["a2"] = lam * (n - m + 1) * (n + m + s + 2) / (d2 * d3)
-    out["a3"] = (m + 1) * (m + t + 1) * (n + m + s + 2) * (n + m + s + 3) / (e1 * d2 * d3)
+    out["a3"] = ((m + 1) * (m + t + 1) * (n + m + s + 2) * (n + m + s + 3)
+                 / (e1 * d2 * d3))
     inner = 1 - (n - m + al + 1) * (n - m + 1) / d3
     if m < n:
         inner = inner + (n - m + al) * (n - m) / d1
     out["b2"] = -lam * inner
     if m <= n - 1:
-        out["b3"] = (-2 * (m + 1) * (m + t + 1) * (n - m + al) * (n + m + s + 2)
-                     / (e1 * d1 * d3))
+        out["b3"] = (-2 * (m + 1) * (m + t + 1) * (n - m + al)
+                     * (n + m + s + 2) / (e1 * d1 * d3))
         out["c2"] = lam * (n - m + al) * (n + m + t + 1) / (d1 * d2)
     if m <= n - 2:
         out["c3"] = ((m + 1) * (m + t + 1) * (n - m + al) * (n - m + al - 1)
@@ -395,45 +343,60 @@ def _bl_second(p, n, m):
     return out
 
 
-# Each family's closed-form tables: (x-relation, y-relation).
-_TABLES = {
-    "disk": (_disk_first, _disk_second),
-    "biangle": (_biangle_first, _biangle_second),
-    "simplex": (_simplex_first, _simplex_second),
-    "square": (_square_first, _square_second),
-    "laguerre-jacobi": (_lj_first, _lj_second),
-    "bessel-laguerre": (_bl_first, _bl_second),
-}
+class _Family(NamedTuple):
+    """One catalog family: its parameter names in declared order, the
+    open lower bound of each on the positive-definite region (None: only
+    quasi-definite), its closed-form x- and y-relation tables and its
+    ingredients (the parameter values -> rho, ladder factory, q)."""
+
+    params: tuple
+    bounds: tuple | None
+    tables: tuple
+    ingredients: object
 
 
-# The band layout of both relations, stated once.  At degree n the matrices
-# are A (n+1)x(n+2), B (n+1)x(n+1) and C (n+1)xn; those of the x-relation
-# are diagonal, those of the y-relation tridiagonal.  _MATRICES gives, in
-# TTRSet order, each matrix's columns beyond n and its bandwidth; _LAYOUT
-# maps each table key to its matrix and to its column offset from row m.
-_MATRICES = ((2, 0), (1, 0), (0, 0), (2, 1), (1, 1), (0, 1))
-_LAYOUT = {
-    "a": (0, 0), "b": (1, 0), "c": (2, 0),
-    "a1": (3, -1), "a2": (3, 0), "a3": (3, 1),
-    "b1": (4, -1), "b2": (4, 0), "b3": (4, 1),
-    "c1": (5, -1), "c2": (5, 0), "c3": (5, 1),
+_FAMILIES = {
+    "disk": _Family(
+        ("mu",), (-_HALF,), (_disk_first, _disk_second),
+        lambda mu: (RhoSpec.sqrt_quadratic(-1, 0, 1),
+                    lambda m: jacobi_std(mu + m, mu + m),
+                    jacobi_std(mu - _HALF, mu - _HALF))),
+    "biangle": _Family(
+        ("alpha", "beta"), (-1, -1), (_biangle_first, _biangle_second),
+        lambda al, be: (RhoSpec.sqrt_quadratic(0, 1, 0),
+                        lambda m: jacobi_shift(al, be + m + _HALF),
+                        jacobi_std(be, be))),
+    "simplex": _Family(
+        ("alpha", "beta", "gamma"), (-1, -1, -1),
+        (_simplex_first, _simplex_second),
+        lambda al, be, ga: (RhoSpec.linear(-1, 1),
+                            lambda m: jacobi_shift(be + ga + 2 * m + 1, al),
+                            jacobi_shift(ga, be))),
+    "square": _Family(
+        ("alpha", "beta", "gamma", "delta"), (-1, -1, -1, -1),
+        (_square_first, _square_second),
+        lambda al, be, ga, de: (RhoSpec.linear(0, 1),
+                                lambda m: jacobi_std(al, be),
+                                jacobi_std(ga, de))),
+    "laguerre-jacobi": _Family(
+        ("alpha", "beta"), (-2, -1), (_lj_first, _lj_second),
+        lambda al, be: (RhoSpec.linear(1, 0),
+                        lambda m: laguerre(al + 2 * m + 1),
+                        jacobi_std(be, 0))),
+    "bessel-laguerre": _Family(
+        ("g", "gamma"), None, (_bl_first, _bl_second),
+        lambda g, ga: (RhoSpec.linear(1, 0),
+                       lambda m: bessel(g + 2 * m, -g),
+                       _scaled_laguerre(g, ga))),
 }
-TABLE_KEYS = tuple(_LAYOUT)
-_KEYS = (TABLE_KEYS[:3], TABLE_KEYS[3:])
+FAMILY_PARAMS = {name: family.params for name, family in _FAMILIES.items()}
 
 
 def _row(name, which, p, n, m):
     """Row m at degree n of the x- (which = 0) or y-relation (which = 1)
-    table of family name: None where (m, m + offset) falls outside the
-    matrix, an exact zero where the family gives no value inside it."""
+    table of family name, laid out by ``numerics._band_row``."""
     _check_degrees(n, m)
-    values = _TABLES[name][which](p, n, m)
-    row = {}
-    for key in _KEYS[which]:
-        matrix, offset = _LAYOUT[key]
-        inside = 0 <= m + offset < n + _MATRICES[matrix][0]
-        row[key] = values.get(key, _ZERO) if inside else None
-    return row
+    return _band_row(n, which, m, _FAMILIES[name].tables[which](p, n, m))
 
 
 def closed_form_first(cid, n, m):
@@ -457,18 +420,12 @@ def closed_form_ttr(cid, n):
     _check_index(n, "degree")
     from .ttr import TTRSet
     p = _params(cid)
-    entries = tuple({} for _ in _MATRICES)
-    for m in range(n + 1):
-        for which in (0, 1):
-            for key, v in _row(cid.name, which, p, n, m).items():
-                if v is not None:
-                    matrix, offset = _LAYOUT[key]
-                    entries[matrix][(m, m + offset)] = v
-    return TTRSet(n, *(BandMatrix(n + 1, n + extra, band, band, e)
-                       for (extra, band), e in zip(_MATRICES, entries)))
+    x, y = ([_row(cid.name, which, p, n, m) for m in range(n + 1)]
+            for which in (0, 1))
+    return TTRSet(n, *_relation(n, 0, x), *_relation(n, 1, y))
 
 
-# -- three-route cross-check -------------------------------------------------------
+# -- three-route cross-check --------------------------------------------------
 
 
 class Mismatch(NamedTuple):

@@ -38,15 +38,16 @@ import io
 import json
 import sys
 
-from .catalog import (FAMILY_PARAMS, TABLE_KEYS, catalog_id,
-                      closed_form_first, closed_form_second, make_system)
-from .numerics import (ModeError, _check_degrees, _eval_terms, _powers,
-                       parse_rational)
+from .catalog import (FAMILY_PARAMS, catalog_id, closed_form_first,
+                      closed_form_second, make_system)
+from .numerics import (TABLE_KEYS, ModeError, _check_degrees, _eval_terms,
+                       _powers, parse_rational)
 from .univariate import QuasiDefinitenessError
 
 SCHEMA = "ortho2d/1"
 
-_PARAM_FLAGS = ("mu", "alpha", "beta", "gamma", "delta", "g")
+_PARAM_FLAGS = tuple(dict.fromkeys(
+    key for params in FAMILY_PARAMS.values() for key in params))
 
 # Largest value of --max-n, --max-h, --max-k and eval's --n.  Exact work
 # grows fast with the degree, so a larger bound is refused rather than left

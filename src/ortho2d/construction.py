@@ -205,7 +205,7 @@ class BivariateSystem:
             self._ladders.append(fam.with_h0(chain))
         return self._ladders[m]
 
-    # -- powers of rho ---------------------------------------------------------
+    # -- powers of rho --------------------------------------------------------
 
     def _rho_pow_int(self, e):
         """rho(x)^e as (d, [ints]), constant term first.  In case II only
@@ -222,7 +222,7 @@ class BivariateSystem:
             self._rho_pow[e] = (d * d_s, out)
         return self._rho_pow[e]
 
-    # -- basis polynomials -------------------------------------------------------
+    # -- basis polynomials ----------------------------------------------------
 
     def _P_int(self, n, m):
         """The (n, m) basis polynomial as (d, [(i, j, c)]), c over the least
@@ -361,7 +361,7 @@ class BivariateSystem:
                   for (iq, jq), cq in zip(q_poly._terms, q_ints))
         return _rat(num, d_w * d_p * d_q)
 
-    # -- Gram blocks -------------------------------------------------------------
+    # -- Gram blocks ----------------------------------------------------------
 
     def _gram_raw(self, n, h, dx=0, dy=0):
         """Raw dense rows <w, x^dx y^dy P_{n,m} P_{h,mp}>, rows m, columns

@@ -15,7 +15,7 @@ hold such values:
   integer forms instead.
 * ``BandMatrix`` -- a rectangular matrix that only admits entries inside a
   declared band; reads outside the band are exact zeros, writes outside it
-  are errors.
+  are errors.  ``_LAYOUT`` and ``_relation`` lay out the relation matrices.
 
 Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (Bareiss's
 integer fraction-free elimination, no doubles anywhere; a BandMatrix is
@@ -24,7 +24,8 @@ float relation check evaluates coefficient maps of doubles with
 ``_eval_terms``; ``SparsePoly2.eval`` uses it on exact coefficients.
 Every degree, index, bound, count, exponent and matrix dimension in the
 package passes one rule, ``_check_index`` (``_check_degrees`` for a pair
-0 <= m <= n): a plain int >= 0, never a bool or a float.
+0 <= m <= n): a plain int >= 0, never a bool or a float.  A matrix
+position is a pair of ints too (IndexError outside the shape).
 """
 from __future__ import annotations
 
@@ -92,7 +93,8 @@ def _as_raw_exact(v):
         return parse_rational(v)
     if isinstance(v, float):
         raise ModeError("a float is not an exact rational")
-    raise TypeError(f"cannot interpret {type(v).__name__} as an exact rational")
+    raise TypeError(
+        f"cannot interpret {type(v).__name__} as an exact rational")
 
 
 def _check_index(value, name):
@@ -303,7 +305,7 @@ class SparsePoly2:
 
 
 def _poly(raw_terms):
-    """Fast internal constructor: raw_terms maps (i, j) to nonzero rationals."""
+    """Fast internal constructor: raw_terms has no zero coefficient."""
     p = object.__new__(SparsePoly2)
     object.__setattr__(p, "_terms", raw_terms)
     return p
@@ -349,8 +351,9 @@ class BandMatrix:
         stored = {}
         if entries:
             for (r, c), coeff in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise IndexError(f"entry ({r}, {c}) outside a {rows}x{cols} matrix")
+                if not (type(r) is type(c) is int
+                        and 0 <= r < rows and 0 <= c < cols):
+                    raise _position_error(r, c, rows, cols)
                 raw = _as_raw_exact(coeff)
                 if not raw:
                     continue
@@ -394,8 +397,9 @@ class BandMatrix:
         return (self.rows, self.cols)
 
     def get(self, r, c):
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"({r}, {c}) outside a {self.rows}x{self.cols} matrix")
+        if not (type(r) is type(c) is int
+                and 0 <= r < self.rows and 0 <= c < self.cols):
+            raise _position_error(r, c, self.rows, self.cols)
         return _wrap(self._entries.get((r, c - r), _ZERO))
 
     def __getitem__(self, key):
@@ -446,6 +450,59 @@ class BandMatrix:
         return (f"BandMatrix({self.rows}x{self.cols}, "
                 f"bands=({self.lower_bandwidth}, {self.upper_bandwidth}), "
                 f"{len(self._entries)} stored)")
+
+
+def _position_error(r, c, rows, cols):
+    """ValueError for a position that is not a pair of ints (a bool or a
+    float included); IndexError for one outside the rows x cols shape."""
+    if type(r) is type(c) is int:
+        return IndexError(f"({r}, {c}) outside a {rows}x{cols} matrix")
+    return ValueError(f"a matrix position is a pair of ints, got {(r, c)}")
+
+
+# The band layout of both relations, stated once.  At degree n the matrices
+# are A (n+1)x(n+2), B (n+1)x(n+1) and C (n+1)xn; those of the x-relation
+# are diagonal, those of the y-relation tridiagonal.  _MATRICES gives, in
+# TTRSet order, each matrix's columns beyond n and its bandwidth; _LAYOUT
+# maps each table key (the closed-form tables' and the builder's) to its
+# matrix and to its column offset from row m.
+_MATRICES = ((2, 0), (1, 0), (0, 0), (2, 1), (1, 1), (0, 1))
+_LAYOUT = {
+    "a": (0, 0), "b": (1, 0), "c": (2, 0),
+    "a1": (3, -1), "a2": (3, 0), "a3": (3, 1),
+    "b1": (4, -1), "b2": (4, 0), "b3": (4, 1),
+    "c1": (5, -1), "c2": (5, 0), "c3": (5, 1),
+}
+TABLE_KEYS = tuple(_LAYOUT)
+_KEYS = (TABLE_KEYS[:3], TABLE_KEYS[3:])
+
+
+def _band_row(n, which, m, values):
+    """Row m at degree n of the x- (which = 0) or y-relation (which = 1):
+    each key's entry in values, an exact zero where values has none, or
+    None where the key's position falls outside its matrix."""
+    row = {}
+    for key in _KEYS[which]:
+        matrix, offset = _LAYOUT[key]
+        inside = 0 <= m + offset < n + _MATRICES[matrix][0]
+        row[key] = values.get(key, _ZERO) if inside else None
+    return row
+
+
+def _relation(n, which, rows):
+    """The BandMatrices (A, B, C) of the x- (which = 0) or y-relation
+    (which = 1) at degree n; rows[m] maps table keys to the entries of
+    row m, and a None entry is left out.  An entry placed outside its
+    matrix is an IndexError."""
+    first = 3 * which
+    entries = ({}, {}, {})
+    for m, row in enumerate(rows):
+        for key, v in row.items():
+            if v is not None:
+                matrix, offset = _LAYOUT[key]
+                entries[matrix - first][(m, m + offset)] = v
+    return tuple(BandMatrix(n + 1, n + extra, band, band, e)
+                 for (extra, band), e in zip(_MATRICES[first:], entries))
 
 
 def _int_list(values):

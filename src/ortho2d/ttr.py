@@ -7,7 +7,8 @@ onto neighbouring degrees:
     t_i P_n = A_{n,i} P_{n+1} + B_{n,i} P_n + C_{n,i} P_{n-1},  t = (x, y).
 
 ``first_ttr``/``second_ttr`` build these matrices from recurrence data in
-closed form: the x-relation matrices are diagonal (each row is the ladder
+closed form, row by row through ``numerics._relation`` as the closed
+forms do: the x-relation matrices are diagonal (each row is the ladder
 recurrence at the right index), and the y-relation matrices are
 tridiagonal, mixing the second-variable recurrence with the
 adjacent-family connection coefficients.
@@ -33,7 +34,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .construction import CASE_I, _check_symmetric
-from .numerics import BandMatrix, _check_index, _int_rows, _rank_int
+from .numerics import (BandMatrix, _check_index, _int_rows, _rank_int,
+                       _relation)
 from .univariate import _adjacent_down, _adjacent_up
 
 AXES = ("x", "y")
@@ -59,6 +61,7 @@ class TTRSet(NamedTuple):
 def first_ttr(sys, n):
     """Matrices (A, B, C) of the x-relation at degree n; all diagonal.
 
+    Row m is ladder step m's recurrence at index n - m (c undefined at 0).
     Built once per system and degree, then read from the system's cache.
     """
     _check_index(n, "degree")
@@ -66,20 +69,9 @@ def first_ttr(sys, n):
     if cached is not None:
         return cached
     ladders = [sys.ladder(m) for m in range(n + 1)]
-    a_entries = {}
-    b_entries = {}
-    c_entries = {}
-    for m in range(n + 1):
-        fam = ladders[m]
-        a_entries[(m, m)] = fam.a(n - m)
-        b_entries[(m, m)] = fam.b(n - m)
-        if m <= n - 1:
-            c_entries[(m, m)] = fam.c(n - m)
-    cached = sys._ttr_cache[(n, "x")] = (
-        BandMatrix(n + 1, n + 2, 0, 0, a_entries),
-        BandMatrix(n + 1, n + 1, 0, 0, b_entries),
-        BandMatrix(n + 1, n, 0, 0, c_entries),
-    )
+    rows = [{"a": fam.a(k), "b": fam.b(k), "c": fam.c(k) if k else None}
+            for fam, k in zip(ladders, range(n, -1, -1))]
+    cached = sys._ttr_cache[(n, "x")] = _relation(n, 0, rows)
     return cached
 
 
@@ -116,45 +108,40 @@ def second_ttr(sys, n):
     q = sys.q
     if not case_i:
         _check_symmetric(q, sys.label, n)
-    a_entries = {}
-    b_entries = {}
-    c_entries = {}
+    rows = []
     for m in range(n + 1):
+        k = n - m
         qa = q.a(m)
+        row = {}
         # Subdiagonal: q's c-coefficient times the upward connection
-        # between ladder steps m-1 and m, at first-variable index n-m.
+        # between ladder steps m-1 and m, at first-variable index k.
         if m >= 1:
-            qc = q.c(m)
-            eta, theta, vartheta = _adjacent_up(
-                sys.ladder(m - 1), sys.ladder(m), rho.s2, n - m,
-                lambda k: _down(sys, m - 1, k))
-            a_entries[(m, m - 1)] = qc * eta
-            b_entries[(m, m - 1)] = qc * theta
-            c_entries[(m, m - 1)] = qc * vartheta
+            row.update(_scaled(q.c(m), ("a1", "b1", "c1"), _adjacent_up(
+                sys.ladder(m - 1), sys.ladder(m), rho.s2, k,
+                lambda j: _down(sys, m - 1, j))))
         # Diagonal: vanishes in case II; otherwise q's b-coefficient times
         # the ladder recurrence mapped through rho = r1 x + r0.
         if case_i:
             qb = q.b(m)
             if qb:
                 fam = sys.ladder(m)
-                a_entries[(m, m)] = qb * rho.r1 * fam.a(n - m)
-                b_entries[(m, m)] = qb * (rho.r1 * fam.b(n - m) + rho.r0)
-                if m <= n - 1:
-                    c_entries[(m, m)] = qb * rho.r1 * fam.c(n - m)
+                row["a2"] = qb * rho.r1 * fam.a(k)
+                row["b2"] = qb * (rho.r1 * fam.b(k) + rho.r0)
+                if k:
+                    row["c2"] = qb * rho.r1 * fam.c(k)
         # Superdiagonal: q's a-coefficient times the downward connection
-        # between ladder steps m and m+1, at first-variable index n-m.
-        delta, epsilon, zeta = _down(sys, m, n - m)
-        a_entries[(m, m + 1)] = qa * delta
-        if m <= n - 1:
-            b_entries[(m, m + 1)] = qa * epsilon
-        if m <= n - 2:
-            c_entries[(m, m + 1)] = qa * zeta
-    cached = sys._ttr_cache[(n, "y")] = (
-        BandMatrix(n + 1, n + 2, 1, 1, a_entries),
-        BandMatrix(n + 1, n + 1, 1, 1, b_entries),
-        BandMatrix(n + 1, n, 1, 1, c_entries),
-    )
+        # between ladder steps m and m+1, at first-variable index k.
+        row.update(_scaled(qa, ("a3", "b3", "c3"), _down(sys, m, k)))
+        rows.append(row)
+    cached = sys._ttr_cache[(n, "y")] = _relation(n, 1, rows)
     return cached
+
+
+def _scaled(factor, keys, triple):
+    """{key: factor * v} over the keys and the entries v of a connection
+    triple; an entry the triple leaves undefined (None) is left out."""
+    return {key: factor * v for key, v in zip(keys, triple)
+            if v is not None}
 
 
 def build_ttr(sys, n):
@@ -164,7 +151,7 @@ def build_ttr(sys, n):
     return TTRSet(n, a1, b1, c1, a2, b2, c2)
 
 
-# -- the moment/Gram oracle -----------------------------------------------------
+# -- the moment/Gram oracle ---------------------------------------------------
 
 
 def _ratio(v, h):
@@ -208,7 +195,7 @@ def ttr_from_gram(sys, n):
     return TTRSet(n, ax, bx, cx, ay, by, cy)
 
 
-# -- rank conditions --------------------------------------------------------------
+# -- rank conditions ----------------------------------------------------------
 
 
 class RankReport(NamedTuple):

@@ -191,7 +191,7 @@ class RecurrenceFamily:
             cache.append(cache[j - 1] * ratio)
         return cache[n]
 
-    # -- moments ---------------------------------------------------------------
+    # -- moments --------------------------------------------------------------
 
     def _int_coeffs(self, top):
         """The recurrence coefficients a(i), b(i) (i <= top) and c(i)
@@ -334,7 +334,7 @@ def _jacobi_raw_closures(alpha, beta):
 
 
 def jacobi_std(alpha, beta):
-    """Jacobi-type family on the symmetric interval, weight (1-x)^alpha (1+x)^beta."""
+    """Jacobi-type family on [-1, 1], weight (1-x)^alpha (1+x)^beta."""
     al, be = map(_as_raw_exact, (alpha, beta))
     a, b, c = _jacobi_raw_closures(al, be)
     return RecurrenceFamily(

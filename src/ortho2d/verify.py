@@ -152,7 +152,8 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
     per system (``BivariateSystem._P_float``) times the band entries
     rounded on each call, and bounds the relative coefficient residual
     (and, if points are supplied, relative residuals at those evaluation
-    points) by tol.  A non-finite point coordinate is a ValueError.
+    points) by tol.  A non-finite point coordinate is a ValueError; a
+    residual, scale or side that overflows a double is an OverflowError.
     """
     _check_index(n, "degree")
     if mode not in ("exact", "float"):
@@ -200,30 +201,23 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
                         rhs[key] = v
                     else:
                         rhs.pop(key, None)
-        # The largest |lhs - rhs| over the nonzero entries of the residual,
-        # in the key order of lhs - rhs merged into one map: the keys of
-        # lhs, then those of rhs alone; the order matters only for a NaN.
-        worst = None
+        # t P_{n,m} - rhs, keyed like rhs.
+        residual = dict(rhs)
         for (i, j), v in lhs.items():
-            rv = rhs.get((i + dx, j + dy))
-            if rv is not None:
-                v -= rv
-                if not v:
-                    continue
-            v = abs(v)
-            if worst is None or v > worst:
-                worst = v
-        for (i, j), v in rhs.items():
-            if (i - dx, j - dy) not in lhs:
-                v = abs(v)
-                if worst is None or v > worst:
-                    worst = v
-        rel = (0.0 if worst is None else worst) / max(scale, _TINY)
-        max_coeff = max(max_coeff, rel)
+            key = (i + dx, j + dy)
+            residual[key] = v - residual.get(key, 0.0)
+        worst = max(map(abs, residual.values()), default=0.0)
+        if not (math.isfinite(scale) and math.isfinite(worst)):
+            raise OverflowError(f"{name} at n = {n}, row {m}: a coefficient "
+                                f"of the relation overflows a double")
+        max_coeff = max(max_coeff, worst / max(scale, _TINY))
         for xs, ys in powers:
             lv = _eval_terms(lhs, xs[dx:], ys[dy:], 0.0)
             rv = _eval_terms(rhs, xs, ys, 0.0)
             rel_pt = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
+            if not math.isfinite(rel_pt):
+                raise OverflowError(f"{name} at n = {n}, row {m}: a side "
+                                    f"overflows a double at a point")
             max_point = max(max_point, rel_pt)
     passed = max_coeff <= tol and max_point <= tol
     return CheckResult(name, passed, {
@@ -270,14 +264,12 @@ def verify_orthogonality(sys, max_degree):
     return CheckResult("orthogonality", True, {"max_degree": max_degree})
 
 
-def verify_central_symmetry(sys, max_degree, moment_bound=None):
-    """Check the equivalence: all odd moments vanish iff both B matrices
-    vanish at every degree.  Both sides are evaluated independently; the
-    check passes when the two verdicts agree."""
+def verify_central_symmetry(sys, max_degree):
+    """Check that all odd moments (to total degree 2 * max_degree + 1, the
+    details' ``moment_bound``) vanish iff both B matrices vanish at every
+    degree: both sides are decided independently, and must agree."""
     _check_index(max_degree, "max_degree")
-    if moment_bound is None:
-        moment_bound = 2 * max_degree + 1
-    _check_index(moment_bound, "moment_bound")
+    moment_bound = 2 * max_degree + 1
     odd_ok = True
     first_moment = None
     for total in range(1, moment_bound + 1, 2):
@@ -342,7 +334,8 @@ def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
     between the norm-rescaled raising and lowering matrices.
 
     Only stored entries are compared: a position where both A~ and C~^t
-    hold zero adds |0.0 - 0.0| = 0.0 to a max, which leaves it as it is."""
+    hold zero adds |0.0 - 0.0| = 0.0 to a max, which leaves it as it is.
+    An entry or residual that overflows a double is an OverflowError."""
     _check_index(max_degree, "max_degree")
     norms = [_norm_roots(sys, n) for n in range(max_degree + 1)]
     worst = 0.0
@@ -359,6 +352,9 @@ def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
             diff = max((abs(c_tilde_t.get(key, 0.0) - a_tilde.get(key, 0.0))
                         for key in a_tilde.keys() | c_tilde_t.keys()),
                        default=0.0)
+            if not (math.isfinite(scale) and math.isfinite(diff)):
+                raise OverflowError(f"orthonormal-transpose at n = {n}, "
+                                    f"axis {axis}: overflows a double")
             worst = max(worst, diff / scale)
     return CheckResult("orthonormal-transpose", worst <= tol, {
         "max_degree": max_degree, "max_residual": worst, "tolerance": tol})

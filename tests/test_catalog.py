@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from ortho2d import (
+    FAMILY_PARAMS,
     Scalar,
     build_ttr,
     catalog_id,
@@ -69,6 +70,34 @@ def test_positive_definite_flags():
         catalog_id("bessel-laguerre", g=5, gamma="2/5"))
     assert positive_definite(
         catalog_id("square", alpha=0, beta=0, gamma=0, delta=0))
+
+
+# The open lower bound of each parameter on the positive-definite region.
+POSITIVE_BOUNDS = {
+    "disk": {"mu": "-1/2"},
+    "biangle": {"alpha": -1, "beta": -1},
+    "simplex": {"alpha": -1, "beta": -1, "gamma": -1},
+    "square": {"alpha": -1, "beta": -1, "gamma": -1, "delta": -1},
+    "laguerre-jacobi": {"alpha": -2, "beta": -1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITIVE_BOUNDS))
+def test_positive_definite_region_of_each_family(name):
+    bounds = {k: q(v) for k, v in POSITIVE_BOUNDS[name].items()}
+    assert tuple(bounds) == FAMILY_PARAMS[name]
+    inside = {k: b + 1 for k, b in bounds.items()}
+    for key, bound in bounds.items():
+        for value, expected in ((bound, False), (bound + q("1/1000"), True)):
+            cid = catalog_id(name, **{**inside, key: value})
+            assert positive_definite(cid) is expected, (key, value)
+
+
+@pytest.mark.parametrize("g, gamma", [(5, "2/5"), (1, 1), ("1/2", 3),
+                                      (-3, "-1/2"), (100, 100)])
+def test_bessel_laguerre_is_never_positive_definite(g, gamma):
+    cid = catalog_id("bessel-laguerre", g=g, gamma=gamma)
+    assert positive_definite(cid) is False
 
 
 def test_closed_form_structural_markers():

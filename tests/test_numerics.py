@@ -275,11 +275,25 @@ def test_band_matrix_get_and_items():
     assert m.shape == (2, 3)
     assert m.get(1, 1).is_zero  # in band, unset
     assert m.get(1, 0).is_zero  # out of band, in shape
-    with pytest.raises(IndexError):
-        m.get(2, 0)
+    for r, c in ((2, 0), (-1, 0), (0, 3)):
+        with pytest.raises(IndexError):
+            m.get(r, c)
     assert list(m.items()) == [
         ((0, 0), q(1)), ((0, 1), q(2)), ((1, 2), q("1/2"))]
     assert m.dense() == [[q(1), q(2), q(0)], [q(0), q(0), q("1/2")]]
+
+
+@pytest.mark.parametrize("r, c", [(0.5, 0), (True, 0), (0.0, 0), (0, 1.0),
+                                  (0, False), ("0", 0)])
+def test_band_matrix_positions_are_ints(r, c):
+    # A bool or float position is refused, not read as the int it equals.
+    with pytest.raises(ValueError, match="pair of ints"):
+        BandMatrix(2, 2, 1, 1, {(r, c): 1})
+    m = BandMatrix.from_dense([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="pair of ints"):
+        m.get(r, c)
+    with pytest.raises(ValueError, match="pair of ints"):
+        m[r, c]
 
 
 def test_band_matrix_from_dense_and_equality():

@@ -237,6 +237,51 @@ def test_relation_float_rejects_a_non_finite_point(disk, axis, point):
         verify_relation(disk, 3, axis, mode="float", points=[point])
 
 
+def _with_entry(sys_obj, n, axis, index, matrix):
+    """Put matrix in place of A (index 0), B (1) or C (2) of the cached
+    relation of sys_obj at degree n."""
+    mats = list(ortho2d.verify._relation_matrices(sys_obj, n, axis))
+    mats[index] = matrix
+    sys_obj._ttr_cache[(n, axis)] = tuple(mats)
+
+
+# A double near the largest: twice it, or it over a norm below 1,
+# overflows to inf.
+HUGE = 17 * 10 ** 307
+
+
+def test_relation_float_refuses_a_side_that_overflows_at_a_point():
+    # Both sides evaluate to inf at this point: their difference is a NaN,
+    # which a max would drop, reading a pass.
+    sys_obj = make_system(catalog_id("disk", mu="1/2"))
+    with pytest.raises(OverflowError, match="at a point"):
+        verify_relation(sys_obj, 1, "x", mode="float",
+                        points=[(1.3e154, 1.3e154)])
+
+
+def test_relation_float_refuses_an_overflowing_coefficient():
+    sys_obj = make_system(catalog_id("disk", mu="1/2"))
+    _with_entry(sys_obj, 1, "x", 1, BandMatrix(2, 2, 0, 0, {(0, 0): HUGE}))
+    with pytest.raises(OverflowError, match="relation-x at n = 1, row 0"):
+        verify_relation(sys_obj, 1, "x", mode="float")
+
+
+@pytest.mark.parametrize("name, params, n, index, shape", [
+    # A~ overflows, and so does the scale: inf / inf is a NaN, which a max
+    # would drop, reading a pass.
+    ("laguerre-jacobi", {"alpha": 1, "beta": "1/2"}, 0, 0, (1, 2)),
+    # C~ alone overflows: the residual would read inf.
+    ("disk", {"mu": "1/2"}, 1, 2, (2, 1)),
+])
+def test_orthonormal_transpose_refuses_an_overflowing_entry(
+        name, params, n, index, shape):
+    sys_obj = make_system(catalog_id(name, **params))
+    _with_entry(sys_obj, n, "x", index,
+                BandMatrix(*shape, 0, 0, {(0, 0): HUGE}))
+    with pytest.raises(OverflowError, match="orthonormal-transpose"):
+        verify_orthonormal_transpose(sys_obj, 1)
+
+
 def test_orthonormal_transpose_detects_a_wrong_entry(disk, monkeypatch):
     _perturb_an_a_entry(monkeypatch)
     res = verify_orthonormal_transpose(disk, 3)
@@ -305,23 +350,6 @@ def test_central_symmetry_asymmetric_case(asymmetric_square):
     assert res.details["b_matrices_zero"] is False
     assert res.details["first_nonzero_odd_moment"] is not None
     assert res.details["first_nonzero_b"] is not None
-
-
-def test_central_symmetry_moment_bound_override(disk):
-    res = verify_central_symmetry(disk, 2, moment_bound=9)
-    assert res.details["moment_bound"] == 9
-
-
-@pytest.mark.parametrize("bound", [-3, -1, 2.0, "5"])
-def test_central_symmetry_rejects_a_bad_moment_bound(disk, bound):
-    with pytest.raises(ValueError, match="moment_bound"):
-        verify_central_symmetry(disk, 2, moment_bound=bound)
-
-
-def test_central_symmetry_moment_bound_zero_reads_no_moment(disk):
-    res = verify_central_symmetry(disk, 2, moment_bound=0)
-    assert res.passed
-    assert res.details["moment_bound"] == 0
 
 
 # -- verify_orthonormal_transpose --------------------------------------------
