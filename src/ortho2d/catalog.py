@@ -1,7 +1,10 @@
 """The six classical system families, with closed-form coefficient tables.
 
 Each family is identified by a CatalogId (name plus rational parameters,
-each stored as a backend rational: gmpy2.mpq or fractions.Fraction).
+each stored as a backend rational: gmpy2.mpq or fractions.Fraction),
+checked once, when it is made: an unknown name, a missing or extra
+parameter, or a vanishing one the family cannot take (bessel-laguerre's
+g) is a ValueError, so every route reads ``params_dict`` unchecked.
 ``make_system`` assembles the corresponding BivariateSystem from its
 univariate ingredients; ``closed_form_first``/``closed_form_second``
 evaluate the per-family closed-form coefficient tables directly, without
@@ -51,10 +54,11 @@ class CatalogId(_CatalogIdFields):
     __slots__ = ()
 
     def __new__(cls, name, params):
-        if name not in FAMILY_PARAMS:
-            known = ", ".join(sorted(FAMILY_PARAMS))
+        family = _FAMILIES.get(name)
+        if family is None:
+            known = ", ".join(sorted(_FAMILIES))
             raise ValueError(f"unknown family {name!r} (known: {known})")
-        declared = FAMILY_PARAMS[name]
+        declared = family.params
         given = dict(params)
         missing = [k for k in declared if k not in given]
         extra = [k for k in given if k not in declared]
@@ -63,7 +67,13 @@ class CatalogId(_CatalogIdFields):
                 f"family {name!r} takes parameters "
                 f"({', '.join(declared)}); missing {missing}, extra {extra}")
         normalized = tuple((k, _as_raw_exact(given[k])) for k in declared)
+        for k, v in normalized:
+            if not v and k in family.nonzero:
+                raise ValueError(f"{name} requires a nonzero parameter {k}")
         return super().__new__(cls, name, normalized)
+
+    def _replace(self, **changes):  # through the checks of __new__
+        return CatalogId(**{**self._asdict(), **changes})
 
     def param(self, key):
         return self.params_dict[key]
@@ -82,19 +92,9 @@ def catalog_id(name, **values):
     return CatalogId(name, tuple(values.items()))
 
 
-def _params(cid):
-    """The parameters of cid as a dict, refused (ValueError) where they
-    define no family at all: the one parameter check of ``make_system``,
-    every closed form and ``positive_definite``."""
-    p = cid.params_dict
-    if cid.name == "bessel-laguerre" and not p["g"]:
-        raise ValueError("bessel-laguerre requires a nonzero parameter g")
-    return p
-
-
 def make_system(cid):
     """Assemble the BivariateSystem for a catalog family."""
-    values = _params(cid).values()
+    values = cid.params_dict.values()
     return assemble(*_FAMILIES[cid.name].ingredients(*values),
                     label=cid.describe())
 
@@ -102,7 +102,7 @@ def make_system(cid):
 def positive_definite(cid):
     """Whether the family's functional is positive-definite (not merely
     quasi-definite) for these parameters."""
-    values = _params(cid).values()
+    values = cid.params_dict.values()
     bounds = _FAMILIES[cid.name].bounds
     return bounds is not None and all(v > b for v, b in zip(values, bounds))
 
@@ -346,13 +346,15 @@ def _bl_second(p, n, m):
 class _Family(NamedTuple):
     """One catalog family: its parameter names in declared order, the
     open lower bound of each on the positive-definite region (None: only
-    quasi-definite), its closed-form x- and y-relation tables and its
-    ingredients (the parameter values -> rho, ladder factory, q)."""
+    quasi-definite), its closed-form x- and y-relation tables, its
+    ingredients (the parameter values -> rho, ladder factory, q) and the
+    parameters that define no family at 0 (``CatalogId`` refuses them)."""
 
     params: tuple
     bounds: tuple | None
     tables: tuple
     ingredients: object
+    nonzero: tuple = ()
 
 
 _FAMILIES = {
@@ -387,7 +389,8 @@ _FAMILIES = {
         ("g", "gamma"), None, (_bl_first, _bl_second),
         lambda g, ga: (RhoSpec.linear(1, 0),
                        lambda m: bessel(g + 2 * m, -g),
-                       _scaled_laguerre(g, ga))),
+                       _scaled_laguerre(g, ga)),
+        nonzero=("g",)),
 }
 FAMILY_PARAMS = {name: family.params for name, family in _FAMILIES.items()}
 
@@ -403,7 +406,7 @@ def closed_form_first(cid, n, m):
     """Row m of the three x-relation diagonals at degree n, from the
     family's closed-form table.  Keys 'a', 'b', 'c'; a value is a backend
     rational, or None when the matrix has no such column (c at m = n)."""
-    return _row(cid.name, 0, _params(cid), n, m)
+    return _row(cid.name, 0, cid.params_dict, n, m)
 
 
 def closed_form_second(cid, n, m):
@@ -412,14 +415,14 @@ def closed_form_second(cid, n, m):
     the degree-raising matrix), likewise 'b*' and 'c*'; a value is a
     backend rational, or None when that band position falls outside the
     matrix."""
-    return _row(cid.name, 1, _params(cid), n, m)
+    return _row(cid.name, 1, cid.params_dict, n, m)
 
 
 def closed_form_ttr(cid, n):
     """Assemble both relations at degree n purely from the closed forms."""
     _check_index(n, "degree")
     from .ttr import TTRSet
-    p = _params(cid)
+    p = cid.params_dict
     x, y = ([_row(cid.name, which, p, n, m) for m in range(n + 1)]
             for which in (0, 1))
     return TTRSet(n, *_relation(n, 0, x), *_relation(n, 1, y))
@@ -452,10 +455,11 @@ class CrossCheckReport(NamedTuple):
 
 def _corrupted(ts):
     """Fault-injection helper: bump one entry of the x-raising matrix."""
-    dense = ts.a_x.dense()
-    dense[0][0] = dense[0][0] + 1
-    bad = BandMatrix.from_dense(dense, ts.a_x.lower_bandwidth,
-                                ts.a_x.upper_bandwidth)
+    a = ts.a_x
+    entries = dict(a.items())
+    entries[0, 0] = a.get(0, 0) + 1
+    bad = BandMatrix(a.rows, a.cols, a.lower_bandwidth, a.upper_bandwidth,
+                     entries)
     return ts._replace(a_x=bad)
 
 

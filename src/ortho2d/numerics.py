@@ -18,8 +18,8 @@ hold such values:
   are errors.  ``_LAYOUT`` and ``_relation`` lay out the relation matrices.
 
 Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (Bareiss's
-integer fraction-free elimination, no doubles anywhere; a BandMatrix is
-read from its stored entries, never expanded to rational rows).  The
+integer fraction-free elimination, no doubles anywhere, on the stored
+entries of a BandMatrix; dense rows enter through ``from_dense``).  The
 float relation check evaluates coefficient maps of doubles with
 ``_eval_terms``; ``SparsePoly2.eval`` uses it on exact coefficients.
 Every degree, index, bound, count, exponent and matrix dimension in the
@@ -271,6 +271,8 @@ class SparsePoly2:
         return dict(self._terms)
 
     def coeff(self, i, j):
+        _check_index(i, "exponent")
+        _check_index(j, "exponent")
         return self._terms.get((i, j), _ZERO)
 
     def eval(self, x, y):
@@ -373,22 +375,19 @@ class BandMatrix:
                             self.upper_bandwidth, dict(self.items()))
 
     @classmethod
-    def from_dense(cls, values, lower_bandwidth=None, upper_bandwidth=None):
-        """Build from a list of rows; bandwidths default to the full shape."""
+    def from_dense(cls, values):
+        """Build from a sequence of equal-length rows (else ValueError
+        "ragged rows"), with the full band of the shape."""
         rows = len(values)
         cols = len(values[0]) if rows else 0
         for row in values:
             if len(row) != cols:
                 raise ValueError("ragged rows")
-        if lower_bandwidth is None:
-            lower_bandwidth = max(rows - 1, 0)
-        if upper_bandwidth is None:
-            upper_bandwidth = max(cols - 1, 0)
         entries = {
             (r, c): values[r][c]
             for r in range(rows) for c in range(cols)
         }
-        return cls(rows, cols, lower_bandwidth, upper_bandwidth, entries)
+        return cls(rows, cols, max(rows - 1, 0), max(cols - 1, 0), entries)
 
     # -- access ----------------------------------------------------------
 
@@ -513,39 +512,33 @@ def _int_list(values):
 
 
 def _int_rows(matrix):
-    """Clear denominators row by row; returns a list of Python-int rows.
-
-    A BandMatrix is read from its stored entries: each row is scaled by the
+    """The rows of a BandMatrix cleared of denominators, as lists of
+    Python ints, read from its stored entries: each row is scaled by the
     lcm of its own entries' denominators, which is the lcm over the whole
     row, its zeros having denominator 1."""
-    if isinstance(matrix, BandMatrix):
-        by_row = [[] for _ in range(matrix.rows)]
-        for (r, off), raw in matrix._entries.items():
-            by_row[r].append((r + off, raw))
-        rows = []
-        for entries in by_row:
-            row = [0] * matrix.cols
-            d = math.lcm(*(int(v.denominator) for _, v in entries))
-            for c, v in entries:
-                row[c] = int(v.numerator) * (d // int(v.denominator))
-            rows.append(row)
-        return rows
-    dense = []
-    for row in matrix:
-        dense.append([_as_raw_exact(v) for v in row])
-    if dense and any(len(r) != len(dense[0]) for r in dense):
-        raise ValueError("ragged rows")
-    return [_int_list(row)[1] for row in dense]
+    by_row = [[] for _ in range(matrix.rows)]
+    for (r, off), raw in matrix._entries.items():
+        by_row[r].append((r + off, raw))
+    rows = []
+    for entries in by_row:
+        row = [0] * matrix.cols
+        d = math.lcm(*(int(v.denominator) for _, v in entries))
+        for c, v in entries:
+            row[c] = int(v.numerator) * (d // int(v.denominator))
+        rows.append(row)
+    return rows
 
 
 def rank_exact(matrix):
     """Exact rank of a matrix of rationals (fraction-free elimination).
 
-    Accepts a BandMatrix or a list of rows of exact scalars/ints/rationals.
-    A float entry raises ModeError.  The rows are cleared of denominators
-    one by one (``_int_rows``; a BandMatrix straight from its stored
-    entries) and eliminated in integers (``_rank_int``).
-    """
+    Accepts a BandMatrix, or equal-length rows of exact values, which
+    enter through ``BandMatrix.from_dense`` (ragged rows: ValueError; a
+    float: ModeError; a bool: TypeError).  The stored entries are cleared
+    of denominators row by row (``_int_rows``) and eliminated in integers
+    (``_rank_int``)."""
+    if not isinstance(matrix, BandMatrix):
+        matrix = BandMatrix.from_dense(matrix)
     return _rank_int(_int_rows(matrix))
 
 

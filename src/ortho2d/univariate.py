@@ -153,7 +153,8 @@ class RecurrenceFamily:
         return self._coefficient("b", self._b_fn, n)
 
     def c(self, n):
-        if n < 1:
+        # Only an int is compared; _coefficient refuses any other index.
+        if type(n) is int and n < 1:
             raise ValueError("c(n) is only defined for n >= 1")
         return self._coefficient("c", self._c_fn, n)
 

@@ -20,10 +20,11 @@ Four independent checks, each returning a structured CheckResult:
   iff both B matrices vanish", checked from both sides independently.
 * ``verify_orthonormal_transpose`` -- for positive-definite systems the
   norm-rescaled matrices satisfy the transpose identity
-  C~_{n+1,i} = A~_{n,i}^t in floating point, on the stored entries of
-  both matrices rounded to doubles on each call and the square roots of
-  the block norms rounded once per system; non-positive-definite input
-  is rejected with NotPositiveDefiniteError.
+  C~_{n+1,i} = A~_{n,i}^t in floating point, to the fixed relative
+  bound 1e-10 that is also ``verify_relation``'s default, on the stored
+  entries of both matrices rounded to doubles on each call and the
+  square roots of the block norms rounded once per system;
+  non-positive-definite input is rejected with NotPositiveDefiniteError.
 
 ``run_suite`` bundles cross-check, relations, orthogonality, ranks and
 central symmetry into one VerifyReport.
@@ -39,6 +40,9 @@ from .numerics import _RAT, _check_index, _eval_terms, _powers
 from .ttr import first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
+# The relative bound of both float checks: verify_relation's default tol
+# and verify_orthonormal_transpose's fixed bound.
+_TOL = 1e-10
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -142,7 +146,7 @@ def _flat(form, width):
     return d, [i * width + j for i, j, _ in terms], [c for _, _, c in terms]
 
 
-def verify_relation(sys, n, axis, mode="exact", points=None, tol=1e-10):
+def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
     """Check the three-term relation along one axis at degree n.
 
     Exact mode requires each residual polynomial to vanish identically and
@@ -329,9 +333,10 @@ def _norm_roots(sys, n):
     return roots
 
 
-def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
+def verify_orthonormal_transpose(sys, max_degree):
     """For a positive-definite system, check the float transpose identity
-    between the norm-rescaled raising and lowering matrices.
+    between the norm-rescaled raising and lowering matrices, to the fixed
+    relative bound 1e-10 (``_TOL``, reported as ``tolerance``).
 
     Only stored entries are compared: a position where both A~ and C~^t
     hold zero adds |0.0 - 0.0| = 0.0 to a max, which leaves it as it is.
@@ -356,8 +361,8 @@ def verify_orthonormal_transpose(sys, max_degree, tol=1e-10):
                 raise OverflowError(f"orthonormal-transpose at n = {n}, "
                                     f"axis {axis}: overflows a double")
             worst = max(worst, diff / scale)
-    return CheckResult("orthonormal-transpose", worst <= tol, {
-        "max_degree": max_degree, "max_residual": worst, "tolerance": tol})
+    return CheckResult("orthonormal-transpose", worst <= _TOL, {
+        "max_degree": max_degree, "max_residual": worst, "tolerance": _TOL})
 
 
 def run_suite(cid, max_degree, mode="exact", points=0, seed=0, corrupt=False):
@@ -420,13 +425,7 @@ def run_suite(cid, max_degree, mode="exact", points=0, seed=0, corrupt=False):
     for n in range(max_degree + 1):
         report = rank_conditions(sys, n)
         if not report.ok:
-            rank_failures.append({
-                "n": n,
-                "rank_a_x": report.rank_a_x, "rank_a_y": report.rank_a_y,
-                "rank_c_next_x": report.rank_c_next_x,
-                "rank_c_next_y": report.rank_c_next_y,
-                "rank_joint_a": report.rank_joint_a,
-                "rank_joint_c": report.rank_joint_c})
+            rank_failures.append(report._asdict())
     checks.append(CheckResult("rank-conditions", not rank_failures, {
         "max_degree": max_degree, "failures": rank_failures}))
 

@@ -1,10 +1,12 @@
 """Catalog families: identifiers, closed forms, and the three-way check."""
 import sys
+from fractions import Fraction
 
 import pytest
 
 from ortho2d import (
     FAMILY_PARAMS,
+    CatalogId,
     Scalar,
     build_ttr,
     catalog_id,
@@ -48,15 +50,23 @@ def test_catalog_id_validation():
 
 
 def test_bessel_laguerre_rejects_zero_g():
-    cid = catalog_id("bessel-laguerre", g=0, gamma=1)
-    # one check, shared by the system, the closed forms and the flag
-    for route in (lambda: make_system(cid),
-                  lambda: positive_definite(cid),
-                  lambda: closed_form_first(cid, 2, 1),
-                  lambda: closed_form_second(cid, 2, 1),
-                  lambda: closed_form_ttr(cid, 2)):
-        with pytest.raises(ValueError, match="nonzero parameter g"):
-            route()
+    # One check, where the id is made: no id with g = 0 reaches the
+    # system, the closed forms or positive_definite.
+    good = catalog_id("bessel-laguerre", g=5, gamma=1)
+    for zero in (0, "0", "0/7", Fraction(0), q(0)):
+        for build in (
+                lambda: catalog_id("bessel-laguerre", g=zero, gamma=1),
+                lambda: CatalogId("bessel-laguerre",
+                                  (("g", zero), ("gamma", 1))),
+                lambda: good._replace(params=(("g", zero), ("gamma", 1)))):
+            with pytest.raises(ValueError, match="^bessel-laguerre "
+                               "requires a nonzero parameter g$"):
+                build()
+    # the other parameter, and every other family's, may vanish
+    assert catalog_id("bessel-laguerre", g=5, gamma=0).param("gamma") == 0
+    assert catalog_id("disk", mu=0).param("mu") == 0
+    assert good._replace(params=(("g", "1/2"), ("gamma", 1))) == (
+        catalog_id("bessel-laguerre", g="1/2", gamma=1))
 
 
 def test_positive_definite_flags():

@@ -195,6 +195,17 @@ def test_poly_constructor():
             SparsePoly2({key: 1})
 
 
+def test_poly_coeff_refuses_a_non_int_exponent():
+    # disk mu = 1/2: P_{2,1} = 5/2 x y, whose (1, 1) coefficient no other
+    # key may read
+    p = make_system(catalog_id("disk", mu="1/2")).expand_P(2, 1)
+    assert p.coeff(1, 1) == Fraction(5, 2) and p.coeff(0, 0) == 0
+    for i, j in ((True, True), (1.0, 1), (1, 1.0), (-1, 0), (0, -1),
+                 ("1", 1), (None, 0)):
+        with pytest.raises(ValueError, match="exponent"):
+            p.coeff(i, j)
+
+
 def test_poly_mul_known_product():
     x_plus_y = SparsePoly2({(1, 0): 1, (0, 1): 1})
     square = poly_mul(x_plus_y, x_plus_y)
@@ -368,6 +379,22 @@ def test_rank_exact_rejects_float():
         rank_exact([[0.5]])
     with pytest.raises(ModeError):
         rank_exact([[1, 2], [q(1), 0.25]])
+
+
+def test_rank_exact_rows_enter_through_from_dense():
+    # Rows enter through BandMatrix.from_dense, which raises each refusal
+    # in one place, for rank_exact as for a direct call.
+    for make in (rank_exact, BandMatrix.from_dense):
+        with pytest.raises(ValueError, match="ragged rows"):
+            make([[1, 2], [3]])
+        with pytest.raises(ValueError, match="ragged rows"):
+            make([[1], [2, 0.5]])
+        with pytest.raises(ModeError):
+            make([[1, 2], [3, 0.5]])
+        with pytest.raises(TypeError, match="bool"):
+            make([[1, True]])
+    assert rank_exact([]) == rank_exact([[]]) == 0
+    assert rank_exact(((1, 2), (2, 4))) == 1
 
 
 def test_rank_exact_needs_exact_division_to_hold():

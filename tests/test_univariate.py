@@ -119,6 +119,20 @@ def test_c_at_zero_is_an_error():
         jacobi_std(0, 0).c(0)
 
 
+def test_c_refuses_a_non_int_index_with_a_value_error():
+    # c compares only an int with 1; every other index meets the one
+    # index rule, as a(n) and b(n) do, before any comparison.
+    leg = jacobi_std(0, 0)
+    assert leg.c(2) == q("2/5")
+    for bad in ("2", None, True, 2.0, q(2)):
+        for method in (leg.a, leg.b, leg.c):
+            with pytest.raises(ValueError, match="index must be"):
+                method(bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=r"c\(n\) is only defined"):
+            leg.c(bad)
+
+
 def test_leading_coefficients():
     leg = jacobi_std(0, 0)
     assert leg.leading_coeffs(1).k == q(1)
