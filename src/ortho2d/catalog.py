@@ -2,9 +2,11 @@
 
 Each family is identified by a CatalogId (name plus rational parameters,
 each stored as a backend rational: gmpy2.mpq or fractions.Fraction),
-checked once, when it is made: an unknown name, a missing or extra
-parameter, or a vanishing one the family cannot take (bessel-laguerre's
-g) is a ValueError, so every route reads ``params_dict`` unchecked.
+checked once, when it is made, by whichever constructor (the call,
+``_make``, ``_replace``, copy or pickle): an unknown name, a missing,
+extra or repeated parameter, or a vanishing one the family cannot take
+(bessel-laguerre's g) is a ValueError, so every route reads
+``params_dict`` unchecked.
 ``make_system`` assembles the corresponding BivariateSystem from its
 univariate ingredients; ``closed_form_first``/``closed_form_second``
 evaluate the per-family closed-form coefficient tables directly, without
@@ -59,7 +61,12 @@ class CatalogId(_CatalogIdFields):
             known = ", ".join(sorted(_FAMILIES))
             raise ValueError(f"unknown family {name!r} (known: {known})")
         declared = family.params
-        given = dict(params)
+        given = {}
+        for k, v in params.items() if hasattr(params, "keys") else params:
+            if k in given:
+                raise ValueError(f"family {name!r}: parameter {k!r} "
+                                 f"is given more than once")
+            given[k] = v
         missing = [k for k in declared if k not in given]
         extra = [k for k in given if k not in declared]
         if missing or extra:
@@ -72,8 +79,9 @@ class CatalogId(_CatalogIdFields):
                 raise ValueError(f"{name} requires a nonzero parameter {k}")
         return super().__new__(cls, name, normalized)
 
-    def _replace(self, **changes):  # through the checks of __new__
-        return CatalogId(**{**self._asdict(), **changes})
+    @classmethod
+    def _make(cls, iterable):  # through __new__, as _replace is too
+        return cls(*iterable)
 
     def param(self, key):
         return self.params_dict[key]

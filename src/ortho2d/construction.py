@@ -29,7 +29,8 @@ row moments <w, P_{n,m} x^a y^b> are kept as ints over D, rescaled by the
 integer D_new / D_old when the table grows, and extended only by the
 monomials not yet seen.  A Gram entry is one integer dot product of a
 column polynomial with those row moments and a single rational, the
-shared zero when it vanishes.  The kernel reads the moments and the basis
+shared zero when it vanishes; H_n's diagonal is formed and checked in one
+place, ``_gram_diag``.  The kernel reads the moments and the basis
 polynomials only -- no norm, ladder, recurrence or connection coefficient
 -- so it stays an independent check.
 
@@ -215,11 +216,9 @@ class BivariateSystem:
         if e not in self._rho_pow:
             step = 1 if self.case == CASE_I else 2
             (d, u), (d_s, s) = self._rho_pow_int(e - step), self._rho_pow[step]
-            out = [0] * (len(u) + len(s) - 1)
-            for i, a in enumerate(u):
-                for k, b in enumerate(s):
-                    out[i + k] += a * b
-            self._rho_pow[e] = (d * d_s, out)
+            out = _product(u, s)
+            self._rho_pow[e] = (d * d_s, [out.get(k, 0) for k in
+                                          range(len(u) + len(s) - 1)])
         return self._rho_pow[e]
 
     # -- basis polynomials ----------------------------------------------------
@@ -367,12 +366,15 @@ class BivariateSystem:
         """Raw dense rows <w, x^dx y^dy P_{n,m} P_{h,mp}>, rows m, columns
         mp, from moments only; built once per (n, h, dx, dy).  Each entry
         is one integer dot product of the column polynomial with the row
-        moments (``_row_moments``), and one rational.  A vanishing diagonal
-        of H_n (unshifted) raises before anything is stored."""
+        moments (``_row_moments``), and one rational.  The unshifted H_n
+        first forms its diagonal (``_gram_diag``), so a vanishing one
+        raises before the block is built."""
         key = (n, h, dx, dy)
         cached = self._gram_cache.get(key)
         if cached is not None:
             return cached
+        if n == h and not (dx or dy):
+            self._gram_diag(n)
         deg = h + dx + dy
         d_w = self._moment_table(n + deg)[0]
         cols = [self._P_int(h, mp) for mp in range(h + 1)]
@@ -385,16 +387,15 @@ class BivariateSystem:
                      den_r * d_c)
                 for d_c, c_terms in cols
             ])
-        if n == h and not (dx or dy):
-            self._check_diagonal(n, [raw[m][m] for m in range(n + 1)])
         self._gram_cache[key] = raw
         return raw
 
     def _gram_diag(self, n):
         """Raw diagonal <w, P_{n,m}^2>, m = 0..n, of the Gram block H_n,
         built once per n without the rest of the block: each entry is the
-        dot product ``_gram_raw`` forms for it, in the same order.  A
-        vanishing entry raises before anything is stored."""
+        dot product ``_gram_raw`` forms for it, in the same order.  It is
+        the one check of H_n's diagonal: the first vanishing entry raises a
+        QuasiDefinitenessError at its (n, m), and nothing is stored."""
         cached = self._diag_cache.get(n)
         if cached is not None:
             return cached
@@ -403,19 +404,14 @@ class BivariateSystem:
         diag = []
         for m, (d, terms) in enumerate(forms):
             moms = self._row_moments(n, m, n)
-            diag.append(_rat(sum(c * moms[(i, j)] for i, j, c in terms),
-                             d_w * d * d))
-        self._check_diagonal(n, diag)
-        self._diag_cache[n] = diag
-        return diag
-
-    def _check_diagonal(self, n, diag):
-        """Raise at the first vanishing <w, P_{n,m}^2> of diag."""
-        for m, v in enumerate(diag):
+            v = _rat(sum(c * moms[(i, j)] for i, j, c in terms), d_w * d * d)
             if not v:
                 raise QuasiDefinitenessError(
                     self.label, {}, (n, m),
                     f"Gram diagonal <w, P_({n},{m})^2> vanishes")
+            diag.append(v)
+        self._diag_cache[n] = diag
+        return diag
 
     def gram_block(self, n, h):
         """Dense Gram block pairing total degrees n and h."""

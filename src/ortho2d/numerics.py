@@ -16,6 +16,8 @@ hold such values:
 * ``BandMatrix`` -- a rectangular matrix that only admits entries inside a
   declared band; reads outside the band are exact zeros, writes outside it
   are errors.  ``_LAYOUT`` and ``_relation`` lay out the relation matrices.
+  Each one is built by its constructor, and outside the class its storage
+  has one reader, ``_rows`` (the stored entries by row and column).
 
 Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (Bareiss's
 integer fraction-free elimination, no doubles anywhere, on the stored
@@ -426,14 +428,9 @@ class BandMatrix:
     # -- transforms --------------------------------------------------------
 
     def transpose(self):
-        entries = {(r + off, -off): v for (r, off), v in self._entries.items()}
-        out = object.__new__(BandMatrix)
-        object.__setattr__(out, "rows", self.cols)
-        object.__setattr__(out, "cols", self.rows)
-        object.__setattr__(out, "lower_bandwidth", self.upper_bandwidth)
-        object.__setattr__(out, "upper_bandwidth", self.lower_bandwidth)
-        object.__setattr__(out, "_entries", entries)
-        return out
+        entries = {(r + off, r): v for (r, off), v in self._entries.items()}
+        return BandMatrix(self.cols, self.rows, self.upper_bandwidth,
+                          self.lower_bandwidth, entries)
 
     # -- comparison / rendering ---------------------------------------------
 
@@ -511,16 +508,24 @@ def _int_list(values):
     return d, [int(v.numerator) * (d // int(v.denominator)) for v in values]
 
 
+def _rows(matrix):
+    """The stored entries of a BandMatrix, the one reader of its storage
+    outside the class: per row, [(column, raw)] in ascending column order."""
+    rows = [[] for _ in range(matrix.rows)]
+    for (r, off), raw in matrix._entries.items():
+        rows[r].append((r + off, raw))
+    for row in rows:
+        row.sort()  # a row's columns differ, so no two raws are compared
+    return rows
+
+
 def _int_rows(matrix):
     """The rows of a BandMatrix cleared of denominators, as lists of
-    Python ints, read from its stored entries: each row is scaled by the
-    lcm of its own entries' denominators, which is the lcm over the whole
-    row, its zeros having denominator 1."""
-    by_row = [[] for _ in range(matrix.rows)]
-    for (r, off), raw in matrix._entries.items():
-        by_row[r].append((r + off, raw))
+    Python ints, read from its stored entries (``_rows``): each row is
+    scaled by the lcm of its own entries' denominators, which is the lcm
+    over the whole row, its zeros having denominator 1."""
     rows = []
-    for entries in by_row:
+    for entries in _rows(matrix):
         row = [0] * matrix.cols
         d = math.lcm(*(int(v.denominator) for _, v in entries))
         for c, v in entries:

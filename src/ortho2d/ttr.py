@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .construction import CASE_I, _check_symmetric
 from .numerics import (BandMatrix, _check_index, _int_rows, _rank_int,
                        _relation)
-from .univariate import _adjacent_down, _adjacent_up
+from .univariate import _adjacent_up, adjacent_down
 
 AXES = ("x", "y")
 
@@ -81,7 +81,7 @@ def _down(sys, m, k):
     subdiagonal of the next two read the same one."""
     triple = sys._down_cache.get((m, k))
     if triple is None:
-        triple = sys._down_cache[(m, k)] = _adjacent_down(
+        triple = sys._down_cache[(m, k)] = adjacent_down(
             sys.ladder(m), sys.ladder(m + 1), sys.rho.s2, k)
     return triple
 

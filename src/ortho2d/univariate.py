@@ -26,7 +26,8 @@ or rationals.
 
 Division by zero anywhere in the lazy recurrence data signals that the
 parameter choice does not define a quasi-definite functional; it surfaces
-as a structured QuasiDefinitenessError.
+as a structured QuasiDefinitenessError, as does a zero a(j), which
+stops the degree at j (one rule, ``RecurrenceFamily._advancing_a``).
 """
 from __future__ import annotations
 
@@ -158,6 +159,14 @@ class RecurrenceFamily:
             raise ValueError("c(n) is only defined for n >= 1")
         return self._coefficient("c", self._c_fn, n)
 
+    def _advancing_a(self, j):
+        """a(j), which takes the degree from j to j + 1: the one rule that a
+        zero there is a QuasiDefinitenessError."""
+        a_j = self.a(j)
+        if not a_j:
+            self._fail(j, f"a({j}) = 0: degree cannot advance")
+        return a_j
+
     @property
     def h0(self):
         return self._h0
@@ -171,9 +180,7 @@ class RecurrenceFamily:
         while len(cache) <= n:
             j = len(cache) - 1
             k, l = cache[j]
-            a_j = self.a(j)
-            if not a_j:
-                self._fail(j, f"a({j}) = 0: degree cannot advance")
+            a_j = self._advancing_a(j)
             cache.append(LeadingPair(k / a_j, (l - self.b(j) * k) / a_j))
         return cache[n]
 
@@ -185,7 +192,7 @@ class RecurrenceFamily:
         cache = self._h_cache
         while len(cache) <= n:
             j = len(cache)
-            ratio = self.c(j) / self.a(j - 1)
+            ratio = self.c(j) / self._advancing_a(j - 1)
             if not ratio:
                 self._fail(j, f"norm ratio h({j})/h({j - 1}) = "
                               f"c({j})/a({j - 1}) is zero")
@@ -257,9 +264,7 @@ class RecurrenceFamily:
         while len(cache) <= n:
             j = len(cache) - 1
             d, cur = cache[j]
-            a_j = self.a(j)
-            if not a_j:
-                self._fail(j, f"a({j}) = 0: degree cannot advance")
+            a_j = self._advancing_a(j)
             b_j = self.b(j)
             # p_{j+1} = ((x - b_j) p_j - c_j p_{j-1}) / a_j: the p_j terms
             # over d * den(b_j), the p_{j-1} terms over d_prev * den(c_j),
@@ -301,9 +306,7 @@ class RecurrenceFamily:
         p_prev = None
         p_cur = _ONE
         for j in range(n):
-            a_j = self.a(j)
-            if not a_j:
-                self._fail(j, f"a({j}) = 0: degree cannot advance")
+            a_j = self._advancing_a(j)
             p_next = (xv - self.b(j)) * p_cur
             if j >= 1:
                 p_next = p_next - self.c(j) * p_prev
@@ -397,8 +400,15 @@ def bessel(a, b):
 # -- adjacent-family connections ----------------------------------------------
 
 
-def _adjacent_down(fam_m, fam_m1, s2, n):
-    """``adjacent_down`` without the index check; s2 is a raw rational."""
+def adjacent_down(fam_m, fam_m1, s2, n):
+    """Triple (delta, epsilon, zeta) expanding fam_m's degree-n polynomial
+    in fam_m1, the companion family whose weight carries an extra rho^2.
+
+    s2 is the leading coefficient of rho^2; fam_m1 must be normalized by
+    the rho^2-moment chain for the norm-dependent zeta to be meaningful.
+    """
+    _check_index(n, "index")
+    s2 = _as_raw_exact(s2)
     k_m_n, l_m_n = fam_m.leading_coeffs(n)
     k_m1_n, l_m1_n = fam_m1.leading_coeffs(n)
     delta = k_m_n / k_m1_n
@@ -424,21 +434,10 @@ def _adjacent_up(fam_m, fam_m1, s2, n, down):
     return AdjacentUp(eta, theta, vartheta)
 
 
-def adjacent_down(fam_m, fam_m1, s2, n):
-    """Triple (delta, epsilon, zeta) expanding fam_m's degree-n polynomial
-    in fam_m1, the companion family whose weight carries an extra rho^2.
-
-    s2 is the leading coefficient of rho^2; fam_m1 must be normalized by
-    the rho^2-moment chain for the norm-dependent zeta to be meaningful.
-    """
-    _check_index(n, "index")
-    return _adjacent_down(fam_m, fam_m1, _as_raw_exact(s2), n)
-
-
 def adjacent_up(fam_m, fam_m1, s2, n):
     """Triple (eta, theta, vartheta) expanding rho^2 times fam_m1's degree-n
     polynomial back in fam_m.  Defined for every n >= 0."""
     _check_index(n, "index")
     s2 = _as_raw_exact(s2)
     return _adjacent_up(fam_m, fam_m1, s2, n,
-                        lambda k: _adjacent_down(fam_m, fam_m1, s2, k))
+                        lambda k: adjacent_down(fam_m, fam_m1, s2, k))

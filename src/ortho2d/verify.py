@@ -13,7 +13,7 @@ Four independent checks, each returning a structured CheckResult:
   rounds the band entries on each call, and sums each row's rhs on one
   coefficient map, keeping the coefficient residual as a running max.
   Both read the stored band entries of the relation matrices cached on
-  the system (``ttr.first_ttr``/``second_ttr``), row by row.
+  the system (``ttr.first_ttr``/``second_ttr``) through ``_rows``.
 * ``verify_orthogonality`` -- Gram blocks of unequal degrees vanish and
   diagonal blocks are diagonal with the predicted norms.
 * ``verify_central_symmetry`` -- the equivalence "all odd moments vanish
@@ -36,7 +36,7 @@ import random
 from typing import NamedTuple
 
 from .catalog import cross_check, make_system
-from .numerics import _RAT, _check_index, _eval_terms, _powers
+from .numerics import _RAT, _check_index, _eval_terms, _powers, _rows
 from .ttr import first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -90,15 +90,6 @@ def _relation_matrices(sys, n, axis):
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def _row_entries(matrix, r):
-    """[(c, raw)]: the stored entries of row r, by column."""
-    entries = matrix._entries
-    return [(r + off, entries[r, off])
-            for off in range(-matrix.lower_bandwidth,
-                             matrix.upper_bandwidth + 1)
-            if (r, off) in entries]
-
-
 def _exact_failure(sys, n, axis):
     """The first row m of t P_n = A P_{n+1} + B P_n + C P_{n-1} whose
     residual does not vanish, as (m, (i, j), coefficient) with (i, j) its
@@ -111,7 +102,7 @@ def _exact_failure(sys, n, axis):
     nonzero entry is the smallest monomial; only a failing coefficient
     becomes a rational num / L.
     """
-    mats = _relation_matrices(sys, n, axis)
+    mats = [_rows(mat) for mat in _relation_matrices(sys, n, axis)]
     width = n + 2  # no monomial exceeds degree n + 1
     shift = width if axis == "x" else 1
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1,
@@ -123,8 +114,8 @@ def _exact_failure(sys, n, axis):
         # Each term of the rhs as (numerator, denominator, form).
         terms = [(int(entry.numerator), int(entry.denominator) * polys[c][0],
                   polys[c])
-                 for mat, polys in zip(mats, forms)
-                 for c, entry in _row_entries(mat, m)]
+                 for rows, polys in zip(mats, forms)
+                 for c, entry in rows[m]]
         lcm = math.lcm(d_lhs, *(den for _, den, _ in terms))
         scale = lcm // d_lhs
         residual = [0] * (width * width)
@@ -179,7 +170,7 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
 
     powers = [(_powers(px, n + 1), _powers(py, n + 1))
               for px, py in points]  # no monomial exceeds degree n + 1
-    mats = _relation_matrices(sys, n, axis)
+    mats = [_rows(mat) for mat in _relation_matrices(sys, n, axis)]
     dx, dy = (1, 0) if axis == "x" else (0, 1)
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
     polys = [[sys._P_float(n + d, c) for c in range(n + d + 1)]
@@ -189,8 +180,8 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
     for m in range(n + 1):
         lhs, scale = polys[1][m]  # t P_{n,m}, keyed before the shift
         rhs = {}
-        for mat, row in zip(mats, polys):
-            for c, raw in _row_entries(mat, m):
+        for rows, row in zip(mats, polys):
+            for c, raw in rows[m]:
                 entry = float(raw)
                 if not entry:
                     continue
@@ -311,8 +302,8 @@ def _orthonormal(matrix, d_rows, d_cols):
     """{(r, c): v * (1 / d_row) * d_col} of doubles over the stored entries
     of the exact matrix, each entry v rounded once."""
     inv = [1.0 / d for d in d_rows]
-    return {(r, r + off): float(raw) * inv[r] * d_cols[r + off]
-            for (r, off), raw in matrix._entries.items()}
+    return {(r, c): float(raw) * inv[r] * d_cols[c]
+            for r, row in enumerate(_rows(matrix)) for c, raw in row}
 
 
 def _norm_roots(sys, n):

@@ -1,4 +1,6 @@
 """Catalog families: identifiers, closed forms, and the three-way check."""
+import copy
+import pickle
 import sys
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from ortho2d import (
     FAMILY_PARAMS,
     CatalogId,
+    ModeError,
     Scalar,
     build_ttr,
     catalog_id,
@@ -58,6 +61,8 @@ def test_bessel_laguerre_rejects_zero_g():
                 lambda: catalog_id("bessel-laguerre", g=zero, gamma=1),
                 lambda: CatalogId("bessel-laguerre",
                                   (("g", zero), ("gamma", 1))),
+                lambda: CatalogId._make(("bessel-laguerre",
+                                         (("g", zero), ("gamma", 1)))),
                 lambda: good._replace(params=(("g", zero), ("gamma", 1)))):
             with pytest.raises(ValueError, match="^bessel-laguerre "
                                "requires a nonzero parameter g$"):
@@ -67,6 +72,33 @@ def test_bessel_laguerre_rejects_zero_g():
     assert catalog_id("disk", mu=0).param("mu") == 0
     assert good._replace(params=(("g", "1/2"), ("gamma", 1))) == (
         catalog_id("bessel-laguerre", g="1/2", gamma=1))
+
+
+def test_catalog_id_refuses_a_repeated_parameter_name():
+    for params in ((("mu", 1), ("mu", 2)), (("mu", 1), ("mu", 1))):
+        with pytest.raises(ValueError, match="^family 'disk': parameter "
+                           "'mu' is given more than once$"):
+            CatalogId("disk", params)
+    with pytest.raises(ValueError, match="parameter 'g' is given"):
+        CatalogId("bessel-laguerre", (("g", 5), ("gamma", 1), ("g", 5)))
+    # a mapping, which cannot repeat a name, is still read as one
+    assert CatalogId("disk", {"mu": 1}) == catalog_id("disk", mu=1)
+
+
+def test_catalog_id_is_checked_on_every_constructor():
+    # _make and _replace normalize and refuse a float as the call does;
+    # copy and pickle rebuild an equal id
+    good = catalog_id("bessel-laguerre", g=5, gamma=1)
+    disk = catalog_id("disk", mu="1/2")
+    for build in (lambda: CatalogId._make(("disk", (("mu", 0.5),))),
+                  lambda: disk._replace(params=(("mu", 0.5),))):
+        with pytest.raises(ModeError):
+            build()
+    assert CatalogId._make(("disk", (("mu", "1/2"),))) == disk
+    for cid in (good, disk):
+        for twin in (copy.copy(cid), copy.deepcopy(cid),
+                     pickle.loads(pickle.dumps(cid))):
+            assert twin == cid and type(twin) is CatalogId
 
 
 def test_positive_definite_flags():

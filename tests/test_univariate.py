@@ -225,6 +225,27 @@ def test_zero_a_raises_on_every_coeffs_call():
             stall.coeffs(2)
 
 
+def test_norms_refuse_a_zero_a_with_a_quasi_definiteness_error():
+    # h_j = h_(j-1) c(j) / a(j - 1): a(j - 1) = 0 is the rule that the
+    # degree cannot advance, not a bare ZeroDivisionError
+    flat = RecurrenceFamily("t", lambda n: Fraction(0), lambda n: Fraction(0),
+                            lambda n: Fraction(1))
+    stall = RecurrenceFamily("stall", lambda n: Fraction(n != 1),
+                             lambda n: Fraction(0), lambda n: Fraction(1))
+    assert stall.norms(1) == 1
+    for fam, n, j in ((flat, 1, 0), (stall, 2, 1)):
+        for _ in range(2):
+            with pytest.raises(QuasiDefinitenessError, match=(
+                    rf"^{fam.label}: a\({j}\) = 0: degree cannot advance$")):
+                fam.norms(n)
+    # c(j) is read before a(j - 1), so its own failure is the one reported
+    broken_c = RecurrenceFamily("c", lambda n: Fraction(0),
+                                lambda n: Fraction(0),
+                                lambda n: 1 / Fraction(0))
+    with pytest.raises(QuasiDefinitenessError, match=r"c\(1\) is undefined"):
+        broken_c.norms(1)
+
+
 # -- dense coefficients against a plain Fraction recurrence ----------------
 
 # One parameter set per catalog family; bessel-laguerre's q and ladders

@@ -9,9 +9,8 @@ from ortho2d import (
     catalog_id,
     make_system,
 )
-from ortho2d.numerics import _eval_terms, _powers
+from ortho2d.numerics import _eval_terms, _powers, _rows
 from ortho2d.verify import (
-    _row_entries,
     run_suite,
     verify_central_symmetry,
     verify_orthogonality,
@@ -191,7 +190,7 @@ def reference_float_details(sys_obj, n, axis, points, tol=1e-10):
         lhs = {(i + dx, j + dy): c for (i, j), c in polys[1][m].items()}
         rounded = [(maps[c], float(raw))
                    for mat, maps in zip(mats, polys)
-                   for c, raw in _row_entries(mat, m)]
+                   for c, raw in _rows(mat)[m]]
         terms = [{k: coeff * entry for k, coeff in poly.items()}
                  for poly, entry in rounded if entry]
         rhs = {}
