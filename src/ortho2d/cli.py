@@ -65,12 +65,11 @@ def canonical_json(obj):
 
 
 def _family_id(args):
-    values = {}
-    for key in _PARAM_FLAGS:
-        v = getattr(args, key)
-        if v is not None:
-            values[key] = parse_rational(v)
-    return catalog_id(args.family, **values)
+    """The CatalogId of the family flags: the flag strings go to
+    ``catalog_id`` as given, which checks the names and parses them."""
+    values = {key: getattr(args, key) for key in _PARAM_FLAGS}
+    return catalog_id(args.family, **{
+        key: v for key, v in values.items() if v is not None})
 
 
 def _write_json(args, command, cid, **fields):

@@ -60,7 +60,7 @@ _ZERO = _RAT(0)
 CASE_I = "I"
 CASE_II = "II"
 
-# Largest index at which ``assemble`` checks a case-II q for symmetry.
+# Largest j for which ``assemble`` reads a case-II q's b(j) eagerly.
 _SYMMETRY_PRECHECK = 16
 
 
@@ -190,14 +190,16 @@ class BivariateSystem:
         _check_index(m, "ladder index")
         while len(self._ladders) <= m:
             j = len(self._ladders)
-            if j == 0:
-                self._ladders.append(self._factory(0).with_h0(1))
-                continue
-            prev = self._ladders[j - 1]
-            mom = [prev._moment_raw(i) for i in range(3)]
-            chain = (self.rho.s2 * mom[2] + self.rho.s1 * mom[1]
-                     + self.rho.s0 * mom[0])
+            chain = 1  # h_0 of step 0; of step j, <u_{j-1}, rho^2>
+            if j:
+                mom = [self._ladders[j - 1]._moment_raw(i) for i in range(3)]
+                chain = (self.rho.s2 * mom[2] + self.rho.s1 * mom[1]
+                         + self.rho.s0 * mom[0])
             fam = self._factory(j)
+            if not isinstance(fam, RecurrenceFamily):
+                raise TypeError(f"ladder_factory({j}) returned "
+                                f"{type(fam).__name__}, not a "
+                                f"RecurrenceFamily")
             if not chain:
                 raise QuasiDefinitenessError(
                     f"{self.label}:{fam.label}", fam.params, j,
@@ -234,8 +236,6 @@ class BivariateSystem:
             return cached
         d_q, q_coeffs = self.q._coeffs_int(m)
         d_p, p_coeffs = self.ladder(m)._coeffs_int(n - m)
-        if self.case == CASE_II:
-            _check_symmetric(self.q, self.label, m - 1)
         # Each y^j term carries rho^(m - j); bring them over one lcm.
         rho = {j: self._rho_pow_int(m - j)
                for j, qc in enumerate(q_coeffs) if qc}
@@ -429,9 +429,11 @@ class BivariateSystem:
 def assemble(rho, ladder_factory, q, label="system"):
     """Build a BivariateSystem and run eager structural checks.
 
-    Case II requires the second-variable family to be symmetric: its
-    b-coefficients are checked here up to index ``_SYMMETRY_PRECHECK``, and
-    ``second_ttr`` and ``expand_P`` check them again at any degree.
+    Case II requires the second-variable family to be symmetric.  The
+    system's q then refuses a nonzero b(j) wherever b(j) is read -- by
+    moments, basis polynomials and ``second_ttr`` alike -- with a
+    ValueError that is never stored, so it repeats on every call; here
+    b(j) is read eagerly for j <= ``_SYMMETRY_PRECHECK``.
     """
     if not isinstance(rho, RhoSpec):
         raise TypeError("rho must be a RhoSpec")
@@ -441,15 +443,17 @@ def assemble(rho, ladder_factory, q, label="system"):
         raise TypeError("ladder_factory must map m to a RecurrenceFamily")
     q_norm = q.with_h0(1)
     if rho.case == CASE_II:
-        _check_symmetric(q_norm, label, _SYMMETRY_PRECHECK)
+        q_b = q_norm.b
+
+        def symmetric_b(j):
+            if q_b(j):
+                raise ValueError(
+                    f"{label}: case II requires a symmetric second-variable "
+                    f"family; {q.label} has b({j}) != 0")
+            return _ZERO
+
+        q_norm = RecurrenceFamily(q.label, q_norm._a_fn, symmetric_b,
+                                  q_norm._c_fn, 1, q.params)
+        for j in range(_SYMMETRY_PRECHECK + 1):
+            q_norm.b(j)
     return BivariateSystem(rho, ladder_factory, q_norm, label)
-
-
-def _check_symmetric(q, label, upto):
-    """Raise ValueError unless b(j) = 0 for every j <= upto, as case II
-    requires of q.  Nothing is stored, so a failure repeats on every call."""
-    for j in range(upto + 1):
-        if q.b(j):
-            raise ValueError(
-                f"{label}: case II requires a symmetric second-variable "
-                f"family; {q.label} has b({j}) != 0")

@@ -81,6 +81,8 @@ def parse_rational(text):
 
 def _as_raw_exact(v):
     """Coerce v to a raw exact rational; reject floats."""
+    if type(v) is _RAT_TYPES[-1]:  # already the backend's own type
+        return v
     if isinstance(v, Scalar):
         return v.value
     if isinstance(v, bool):
@@ -88,8 +90,6 @@ def _as_raw_exact(v):
     if isinstance(v, int):
         return _RAT(v)
     if isinstance(v, _RAT_TYPES):
-        if type(v) is _RAT_TYPES[-1]:  # already the backend's own type
-            return v
         return _RAT(v.numerator, v.denominator)
     if isinstance(v, str):
         return parse_rational(v)
@@ -522,14 +522,15 @@ def _rows(matrix):
 def _int_rows(matrix):
     """The rows of a BandMatrix cleared of denominators, as lists of
     Python ints, read from its stored entries (``_rows``): each row is
-    scaled by the lcm of its own entries' denominators, which is the lcm
-    over the whole row, its zeros having denominator 1."""
+    cleared by ``_int_list``, over the lcm of its own entries'
+    denominators, which is the lcm over the whole row, its zeros having
+    denominator 1."""
     rows = []
     for entries in _rows(matrix):
         row = [0] * matrix.cols
-        d = math.lcm(*(int(v.denominator) for _, v in entries))
-        for c, v in entries:
-            row[c] = int(v.numerator) * (d // int(v.denominator))
+        ints = _int_list([v for _, v in entries])[1]
+        for (c, _), x in zip(entries, ints):
+            row[c] = x
         rows.append(row)
     return rows
 

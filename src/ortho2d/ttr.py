@@ -33,12 +33,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .construction import CASE_I, _check_symmetric
 from .numerics import (BandMatrix, _check_index, _int_rows, _rank_int,
                        _relation)
 from .univariate import _adjacent_up, adjacent_down
 
-AXES = ("x", "y")
+# The relation axes, each with the exponent shift (dx, dy) of its variable.
+SHIFTS = {"x": (1, 0), "y": (0, 1)}
 
 
 class TTRSet(NamedTuple):
@@ -92,22 +92,20 @@ def second_ttr(sys, n):
     Row m combines the second-variable recurrence coefficients at index m
     with the adjacent-family connections: the subdiagonal consumes the
     upward triple between ladder steps m-1 and m, the superdiagonal the
-    downward triple between steps m and m+1, and the diagonal (case I
-    only) the first-variable recurrence itself.
+    downward triple between steps m and m+1, and the diagonal, where q's
+    b-coefficient is nonzero, the first-variable recurrence itself.
 
     Built once per system and degree, then read from the system's cache.
-    In case II the symmetry of q is checked before anything is stored, so
-    a failing degree fails again on every call.
+    In case II the system's q refuses a nonzero b-coefficient when it is
+    read (see ``construction.assemble``); such a failure stores no
+    matrices, so a failing degree fails again on every call.
     """
     _check_index(n, "degree")
     cached = sys._ttr_cache.get((n, "y"))
     if cached is not None:
         return cached
     rho = sys.rho
-    case_i = sys.case == CASE_I
     q = sys.q
-    if not case_i:
-        _check_symmetric(q, sys.label, n)
     rows = []
     for m in range(n + 1):
         k = n - m
@@ -119,16 +117,15 @@ def second_ttr(sys, n):
             row.update(_scaled(q.c(m), ("a1", "b1", "c1"), _adjacent_up(
                 sys.ladder(m - 1), sys.ladder(m), rho.s2, k,
                 lambda j: _down(sys, m - 1, j))))
-        # Diagonal: vanishes in case II; otherwise q's b-coefficient times
-        # the ladder recurrence mapped through rho = r1 x + r0.
-        if case_i:
-            qb = q.b(m)
-            if qb:
-                fam = sys.ladder(m)
-                row["a2"] = qb * rho.r1 * fam.a(k)
-                row["b2"] = qb * (rho.r1 * fam.b(k) + rho.r0)
-                if k:
-                    row["c2"] = qb * rho.r1 * fam.c(k)
+        # Diagonal: q's b-coefficient times the ladder recurrence mapped
+        # through rho = r1 x + r0; a nonzero b(m) occurs only in case I.
+        qb = q.b(m)
+        if qb:
+            fam = sys.ladder(m)
+            row["a2"] = qb * rho.r1 * fam.a(k)
+            row["b2"] = qb * (rho.r1 * fam.b(k) + rho.r0)
+            if k:
+                row["c2"] = qb * rho.r1 * fam.c(k)
         # Superdiagonal: q's a-coefficient times the downward connection
         # between ladder steps m and m+1, at first-variable index k.
         row.update(_scaled(qa, ("a3", "b3", "c3"), _down(sys, m, k)))
@@ -175,9 +172,8 @@ def ttr_from_gram(sys, n):
     h_n = sys._gram_diag(n)
     h_next = sys._gram_diag(n + 1)
     h_prev = sys._gram_diag(n - 1) if n >= 1 else []
-    out = {}
-    for axis in AXES:
-        dx, dy = (1, 0) if axis == "x" else (0, 1)
+    mats = []
+    for dx, dy in SHIFTS.values():
         a_dense = [[_ratio(v, h) for v, h in zip(row, h_next)]
                    for row in sys._gram_raw(n, n + 1, dx, dy)]
         b_dense = [[_ratio(v, h) for v, h in zip(row, h_n)]
@@ -185,14 +181,8 @@ def ttr_from_gram(sys, n):
         g_prev = sys._gram_raw(n - 1, n, dx, dy) if n >= 1 else []
         c_dense = [[_ratio(g_prev[c][r], h_prev[c]) for c in range(n)]
                    for r in range(n + 1)]
-        out[axis] = (
-            BandMatrix.from_dense(a_dense),
-            BandMatrix.from_dense(b_dense),
-            BandMatrix.from_dense(c_dense),
-        )
-    ax, bx, cx = out["x"]
-    ay, by, cy = out["y"]
-    return TTRSet(n, ax, bx, cx, ay, by, cy)
+        mats += map(BandMatrix.from_dense, (a_dense, b_dense, c_dense))
+    return TTRSet(n, *mats)
 
 
 # -- rank conditions ----------------------------------------------------------

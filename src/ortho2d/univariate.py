@@ -90,8 +90,10 @@ class AdjacentUp(NamedTuple):
 class RecurrenceFamily:
     """One univariate family, defined by recurrence closures.
 
-    The closures a, b, c take an index n and return a raw exact rational;
-    c is only consulted for n >= 1.  Each recurrence coefficient and all
+    The closures a, b, c take an index n and return an exact value (an
+    int, a rational or a Scalar), which is read once through
+    ``_as_raw_exact``, so a float is a ModeError; c is only consulted for
+    n >= 1.  Each recurrence coefficient and all
     derived data (leading coefficients, norms, moments, dense coefficients)
     is computed lazily, once, and cached on the family; the moment
     recursion keeps only its last integer vector.  A family is not
@@ -140,7 +142,7 @@ class RecurrenceFamily:
         if value is None:
             # A failure is never stored, so it raises on every access.
             try:
-                value = fn(n)
+                value = _as_raw_exact(fn(n))
             except ZeroDivisionError as exc:
                 self._fail(n, f"recurrence coefficient {which}({n}) is "
                               f"undefined (zero denominator)", exc)
@@ -363,7 +365,7 @@ def laguerre(alpha):
     al = _as_raw_exact(alpha)
     return RecurrenceFamily(
         f"laguerre({al})",
-        lambda n: _RAT(-(n + 1)),
+        lambda n: -(n + 1),
         lambda n: 2 * n + al + 1,
         lambda n: -(n + al),
         params={"alpha": al})

@@ -15,7 +15,8 @@ Four independent checks, each returning a structured CheckResult:
   Both read the stored band entries of the relation matrices cached on
   the system (``ttr.first_ttr``/``second_ttr``) through ``_rows``.
 * ``verify_orthogonality`` -- Gram blocks of unequal degrees vanish and
-  diagonal blocks are diagonal with the predicted norms.
+  diagonal blocks are diagonal with the predicted norms, in one scan
+  over the raw blocks the system caches (``_gram_raw``).
 * ``verify_central_symmetry`` -- the equivalence "all odd moments vanish
   iff both B matrices vanish", checked from both sides independently.
 * ``verify_orthonormal_transpose`` -- for positive-definite systems the
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 from .catalog import cross_check, make_system
 from .numerics import _RAT, _check_index, _eval_terms, _powers, _rows
-from .ttr import first_ttr, rank_conditions, second_ttr
+from .ttr import SHIFTS, first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
 # The relative bound of both float checks: verify_relation's default tol
@@ -104,7 +105,8 @@ def _exact_failure(sys, n, axis):
     """
     mats = [_rows(mat) for mat in _relation_matrices(sys, n, axis)]
     width = n + 2  # no monomial exceeds degree n + 1
-    shift = width if axis == "x" else 1
+    dx, dy = SHIFTS[axis]
+    shift = dx * width + dy
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1,
     # each as (d, flat indices, coefficients).
     forms = [[_flat(sys._P_int(n + d, c), width) for c in range(n + d + 1)]
@@ -171,7 +173,7 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
     powers = [(_powers(px, n + 1), _powers(py, n + 1))
               for px, py in points]  # no monomial exceeds degree n + 1
     mats = [_rows(mat) for mat in _relation_matrices(sys, n, axis)]
-    dx, dy = (1, 0) if axis == "x" else (0, 1)
+    dx, dy = SHIFTS[axis]
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
     polys = [[sys._P_float(n + d, c) for c in range(n + d + 1)]
              for d in (1, 0, -1)]
@@ -224,38 +226,36 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
 
 def verify_orthogonality(sys, max_degree):
     """Gram blocks up to max_degree: off-degree blocks vanish, diagonal
-    blocks are diagonal with the closed-form norms on the diagonal."""
+    blocks are diagonal with the closed-form norms on the diagonal.
+
+    One scan reads the raw blocks <w, P_n P_h^t> (``_gram_raw``) for
+    n = 0..max_degree and h = 0..n, row by row, and reports the first
+    entry that fails: a nonzero one off the degree or off the diagonal,
+    or a diagonal one unequal to ``block_norm``."""
     _check_index(max_degree, "max_degree")
+
+    def failure(kind, **where):
+        return CheckResult("orthogonality", False, {
+            "max_degree": max_degree, "kind": kind, **where})
+
     for n in range(max_degree + 1):
-        for h in range(n):
-            block = sys.gram_block(n, h)
-            for m in range(n + 1):
-                for mp in range(h + 1):
-                    v = block.entries[m][mp]
-                    if v:
-                        return CheckResult("orthogonality", False, {
-                            "max_degree": max_degree,
-                            "kind": "cross-degree block not zero",
-                            "n": n, "h": h, "m": m, "mp": mp,
-                            "value": str(v)})
-        block = sys.gram_block(n, n)
-        for m in range(n + 1):
-            for mp in range(n + 1):
-                v = block.entries[m][mp]
-                if m != mp:
-                    if v:
-                        return CheckResult("orthogonality", False, {
-                            "max_degree": max_degree,
-                            "kind": "diagonal block not diagonal",
-                            "n": n, "m": m, "mp": mp, "value": str(v)})
-                else:
-                    expected = sys.block_norm(n, m)
-                    if v != expected:
-                        return CheckResult("orthogonality", False, {
-                            "max_degree": max_degree,
-                            "kind": "norm mismatch",
-                            "n": n, "m": m,
-                            "gram": str(v), "predicted": str(expected)})
+        for h in range(n + 1):
+            for m, row in enumerate(sys._gram_raw(n, h)):
+                for mp, v in enumerate(row):
+                    if h < n:
+                        if v:
+                            return failure("cross-degree block not zero",
+                                           n=n, h=h, m=m, mp=mp, value=str(v))
+                    elif m != mp:
+                        if v:
+                            return failure("diagonal block not diagonal",
+                                           n=n, m=m, mp=mp, value=str(v))
+                    else:
+                        expected = sys.block_norm(n, m)
+                        if v != expected:
+                            return failure("norm mismatch", n=n, m=m,
+                                           gram=str(v),
+                                           predicted=str(expected))
     return CheckResult("orthogonality", True, {"max_degree": max_degree})
 
 
@@ -319,7 +319,12 @@ def _norm_roots(sys, n):
                 raise NotPositiveDefiniteError(
                     f"{sys.label} is not positive-definite: squared norm "
                     f"of the ({n},{m}) basis polynomial is {h}")
-            roots.append(math.sqrt(float(h)))
+            try:
+                roots.append(math.sqrt(float(h)))
+            except OverflowError:
+                raise OverflowError(
+                    f"orthonormal-transpose at n = {n}, row {m}: the "
+                    f"squared norm overflows a double") from None
         sys._root_cache[n] = roots
     return roots
 
@@ -338,7 +343,7 @@ def verify_orthonormal_transpose(sys, max_degree):
     for n in range(max_degree):
         d_n = norms[n]
         d_up = norms[n + 1]
-        for axis in ("x", "y"):
+        for axis in SHIFTS:
             a_tilde = _orthonormal(_relation_matrices(sys, n, axis)[0],
                                    d_n, d_up)
             # C~_{n+1} transposed, keyed like A~.
@@ -385,30 +390,24 @@ def run_suite(cid, max_degree, mode="exact", points=0, seed=0, corrupt=False):
         "first_mismatches": first}))
 
     rng = random.Random(seed)
-    for axis in ("x", "y"):
-        failures = []
-        worst_coeff = 0.0
-        worst_point = 0.0
+    draws = points if mode == "float" else 0
+    for axis in SHIFTS:
+        results = []
         for n in range(max_degree + 1):
-            if mode == "exact":
-                res = verify_relation(sys, n, axis, mode="exact")
-            else:
-                pts = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-                       for _ in range(points)]
-                res = verify_relation(sys, n, axis, mode="float", points=pts)
-                worst_coeff = max(worst_coeff,
-                                  res.details["max_coeff_residual"])
-                if res.details["max_point_residual"] is not None:
-                    worst_point = max(worst_point,
-                                      res.details["max_point_residual"])
-            if not res.passed:
-                failures.append(res.details)
+            pts = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                   for _ in range(draws)]
+            results.append(
+                verify_relation(sys, n, axis, mode=mode, points=pts))
         details = {"max_degree": max_degree, "mode": mode,
-                   "failures": failures}
+                   "failures": [r.details for r in results if not r.passed]}
         if mode == "float":
-            details["max_coeff_residual"] = worst_coeff
-            details["max_point_residual"] = worst_point if points else None
-        checks.append(CheckResult(f"relation-{axis}", not failures, details))
+            details["max_coeff_residual"] = max(
+                r.details["max_coeff_residual"] for r in results)
+            details["max_point_residual"] = max(
+                r.details["max_point_residual"] for r in results
+            ) if points else None
+        checks.append(CheckResult(f"relation-{axis}",
+                                  not details["failures"], details))
 
     checks.append(verify_orthogonality(sys, max_degree))
 

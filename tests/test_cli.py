@@ -501,10 +501,12 @@ def test_missing_parameter_exits_two(capsys):
 
 
 def test_extra_parameter_exits_two(capsys):
-    code, _, err = run(capsys, "tables", "disk", "--mu", "1/2",
-                       "--alpha", "1")
-    assert code == 2
-    assert "extra" in err
+    # the names are checked before any literal is parsed
+    for alpha in ("1", "1/x"):
+        code, _, err = run(capsys, "tables", "disk", "--mu", "1/2",
+                           "--alpha", alpha)
+        assert code == 2
+        assert "extra" in err
 
 
 def test_unknown_family_exits_two(capsys):

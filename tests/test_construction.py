@@ -73,6 +73,15 @@ def test_assemble_type_checks():
         assemble(rho, None, fam)
 
 
+def test_ladder_refuses_a_factory_value_that_is_no_family():
+    sys_obj = assemble(RhoSpec.linear(0, 1), lambda m: "family",
+                       jacobi_std(0, 0))
+    for _ in range(2):
+        with pytest.raises(TypeError, match=r"ladder_factory\(0\) "
+                                            r"returned str"):
+            sys_obj.ladder(0)
+
+
 def test_case_two_requires_symmetric_q():
     rho = RhoSpec.sqrt_quadratic(-1, 0, 1)
     with pytest.raises(ValueError, match="symmetric"):
@@ -92,6 +101,9 @@ def test_case_two_symmetry_is_checked_past_the_eager_range():
         second_ttr(sys_obj, 17)
     with pytest.raises(ValueError, match="symmetric"):
         sys_obj.expand_P(18, 18)
+    # the moments read q's b-coefficients too, so they refuse it alike
+    with pytest.raises(ValueError, match=r"b\(17\) != 0"):
+        sys_obj.w_moment(0, 20)
 
 
 def test_case_two_symmetry_failure_is_not_cached():

@@ -6,6 +6,7 @@ from ortho2d import (
     BandMatrix,
     ModeError,
     RhoSpec,
+    RecurrenceFamily,
     Scalar,
     SparsePoly2,
     adjacent_down,
@@ -56,11 +57,20 @@ def test_a_scalar_still_refuses_a_float():
     lambda: RhoSpec.linear(0.5, 1),
     lambda: jacobi_std(0.5, 0),
     lambda: BandMatrix(1, 1, 0, 0, {(0, 0): 0.5}),
+    lambda: RecurrenceFamily("f", lambda n: 1.0, lambda n: 0.0,
+                             lambda n: 1.0).a(0),
 ], ids=["Scalar.exact", "catalog_id", "RhoSpec.linear", "jacobi_std",
-        "BandMatrix"])
+        "BandMatrix", "RecurrenceFamily closure"])
 def test_entry_points_refuse_a_float(make):
     with pytest.raises(ModeError):
         make()
+
+
+def _scalar_family():
+    """A family whose recurrence closures return Scalars."""
+    return RecurrenceFamily("s", lambda n: Scalar.exact(1),
+                            lambda n: Scalar.exact(0),
+                            lambda n: Scalar.exact(n))
 
 
 # One accessor per former public/private pair, and each other value the
@@ -77,6 +87,10 @@ ACCESSORS = {
     "coeffs": lambda s: s.q.coeffs(3)[1],
     "eval": lambda s: s.q.eval(3, "1/3"),
     "params": lambda s: s.q.params["alpha"],
+    "int closures": lambda s: RecurrenceFamily(
+        "u", lambda n: 1, lambda n: 0, lambda n: n).norms(2),
+    "Scalar closures.coeffs": lambda s: _scalar_family().coeffs(2)[0],
+    "Scalar closures.moments": lambda s: _scalar_family().moments(4)[4],
     "adjacent_down": lambda s: adjacent_down(
         s.ladder(0), s.ladder(1), s.rho.s2, 2).zeta,
     "adjacent_up": lambda s: adjacent_up(

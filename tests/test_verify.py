@@ -281,6 +281,13 @@ def test_orthonormal_transpose_refuses_an_overflowing_entry(
         verify_orthonormal_transpose(sys_obj, 1)
 
 
+def test_orthonormal_transpose_names_an_overflowing_norm():
+    sys_obj = make_system(catalog_id("disk", mu="1e400"))
+    with pytest.raises(OverflowError,
+                       match=r"orthonormal-transpose at n = 1, row 0"):
+        verify_orthonormal_transpose(sys_obj, 2)
+
+
 def test_orthonormal_transpose_detects_a_wrong_entry(disk, monkeypatch):
     _perturb_an_a_entry(monkeypatch)
     res = verify_orthonormal_transpose(disk, 3)
@@ -315,6 +322,19 @@ def test_orthogonality_reports_a_faulty_block(disk):
     assert res.details["kind"] == "cross-degree block not zero"
     assert (res.details["n"], res.details["h"]) == (1, 0)
     assert (res.details["m"], res.details["mp"]) == (1, 0)
+
+
+def test_orthogonality_reports_a_non_diagonal_block():
+    sys_obj = make_system(catalog_id("disk", mu="1/2"))
+    good = sys_obj._gram_raw(2, 2)
+    # fault injection: one off-diagonal entry of H_2 planted nonzero
+    sys_obj._gram_cache[(2, 2, 0, 0)] = [good[0], good[1],
+                                         [good[2][0], q(3).value, good[2][2]]]
+    res = verify_orthogonality(sys_obj, 3)
+    assert not res.passed
+    assert res.details == {"max_degree": 3,
+                           "kind": "diagonal block not diagonal",
+                           "n": 2, "m": 2, "mp": 1, "value": "3"}
 
 
 def test_orthogonality_reports_wrong_norm(disk):
