@@ -16,8 +16,7 @@ _EXPORTS = {
         "closed_form_ttr", "cross_check", "make_system", "positive_definite",
     ), "catalog"),
     **dict.fromkeys((
-        "CASE_I", "CASE_II", "BivariateSystem", "GramBlock", "RhoSpec",
-        "assemble",
+        "BivariateSystem", "GramBlock", "RhoSpec", "assemble",
     ), "construction"),
     **dict.fromkeys((
         "BandMatrix", "ModeError", "Scalar", "SparsePoly2", "parse_rational",

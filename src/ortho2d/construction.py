@@ -15,24 +15,26 @@ The degree-(n, m) basis polynomial is
     P_{n,m}(x, y) = p_{n-m}^{(m)}(x) * rho(x)^m * q_m(y / rho(x)),
 
 which is a genuine polynomial because q_m has the same parity as m in
-case II.  The module expands these basis polynomials, computes moments of
-the induced bivariate functional, and evaluates Gram blocks -- the
-independent ground truth against which the recurrence-built matrix
-relations are checked.
+case II.  Both cases are one construction: each power of rho is
+rho^(e-2) rho^2, seeded with rho^1 where rho is a polynomial, and a
+vanishing moment of q gives a vanishing bivariate moment.  The module
+expands these basis polynomials, computes moments of the induced
+bivariate functional, and evaluates Gram blocks -- the independent ground
+truth against which the recurrence-built matrix relations are checked.
 
 Everything is built fraction-free, in the manner of Bareiss elimination:
 basis polynomials, ladder coefficients and powers of rho are each cached
 once, as integer forms (integers over one least positive denominator).
-The moments <w, x^h y^k> form one integer table over a common denominator
-D.  Each basis polynomial is contracted against it once per monomial: its
-row moments <w, P_{n,m} x^a y^b> are kept as ints over D, rescaled by the
-integer D_new / D_old when the table grows, and extended only by the
-monomials not yet seen.  A Gram entry is one integer dot product of a
-column polynomial with those row moments and a single rational, the
-shared zero when it vanishes; H_n's diagonal is formed and checked in one
-place, ``_gram_diag``.  The kernel reads the moments and the basis
-polynomials only -- no norm, ladder, recurrence or connection coefficient
--- so it stays an independent check.
+The moments <w, x^h y^k> form one triangular integer grid W[h][k] over a
+common denominator D, and the row moments <w, P_{n,m} x^a y^b> of each
+basis polynomial a grid of the same layout over D.  Both grow by total
+degree and are rescaled by the integer D_new / D_old when D grows.  One
+contraction, ``_contract``, forms the row moments, every Gram entry and
+``moment_bilinear``; a Gram entry is one rational, the shared zero when
+it vanishes, and H_n's diagonal is formed and checked in one place,
+``_gram_diag``.  The kernel reads the moments and the basis polynomials
+only -- no norm, ladder, recurrence or connection coefficient -- so it
+stays an independent check.
 
 Every value a system returns -- a moment, a Gram entry, a block norm, a
 coefficient of ``RhoSpec`` or of an expanded basis polynomial -- is a
@@ -57,19 +59,16 @@ from .univariate import QuasiDefinitenessError, RecurrenceFamily
 
 _ZERO = _RAT(0)
 
-CASE_I = "I"
-CASE_II = "II"
-
-# Largest j for which ``assemble`` reads a case-II q's b(j) eagerly.
+# Largest j for which ``assemble`` reads b(j) eagerly where rho is not a
+# polynomial.
 _SYMMETRY_PRECHECK = 16
 
 
 class RhoSpec(NamedTuple):
     """The radical factor.  s2, s1, s0 (coefficients of rho^2) are always
-    populated; r1, r0 are present only in case I.  Each is a backend
-    rational."""
+    populated; r1, r0 are None exactly where rho is not a polynomial.  Each
+    is a backend rational."""
 
-    case: str
     r1: Rational | None
     r0: Rational | None
     s2: Rational
@@ -82,7 +81,7 @@ class RhoSpec(NamedTuple):
         r1, r0 = map(_as_raw_exact, (r1, r0))
         if not r1 and not r0:
             raise ValueError("rho must not be identically zero")
-        return cls(CASE_I, r1, r0, r1 * r1, 2 * r1 * r0, r0 * r0)
+        return cls(r1, r0, r1 * r1, 2 * r1 * r0, r0 * r0)
 
     @classmethod
     def sqrt_quadratic(cls, s2, s1, s0):
@@ -90,7 +89,7 @@ class RhoSpec(NamedTuple):
         s2, s1, s0 = map(_as_raw_exact, (s2, s1, s0))
         if not (s2 or s1 or s0):
             raise ValueError("rho^2 must not be identically zero")
-        return cls(CASE_II, None, None, s2, s1, s0)
+        return cls(None, None, s2, s1, s0)
 
 
 class GramBlock(NamedTuple):
@@ -107,6 +106,12 @@ class GramBlock(NamedTuple):
 def _rat(num, den):
     """num / den as a raw rational; a zero is the shared zero."""
     return _RAT(num, den) if num else _ZERO
+
+
+def _contract(terms, grid, a, b):
+    """sum(c * grid[i + a][j + b]) over the terms (i, j, c): a polynomial's
+    integer terms against a triangular integer grid shifted by x^a y^b."""
+    return sum(c * grid[i + a][j + b] for i, j, c in terms)
 
 
 def _product(p, r):
@@ -151,15 +156,14 @@ class BivariateSystem:
         # ({(i, j): float}, largest |coefficient|); filled by _P_float.
         self._float_cache = {}
         self._w_table = (1, [])
-        # Powers of rho as integer forms (d, [ints]), in steps of rho
-        # (case I) or of rho^2 (case II).
-        if rho.case == CASE_I:
-            step = {1: _int_list([rho.r0, rho.r1])}
-        else:
-            step = {2: _int_list([rho.s0, rho.s1, rho.s2])}
-        self._rho_pow = {0: (1, [1]), **step}
+        # Powers of rho as integer forms (d, [ints]), keyed by exponent:
+        # rho^0, rho^2 and, where rho is a polynomial, rho^1.
+        self._rho_pow = {0: (1, [1]),
+                         2: _int_list([rho.s0, rho.s1, rho.s2])}
+        if rho.r1 is not None:
+            self._rho_pow[1] = _int_list([rho.r0, rho.r1])
         # Row moments of the basis polynomials, keyed (n, m), as
-        # [D, deg, {(a, b): int}]; filled by _row_moments.
+        # (D, grid[a][b]); filled by _row_moments.
         self._row_cache = {}
         # Raw Gram rows keyed (n, h, dx, dy); filled by _gram_raw.
         self._gram_cache = {}
@@ -177,10 +181,6 @@ class BivariateSystem:
 
     def __repr__(self):
         return f"BivariateSystem({self.label!r})"
-
-    @property
-    def case(self):
-        return self.rho.case
 
     # -- the ladder of first-variable families -------------------------------
 
@@ -211,13 +211,14 @@ class BivariateSystem:
     # -- powers of rho --------------------------------------------------------
 
     def _rho_pow_int(self, e):
-        """rho(x)^e as (d, [ints]), constant term first.  In case II only
-        rho^2 is a polynomial, so e must be even there."""
-        if self.case == CASE_II and e % 2:
-            raise ValueError("case II has only even powers of rho")
+        """rho(x)^e as (d, [ints]), constant term first, built as
+        rho^(e-2) rho^2.  Where rho is not a polynomial, an odd e is a
+        ValueError."""
         if e not in self._rho_pow:
-            step = 1 if self.case == CASE_I else 2
-            (d, u), (d_s, s) = self._rho_pow_int(e - step), self._rho_pow[step]
+            if e % 2 and 1 not in self._rho_pow:
+                raise ValueError(f"rho^{e}: rho is not a polynomial, "
+                                 f"only its even powers are")
+            (d, u), (d_s, s) = self._rho_pow_int(e - 2), self._rho_pow[2]
             out = _product(u, s)
             self._rho_pow[e] = (d * d_s, [out.get(k, 0) for k in
                                           range(len(u) + len(s) - 1)])
@@ -272,18 +273,21 @@ class BivariateSystem:
     # -- moments of the bivariate functional ----------------------------------
 
     def w_moment(self, h, k):
-        """Moment <w, x^h y^k> of the bivariate functional, from the
-        moments each univariate family stores."""
+        """Moment <w, x^h y^k> = <u_0, x^h rho^k> <v, t^k> of the bivariate
+        functional, from the moments each univariate family stores; the
+        shared zero where q's k-th moment vanishes, as at every odd k of a
+        symmetric q."""
         _check_index(h, "moment exponent")
         _check_index(k, "moment exponent")
-        if self.case == CASE_II and k % 2:
+        q_k = self.q._moment_raw(k)
+        if not q_k:
             return _ZERO
         d_rho, rho_k = self._rho_pow_int(k)
         base = self.ladder(0)
         base._moment_raw(h + len(rho_k) - 1)
         acc = sum(rc * base._moment_raw(h + d)
                   for d, rc in enumerate(rho_k) if rc)
-        return acc * self.q._moment_raw(k) / d_rho
+        return acc * q_k / d_rho
 
     def _moment_table(self, top):
         """(D, W): the moments of total degree <= top over one common
@@ -313,30 +317,27 @@ class BivariateSystem:
         return self._w_table
 
     def _row_moments(self, n, m, deg):
-        """{(a, b): D d <w, x^a y^b P_{n,m}>} for every a + b <= deg, with
-        d the basis polynomial's denominator and D the moment table's.
+        """The triangular grid moms[a][b] = D d <w, x^a y^b P_{n,m}> for
+        every a + b <= deg, with d the basis polynomial's denominator and D
+        the moment table's.
 
         Each value is one contraction of the basis polynomial against the
         integer moment table, taken once per system: when the table grows
         the stored values are rescaled by the integer D_new / D_old, and a
-        larger deg contracts only the monomials not yet seen."""
+        larger deg contracts only the total degrees not yet seen."""
         d_w, table = self._moment_table(n + deg)
-        entry = self._row_cache.get((n, m))
-        if entry is None:
-            entry = self._row_cache[(n, m)] = [d_w, -1, {}]
-        d_old, seen, moms = entry
+        d_old, moms = self._row_cache.get((n, m), (d_w, []))
         if d_old != d_w:
             f = d_w // d_old
-            for key in moms:
-                moms[key] *= f
-            entry[0] = d_w
+            moms = [[f * v for v in row] for row in moms]
+        seen = len(moms) - 1
         if deg > seen:
             terms = self._P_int(n, m)[1]
+            moms += [[] for _ in range(deg - seen)]
             for t in range(seen + 1, deg + 1):
                 for a in range(t + 1):
-                    moms[(a, t - a)] = sum(c * table[i + a][j + t - a]
-                                           for i, j, c in terms)
-            entry[1] = deg
+                    moms[a].append(_contract(terms, table, a, t - a))
+        self._row_cache[(n, m)] = (d_w, moms)
         return moms
 
     def moment_bilinear(self, p, q_poly, dx=0, dy=0):
@@ -344,8 +345,9 @@ class BivariateSystem:
 
         The sum over term pairs of c_p c_q <w, x^(i_p+i_q+dx) y^(j_p+j_q+dy)>,
         computed from the moments alone: both polynomials are scaled to
-        integer coefficients, the sum runs in ints over the integer moment
-        table, and the exact result is one rational."""
+        integer coefficients, each term of q_poly contracts p against the
+        integer moment table (``_contract``), and the exact result is one
+        rational."""
         _check_index(dx, "shift exponent")
         _check_index(dy, "shift exponent")
         if not all(isinstance(v, SparsePoly2) for v in (p, q_poly)):
@@ -355,8 +357,8 @@ class BivariateSystem:
         top = (max((i + j for i, j in p._terms), default=0)
                + max((i + j for i, j in q_poly._terms), default=0) + dx + dy)
         d_w, table = self._moment_table(top)
-        num = sum(cp * cq * table[ip + iq + dx][jp + jq + dy]
-                  for (ip, jp), cp in zip(p._terms, p_ints)
+        p_terms = [(i, j, c) for (i, j), c in zip(p._terms, p_ints)]
+        num = sum(cq * _contract(p_terms, table, iq + dx, jq + dy)
                   for (iq, jq), cq in zip(q_poly._terms, q_ints))
         return _rat(num, d_w * d_p * d_q)
 
@@ -365,10 +367,10 @@ class BivariateSystem:
     def _gram_raw(self, n, h, dx=0, dy=0):
         """Raw dense rows <w, x^dx y^dy P_{n,m} P_{h,mp}>, rows m, columns
         mp, from moments only; built once per (n, h, dx, dy).  Each entry
-        is one integer dot product of the column polynomial with the row
-        moments (``_row_moments``), and one rational.  The unshifted H_n
-        first forms its diagonal (``_gram_diag``), so a vanishing one
-        raises before the block is built."""
+        is one contraction of the column polynomial with the row moments
+        (``_row_moments``) shifted by x^dx y^dy, and one rational.  The
+        unshifted H_n first forms its diagonal (``_gram_diag``), so a
+        vanishing one raises before the block is built."""
         key = (n, h, dx, dy)
         cached = self._gram_cache.get(key)
         if cached is not None:
@@ -383,8 +385,7 @@ class BivariateSystem:
             moms = self._row_moments(n, m, deg)
             den_r = d_w * self._P_int(n, m)[0]
             raw.append([
-                _rat(sum(c * moms[(i + dx, j + dy)] for i, j, c in c_terms),
-                     den_r * d_c)
+                _rat(_contract(c_terms, moms, dx, dy), den_r * d_c)
                 for d_c, c_terms in cols
             ])
         self._gram_cache[key] = raw
@@ -393,8 +394,8 @@ class BivariateSystem:
     def _gram_diag(self, n):
         """Raw diagonal <w, P_{n,m}^2>, m = 0..n, of the Gram block H_n,
         built once per n without the rest of the block: each entry is the
-        dot product ``_gram_raw`` forms for it, in the same order.  It is
-        the one check of H_n's diagonal: the first vanishing entry raises a
+        contraction ``_gram_raw`` forms for it.  It is the one check of
+        H_n's diagonal: the first vanishing entry raises a
         QuasiDefinitenessError at its (n, m), and nothing is stored."""
         cached = self._diag_cache.get(n)
         if cached is not None:
@@ -404,7 +405,7 @@ class BivariateSystem:
         diag = []
         for m, (d, terms) in enumerate(forms):
             moms = self._row_moments(n, m, n)
-            v = _rat(sum(c * moms[(i, j)] for i, j, c in terms), d_w * d * d)
+            v = _rat(_contract(terms, moms, 0, 0), d_w * d * d)
             if not v:
                 raise QuasiDefinitenessError(
                     self.label, {}, (n, m),
@@ -429,11 +430,12 @@ class BivariateSystem:
 def assemble(rho, ladder_factory, q, label="system"):
     """Build a BivariateSystem and run eager structural checks.
 
-    Case II requires the second-variable family to be symmetric.  The
-    system's q then refuses a nonzero b(j) wherever b(j) is read -- by
-    moments, basis polynomials and ``second_ttr`` alike -- with a
-    ValueError that is never stored, so it repeats on every call; here
-    b(j) is read eagerly for j <= ``_SYMMETRY_PRECHECK``.
+    Where rho is not a polynomial (``rho.r1 is None``, case II) the
+    second-variable family must be symmetric.  The system's q then refuses
+    a nonzero b(j) wherever b(j) is read -- by moments, basis polynomials
+    and ``second_ttr`` alike -- with a ValueError that is never stored, so
+    it repeats on every call; here b(j) is read eagerly for
+    j <= ``_SYMMETRY_PRECHECK``.
     """
     if not isinstance(rho, RhoSpec):
         raise TypeError("rho must be a RhoSpec")
@@ -442,7 +444,7 @@ def assemble(rho, ladder_factory, q, label="system"):
     if not callable(ladder_factory):
         raise TypeError("ladder_factory must map m to a RecurrenceFamily")
     q_norm = q.with_h0(1)
-    if rho.case == CASE_II:
+    if rho.r1 is None:
         q_b = q_norm.b
 
         def symmetric_b(j):

@@ -96,8 +96,8 @@ def second_ttr(sys, n):
     b-coefficient is nonzero, the first-variable recurrence itself.
 
     Built once per system and degree, then read from the system's cache.
-    In case II the system's q refuses a nonzero b-coefficient when it is
-    read (see ``construction.assemble``); such a failure stores no
+    Where rho is not a polynomial, q refuses a nonzero b-coefficient when
+    it is read (see ``construction.assemble``); such a failure stores no
     matrices, so a failing degree fails again on every call.
     """
     _check_index(n, "degree")
@@ -118,7 +118,7 @@ def second_ttr(sys, n):
                 sys.ladder(m - 1), sys.ladder(m), rho.s2, k,
                 lambda j: _down(sys, m - 1, j))))
         # Diagonal: q's b-coefficient times the ladder recurrence mapped
-        # through rho = r1 x + r0; a nonzero b(m) occurs only in case I.
+        # through rho = r1 x + r0; q refuses a nonzero b(m) elsewhere.
         qb = q.b(m)
         if qb:
             fam = sys.ladder(m)

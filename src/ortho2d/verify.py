@@ -149,8 +149,8 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
     per system (``BivariateSystem._P_float``) times the band entries
     rounded on each call, and bounds the relative coefficient residual
     (and, if points are supplied, relative residuals at those evaluation
-    points) by tol.  A non-finite point coordinate is a ValueError; a
-    residual, scale or side that overflows a double is an OverflowError.
+    points) by tol.  A non-finite point coordinate is a ValueError; a basis
+    coefficient, residual or side that overflows a double, an OverflowError.
     """
     _check_index(n, "degree")
     if mode not in ("exact", "float"):
@@ -175,8 +175,15 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
     mats = [_rows(mat) for mat in _relation_matrices(sys, n, axis)]
     dx, dy = SHIFTS[axis]
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
-    polys = [[sys._P_float(n + d, c) for c in range(n + d + 1)]
-             for d in (1, 0, -1)]
+    polys = [[], [], []]
+    for row, k in zip(polys, (n + 1, n, n - 1)):
+        for c in range(k + 1):
+            try:
+                row.append(sys._P_float(k, c))
+            except OverflowError:
+                raise OverflowError(
+                    f"{name} at n = {n}: a coefficient of the ({k},{c}) "
+                    f"basis polynomial overflows a double") from None
     max_coeff = 0.0
     max_point = 0.0
     for m in range(n + 1):
@@ -265,30 +272,14 @@ def verify_central_symmetry(sys, max_degree):
     degree: both sides are decided independently, and must agree."""
     _check_index(max_degree, "max_degree")
     moment_bound = 2 * max_degree + 1
-    odd_ok = True
-    first_moment = None
-    for total in range(1, moment_bound + 1, 2):
-        for h in range(total + 1):
-            k = total - h
-            if sys.w_moment(h, k):
-                odd_ok = False
-                first_moment = [h, k]
-                break
-        if not odd_ok:
-            break
-    b_ok = True
-    first_b = None
-    for n in range(max_degree + 1):
-        _, bx, _ = first_ttr(sys, n)
-        _, by, _ = second_ttr(sys, n)
-        if not bx.is_zero:
-            b_ok = False
-            first_b = {"n": n, "axis": "x"}
-            break
-        if not by.is_zero:
-            b_ok = False
-            first_b = {"n": n, "axis": "y"}
-            break
+    first_moment = next(([h, t - h] for t in range(1, moment_bound + 1, 2)
+                         for h in range(t + 1) if sys.w_moment(h, t - h)),
+                        None)
+    first_b = next(({"n": n, "axis": axis} for n in range(max_degree + 1)
+                    for axis in SHIFTS
+                    if not _relation_matrices(sys, n, axis)[1].is_zero),
+                   None)
+    odd_ok, b_ok = first_moment is None, first_b is None
     return CheckResult("central-symmetry", odd_ok == b_ok, {
         "max_degree": max_degree,
         "moment_bound": moment_bound,
@@ -309,7 +300,8 @@ def _orthonormal(matrix, d_rows, d_cols):
 def _norm_roots(sys, n):
     """[sqrt(h_{n,m}) for m = 0..n] as doubles, each squared norm
     (``block_norm``) rounded once; built once per system and degree, and
-    stored only when every norm of the degree is positive."""
+    stored only when every norm of the degree is positive and its root
+    neither overflows nor underflows a double."""
     roots = sys._root_cache.get(n)
     if roots is None:
         roots = []
@@ -320,11 +312,15 @@ def _norm_roots(sys, n):
                     f"{sys.label} is not positive-definite: squared norm "
                     f"of the ({n},{m}) basis polynomial is {h}")
             try:
-                roots.append(math.sqrt(float(h)))
+                root = math.sqrt(float(h))
             except OverflowError:
+                root = math.inf
+            if not 0.0 < root < math.inf:
+                flow = "underflows" if root == 0.0 else "overflows"
                 raise OverflowError(
                     f"orthonormal-transpose at n = {n}, row {m}: the "
-                    f"squared norm overflows a double") from None
+                    f"squared norm {flow} a double")
+            roots.append(root)
         sys._root_cache[n] = roots
     return roots
 

@@ -635,11 +635,13 @@ def test_eval_float_overflow_exits_two(capsys, mu, x):
 
 
 def test_verify_float_overflow_exits_two(capsys):
-    # at mu = 1e300 a basis coefficient overflows a double
+    # at mu = 1e300 a basis coefficient overflows a double; the message
+    # names the check, its degree and the basis polynomial
     code, out, err = run(capsys, "verify", "disk", "--mu", "1e300",
                          "--max-n", "2", "--mode", "float")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "relation-x at n = " in err and "basis polynomial" in err
 
 
 def test_points_above_ceiling_exits_two_at_once(capsys):

@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ortho2d import (
-    CASE_I,
-    CASE_II,
     ModeError,
     QuasiDefinitenessError,
     RecurrenceFamily,
@@ -45,7 +43,7 @@ def lj():
 
 def test_rho_linear_derives_square():
     rho = RhoSpec.linear(2, "-1/2")
-    assert rho.case == CASE_I
+    assert (rho.r1, rho.r0) == (q(2), q("-1/2"))
     assert (rho.s2, rho.s1, rho.s0) == (q(4), q(-2), q("1/4"))
     with pytest.raises(ValueError):
         RhoSpec.linear(0, 0)
@@ -53,8 +51,10 @@ def test_rho_linear_derives_square():
 
 def test_rho_sqrt_quadratic():
     rho = RhoSpec.sqrt_quadratic(-1, 0, 1)
-    assert rho.case == CASE_II
+    # rho itself is no polynomial: r1 and r0 are None, and the fields are
+    # the five coefficients with no stored case
     assert rho.r1 is None and rho.r0 is None
+    assert rho == (None, None, q(-1), q(0), q(1))
     with pytest.raises(ValueError):
         RhoSpec.sqrt_quadratic(0, 0, 0)
 
@@ -101,9 +101,26 @@ def test_case_two_symmetry_is_checked_past_the_eager_range():
         second_ttr(sys_obj, 17)
     with pytest.raises(ValueError, match="symmetric"):
         sys_obj.expand_P(18, 18)
-    # the moments read q's b-coefficients too, so they refuse it alike
-    with pytest.raises(ValueError, match=r"b\(17\) != 0"):
-        sys_obj.w_moment(0, 20)
+    # the moments read q's b-coefficients too, so they refuse it alike,
+    # at an odd k as at an even one
+    for k in (19, 20):
+        with pytest.raises(ValueError, match=r"b\(17\) != 0"):
+            sys_obj.w_moment(0, k)
+    # below the first nonzero b-coefficient an odd moment is the zero
+    assert sys_obj.w_moment(0, 17) == 0
+
+
+def test_rho_powers_step_by_rho_squared():
+    # where rho is not a polynomial an odd power is refused at once, even
+    # one far past the recursion limit; even powers step by rho^2
+    disk = make_system(catalog_id("disk", mu="1/2"))
+    for e in (1, 3, 5001):
+        with pytest.raises(ValueError, match="not a polynomial"):
+            disk._rho_pow_int(e)
+    assert disk._rho_pow_int(4) == (1, [1, 0, -2, 0, 1])
+    # where it is, odd powers are rho^(e-2) rho^2 from rho^1
+    lj = make_system(catalog_id("laguerre-jacobi", alpha=1, beta="1/2"))
+    assert lj._rho_pow_int(3) == (1, [0, 0, 0, 1])
 
 
 def test_case_two_symmetry_failure_is_not_cached():
@@ -205,7 +222,7 @@ def reference_basis(sys_obj, n, m):
     rho^(m-j), add the product to key (i + d, j); a sum that vanishes drops
     its key, and a later term puts it back at the end."""
     rho = sys_obj.rho
-    if sys_obj.case == CASE_I:
+    if rho.r1 is not None:  # a polynomial rho: step by rho itself
         step, base = 1, [rho.r0, rho.r1]
     else:
         step, base = 2, [rho.s0, rho.s1, rho.s2]
@@ -384,17 +401,17 @@ def _defining_sum(sys_obj, p, p2, dx, dy):
     return acc
 
 
-@pytest.mark.parametrize("name, params, case", [
-    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}, CASE_I),
-    ("disk", {"mu": "3/2"}, CASE_II),
-    ("bessel-laguerre", {"g": 5, "gamma": "2/5"}, CASE_I),
+@pytest.mark.parametrize("name, params, polynomial_rho", [
+    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}, True),
+    ("disk", {"mu": "3/2"}, False),
+    ("bessel-laguerre", {"g": 5, "gamma": "2/5"}, True),
 ])
-def test_moment_bilinear_equals_defining_sum(name, params, case):
+def test_moment_bilinear_equals_defining_sum(name, params, polynomial_rho):
     # a fresh system, so the calls below meet an empty moment table that
     # must grow (and be rescaled to a new common denominator) as the
     # requested moment degree rises
     sys_obj = make_system(catalog_id(name, **params))
-    assert sys_obj.case == case
+    assert (sys_obj.rho.r1 is not None) is polynomial_rho
     frac = SparsePoly2({(0, 0): "1/3", (1, 0): "-5/7", (0, 1): 2})
     zero = SparsePoly2()
     polys = [frac, zero, sys_obj.expand_P(2, 1),

@@ -286,6 +286,22 @@ def test_orthonormal_transpose_names_an_overflowing_norm():
     with pytest.raises(OverflowError,
                        match=r"orthonormal-transpose at n = 1, row 0"):
         verify_orthonormal_transpose(sys_obj, 2)
+    # a norm that rounds to 0.0 would be divided by: it is refused alike
+    sys_obj = make_system(catalog_id("biangle", alpha="1e400", beta="0"))
+    for _ in range(2):  # and refused again, nothing having been stored
+        with pytest.raises(OverflowError, match=r"orthonormal-transpose at "
+                           r"n = 1, row 1: the squared norm underflows"):
+            verify_orthonormal_transpose(sys_obj, 2)
+
+
+def test_relation_float_names_an_overflowing_basis_coefficient():
+    sys_obj = make_system(catalog_id("biangle", alpha="1e400", beta="0"))
+    with pytest.raises(OverflowError, match=r"relation-x at n = 1: a "
+                       r"coefficient of the \(2,0\) basis polynomial "
+                       r"overflows a double"):
+        verify_relation(sys_obj, 1, "x", mode="float")
+    # the exact check of the same system needs no double
+    assert verify_relation(sys_obj, 1, "x").passed
 
 
 def test_orthonormal_transpose_detects_a_wrong_entry(disk, monkeypatch):
