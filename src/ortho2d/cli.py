@@ -36,6 +36,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .catalog import (FAMILY_PARAMS, catalog_id, closed_form_first,
@@ -191,9 +192,16 @@ def _cmd_eval(args):
         value = str(system.expand_P(args.n, args.m).eval(x, y))
         px, py = str(x), str(y)
     else:
-        px, py = float(x), float(y)
-        value = _eval_terms(system._P_float(args.n, args.m)[0],
-                            _powers(px, args.n), _powers(py, args.n), 0.0)
+        try:
+            px, py = float(x), float(y)
+        except OverflowError:
+            raise OverflowError(f"the point ({args.x}, {args.y}) "
+                                f"overflows a double") from None
+        terms = system._P_float(args.n, args.m)[0]
+        value = _eval_terms(terms, *_powers((px, py), args.n), 0.0)
+        if not math.isfinite(value):
+            raise OverflowError(f"the ({args.n},{args.m}) basis polynomial "
+                                f"overflows a double at ({px}, {py})")
     _write_json(args, "eval", cid, n=args.n, m=args.m, mode=args.mode,
                 x=px, y=py, value=value)
     return 0

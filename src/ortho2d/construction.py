@@ -16,8 +16,10 @@ The degree-(n, m) basis polynomial is
 
 which is a genuine polynomial because q_m has the same parity as m in
 case II.  Both cases are one construction: each power of rho is
-rho^(e-2) rho^2, seeded with rho^1 where rho is a polynomial, and a
-vanishing moment of q gives a vanishing bivariate moment.  The module
+rho^(e-2) rho^2, built in one loop and seeded with rho^1 where rho is a
+polynomial, ``_rho_moment`` gives <u, x^h rho^e> to the ladder's weight
+chain and the moments, and a vanishing moment of q gives a vanishing
+bivariate moment.  The module
 expands these basis polynomials, computes moments of the induced
 bivariate functional, and evaluates Gram blocks -- the independent ground
 truth against which the recurrence-built matrix relations are checked.
@@ -30,9 +32,10 @@ common denominator D, and the row moments <w, P_{n,m} x^a y^b> of each
 basis polynomial a grid of the same layout over D.  Both grow by total
 degree and are rescaled by the integer D_new / D_old when D grows.  One
 contraction, ``_contract``, forms the row moments, every Gram entry and
-``moment_bilinear``; a Gram entry is one rational, the shared zero when
-it vanishes, and H_n's diagonal is formed and checked in one place,
-``_gram_diag``.  The kernel reads the moments and the basis polynomials
+``moment_bilinear``; one row kernel, ``_gram_row``, forms each Gram
+entry of a block (``_gram_raw``) and of H_n's checked diagonal
+(``_gram_diag``) as one rational, the shared zero when it vanishes.  The
+kernel reads the moments and the basis polynomials
 only -- no norm, ladder, recurrence or connection coefficient -- so it
 stays an independent check.
 
@@ -53,7 +56,6 @@ from .numerics import (
     _check_degrees,
     _check_index,
     _int_list,
-    _poly,
 )
 from .univariate import QuasiDefinitenessError, RecurrenceFamily
 
@@ -190,11 +192,8 @@ class BivariateSystem:
         _check_index(m, "ladder index")
         while len(self._ladders) <= m:
             j = len(self._ladders)
-            chain = 1  # h_0 of step 0; of step j, <u_{j-1}, rho^2>
-            if j:
-                mom = [self._ladders[j - 1]._moment_raw(i) for i in range(3)]
-                chain = (self.rho.s2 * mom[2] + self.rho.s1 * mom[1]
-                         + self.rho.s0 * mom[0])
+            # h_0 of step 0; of step j, <u_{j-1}, rho^2>
+            chain = self._rho_moment(self._ladders[j - 1], 0, 2) if j else 1
             fam = self._factory(j)
             if not isinstance(fam, RecurrenceFamily):
                 raise TypeError(f"ladder_factory({j}) returned "
@@ -211,18 +210,30 @@ class BivariateSystem:
     # -- powers of rho --------------------------------------------------------
 
     def _rho_pow_int(self, e):
-        """rho(x)^e as (d, [ints]), constant term first, built as
-        rho^(e-2) rho^2.  Where rho is not a polynomial, an odd e is a
-        ValueError."""
-        if e not in self._rho_pow:
-            if e % 2 and 1 not in self._rho_pow:
+        """rho(x)^e as (d, [ints]), constant term first.  The missing
+        powers of e's parity are built upward in one loop, each as
+        rho^(k-2) rho^2 from the highest cached one.  Where rho is not a
+        polynomial, an odd e is a ValueError."""
+        pows = self._rho_pow
+        if e not in pows:
+            if e % 2 and 1 not in pows:
                 raise ValueError(f"rho^{e}: rho is not a polynomial, "
                                  f"only its even powers are")
-            (d, u), (d_s, s) = self._rho_pow_int(e - 2), self._rho_pow[2]
-            out = _product(u, s)
-            self._rho_pow[e] = (d * d_s, [out.get(k, 0) for k in
-                                          range(len(u) + len(s) - 1)])
-        return self._rho_pow[e]
+            d_s, s = pows[2]
+            k = max(k for k in pows if k % 2 == e % 2)
+            while k < e:
+                (d, u), k = pows[k], k + 2
+                out = _product(u, s)
+                pows[k] = (d * d_s, [out.get(i, 0) for i in
+                                     range(len(u) + len(s) - 1)])
+        return pows[e]
+
+    def _rho_moment(self, fam, h, e):
+        """<u, x^h rho^e> for the functional u of the family fam: rho^e
+        (``_rho_pow_int``) against the moments fam stores, one rational."""
+        d_rho, rho_e = self._rho_pow_int(e)
+        return sum(rc * fam._moment_raw(h + d)
+                   for d, rc in enumerate(rho_e) if rc) / d_rho
 
     # -- basis polynomials ----------------------------------------------------
 
@@ -255,11 +266,16 @@ class BivariateSystem:
     def _P_float(self, n, m):
         """The (n, m) basis polynomial as ({(i, j): c / d}, peak): each
         coefficient of ``_P_int`` rounded to a double once (correct
-        rounding), in its key order, and the largest |coefficient|."""
+        rounding), in its key order, and the largest |coefficient|; one
+        beyond the doubles is an OverflowError naming (n, m)."""
         cached = self._float_cache.get((n, m))
         if cached is None:
             d, terms = self._P_int(n, m)
-            coeffs = {(i, j): c / d for i, j, c in terms}
+            try:
+                coeffs = {(i, j): c / d for i, j, c in terms}
+            except OverflowError:
+                raise OverflowError(f"a coefficient of the ({n},{m}) basis "
+                                    f"polynomial overflows a double") from None
             cached = (coeffs, max(map(abs, coeffs.values())))
             self._float_cache[(n, m)] = cached
         return cached
@@ -268,7 +284,7 @@ class BivariateSystem:
         """The (n, m) basis polynomial as an exact SparsePoly2, formed at
         this boundary from the cached integer form (``_P_int``)."""
         d, terms = self._P_int(n, m)
-        return _poly({(i, j): _RAT(c, d) for i, j, c in terms})
+        return SparsePoly2({(i, j): _RAT(c, d) for i, j, c in terms})
 
     # -- moments of the bivariate functional ----------------------------------
 
@@ -280,14 +296,7 @@ class BivariateSystem:
         _check_index(h, "moment exponent")
         _check_index(k, "moment exponent")
         q_k = self.q._moment_raw(k)
-        if not q_k:
-            return _ZERO
-        d_rho, rho_k = self._rho_pow_int(k)
-        base = self.ladder(0)
-        base._moment_raw(h + len(rho_k) - 1)
-        acc = sum(rc * base._moment_raw(h + d)
-                  for d, rc in enumerate(rho_k) if rc)
-        return acc * q_k / d_rho
+        return self._rho_moment(self.ladder(0), h, k) * q_k if q_k else _ZERO
 
     def _moment_table(self, top):
         """(D, W): the moments of total degree <= top over one common
@@ -317,9 +326,9 @@ class BivariateSystem:
         return self._w_table
 
     def _row_moments(self, n, m, deg):
-        """The triangular grid moms[a][b] = D d <w, x^a y^b P_{n,m}> for
-        every a + b <= deg, with d the basis polynomial's denominator and D
-        the moment table's.
+        """(D, moms): the triangular grid moms[a][b] = D d <w, x^a y^b
+        P_{n,m}> for every a + b <= deg, with d the basis polynomial's
+        denominator and D the moment table's.
 
         Each value is one contraction of the basis polynomial against the
         integer moment table, taken once per system: when the table grows
@@ -338,7 +347,7 @@ class BivariateSystem:
                 for a in range(t + 1):
                     moms[a].append(_contract(terms, table, a, t - a))
         self._row_cache[(n, m)] = (d_w, moms)
-        return moms
+        return d_w, moms
 
     def moment_bilinear(self, p, q_poly, dx=0, dy=0):
         """<w, x^dx y^dy p(x,y) q_poly(x,y)> for two exact polynomials.
@@ -352,60 +361,57 @@ class BivariateSystem:
         _check_index(dy, "shift exponent")
         if not all(isinstance(v, SparsePoly2) for v in (p, q_poly)):
             raise TypeError("moment_bilinear takes two SparsePoly2")
-        d_p, p_ints = _int_list(p._terms.values())
-        d_q, q_ints = _int_list(q_poly._terms.values())
-        top = (max((i + j for i, j in p._terms), default=0)
-               + max((i + j for i, j in q_poly._terms), default=0) + dx + dy)
+        p_map, q_map = p.terms, q_poly.terms
+        d_p, p_ints = _int_list(p_map.values())
+        d_q, q_ints = _int_list(q_map.values())
+        top = (max((i + j for i, j in p_map), default=0)
+               + max((i + j for i, j in q_map), default=0) + dx + dy)
         d_w, table = self._moment_table(top)
-        p_terms = [(i, j, c) for (i, j), c in zip(p._terms, p_ints)]
+        p_terms = [(i, j, c) for (i, j), c in zip(p_map, p_ints)]
         num = sum(cq * _contract(p_terms, table, iq + dx, jq + dy)
-                  for (iq, jq), cq in zip(q_poly._terms, q_ints))
+                  for (iq, jq), cq in zip(q_map, q_ints))
         return _rat(num, d_w * d_p * d_q)
 
     # -- Gram blocks ----------------------------------------------------------
 
+    def _gram_row(self, n, m, h, cols, dx=0, dy=0):
+        """Row m of <w, x^dx y^dy P_{n,m} P_{h,.}>, the one formula of a
+        Gram entry: per column form (d_col, terms) of degree h in cols, one
+        contraction with the row moments (``_row_moments``) shifted by
+        x^dx y^dy, and one rational over d_w d_row d_col."""
+        d_w, moms = self._row_moments(n, m, h + dx + dy)
+        den = d_w * self._P_int(n, m)[0]
+        return [_rat(_contract(terms, moms, dx, dy), den * d_col)
+                for d_col, terms in cols]
+
     def _gram_raw(self, n, h, dx=0, dy=0):
         """Raw dense rows <w, x^dx y^dy P_{n,m} P_{h,mp}>, rows m, columns
-        mp, from moments only; built once per (n, h, dx, dy).  Each entry
-        is one contraction of the column polynomial with the row moments
-        (``_row_moments``) shifted by x^dx y^dy, and one rational.  The
-        unshifted H_n first forms its diagonal (``_gram_diag``), so a
-        vanishing one raises before the block is built."""
+        mp, from moments only (``_gram_row``); built once per (n, h, dx,
+        dy).  The unshifted H_n first forms its diagonal (``_gram_diag``),
+        so a vanishing one raises before the block is built."""
         key = (n, h, dx, dy)
         cached = self._gram_cache.get(key)
         if cached is not None:
             return cached
         if n == h and not (dx or dy):
             self._gram_diag(n)
-        deg = h + dx + dy
-        d_w = self._moment_table(n + deg)[0]
         cols = [self._P_int(h, mp) for mp in range(h + 1)]
-        raw = []
-        for m in range(n + 1):
-            moms = self._row_moments(n, m, deg)
-            den_r = d_w * self._P_int(n, m)[0]
-            raw.append([
-                _rat(_contract(c_terms, moms, dx, dy), den_r * d_c)
-                for d_c, c_terms in cols
-            ])
+        raw = [self._gram_row(n, m, h, cols, dx, dy) for m in range(n + 1)]
         self._gram_cache[key] = raw
         return raw
 
     def _gram_diag(self, n):
         """Raw diagonal <w, P_{n,m}^2>, m = 0..n, of the Gram block H_n,
         built once per n without the rest of the block: each entry is the
-        contraction ``_gram_raw`` forms for it.  It is the one check of
-        H_n's diagonal: the first vanishing entry raises a
+        one-column row of ``_gram_row``.  It is the one check of H_n's
+        diagonal: the first vanishing entry raises a
         QuasiDefinitenessError at its (n, m), and nothing is stored."""
         cached = self._diag_cache.get(n)
         if cached is not None:
             return cached
-        d_w = self._moment_table(2 * n)[0]
-        forms = [self._P_int(n, m) for m in range(n + 1)]
         diag = []
-        for m, (d, terms) in enumerate(forms):
-            moms = self._row_moments(n, m, n)
-            v = _rat(_contract(terms, moms, 0, 0), d_w * d * d)
+        for m in range(n + 1):
+            v, = self._gram_row(n, m, n, [self._P_int(n, m)])
             if not v:
                 raise QuasiDefinitenessError(
                     self.label, {}, (n, m),

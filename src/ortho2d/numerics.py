@@ -16,18 +16,20 @@ hold such values:
 * ``BandMatrix`` -- a rectangular matrix that only admits entries inside a
   declared band; reads outside the band are exact zeros, writes outside it
   are errors.  ``_LAYOUT`` and ``_relation`` lay out the relation matrices.
-  Each one is built by its constructor, and outside the class its storage
-  has one reader, ``_rows`` (the stored entries by row and column).
 
-Plus two exact kernels: ``poly_mul`` and ``rank_exact`` (Bareiss's
-integer fraction-free elimination, no doubles anywhere, on the stored
-entries of a BandMatrix; dense rows enter through ``from_dense``).  The
-float relation check evaluates coefficient maps of doubles with
-``_eval_terms``; ``SparsePoly2.eval`` uses it on exact coefficients.
-Every degree, index, bound, count, exponent and matrix dimension in the
-package passes one rule, ``_check_index`` (``_check_degrees`` for a pair
-0 <= m <= n): a plain int >= 0, never a bool or a float.  A matrix
-position is a pair of ints too (IndexError outside the shape).
+Each value is made by its type's constructor, in arithmetic, reads and
+unpickling too; other modules read a SparsePoly2's ``terms`` and a
+BandMatrix's stored entries through ``_rows`` (by row and column).  Two
+exact kernels: ``poly_mul`` and ``rank_exact`` (Bareiss's integer
+fraction-free elimination, no doubles anywhere, on the stored entries of
+a BandMatrix; dense rows enter through ``from_dense``).  The float
+checks evaluate coefficient maps of doubles with ``_eval_terms`` on
+``_powers``, which names a point whose power overflows;
+``SparsePoly2.eval`` uses it on exact coefficients.  Every degree,
+index, bound, count, exponent and matrix dimension in the package passes
+one rule, ``_check_index`` (``_check_degrees`` for a pair 0 <= m <= n):
+a plain int >= 0, never a bool or a float.  A matrix position is a pair
+of ints too (IndexError outside the shape).
 """
 from __future__ import annotations
 
@@ -127,7 +129,7 @@ def _operator(op, wrap=True, reflected=False):
         if o is None:
             return NotImplemented
         v = op(o, self.value) if reflected else op(self.value, o)
-        return _wrap(v) if wrap else v
+        return Scalar(v) if wrap else v
     return method
 
 
@@ -147,7 +149,7 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     def __reduce__(self):
-        return _wrap, (self.value,)
+        return Scalar, (self.value,)
 
     # -- constructors -------------------------------------------------
 
@@ -190,13 +192,13 @@ class Scalar:
             raise TypeError("exponent must be an int")
         if k < 0 and self.is_zero:
             raise ZeroDivisionError("negative power of exact zero")
-        return _wrap(self.value ** k)
+        return Scalar(self.value ** k)
 
     def __neg__(self):
-        return _wrap(-self.value)
+        return Scalar(-self.value)
 
     def __abs__(self):
-        return _wrap(abs(self.value))
+        return Scalar(abs(self.value))
 
     def __hash__(self):
         return hash(self.value)
@@ -216,16 +218,15 @@ class Scalar:
 _OPERANDS = (Scalar, int, float, *_RAT_TYPES)
 
 
-def _wrap(raw):
-    """Fast internal constructor: raw is already a backend rational."""
-    s = object.__new__(Scalar)
-    object.__setattr__(s, "value", raw)
-    return s
-
-
-def _powers(v, top):
-    """[v ** 0, v ** 1, ..., v ** top]."""
-    return [v ** i for i in range(top + 1)]
+def _powers(point, top):
+    """(xs, ys): [v ** 0, v ** 1, ..., v ** top] for each coordinate v of
+    the point; a power beyond the doubles is an OverflowError naming the
+    point."""
+    try:
+        return tuple([v ** i for i in range(top + 1)] for v in point)
+    except OverflowError:
+        raise OverflowError(f"a power of the point {point} overflows a "
+                            f"double") from None
 
 
 def _eval_terms(terms, xs, ys, acc):
@@ -249,21 +250,19 @@ class SparsePoly2:
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                i, j = key
-                _check_index(i, "exponent")
-                _check_index(j, "exponent")
-                raw = _as_raw_exact(coeff)
-                if raw:
-                    clean[(i, j)] = raw
+        for (i, j), coeff in (terms or {}).items():
+            _check_index(i, "exponent")
+            _check_index(j, "exponent")
+            raw = _as_raw_exact(coeff)
+            if raw:
+                clean[(i, j)] = raw
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly2 is immutable")
 
     def __reduce__(self):
-        return _poly, (self._terms,)
+        return SparsePoly2, (self._terms,)
 
     # -- inspection ----------------------------------------------------
 
@@ -281,8 +280,8 @@ class SparsePoly2:
         """The backend rational value at exact x, y (Scalars, ints or
         rationals)."""
         top = max((max(key) for key in self._terms), default=0)
-        return _eval_terms(self._terms, _powers(_as_raw_exact(x), top),
-                           _powers(_as_raw_exact(y), top), _ZERO)
+        point = (_as_raw_exact(x), _as_raw_exact(y))
+        return _eval_terms(self._terms, *_powers(point, top), _ZERO)
 
     # -- comparison / rendering -----------------------------------------
 
@@ -308,13 +307,6 @@ class SparsePoly2:
         return f"SparsePoly2({' + '.join(bits)})"
 
 
-def _poly(raw_terms):
-    """Fast internal constructor: raw_terms has no zero coefficient."""
-    p = object.__new__(SparsePoly2)
-    object.__setattr__(p, "_terms", raw_terms)
-    return p
-
-
 def poly_mul(p, q):
     """Exact product of two SparsePoly2."""
     if not isinstance(p, SparsePoly2) or not isinstance(q, SparsePoly2):
@@ -330,7 +322,7 @@ def poly_mul(p, q):
                 out[key] = acc
             else:
                 out.pop(key, None)
-    return _poly(out)
+    return SparsePoly2(out)
 
 
 class BandMatrix:
@@ -353,20 +345,18 @@ class BandMatrix:
             _check_index(value, name)
             object.__setattr__(self, name, value)
         stored = {}
-        if entries:
-            for (r, c), coeff in entries.items():
-                if not (type(r) is type(c) is int
-                        and 0 <= r < rows and 0 <= c < cols):
-                    raise _position_error(r, c, rows, cols)
-                raw = _as_raw_exact(coeff)
-                if not raw:
-                    continue
-                off = c - r
-                if not (-lower_bandwidth <= off <= upper_bandwidth):
-                    raise ValueError(
-                        f"entry ({r}, {c}) lies outside the declared band"
-                    )
-                stored[(r, off)] = raw
+        for (r, c), coeff in (entries or {}).items():
+            if not (type(r) is type(c) is int
+                    and 0 <= r < rows and 0 <= c < cols):
+                raise _position_error(r, c, rows, cols)
+            raw = _as_raw_exact(coeff)
+            if not raw:
+                continue
+            off = c - r
+            if not (-lower_bandwidth <= off <= upper_bandwidth):
+                raise ValueError(
+                    f"entry ({r}, {c}) lies outside the declared band")
+            stored[(r, off)] = raw
         object.__setattr__(self, "_entries", stored)
 
     def __setattr__(self, name, value):
@@ -382,13 +372,10 @@ class BandMatrix:
         "ragged rows"), with the full band of the shape."""
         rows = len(values)
         cols = len(values[0]) if rows else 0
-        for row in values:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-        entries = {
-            (r, c): values[r][c]
-            for r in range(rows) for c in range(cols)
-        }
+        if any(len(row) != cols for row in values):
+            raise ValueError("ragged rows")
+        entries = {(r, c): v for r, row in enumerate(values)
+                   for c, v in enumerate(row)}
         return cls(rows, cols, max(rows - 1, 0), max(cols - 1, 0), entries)
 
     # -- access ----------------------------------------------------------
@@ -401,7 +388,7 @@ class BandMatrix:
         if not (type(r) is type(c) is int
                 and 0 <= r < self.rows and 0 <= c < self.cols):
             raise _position_error(r, c, self.rows, self.cols)
-        return _wrap(self._entries.get((r, c - r), _ZERO))
+        return Scalar(self._entries.get((r, c - r), _ZERO))
 
     def __getitem__(self, key):
         r, c = key
@@ -410,15 +397,15 @@ class BandMatrix:
     def items(self):
         """Yield ((row, col), Scalar) for stored nonzero entries, sorted."""
         for (r, off) in sorted(self._entries):
-            yield (r, r + off), _wrap(self._entries[(r, off)])
+            yield (r, r + off), Scalar(self._entries[(r, off)])
 
     def dense(self):
         """Dense rows of Scalars; every position outside the stored entries
         holds one shared exact zero."""
-        zero = _wrap(_ZERO)
+        zero = Scalar(_ZERO)
         rows = [[zero] * self.cols for _ in range(self.rows)]
         for (r, off), raw in self._entries.items():
-            rows[r][r + off] = _wrap(raw)
+            rows[r][r + off] = Scalar(raw)
         return rows
 
     @property

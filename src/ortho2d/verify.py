@@ -150,7 +150,8 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
     rounded on each call, and bounds the relative coefficient residual
     (and, if points are supplied, relative residuals at those evaluation
     points) by tol.  A non-finite point coordinate is a ValueError; a basis
-    coefficient, residual or side that overflows a double, an OverflowError.
+    coefficient, a power of a point, a residual or a side that overflows a
+    double, an OverflowError naming the check, n and what overflowed.
     """
     _check_index(n, "degree")
     if mode not in ("exact", "float"):
@@ -170,20 +171,16 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
             "n": n, "m": m, "mode": "exact",
             "monomial": [i, j], "coefficient": str(coefficient)})
 
-    powers = [(_powers(px, n + 1), _powers(py, n + 1))
-              for px, py in points]  # no monomial exceeds degree n + 1
     mats = [_rows(mat) for mat in _relation_matrices(sys, n, axis)]
     dx, dy = SHIFTS[axis]
-    # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
-    polys = [[], [], []]
-    for row, k in zip(polys, (n + 1, n, n - 1)):
-        for c in range(k + 1):
-            try:
-                row.append(sys._P_float(k, c))
-            except OverflowError:
-                raise OverflowError(
-                    f"{name} at n = {n}: a coefficient of the ({k},{c}) "
-                    f"basis polynomial overflows a double") from None
+    try:
+        # No monomial exceeds degree n + 1.  A, B and C multiply the basis
+        # polynomials of degree n + 1, n, n - 1.
+        powers = [_powers(point, n + 1) for point in points]
+        polys = [[sys._P_float(k, c) for c in range(k + 1)]
+                 for k in (n + 1, n, n - 1)]
+    except OverflowError as exc:
+        raise OverflowError(f"{name} at n = {n}: {exc}") from None
     max_coeff = 0.0
     max_point = 0.0
     for m in range(n + 1):

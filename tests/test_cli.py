@@ -623,15 +623,24 @@ def test_help_exits_zero(capsys):
     assert "tables" in out and "verify" in out
 
 
-@pytest.mark.parametrize("mu, x", [("1/2", "1e400"), ("1/2", "1e300"),
-                                   ("1e300", "0")])
-def test_eval_float_overflow_exits_two(capsys, mu, x):
-    # 1e400 overflows as a double, 1e300 squared does, and so does a
-    # coefficient of P_{2,1} at mu = 1e300.
-    code, out, err = run(capsys, "eval", "disk", "--mu", mu, "--n", "2",
-                         "--m", "1", "--x", x, "--y", "0", "--mode", "float")
+@pytest.mark.parametrize("mu, n, m, x, named", [
+    ("1/2", "2", "1", "1e400", "the point (1e400, 0) overflows"),
+    ("1/2", "2", "1", "1e300", "a power of the point (1e+300, 0.0) "
+                               "overflows"),
+    ("1e300", "2", "1", "0", "a coefficient of the (2,1) basis polynomial "
+                             "overflows"),
+    ("1/2", "4", "0", "1e77", "the (4,0) basis polynomial overflows a "
+                              "double at (1e+77, 0.0)"),
+], ids=["point", "power", "coefficient", "value"])
+def test_eval_float_overflow_exits_two(capsys, mu, n, m, x, named):
+    # 1e400 overflows as a double, 1e300 squared does, so does a
+    # coefficient of P_{2,1} at mu = 1e300 and the value of P_{4,0} at
+    # 1e77; the message names what overflowed.
+    code, out, err = run(capsys, "eval", "disk", "--mu", mu, "--n", n,
+                         "--m", m, "--x", x, "--y", "0", "--mode", "float")
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: --mode float: ") and named in err
+    assert err.count("\n") == 1
 
 
 def test_verify_float_overflow_exits_two(capsys):

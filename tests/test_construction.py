@@ -1,6 +1,7 @@
 """Bivariate system assembly, basis expansion, moments and Gram blocks."""
 import hashlib
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,18 @@ def test_rho_powers_step_by_rho_squared():
     # where it is, odd powers are rho^(e-2) rho^2 from rho^1
     lj = make_system(catalog_id("laguerre-jacobi", alpha=1, beta="1/2"))
     assert lj._rho_pow_int(3) == (1, [0, 0, 0, 1])
+
+
+def test_rho_power_far_above_the_cache_is_built_in_a_loop():
+    # rho = 1: rho^2501 steps 1250 times by rho^2 from rho^1, with no
+    # recursion, and caches every power of its parity on the way
+    square = make_system(catalog_id("square", alpha=0, beta=0, gamma=0,
+                                    delta=0))
+    start = time.perf_counter()
+    assert square._rho_pow_int(2501) == (1, [1] + [0] * 2501)
+    assert time.perf_counter() - start < 1.0
+    assert square._rho_pow[1499] == (1, [1] + [0] * 1499)
+    assert 2500 not in square._rho_pow
 
 
 def test_case_two_symmetry_failure_is_not_cached():
@@ -529,6 +542,25 @@ def test_vanishing_gram_diagonal_raises_on_every_call():
             with pytest.raises(QuasiDefinitenessError) as info:
                 call()
             assert info.value.index == (1, 1)
+
+
+def test_a_planted_vanishing_gram_diagonal_raises_at_its_position():
+    # P_(2,1) planted as the zero polynomial: H_2's diagonal vanishes at
+    # (2, 1) alone, each route into it raises there and nothing is stored
+    sys_obj = make_system(catalog_id("disk", mu="1/2"))
+    sys_obj._P_cache[(2, 1)] = (1, [])
+    for call in (lambda: sys_obj._gram_diag(2),
+                 lambda: sys_obj.gram_block(2, 2),
+                 lambda: ttr_from_gram(sys_obj, 1)):
+        with pytest.raises(QuasiDefinitenessError) as info:
+            call()
+        assert info.value.index == (2, 1)
+    assert 2 not in sys_obj._diag_cache
+    assert (2, 2, 0, 0) not in sys_obj._gram_cache
+    # the other diagonals are the norms, and a shifted block is no check
+    assert sys_obj._gram_diag(1) == [sys_obj.block_norm(1, m)
+                                     for m in range(2)]
+    assert not any(sys_obj._gram_raw(2, 2, 1, 0)[1])
 
 
 def test_case_one_with_offset_radical():

@@ -342,6 +342,25 @@ def test_values_copy_and_pickle():
         s.value = 7
 
 
+def test_pickle_rebuilds_values_through_their_classes(monkeypatch):
+    # A Scalar and a SparsePoly2 are made only by their constructors:
+    # pickle rebuilds each by calling its class, whose checks run again.
+    for value in (q("-2/3"), SparsePoly2({(1, 2): "1/3", (0, 0): 5})):
+        cls = type(value)
+        rebuild, args = value.__reduce__()
+        assert rebuild is cls
+        calls = []
+        init = cls.__init__
+
+        def counted(self, *a, init=init, calls=calls):
+            calls.append(a)
+            init(self, *a)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        again = pickle.loads(pickle.dumps(value))
+        assert calls == [args] and type(again) is cls and again == value
+
+
 def test_band_matrix_zero_columns():
     m = BandMatrix(1, 0, 0, 0)
     assert m.shape == (1, 0) and m.is_zero

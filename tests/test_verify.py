@@ -183,7 +183,7 @@ def reference_float_details(sys_obj, n, axis, points, tol=1e-10):
 
     polys = [[float_map(n + d, c) for c in range(n + d + 1)]
              for d in (1, 0, -1)]
-    powers = [(_powers(px, n + 1), _powers(py, n + 1)) for px, py in points]
+    powers = [_powers(point, n + 1) for point in points]
     max_coeff = 0.0
     max_point = 0.0
     for m in range(n + 1):
@@ -302,6 +302,17 @@ def test_relation_float_names_an_overflowing_basis_coefficient():
         verify_relation(sys_obj, 1, "x", mode="float")
     # the exact check of the same system needs no double
     assert verify_relation(sys_obj, 1, "x").passed
+
+
+def test_relation_float_names_a_point_whose_power_overflows():
+    # 1e300 squared is beyond the doubles: the check, n and the point are
+    # named, not Python's bare range error
+    sys_obj = make_system(catalog_id("disk", mu="1/2"))
+    with pytest.raises(OverflowError, match=r"^relation-x at n = 3: a "
+                       r"power of the point \(1e\+300, 0\.5\) overflows "
+                       r"a double$"):
+        verify_relation(sys_obj, 3, "x", mode="float",
+                        points=[(1e300, 0.5)])
 
 
 def test_orthonormal_transpose_detects_a_wrong_entry(disk, monkeypatch):
