@@ -41,8 +41,8 @@ import sys
 
 from .catalog import (FAMILY_PARAMS, catalog_id, closed_form_first,
                       closed_form_second, make_system)
-from .numerics import (TABLE_KEYS, ModeError, _check_degrees, _eval_terms,
-                       _powers, parse_rational)
+from .numerics import (TABLE_KEYS, ModeError, _check_degrees, _eval_at,
+                       parse_rational)
 from .univariate import QuasiDefinitenessError
 
 SCHEMA = "ortho2d/1"
@@ -197,8 +197,7 @@ def _cmd_eval(args):
         except OverflowError:
             raise OverflowError(f"the point ({args.x}, {args.y}) "
                                 f"overflows a double") from None
-        terms = system._P_float(args.n, args.m)[0]
-        value = _eval_terms(terms, *_powers((px, py), args.n), 0.0)
+        value = _eval_at(system._P_float(args.n, args.m)[0], (px, py), 0.0)
         if not math.isfinite(value):
             raise OverflowError(f"the ({args.n},{args.m}) basis polynomial "
                                 f"overflows a double at ({px}, {py})")
@@ -301,11 +300,7 @@ def main(argv=None):
               "parameters; the functional is not quasi-definite",
               file=sys.stderr)
         return 3
-    except OverflowError as exc:
-        print(f"error: --mode float: a point, a power of it or a "
-              f"coefficient overflows a double ({exc})", file=sys.stderr)
-        return 2
-    except (ValueError, ModeError, OSError) as exc:
+    except (ValueError, ModeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -7,7 +7,8 @@ A system is determined by three pieces of data:
   s2 x^2 + s1 x + s0 (case II, which requires the second-variable family
   to be symmetric);
 * a ladder of first-variable families, one per second-variable degree m,
-  where step m+1 carries an extra rho^2 factor in its weight;
+  where step m+1 carries an extra rho^2 factor in its weight and stores
+  the connection triples from step m (``univariate.adjacent_down``);
 * a second-variable family q.
 
 The degree-(n, m) basis polynomial is
@@ -142,9 +143,10 @@ class BivariateSystem:
     once, as integer forms, and each basis polynomial once more rounded to
     doubles for the float checks; ladders, the moment table, the row
     moments of each basis polynomial, the raw Gram blocks (shifted ones
-    included), the diagonals of H_n, the connection triples between ladder
-    steps, the matrices of ``ttr.first_ttr``/``second_ttr`` and the square
-    roots of the block norms once each.  Not thread-safe.
+    included), the diagonals of H_n, the matrices of
+    ``ttr.first_ttr``/``second_ttr`` and the square roots of the block
+    norms once each; ladder step m + 1 keeps the connection triples from
+    step m.  Not thread-safe.
     """
 
     def __init__(self, rho, ladder_factory, q, label):
@@ -174,9 +176,6 @@ class BivariateSystem:
         # (A, B, C) of the relation along axis at degree n, keyed (n, axis);
         # filled by ttr.first_ttr / second_ttr.
         self._ttr_cache = {}
-        # Connection triples (AdjacentDown) between ladder steps m and
-        # m + 1, keyed (m, k); filled by ttr._down.
-        self._down_cache = {}
         # Square roots of the block norms of degree n as doubles, keyed n;
         # filled by verify._norm_roots.
         self._root_cache = {}

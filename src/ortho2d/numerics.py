@@ -24,8 +24,9 @@ exact kernels: ``poly_mul`` and ``rank_exact`` (Bareiss's integer
 fraction-free elimination, no doubles anywhere, on the stored entries of
 a BandMatrix; dense rows enter through ``from_dense``).  The float
 checks evaluate coefficient maps of doubles with ``_eval_terms`` on
-``_powers``, which names a point whose power overflows;
-``SparsePoly2.eval`` uses it on exact coefficients.  Every degree,
+``_powers``, which names a point whose power overflows; ``_eval_at``
+raises each coordinate only as far as the terms need it, for
+``SparsePoly2.eval`` and ``eval --mode float``.  Every degree,
 index, bound, count, exponent and matrix dimension in the package passes
 one rule, ``_check_index`` (``_check_degrees`` for a pair 0 <= m <= n):
 a plain int >= 0, never a bool or a float.  A matrix position is a pair
@@ -218,12 +219,12 @@ class Scalar:
 _OPERANDS = (Scalar, int, float, *_RAT_TYPES)
 
 
-def _powers(point, top):
-    """(xs, ys): [v ** 0, v ** 1, ..., v ** top] for each coordinate v of
-    the point; a power beyond the doubles is an OverflowError naming the
-    point."""
+def _powers(point, tops):
+    """(xs, ys): [v ** 0, ..., v ** top] per coordinate v of the point and
+    its top in tops; a power beyond the doubles names the point."""
     try:
-        return tuple([v ** i for i in range(top + 1)] for v in point)
+        return tuple([v ** i for i in range(top + 1)]
+                     for v, top in zip(point, tops))
     except OverflowError:
         raise OverflowError(f"a power of the point {point} overflows a "
                             f"double") from None
@@ -235,6 +236,13 @@ def _eval_terms(terms, xs, ys, acc):
     for (i, j), raw in terms.items():
         acc += raw * xs[i] * ys[j]
     return acc
+
+
+def _eval_at(terms, point, acc):
+    """``_eval_terms`` at the point, each coordinate raised only up to the
+    largest exponent that the terms hold in it."""
+    tops = [max((key[c] for key in terms), default=0) for c in (0, 1)]
+    return _eval_terms(terms, *_powers(point, tops), acc)
 
 
 class SparsePoly2:
@@ -279,9 +287,8 @@ class SparsePoly2:
     def eval(self, x, y):
         """The backend rational value at exact x, y (Scalars, ints or
         rationals)."""
-        top = max((max(key) for key in self._terms), default=0)
         point = (_as_raw_exact(x), _as_raw_exact(y))
-        return _eval_terms(self._terms, *_powers(point, top), _ZERO)
+        return _eval_at(self._terms, point, _ZERO)
 
     # -- comparison / rendering -----------------------------------------
 

@@ -11,7 +11,8 @@ closed form, row by row through ``numerics._relation`` as the closed
 forms do: the x-relation matrices are diagonal (each row is the ladder
 recurrence at the right index), and the y-relation matrices are
 tridiagonal, mixing the second-variable recurrence with the
-adjacent-family connection coefficients.
+adjacent-family connection coefficients, which the ladder families
+store (``univariate.adjacent_down``).
 
 ``ttr_from_gram`` is the independent oracle: it computes the same
 matrices purely from bivariate moments,
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 from .numerics import (BandMatrix, _check_index, _int_rows, _rank_int,
                        _relation)
-from .univariate import _adjacent_up, adjacent_down
+from .univariate import adjacent_down, adjacent_up
 
 # The relation axes, each with the exponent shift (dx, dy) of its variable.
 SHIFTS = {"x": (1, 0), "y": (0, 1)}
@@ -75,17 +76,6 @@ def first_ttr(sys, n):
     return cached
 
 
-def _down(sys, m, k):
-    """The ``AdjacentDown`` triple between ladder steps m and m + 1 at index
-    k, formed once per system: the superdiagonal of one degree and the
-    subdiagonal of the next two read the same one."""
-    triple = sys._down_cache.get((m, k))
-    if triple is None:
-        triple = sys._down_cache[(m, k)] = adjacent_down(
-            sys.ladder(m), sys.ladder(m + 1), sys.rho.s2, k)
-    return triple
-
-
 def second_ttr(sys, n):
     """Matrices (A, B, C) of the y-relation at degree n; all tridiagonal.
 
@@ -94,6 +84,8 @@ def second_ttr(sys, n):
     upward triple between ladder steps m-1 and m, the superdiagonal the
     downward triple between steps m and m+1, and the diagonal, where q's
     b-coefficient is nonzero, the first-variable recurrence itself.
+    Both come from ``adjacent_down``/``adjacent_up``, which form each
+    downward triple once and store it on ladder step m+1.
 
     Built once per system and degree, then read from the system's cache.
     Where rho is not a polynomial, q refuses a nonzero b-coefficient when
@@ -114,9 +106,8 @@ def second_ttr(sys, n):
         # Subdiagonal: q's c-coefficient times the upward connection
         # between ladder steps m-1 and m, at first-variable index k.
         if m >= 1:
-            row.update(_scaled(q.c(m), ("a1", "b1", "c1"), _adjacent_up(
-                sys.ladder(m - 1), sys.ladder(m), rho.s2, k,
-                lambda j: _down(sys, m - 1, j))))
+            row.update(_scaled(q.c(m), ("a1", "b1", "c1"), adjacent_up(
+                sys.ladder(m - 1), sys.ladder(m), rho.s2, k)))
         # Diagonal: q's b-coefficient times the ladder recurrence mapped
         # through rho = r1 x + r0; q refuses a nonzero b(m) elsewhere.
         qb = q.b(m)
@@ -128,7 +119,8 @@ def second_ttr(sys, n):
                 row["c2"] = qb * rho.r1 * fam.c(k)
         # Superdiagonal: q's a-coefficient times the downward connection
         # between ladder steps m and m+1, at first-variable index k.
-        row.update(_scaled(qa, ("a3", "b3", "c3"), _down(sys, m, k)))
+        row.update(_scaled(qa, ("a3", "b3", "c3"), adjacent_down(
+            sys.ladder(m), sys.ladder(m + 1), rho.s2, k)))
         rows.append(row)
     cached = sys._ttr_cache[(n, "y")] = _relation(n, 1, rows)
     return cached
@@ -143,9 +135,7 @@ def _scaled(factor, keys, triple):
 
 def build_ttr(sys, n):
     """Both relations at degree n as a TTRSet (recurrence route)."""
-    a1, b1, c1 = first_ttr(sys, n)
-    a2, b2, c2 = second_ttr(sys, n)
-    return TTRSet(n, a1, b1, c1, a2, b2, c2)
+    return TTRSet(n, *first_ttr(sys, n), *second_ttr(sys, n))
 
 
 # -- the moment/Gram oracle ---------------------------------------------------

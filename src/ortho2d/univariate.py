@@ -17,7 +17,8 @@ companion family obtained by appending a factor rho(x)^2 to its weight:
     rho^2 q_n = eta_n p_{n+2} + theta_n p_{n+1} + vartheta_n p_n
 
 where q is the companion family normalized so that its h_0 equals the
-rho^2-moment of the base family (``adjacent_down`` / ``adjacent_up``).
+rho^2-moment of the base family (``adjacent_down`` / ``adjacent_up``);
+each downward triple is formed once and stored on the companion family.
 
 Every value returned -- recurrence, leading, dense and connection
 coefficients, norms, moments, point values, parameters -- is a backend
@@ -93,11 +94,12 @@ class RecurrenceFamily:
     The closures a, b, c take an index n and return an exact value (an
     int, a rational or a Scalar), which is read once through
     ``_as_raw_exact``, so a float is a ModeError; c is only consulted for
-    n >= 1.  Each recurrence coefficient and all
-    derived data (leading coefficients, norms, moments, dense coefficients)
-    is computed lazily, once, and cached on the family; the moment
-    recursion keeps only its last integer vector.  A family is not
-    thread-safe: share it between threads only behind a lock of your own.
+    n >= 1.  Each recurrence coefficient and all derived data (leading
+    coefficients, norms, moments, dense coefficients, the connection
+    triples into this family from a base family) is computed lazily,
+    once, and cached on the family; the moment recursion keeps only its
+    last integer vector.  A family is not thread-safe: share it between
+    threads only behind a lock of your own.
     """
 
     def __init__(self, label, a, b, c, h0=1, params=None):
@@ -120,6 +122,8 @@ class RecurrenceFamily:
         self._mom_vec = (1, [1])
         self._mom_coeffs = (1, [], [], [])
         self._coeff_cache = [(1, [1])]
+        # Triples of adjacent_down into this family, keyed (base, s2, n).
+        self._down_cache = {}
 
     def __repr__(self):
         return f"RecurrenceFamily({self.label!r})"
@@ -408,38 +412,38 @@ def adjacent_down(fam_m, fam_m1, s2, n):
 
     s2 is the leading coefficient of rho^2; fam_m1 must be normalized by
     the rho^2-moment chain for the norm-dependent zeta to be meaningful.
+    Each triple is formed once per (fam_m, s2, n) and stored on fam_m1.
     """
     _check_index(n, "index")
     s2 = _as_raw_exact(s2)
+    key = (fam_m, s2, n)
+    triple = fam_m1._down_cache.get(key)
+    if triple is not None:
+        return triple
     k_m_n, l_m_n = fam_m.leading_coeffs(n)
     k_m1_n, l_m1_n = fam_m1.leading_coeffs(n)
     delta = k_m_n / k_m1_n
-    epsilon = None
-    zeta = None
+    epsilon = zeta = None
     if n >= 1:
-        k_m1_prev = fam_m1.leading_coeffs(n - 1).k
-        epsilon = (l_m_n - delta * l_m1_n) / k_m1_prev
+        epsilon = ((l_m_n - delta * l_m1_n)
+                   / fam_m1.leading_coeffs(n - 1).k)
     if n >= 2:
         zeta = (s2 * fam_m1.leading_coeffs(n - 2).k / k_m_n
                 * fam_m.norms(n) / fam_m1.norms(n - 2))
-    return AdjacentDown(delta, epsilon, zeta)
-
-
-def _adjacent_up(fam_m, fam_m1, s2, n, down):
-    """``adjacent_up`` without the index check; s2 is a raw rational and
-    down(k) the ``AdjacentDown`` triple at k."""
-    eta = s2 * fam_m1.leading_coeffs(n).k / fam_m.leading_coeffs(n + 2).k
-    delta, epsilon_next = down(n).delta, down(n + 1).epsilon
-    h_m1_n = fam_m1.norms(n)
-    theta = epsilon_next * h_m1_n / fam_m.norms(n + 1)
-    vartheta = delta * h_m1_n / fam_m.norms(n)
-    return AdjacentUp(eta, theta, vartheta)
+    triple = fam_m1._down_cache[key] = AdjacentDown(delta, epsilon, zeta)
+    return triple
 
 
 def adjacent_up(fam_m, fam_m1, s2, n):
     """Triple (eta, theta, vartheta) expanding rho^2 times fam_m1's degree-n
-    polynomial back in fam_m.  Defined for every n >= 0."""
+    polynomial back in fam_m.  Defined for every n >= 0; it reads the
+    triples of ``adjacent_down`` at n and n + 1."""
     _check_index(n, "index")
     s2 = _as_raw_exact(s2)
-    return _adjacent_up(fam_m, fam_m1, s2, n,
-                        lambda k: adjacent_down(fam_m, fam_m1, s2, k))
+    eta = s2 * fam_m1.leading_coeffs(n).k / fam_m.leading_coeffs(n + 2).k
+    delta = adjacent_down(fam_m, fam_m1, s2, n).delta
+    epsilon_next = adjacent_down(fam_m, fam_m1, s2, n + 1).epsilon
+    h_m1_n = fam_m1.norms(n)
+    theta = epsilon_next * h_m1_n / fam_m.norms(n + 1)
+    vartheta = delta * h_m1_n / fam_m.norms(n)
+    return AdjacentUp(eta, theta, vartheta)

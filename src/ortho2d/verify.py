@@ -83,6 +83,15 @@ class VerifyReport(NamedTuple):
         }
 
 
+def _double(raw):
+    """A rational rounded to a double; one beyond the doubles reads as the
+    infinity of its sign, which every float check refuses by name."""
+    try:
+        return float(raw)
+    except OverflowError:
+        return math.inf if raw > 0 else -math.inf
+
+
 def _relation_matrices(sys, n, axis):
     if axis == "x":
         return first_ttr(sys, n)
@@ -150,8 +159,8 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
     rounded on each call, and bounds the relative coefficient residual
     (and, if points are supplied, relative residuals at those evaluation
     points) by tol.  A non-finite point coordinate is a ValueError; a basis
-    coefficient, a power of a point, a residual or a side that overflows a
-    double, an OverflowError naming the check, n and what overflowed.
+    coefficient, band entry, power of a point, residual or side beyond the
+    doubles, an OverflowError naming the check, n and what overflowed.
     """
     _check_index(n, "degree")
     if mode not in ("exact", "float"):
@@ -176,7 +185,7 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
     try:
         # No monomial exceeds degree n + 1.  A, B and C multiply the basis
         # polynomials of degree n + 1, n, n - 1.
-        powers = [_powers(point, n + 1) for point in points]
+        powers = [_powers(point, (n + 1, n + 1)) for point in points]
         polys = [[sys._P_float(k, c) for c in range(k + 1)]
                  for k in (n + 1, n, n - 1)]
     except OverflowError as exc:
@@ -188,7 +197,7 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
         rhs = {}
         for rows, row in zip(mats, polys):
             for c, raw in rows[m]:
-                entry = float(raw)
+                entry = _double(raw)
                 if not entry:
                     continue
                 poly, peak = row[c]
@@ -290,7 +299,7 @@ def _orthonormal(matrix, d_rows, d_cols):
     """{(r, c): v * (1 / d_row) * d_col} of doubles over the stored entries
     of the exact matrix, each entry v rounded once."""
     inv = [1.0 / d for d in d_rows]
-    return {(r, c): float(raw) * inv[r] * d_cols[c]
+    return {(r, c): _double(raw) * inv[r] * d_cols[c]
             for r, row in enumerate(_rows(matrix)) for c, raw in row}
 
 
@@ -308,10 +317,7 @@ def _norm_roots(sys, n):
                 raise NotPositiveDefiniteError(
                     f"{sys.label} is not positive-definite: squared norm "
                     f"of the ({n},{m}) basis polynomial is {h}")
-            try:
-                root = math.sqrt(float(h))
-            except OverflowError:
-                root = math.inf
+            root = math.sqrt(_double(h))
             if not 0.0 < root < math.inf:
                 flow = "underflows" if root == 0.0 else "overflows"
                 raise OverflowError(
@@ -404,11 +410,8 @@ def run_suite(cid, max_degree, mode="exact", points=0, seed=0, corrupt=False):
 
     checks.append(verify_orthogonality(sys, max_degree))
 
-    rank_failures = []
-    for n in range(max_degree + 1):
-        report = rank_conditions(sys, n)
-        if not report.ok:
-            rank_failures.append(report._asdict())
+    reports = [rank_conditions(sys, n) for n in range(max_degree + 1)]
+    rank_failures = [r._asdict() for r in reports if not r.ok]
     checks.append(CheckResult("rank-conditions", not rank_failures, {
         "max_degree": max_degree, "failures": rank_failures}))
 

@@ -624,23 +624,35 @@ def test_help_exits_zero(capsys):
 
 
 @pytest.mark.parametrize("mu, n, m, x, named", [
-    ("1/2", "2", "1", "1e400", "the point (1e400, 0) overflows"),
-    ("1/2", "2", "1", "1e300", "a power of the point (1e+300, 0.0) "
-                               "overflows"),
+    ("1/2", "2", "1", "1e400", "the point (1e400, 0) overflows a double"),
+    ("1/2", "2", "0", "1e300", "a power of the point (1e+300, 0.0) "
+                               "overflows a double"),
     ("1e300", "2", "1", "0", "a coefficient of the (2,1) basis polynomial "
-                             "overflows"),
+                             "overflows a double"),
     ("1/2", "4", "0", "1e77", "the (4,0) basis polynomial overflows a "
                               "double at (1e+77, 0.0)"),
 ], ids=["point", "power", "coefficient", "value"])
 def test_eval_float_overflow_exits_two(capsys, mu, n, m, x, named):
-    # 1e400 overflows as a double, 1e300 squared does, so does a
-    # coefficient of P_{2,1} at mu = 1e300 and the value of P_{4,0} at
-    # 1e77; the message names what overflowed.
+    # 1e400 overflows as a double, 1e300 squared does (P_{2,0} holds
+    # x^2), so does a coefficient of P_{2,1} at mu = 1e300 and the value
+    # of P_{4,0} at 1e77; the one stderr line names what overflowed, once.
     code, out, err = run(capsys, "eval", "disk", "--mu", mu, "--n", n,
                          "--m", m, "--x", x, "--y", "0", "--mode", "float")
     assert code == 2 and out == ""
-    assert err.startswith("error: --mode float: ") and named in err
-    assert err.count("\n") == 1
+    assert err == f"error: {named}\n"
+
+
+def test_eval_float_raises_each_coordinate_only_as_far_as_needed(capsys):
+    # P_{2,1} = 5/2 x y holds x and y only to the first power: at
+    # x = 1e200 its value 1.25e200 is a double, though x^2 is not
+    exact = run_json(capsys, "eval", "disk", "--mu", "1/2", "--n", "2",
+                     "--m", "1", "--x", "1e200", "--y", "1/2")
+    obj = run_json(capsys, "eval", "disk", "--mu", "1/2", "--n", "2",
+                   "--m", "1", "--x", "1e200", "--y", "1/2",
+                   "--mode", "float")
+    assert Fraction(exact["value"]) == Fraction(125, 100) * 10 ** 200
+    assert obj["value"] == pytest.approx(1.25e200, rel=1e-15)
+    assert (obj["x"], obj["y"]) == (1e200, 0.5)
 
 
 def test_verify_float_overflow_exits_two(capsys):

@@ -151,28 +151,40 @@ def test_rank_conditions_hold(disk, square):
     ("bessel-laguerre", {"g": 5, "gamma": "2/5"}),
 ])
 def test_connection_memo_equals_fresh_triples(family, params):
-    # second_ttr forms each downward triple once per system; every one it
-    # used to degree 12, and every upward triple it formed from them, is
-    # the triple a fresh adjacent_down / adjacent_up gives.
+    # adjacent_down stores each downward triple on the companion ladder
+    # step, once per (base family, s2, index); every one second_ttr used
+    # to degree 12, and every upward triple formed from them, is the
+    # triple that fresh copies of the two families give (a second call on
+    # the ladder itself would return the stored triple).
     sys_obj = make_system(catalog_id(family, **params))
     for n in range(13):
         second_ttr(sys_obj, n)
     s2 = sys_obj.rho.s2
+
+    def fresh(m):
+        """Ladder steps m and m + 1, copied with no triple stored."""
+        return [sys_obj.ladder(j).with_h0(sys_obj.ladder(j).h0)
+                for j in (m, m + 1)]
+
     # Row m of degree n: the superdiagonal reads (m, n - m), and the
     # subdiagonal's upward triple (m - 1, n - m) reads two downward ones.
     used = {(m, n - m) for n in range(13) for m in range(n + 1)}
     used |= {(m - 1, n - m + e) for n in range(13) for m in range(1, n + 1)
              for e in (0, 1)}
-    assert set(sys_obj._down_cache) == used
-    for (m, k), triple in sys_obj._down_cache.items():
-        fresh = adjacent_down(sys_obj.ladder(m), sys_obj.ladder(m + 1), s2, k)
-        assert triple == fresh
+    stored = {}
+    for m in range(13):
+        memo = sys_obj.ladder(m + 1)._down_cache
+        for (fam, key_s2, k), triple in memo.items():
+            assert fam is sys_obj.ladder(m) and key_s2 == s2
+            stored[(m, k)] = triple
+    assert set(stored) == used
+    for (m, k), triple in stored.items():
+        assert triple == adjacent_down(*fresh(m), s2, k)
     q_fam = sys_obj.q
     for n in range(13):
         a_y, b_y, c_y = second_ttr(sys_obj, n)
         for m in range(1, n + 1):
-            up = adjacent_up(sys_obj.ladder(m - 1), sys_obj.ladder(m), s2,
-                             n - m)
+            up = adjacent_up(*fresh(m - 1), s2, n - m)
             qc = q_fam.c(m)
             assert a_y[m, m - 1] == qc * up.eta
             assert b_y[m, m - 1] == qc * up.theta

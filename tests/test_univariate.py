@@ -542,3 +542,43 @@ def test_adjacent_known_laguerre_triple():
         assert up.eta == q((n + 1) * (n + 2))
         assert up.theta == q(-2 * (n + 1)) * (n + 1 + 2)
         assert up.vartheta == q((n + 1 + 1) * (n + 1 + 2))
+
+
+def test_adjacent_down_stores_each_triple_on_the_companion():
+    # one triple per (base family, s2, index), stored on the companion:
+    # a repeated call returns the stored triple, and adjacent_up reads
+    # the two it needs from the same store
+    base = laguerre(1)
+    comp = chained(base, laguerre(3), q(1), q(0), q(0))
+    first = adjacent_down(base, comp, q(1), 3)
+    assert adjacent_down(base, comp, 1, 3) is first
+    adjacent_up(base, comp, q(1), 2)
+    assert set(comp._down_cache) == {(base, 1, 2), (base, 1, 3)}
+    assert base._down_cache == {}
+
+
+def test_adjacent_down_keys_its_store_by_s2():
+    # the same two families with two values of s2 give two triples: zeta
+    # scales with s2, so a triple stored for one s2 is not read for another
+    base = jacobi_shift(1, "1/2")
+    comp = chained(base, jacobi_shift(1, "3/2"), q(0), q(1), q(0))
+    linear = adjacent_down(base, comp, q(0), 4)
+    scaled = adjacent_down(base, comp, q(2), 4)
+    assert linear.zeta == 0 and scaled.zeta != 0
+    assert linear[:2] == scaled[:2]
+    assert set(comp._down_cache) == {(base, 0, 4), (base, 2, 4)}
+
+
+def test_failing_adjacent_down_raises_on_every_call_and_stores_nothing():
+    # a zero a(2) in the companion stops its degree at 2: the triple at
+    # index 3 fails on every call, and no triple is stored for it
+    base = laguerre(1)
+    stall = RecurrenceFamily("stall", lambda n: 0 if n == 2 else 1,
+                             lambda n: 0, lambda n: 1)
+    for _ in range(2):
+        with pytest.raises(QuasiDefinitenessError, match=r"a\(2\) = 0"):
+            adjacent_down(base, stall, 1, 3)
+        assert stall._down_cache == {}
+    with pytest.raises(QuasiDefinitenessError, match=r"a\(2\) = 0"):
+        adjacent_up(base, stall, 1, 2)
+    assert set(stall._down_cache) == {(base, 1, 2)}

@@ -183,7 +183,7 @@ def reference_float_details(sys_obj, n, axis, points, tol=1e-10):
 
     polys = [[float_map(n + d, c) for c in range(n + d + 1)]
              for d in (1, 0, -1)]
-    powers = [_powers(point, n + 1) for point in points]
+    powers = [_powers(point, (n + 1, n + 1)) for point in points]
     max_coeff = 0.0
     max_point = 0.0
     for m in range(n + 1):
@@ -278,6 +278,23 @@ def test_orthonormal_transpose_refuses_an_overflowing_entry(
     _with_entry(sys_obj, n, "x", index,
                 BandMatrix(*shape, 0, 0, {(0, 0): HUGE}))
     with pytest.raises(OverflowError, match="orthonormal-transpose"):
+        verify_orthonormal_transpose(sys_obj, 1)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_float_checks_name_an_entry_beyond_the_doubles(sign):
+    # an exact band entry that no double holds reads as an infinity, which
+    # each check refuses by name, not with Python's bare division error
+    sys_obj = make_system(catalog_id("disk", mu="1/2"))
+    _with_entry(sys_obj, 1, "x", 1,
+                BandMatrix(2, 2, 0, 0, {(0, 0): sign * 10 ** 400}))
+    with pytest.raises(OverflowError, match=r"^relation-x at n = 1, row 0: "
+                       r"a coefficient of the relation overflows a double$"):
+        verify_relation(sys_obj, 1, "x", mode="float")
+    _with_entry(sys_obj, 0, "x", 0,
+                BandMatrix(1, 2, 0, 0, {(0, 0): sign * 10 ** 400}))
+    with pytest.raises(OverflowError, match=r"^orthonormal-transpose at "
+                       r"n = 0, axis x: overflows a double$"):
         verify_orthonormal_transpose(sys_obj, 1)
 
 
