@@ -18,9 +18,9 @@ The degree-(n, m) basis polynomial is
 which is a genuine polynomial because q_m has the same parity as m in
 case II.  Both cases are one construction: each power of rho is
 rho^(e-2) rho^2, built in one loop and seeded with rho^1 where rho is a
-polynomial, ``_rho_moment`` gives <u, x^h rho^e> to the ladder's weight
-chain and the moments, and a vanishing moment of q gives a vanishing
-bivariate moment.  The module
+polynomial, one kernel, ``_rho_moment``, gives <u, x^h rho^e> as two ints
+to the ladder's weight chain, ``w_moment`` and the moment table, and a
+vanishing moment of q gives a vanishing bivariate moment.  The module
 expands these basis polynomials, computes moments of the induced
 bivariate functional, and evaluates Gram blocks -- the independent ground
 truth against which the recurrence-built matrix relations are checked.
@@ -28,17 +28,21 @@ truth against which the recurrence-built matrix relations are checked.
 Everything is built fraction-free, in the manner of Bareiss elimination:
 basis polynomials, ladder coefficients and powers of rho are each cached
 once, as integer forms (integers over one least positive denominator).
-The moments <w, x^h y^k> form one triangular integer grid W[h][k] over a
-common denominator D, and the row moments <w, P_{n,m} x^a y^b> of each
-basis polynomial a grid of the same layout over D.  Both grow by total
-degree and are rescaled by the integer D_new / D_old when D grows.  One
-contraction, ``_contract``, forms the row moments, every Gram entry and
-``moment_bilinear``; one row kernel, ``_gram_row``, forms each Gram
-entry of a block (``_gram_raw``) and of H_n's checked diagonal
-(``_gram_diag``) as one rational, the shared zero when it vanishes.  The
-kernel reads the moments and the basis polynomials
-only -- no norm, ladder, recurrence or connection coefficient -- so it
-stays an independent check.
+The univariate moments are integer vectors over one denominator
+(``RecurrenceFamily._moments_int``).  The moments <w, x^h y^k> form one
+triangular integer grid W[h][k] over their least common denominator D,
+and the row moments <w, P_{n,m} x^a y^b> of each basis polynomial a grid
+of the same layout over D.  Both grow by total degree and are rescaled
+by the integer D_new / D_old when D grows.  One contraction,
+``_contract``, forms the row moments, every Gram entry and
+``moment_bilinear``; one row kernel, ``_gram_row``, forms each row of a
+block (``_gram_raw``) and each entry of H_n's checked diagonal
+(``_gram_diag``) as ints over one denominator.  Those rows are the one
+store of Gram entries; ``gram_block``, ``_gram_diag`` and the oracle
+(``ttr.ttr_from_gram``) form one rational per entry where they read
+them, the shared zero where it vanishes.  The kernel reads the moments
+and the basis polynomials only -- no norm, ladder, recurrence or
+connection coefficient -- so it stays an independent check.
 
 Every value a system returns -- a moment, a Gram entry, a block norm, a
 coefficient of ``RhoSpec`` or of an expanded basis polynomial -- is a
@@ -57,6 +61,7 @@ from .numerics import (
     _check_degrees,
     _check_index,
     _int_list,
+    _rat,
 )
 from .univariate import QuasiDefinitenessError, RecurrenceFamily
 
@@ -106,15 +111,17 @@ class GramBlock(NamedTuple):
     entries: tuple
 
 
-def _rat(num, den):
-    """num / den as a raw rational; a zero is the shared zero."""
-    return _RAT(num, den) if num else _ZERO
-
-
 def _contract(terms, grid, a, b):
     """sum(c * grid[i + a][j + b]) over the terms (i, j, c): a polynomial's
     integer terms against a triangular integer grid shifted by x^a y^b."""
     return sum(c * grid[i + a][j + b] for i, j, c in terms)
+
+
+def _columns(forms):
+    """(d, [(d / d_col, terms)]): integer forms (d_col, terms) as the
+    columns of a Gram row, over the lcm d of their denominators."""
+    d = math.lcm(*(d_col for d_col, _ in forms))
+    return d, [(d // d_col, terms) for d_col, terms in forms]
 
 
 def _product(p, r):
@@ -169,7 +176,8 @@ class BivariateSystem:
         # Row moments of the basis polynomials, keyed (n, m), as
         # (D, grid[a][b]); filled by _row_moments.
         self._row_cache = {}
-        # Raw Gram rows keyed (n, h, dx, dy); filled by _gram_raw.
+        # Raw Gram rows keyed (n, h, dx, dy), each as (den, [ints]); filled
+        # by _gram_raw.
         self._gram_cache = {}
         # Raw diagonals of the Gram blocks H_n keyed n; filled by _gram_diag.
         self._diag_cache = {}
@@ -192,7 +200,8 @@ class BivariateSystem:
         while len(self._ladders) <= m:
             j = len(self._ladders)
             # h_0 of step 0; of step j, <u_{j-1}, rho^2>
-            chain = self._rho_moment(self._ladders[j - 1], 0, 2) if j else 1
+            chain = (_rat(*self._rho_moment(self._ladders[j - 1], 0, 2))
+                     if j else 1)
             fam = self._factory(j)
             if not isinstance(fam, RecurrenceFamily):
                 raise TypeError(f"ladder_factory({j}) returned "
@@ -228,11 +237,14 @@ class BivariateSystem:
         return pows[e]
 
     def _rho_moment(self, fam, h, e):
-        """<u, x^h rho^e> for the functional u of the family fam: rho^e
-        (``_rho_pow_int``) against the moments fam stores, one rational."""
+        """<u, x^h rho^e> for the functional u of the family fam as (num,
+        den), two ints: rho^e (``_rho_pow_int``) against the integer moments
+        fam stores, read up to rho^e's last nonzero coefficient.  The one
+        kernel of the weight chain and of the moments <w, x^h y^k>."""
         d_rho, rho_e = self._rho_pow_int(e)
-        return sum(rc * fam._moment_raw(h + d)
-                   for d, rc in enumerate(rho_e) if rc) / d_rho
+        terms = [(h + d, rc) for d, rc in enumerate(rho_e) if rc]
+        d_u, moms = fam._moments_int(terms[-1][0])
+        return sum(rc * moms[j] for j, rc in terms), d_u * d_rho
 
     # -- basis polynomials ----------------------------------------------------
 
@@ -289,38 +301,53 @@ class BivariateSystem:
 
     def w_moment(self, h, k):
         """Moment <w, x^h y^k> = <u_0, x^h rho^k> <v, t^k> of the bivariate
-        functional, from the moments each univariate family stores; the
-        shared zero where q's k-th moment vanishes, as at every odd k of a
-        symmetric q."""
+        functional, one rational formed from the integer moments each
+        univariate family stores (``_w_int``); the shared zero where q's
+        k-th moment vanishes, as at every odd k of a symmetric q."""
         _check_index(h, "moment exponent")
         _check_index(k, "moment exponent")
-        q_k = self.q._moment_raw(k)
-        return self._rho_moment(self.ladder(0), h, k) * q_k if q_k else _ZERO
+        return _rat(*self._w_int(h, k))
+
+    def _w_int(self, h, k):
+        """<w, x^h y^k> as (num, den), two ints, for ``w_moment`` and the
+        moment table: q's k-th integer moment is read first, and where it
+        vanishes so does the moment, (0, 1)."""
+        d_q, q_moms = self.q._moments_int(k)
+        if not q_moms[k]:
+            return 0, 1
+        num, den = self._rho_moment(self.ladder(0), h, k)
+        return num * q_moms[k], den * d_q
 
     def _moment_table(self, top):
-        """(D, W): the moments of total degree <= top over one common
-        denominator D, as integers W[h][k] = D * <w, x^h y^k>.
+        """(D, W): the moments of total degree <= top over their least
+        common denominator D, as integers W[h][k] = D * <w, x^h y^k>.
 
         When a higher degree is asked for, the table grows by the new total
-        degrees only: D becomes the lcm of its old value and the new
-        moments' denominators, and the old entries are rescaled by the
-        integer D_new / D_old."""
+        degrees only, each read as two ints (``_w_int``).  The new entries
+        are brought over the lcm of their denominators and reduced by one
+        gcd to their least common denominator; D becomes the lcm of that
+        and its old value, and the old entries are rescaled by the integer
+        D_new / D_old."""
         d_old, table = self._w_table
         old_top = len(table) - 1
         if top > old_top:
-            wm = self.w_moment
+            w = self._w_int
             # Row h gains the degrees k above old_top - h, row by row.
-            new = [[wm(h, k) for k in range(max(old_top + 1 - h, 0),
-                                            top + 1 - h)]
+            new = [[w(h, k) for k in range(max(old_top + 1 - h, 0),
+                                           top + 1 - h)]
                    for h in range(top + 1)]
-            d = math.lcm(d_old, *(int(v.denominator)
-                                  for row in new for v in row))
-            f = d // d_old
-            table = [[f * v for v in row] for row in table]
+            dens = {den for row in new for _, den in row}
+            d_new = math.lcm(*dens)
+            scale = {den: d_new // den for den in dens}
+            new = [[num * scale[den] for num, den in row] for row in new]
+            g = math.gcd(d_new, *(v for row in new for v in row))
+            d_least = d_new // g
+            d = math.lcm(d_old, d_least)
+            f_old, f_new = d // d_old, d // d_least
+            table = [[f_old * v for v in row] for row in table]
             table += [[] for _ in range(top - old_top)]
             for row, values in zip(table, new):
-                row += [int(v.numerator) * (d // int(v.denominator))
-                        for v in values]
+                row += [v // g * f_new for v in values]
             self._w_table = (d, table)
         return self._w_table
 
@@ -375,26 +402,29 @@ class BivariateSystem:
 
     def _gram_row(self, n, m, h, cols, dx=0, dy=0):
         """Row m of <w, x^dx y^dy P_{n,m} P_{h,.}>, the one formula of a
-        Gram entry: per column form (d_col, terms) of degree h in cols, one
-        contraction with the row moments (``_row_moments``) shifted by
-        x^dx y^dy, and one rational over d_w d_row d_col."""
+        Gram entry, as (den, [ints]): cols = (d, [(f, terms)]) holds the
+        column forms of degree h over their lcm d (``_columns``); per
+        column one contraction with the row moments (``_row_moments``)
+        shifted by x^dx y^dy, times f, all over den = d_w d_row d."""
         d_w, moms = self._row_moments(n, m, h + dx + dy)
-        den = d_w * self._P_int(n, m)[0]
-        return [_rat(_contract(terms, moms, dx, dy), den * d_col)
-                for d_col, terms in cols]
+        d, forms = cols
+        return (d_w * self._P_int(n, m)[0] * d,
+                [f * _contract(terms, moms, dx, dy) for f, terms in forms])
 
     def _gram_raw(self, n, h, dx=0, dy=0):
         """Raw dense rows <w, x^dx y^dy P_{n,m} P_{h,mp}>, rows m, columns
-        mp, from moments only (``_gram_row``); built once per (n, h, dx,
-        dy).  The unshifted H_n first forms its diagonal (``_gram_diag``),
-        so a vanishing one raises before the block is built."""
+        mp, from moments only (``_gram_row``): each row is (den, [ints]),
+        one int per column over the row's den, the one store of the Gram
+        entries, built once per (n, h, dx, dy).  The unshifted H_n first
+        forms its diagonal (``_gram_diag``), so a vanishing one raises
+        before the block is built."""
         key = (n, h, dx, dy)
         cached = self._gram_cache.get(key)
         if cached is not None:
             return cached
         if n == h and not (dx or dy):
             self._gram_diag(n)
-        cols = [self._P_int(h, mp) for mp in range(h + 1)]
+        cols = _columns([self._P_int(h, mp) for mp in range(h + 1)])
         raw = [self._gram_row(n, m, h, cols, dx, dy) for m in range(n + 1)]
         self._gram_cache[key] = raw
         return raw
@@ -410,7 +440,9 @@ class BivariateSystem:
             return cached
         diag = []
         for m in range(n + 1):
-            v, = self._gram_row(n, m, n, [self._P_int(n, m)])
+            den, (num,) = self._gram_row(n, m, n,
+                                         _columns([self._P_int(n, m)]))
+            v = _rat(num, den)
             if not v:
                 raise QuasiDefinitenessError(
                     self.label, {}, (n, m),
@@ -423,7 +455,8 @@ class BivariateSystem:
         """Dense Gram block pairing total degrees n and h."""
         _check_index(n, "degree")
         _check_index(h, "degree")
-        return GramBlock(n, h, tuple(map(tuple, self._gram_raw(n, h))))
+        return GramBlock(n, h, tuple(tuple(_rat(v, den) for v in ints)
+                                     for den, ints in self._gram_raw(n, h)))
 
     def block_norm(self, n, m):
         """Closed-form squared norm of P_{n,m}: the ladder norm times the

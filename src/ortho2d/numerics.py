@@ -495,6 +495,12 @@ def _relation(n, which, rows):
                  for (extra, band), e in zip(_MATRICES[first:], entries))
 
 
+def _rat(num, den):
+    """num / den, two ints, as one raw rational; a zero is the shared
+    zero."""
+    return _RAT(num, den) if num else _ZERO
+
+
 def _int_list(values):
     """(d, [ints]): a sequence of rationals as integers over their least
     common denominator d."""

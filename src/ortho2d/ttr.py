@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numerics import (BandMatrix, _check_index, _int_rows, _rank_int,
-                       _relation)
+from .numerics import (_RAT, _ZERO, BandMatrix, _check_index, _int_rows,
+                       _rank_int, _relation)
 from .univariate import adjacent_down, adjacent_up
 
 # The relation axes, each with the exponent shift (dx, dy) of its variable.
@@ -141,10 +141,11 @@ def build_ttr(sys, n):
 # -- the moment/Gram oracle ---------------------------------------------------
 
 
-def _ratio(v, h):
-    """v / h; a zero Gram entry, most of those off the band, is returned
-    as it is, with no division."""
-    return v / h if v else v
+def _quotient(v, den, h):
+    """v / den / h for a Gram entry, the int v over den, and a diagonal
+    entry h of H: one rational, or the shared zero, with no division,
+    where v vanishes, as most entries off the band do."""
+    return _RAT(v * h.denominator, den * h.numerator) if v else _ZERO
 
 
 def ttr_from_gram(sys, n):
@@ -154,9 +155,11 @@ def ttr_from_gram(sys, n):
     <w, t_i P_n P_n^t> column by column by H_{n+1} and H_n; C reads the
     block cached for A_{n-1}: C[r][c] = <w, t_i P_{n-1} P_n^t>[c][r] /
     H_{n-1}[c].  The blocks come from moments and the basis polynomials
-    only (see ``BivariateSystem``); no norm, ladder, recurrence or
-    connection coefficient is read.  Returns full-bandwidth BandMatrices:
-    any banded structure in the result is a finding, not an assumption.
+    only (see ``BivariateSystem``), as integer rows over one denominator
+    each; every entry is formed as one rational (``_quotient``).  No norm,
+    ladder, recurrence or connection coefficient is read.  Returns
+    full-bandwidth BandMatrices: any banded structure in the result is a
+    finding, not an assumption.
     """
     _check_index(n, "degree")
     h_n = sys._gram_diag(n)
@@ -164,12 +167,13 @@ def ttr_from_gram(sys, n):
     h_prev = sys._gram_diag(n - 1) if n >= 1 else []
     mats = []
     for dx, dy in SHIFTS.values():
-        a_dense = [[_ratio(v, h) for v, h in zip(row, h_next)]
-                   for row in sys._gram_raw(n, n + 1, dx, dy)]
-        b_dense = [[_ratio(v, h) for v, h in zip(row, h_n)]
-                   for row in sys._gram_raw(n, n, dx, dy)]
+        a_dense = [[_quotient(v, den, h) for v, h in zip(ints, h_next)]
+                   for den, ints in sys._gram_raw(n, n + 1, dx, dy)]
+        b_dense = [[_quotient(v, den, h) for v, h in zip(ints, h_n)]
+                   for den, ints in sys._gram_raw(n, n, dx, dy)]
         g_prev = sys._gram_raw(n - 1, n, dx, dy) if n >= 1 else []
-        c_dense = [[_ratio(g_prev[c][r], h_prev[c]) for c in range(n)]
+        c_dense = [[_quotient(ints[r], den, h)
+                    for (den, ints), h in zip(g_prev, h_prev)]
                    for r in range(n + 1)]
         mats += map(BandMatrix.from_dense, (a_dense, b_dense, c_dense))
     return TTRSet(n, *mats)

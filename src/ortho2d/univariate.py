@@ -8,7 +8,10 @@ together with the squared norm h_0 of p_0.  From the recurrence alone the
 module derives leading coefficients, norms, moments of the underlying
 functional, dense coefficient lists and point evaluation -- all exactly.
 Dense coefficients and moments are built fraction-free: each recurrence
-step runs on integers over one denominator, with one gcd reduction.
+step runs on integers over one denominator, with one gcd reduction.  The
+moments are stored once, as one integer vector over their least common
+denominator (``_moments_int``); ``moments`` forms rationals from it only
+at that boundary, as ``coeffs`` does from ``_coeffs_int``.
 
 It also computes the two connection triples between a family and the
 companion family obtained by appending a factor rho(x)^2 to its weight:
@@ -36,7 +39,7 @@ import math
 from numbers import Rational
 from typing import NamedTuple
 
-from .numerics import _RAT, _as_raw_exact, _check_index
+from .numerics import _RAT, _as_raw_exact, _check_index, _rat
 
 _ONE = _RAT(1)
 _ZERO = _RAT(0)
@@ -97,8 +100,9 @@ class RecurrenceFamily:
     n >= 1.  Each recurrence coefficient and all derived data (leading
     coefficients, norms, moments, dense coefficients, the connection
     triples into this family from a base family) is computed lazily,
-    once, and cached on the family; the moment recursion keeps only its
-    last integer vector.  A family is not thread-safe: share it between
+    once, and cached on the family; the moments as one integer vector over
+    one denominator, and the moment recursion only its last integer
+    vector.  A family is not thread-safe: share it between
     threads only behind a lock of your own.
     """
 
@@ -115,14 +119,16 @@ class RecurrenceFamily:
         self._abc_cache = {"a": {}, "b": {}, "c": {}}
         self._kl_cache = [LeadingPair(_ONE, _ZERO)]
         self._h_cache = [h0_raw]
-        # Moments <u, x^j>, each stored once; the integer vector of the last
-        # x^j in the p-basis as (d, [ints]); the recurrence coefficients
-        # as ints over one denominator (see ``_int_coeffs``).
-        self._moments = [h0_raw]
+        # Moments <u, x^j> as ints over their least common denominator,
+        # (M, [ints]); the integer vector of the last x^j in the p-basis as
+        # (d, [ints]); the recurrence coefficients as ints over one
+        # denominator (see ``_int_coeffs``).
+        self._moments = (int(h0_raw.denominator), [int(h0_raw.numerator)])
         self._mom_vec = (1, [1])
         self._mom_coeffs = (1, [], [], [])
         self._coeff_cache = [(1, [1])]
-        # Triples of adjacent_down into this family, keyed (base, s2, n).
+        # Triples of adjacent_down into this family, keyed (base, numerator
+        # and denominator of s2, n).
         self._down_cache = {}
 
     def __repr__(self):
@@ -228,12 +234,14 @@ class RecurrenceFamily:
             self._mom_coeffs = (L, A, B, C)
         return self._mom_coeffs
 
-    def _moment_raw(self, j):
-        """<u, x^j>.  x^j in the p-basis is one integer vector over one
+    def _moments_int(self, j):
+        """(M, ints): the moments <u, x^i> for i <= j (and any already
+        formed) as ints over their least common denominator M, the one
+        store of moments.  x^j in the p-basis is one integer vector over one
         denominator, advanced by x p_i = a_i p_{i+1} + b_i p_i + c_i p_{i-1};
-        its constant entry times h_0 is the moment, stored once."""
-        moments = self._moments
-        while len(moments) <= j:
+        its constant entry times h_0 is the moment.  The vector and the
+        store advance together, after the step's coefficients are read."""
+        while len(self._moments[1]) <= j:
             d, v = self._mom_vec
             top = len(v) - 1
             L, A, B, C = self._int_coeffs(top)
@@ -250,15 +258,26 @@ class RecurrenceFamily:
             if g > 1:
                 den //= g
                 new = [x // g for x in new]
+            # The moment new[0] h_0 / den in lowest terms, over the lcm M.
+            h0 = self._h0
+            num, mden = new[0] * int(h0.numerator), den * int(h0.denominator)
+            g = math.gcd(num, mden)
+            num, mden = num // g, mden // g
+            M, ints = self._moments
+            grown = math.lcm(M, mden)
+            if grown != M:
+                ints = [x * (grown // M) for x in ints]
+            ints.append(num * (grown // mden))
             self._mom_vec = (den, new)
-            moments.append(_RAT(new[0], den) * self._h0)
-        return moments[j]
+            self._moments = (grown, ints)
+        return self._moments
 
     def moments(self, upto):
-        """List of moments <u, x^j> for j = 0..upto (so moments(0) = [h_0])."""
+        """List of moments <u, x^j> for j = 0..upto (so moments(0) = [h_0]),
+        formed as rationals from the integer store at this boundary."""
         _check_index(upto, "moment bound")
-        self._moment_raw(upto)
-        return self._moments[:upto + 1]
+        M, ints = self._moments_int(upto)
+        return [_rat(v, M) for v in ints[:upto + 1]]
 
     # -- dense coefficients / evaluation ------------------------------------
 
@@ -412,11 +431,13 @@ def adjacent_down(fam_m, fam_m1, s2, n):
 
     s2 is the leading coefficient of rho^2; fam_m1 must be normalized by
     the rho^2-moment chain for the norm-dependent zeta to be meaningful.
-    Each triple is formed once per (fam_m, s2, n) and stored on fam_m1.
+    Each triple is formed once per (fam_m, s2, n) and stored on fam_m1,
+    keyed by s2's integer numerator and denominator, which hash as ints
+    do (a Fraction does not cache its own hash).
     """
     _check_index(n, "index")
     s2 = _as_raw_exact(s2)
-    key = (fam_m, s2, n)
+    key = (fam_m, s2.numerator, s2.denominator, n)
     triple = fam_m1._down_cache.get(key)
     if triple is not None:
         return triple

@@ -37,7 +37,8 @@ import random
 from typing import NamedTuple
 
 from .catalog import cross_check, make_system
-from .numerics import _RAT, _check_index, _eval_terms, _powers, _rows
+from .numerics import (_RAT, _check_index, _eval_terms, _powers, _rat,
+                       _rows)
 from .ttr import SHIFTS, first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -241,10 +242,12 @@ def verify_orthogonality(sys, max_degree):
     """Gram blocks up to max_degree: off-degree blocks vanish, diagonal
     blocks are diagonal with the closed-form norms on the diagonal.
 
-    One scan reads the raw blocks <w, P_n P_h^t> (``_gram_raw``) for
-    n = 0..max_degree and h = 0..n, row by row, and reports the first
-    entry that fails: a nonzero one off the degree or off the diagonal,
-    or a diagonal one unequal to ``block_norm``."""
+    One scan reads the raw blocks <w, P_n P_h^t> (``_gram_raw``, integer
+    rows over one denominator each) for n = 0..max_degree and h = 0..n,
+    row by row, and reports the first entry that fails: a nonzero one off
+    the degree or off the diagonal, or a diagonal one unequal to
+    ``block_norm``.  A rational is formed only on the diagonal and for a
+    failing entry."""
     _check_index(max_degree, "max_degree")
 
     def failure(kind, **where):
@@ -253,21 +256,23 @@ def verify_orthogonality(sys, max_degree):
 
     for n in range(max_degree + 1):
         for h in range(n + 1):
-            for m, row in enumerate(sys._gram_raw(n, h)):
-                for mp, v in enumerate(row):
+            for m, (den, ints) in enumerate(sys._gram_raw(n, h)):
+                for mp, v in enumerate(ints):
                     if h < n:
                         if v:
                             return failure("cross-degree block not zero",
-                                           n=n, h=h, m=m, mp=mp, value=str(v))
+                                           n=n, h=h, m=m, mp=mp,
+                                           value=str(_rat(v, den)))
                     elif m != mp:
                         if v:
                             return failure("diagonal block not diagonal",
-                                           n=n, m=m, mp=mp, value=str(v))
+                                           n=n, m=m, mp=mp,
+                                           value=str(_rat(v, den)))
                     else:
-                        expected = sys.block_norm(n, m)
-                        if v != expected:
+                        got, expected = _rat(v, den), sys.block_norm(n, m)
+                        if got != expected:
                             return failure("norm mismatch", n=n, m=m,
-                                           gram=str(v),
+                                           gram=str(got),
                                            predicted=str(expected))
     return CheckResult("orthogonality", True, {"max_degree": max_degree})
 

@@ -246,10 +246,12 @@ def test_oracle_reads_the_moments_that_the_builder_never_reads():
     clean = make_system(cid)
     sys_obj = make_system(cid)
     base = sys_obj.ladder(0)
-    base._moment_raw(12)
     # moments 0..2 normalise the next ladder step; moment 5 feeds only the
-    # bivariate moments <w, x^h y^k> with h + deg(rho^k) >= 5
-    base._moments[5] += 1
+    # bivariate moments <w, x^h y^k> with h + deg(rho^k) >= 5.  The fault
+    # goes into the one integer store: <u_0, x^5> + 1 over its denominator.
+    d, ints = base._moments_int(12)
+    ints[5] += d
+    assert base.moments(5)[5] == clean.ladder(0).moments(5)[5] + 1
     for n in range(5):
         assert build_ttr(sys_obj, n) == build_ttr(clean, n)
     report = cross_check(cid, 4, system=sys_obj)
@@ -260,6 +262,26 @@ def test_oracle_reads_the_moments_that_the_builder_never_reads():
     for n in range(5):
         assert build_ttr(sys_obj, n) == build_ttr(clean, n)
         assert closed_form_ttr(cid, n) == build_ttr(clean, n)
+
+
+def test_oracle_alone_reads_the_moments_of_q():
+    # q's moment 4 feeds only the bivariate moments <w, x^h y^4>: neither
+    # the builder nor the closed forms read a moment of q, so a fault in
+    # q's integer store breaks the oracle alone
+    cid = catalog_id("simplex", alpha="1/2", beta="1/2", gamma="1/2")
+    clean = make_system(cid)
+    sys_obj = make_system(cid)
+    d, ints = sys_obj.q._moments_int(12)
+    ints[4] += d
+    assert sys_obj.q.moments(4)[4] == clean.q.moments(4)[4] + 1
+    assert sys_obj.w_moment(0, 4) != clean.w_moment(0, 4)
+    report = cross_check(cid, 4, system=sys_obj)
+    assert not report.ok
+    for mm in report.mismatches:
+        assert mm.closed == mm.built != mm.gram
+    for n in range(5):
+        assert build_ttr(sys_obj, n) == build_ttr(clean, n)
+    assert cross_check(cid, 4, system=clean).ok
 
 
 def test_square_closed_forms_catch_a_reflected_jacobi_recurrence(

@@ -369,6 +369,70 @@ def test_basis_key_order_is_pinned():
 # -- moments -------------------------------------------------------------------
 
 
+def _fraction_moments(fam, top):
+    """<u, x^j> for j = 0..top, one Fraction at a time: x^(j+1) = x * x^j
+    scattered over the p-basis by x p_i = a_i p_(i+1) + b_i p_i + c_i
+    p_(i-1); the moment is the p_0 coefficient times h_0."""
+    h0 = Fraction(fam.h0)
+    v, out = [Fraction(1)], [h0]
+    for _ in range(top):
+        new = [Fraction(0)] * (len(v) + 1)
+        for i, x in enumerate(v):
+            new[i + 1] += Fraction(fam.a(i)) * x
+            new[i] += Fraction(fam.b(i)) * x
+            if i:
+                new[i - 1] += Fraction(fam.c(i)) * x
+        v = new
+        out.append(v[0] * h0)
+    return out
+
+
+def _reference_moment_table(sys_obj, top):
+    """<w, x^h y^k> = <u_0, x^h rho^k> <v, t^k> for h + k <= top in plain
+    Fractions, rho^k multiplied out from rho or, where rho is not a
+    polynomial, from rho^2 (an odd k then meets a zero moment of q)."""
+    rho = sys_obj.rho
+    u0 = _fraction_moments(sys_obj.ladder(0), top)
+    v = _fraction_moments(sys_obj.q, top)
+    if rho.r1 is None:
+        factor, step = [Fraction(c) for c in (rho.s0, rho.s1, rho.s2)], 2
+    else:
+        factor, step = [Fraction(c) for c in (rho.r0, rho.r1)], 1
+    table = [[] for _ in range(top + 1)]
+    for k in range(top + 1):
+        power = [Fraction(1)]
+        for _ in range(k // step):
+            out = [Fraction(0)] * (len(power) + len(factor) - 1)
+            for i, a in enumerate(power):
+                for d, b in enumerate(factor):
+                    out[i + d] += a * b
+            power = out
+        for h in range(top + 1 - k):
+            table[h].append(v[k] and v[k] * sum(
+                c * u0[h + d] for d, c in enumerate(power)))
+    return table
+
+
+@pytest.mark.parametrize("name, params", PINNED)
+def test_moment_table_matches_a_fraction_reference(name, params):
+    # The integer moment table grown 3 -> 7 -> 14 holds the same least
+    # denominator D and integers as a table built at 14 at once, and each
+    # entry is D <w, x^h y^k>, summed here in plain Fractions.
+    cid = catalog_id(name, **params)
+    grown = make_system(cid)
+    for top in (3, 7):
+        grown._moment_table(top)
+    d, table = grown._moment_table(14)
+    assert (d, table) == make_system(cid)._moment_table(14)
+    assert math.gcd(d, *(v for row in table for v in row)) == 1
+    want = _reference_moment_table(grown, 14)
+    assert [len(row) for row in table] == [15 - h for h in range(15)]
+    for h, row in enumerate(table):
+        for k, v in enumerate(row):
+            assert Fraction(v, d) == want[h][k] == grown.w_moment(h, k), \
+                (h, k)
+
+
 def test_uniform_disk_moments(disk):
     # mu = 1/2 is the uniform unit disk, normalized to mass 1
     assert disk.w_moment(0, 0) == q(1)
@@ -465,14 +529,15 @@ def test_row_moments_stay_coherent_when_the_table_grows(name, params):
     assert got == [ttr_from_gram(fresh, n) for n in range(7)]
     # Every cached Gram entry up to degree 4 is the naive term-pair sum.
     checked = 0
+    # Each row is stored once, as ints over the row's denominator.
     for (n, h, dx, dy), rows in late._gram_cache.items():
         if max(n, h) > 4:
             continue
-        for m, row in enumerate(rows):
-            for mp, v in enumerate(row):
+        for m, (den, ints) in enumerate(rows):
+            for mp, v in enumerate(ints):
                 want = _defining_sum(late, late.expand_P(n, m),
                                      late.expand_P(h, mp), dx, dy)
-                assert v == want, (n, h, dx, dy, m, mp)
+                assert Fraction(v, den) == want, (n, h, dx, dy, m, mp)
                 checked += 1
     # So is every cached diagonal of H_n, which the oracle forms alone.
     for n, diag in late._diag_cache.items():
@@ -489,9 +554,10 @@ def test_row_moments_stay_coherent_when_the_table_grows(name, params):
     for n, m, h, mp, dx, dy in [(2, 1, 3, 0, 1, 0), (4, 4, 4, 2, 0, 1),
                                 (6, 3, 7, 5, 0, 0), (1, 0, 0, 0, 0, 0)]:
         p, p2 = late.expand_P(n, m), late.expand_P(h, mp)
+        den, ints = late._gram_raw(n, h, dx, dy)[m]
         assert (late.moment_bilinear(p, p2, dx, dy)
                 == clean.moment_bilinear(p, p2, dx, dy)
-                == late._gram_raw(n, h, dx, dy)[m][mp])
+                == Fraction(ints[mp], den))
 
 
 def test_moment_bilinear_refuses_float_polynomials(disk):
@@ -560,7 +626,7 @@ def test_a_planted_vanishing_gram_diagonal_raises_at_its_position():
     # the other diagonals are the norms, and a shifted block is no check
     assert sys_obj._gram_diag(1) == [sys_obj.block_norm(1, m)
                                      for m in range(2)]
-    assert not any(sys_obj._gram_raw(2, 2, 1, 0)[1])
+    assert not any(sys_obj._gram_raw(2, 2, 1, 0)[1][1])
 
 
 def test_case_one_with_offset_radical():

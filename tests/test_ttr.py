@@ -174,8 +174,9 @@ def test_connection_memo_equals_fresh_triples(family, params):
     stored = {}
     for m in range(13):
         memo = sys_obj.ladder(m + 1)._down_cache
-        for (fam, key_s2, k), triple in memo.items():
-            assert fam is sys_obj.ladder(m) and key_s2 == s2
+        for (fam, num, den, k), triple in memo.items():
+            assert fam is sys_obj.ladder(m)
+            assert (num, den) == (s2.numerator, s2.denominator)
             stored[(m, k)] = triple
     assert set(stored) == used
     for (m, k), triple in stored.items():

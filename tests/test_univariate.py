@@ -545,15 +545,16 @@ def test_adjacent_known_laguerre_triple():
 
 
 def test_adjacent_down_stores_each_triple_on_the_companion():
-    # one triple per (base family, s2, index), stored on the companion:
-    # a repeated call returns the stored triple, and adjacent_up reads
-    # the two it needs from the same store
+    # one triple per (base family, s2, index), stored on the companion
+    # under s2's numerator and denominator: a repeated call returns the
+    # stored triple, and adjacent_up reads the two it needs from the same
+    # store
     base = laguerre(1)
     comp = chained(base, laguerre(3), q(1), q(0), q(0))
     first = adjacent_down(base, comp, q(1), 3)
     assert adjacent_down(base, comp, 1, 3) is first
     adjacent_up(base, comp, q(1), 2)
-    assert set(comp._down_cache) == {(base, 1, 2), (base, 1, 3)}
+    assert set(comp._down_cache) == {(base, 1, 1, 2), (base, 1, 1, 3)}
     assert base._down_cache == {}
 
 
@@ -566,7 +567,11 @@ def test_adjacent_down_keys_its_store_by_s2():
     scaled = adjacent_down(base, comp, q(2), 4)
     assert linear.zeta == 0 and scaled.zeta != 0
     assert linear[:2] == scaled[:2]
-    assert set(comp._down_cache) == {(base, 0, 4), (base, 2, 4)}
+    assert set(comp._down_cache) == {(base, 0, 1, 4), (base, 2, 1, 4)}
+    # s2 = 1/2 is keyed by its numerator and denominator, apart from 2
+    half = adjacent_down(base, comp, q("1/2"), 4)
+    assert half.zeta == scaled.zeta / 4
+    assert (base, 1, 2, 4) in comp._down_cache
 
 
 def test_failing_adjacent_down_raises_on_every_call_and_stores_nothing():
@@ -581,4 +586,4 @@ def test_failing_adjacent_down_raises_on_every_call_and_stores_nothing():
         assert stall._down_cache == {}
     with pytest.raises(QuasiDefinitenessError, match=r"a\(2\) = 0"):
         adjacent_up(base, stall, 1, 2)
-    assert set(stall._down_cache) == {(base, 1, 2)}
+    assert set(stall._down_cache) == {(base, 1, 1, 2)}
