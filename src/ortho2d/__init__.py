@@ -19,17 +19,17 @@ _EXPORTS = {
         "BivariateSystem", "GramBlock", "RhoSpec", "assemble",
     ), "construction"),
     **dict.fromkeys((
-        "BandMatrix", "ModeError", "Scalar", "SparsePoly2", "parse_rational",
-        "poly_mul", "rank_exact",
+        "BandMatrix", "ModeError", "QuasiDefinitenessError", "Scalar",
+        "SparsePoly2", "parse_rational", "poly_mul", "rank_exact",
     ), "numerics"),
     **dict.fromkeys((
         "RankReport", "TTRSet", "build_ttr", "first_ttr", "rank_conditions",
         "second_ttr", "ttr_from_gram",
     ), "ttr"),
     **dict.fromkeys((
-        "AdjacentDown", "AdjacentUp", "LeadingPair", "QuasiDefinitenessError",
-        "RecurrenceFamily", "adjacent_down", "adjacent_up", "bessel",
-        "jacobi_shift", "jacobi_std", "laguerre",
+        "AdjacentDown", "AdjacentUp", "LeadingPair", "RecurrenceFamily",
+        "adjacent_down", "adjacent_up", "bessel", "jacobi_shift", "jacobi_std",
+        "laguerre",
     ), "univariate"),
     **dict.fromkeys((
         "CheckResult", "NotPositiveDefiniteError", "VerifyReport",

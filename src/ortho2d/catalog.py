@@ -497,10 +497,7 @@ def cross_check(cid, max_degree, corrupt=False, system=None):
                 continue
             for r in range(mb.rows):
                 for c in range(mb.cols):
-                    vc = mc.get(r, c)
-                    vb = mb.get(r, c)
-                    vo = mo.get(r, c)
-                    if vc == vb and vb == vo:
-                        continue
-                    mismatches.append(Mismatch(n, name, r, c, vc, vb, vo))
+                    vc, vb, vo = (mat.get(r, c) for mat in (mc, mb, mo))
+                    if not vc == vb == vo:
+                        mismatches.append(Mismatch(n, name, r, c, vc, vb, vo))
     return CrossCheckReport(cid.describe(), max_degree, tuple(mismatches))

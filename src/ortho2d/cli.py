@@ -23,7 +23,8 @@ round trip is byte-identical.
 ``MAX_DEGREE`` (64) and ``verify --points`` by ``MAX_POINTS`` (10000); a
 larger value is a usage error, as is a ``--mode float`` point, power or
 coefficient that overflows a double.  Only ``verify`` imports the
-relation builders (``ttr``) and the verification suite (``verify``).
+relation builders (``ttr``), the Gram oracle (``oracle``) and the
+verification suite (``verify``).
 
 Exit codes: 0 success; 1 verification failed; 2 usage or parameter
 error (a degree, point count or literal above its ceiling included); 3
@@ -41,9 +42,8 @@ import sys
 
 from .catalog import (FAMILY_PARAMS, catalog_id, closed_form_first,
                       closed_form_second, make_system)
-from .numerics import (TABLE_KEYS, ModeError, _check_degrees, _eval_at,
-                       parse_rational)
-from .univariate import QuasiDefinitenessError
+from .numerics import (TABLE_KEYS, ModeError, QuasiDefinitenessError,
+                       _check_degrees, _eval_at, parse_rational)
 
 SCHEMA = "ortho2d/1"
 
@@ -114,11 +114,8 @@ def _degree_tables(cid, n):
     indexed by the row m; null marks positions outside the matrix."""
     rows = [{**closed_form_first(cid, n, m), **closed_form_second(cid, n, m)}
             for m in range(n + 1)]
-    entry = {"n": n}
-    for key in TABLE_KEYS:
-        entry[key] = [None if row[key] is None else str(row[key])
-                      for row in rows]
-    return entry
+    return {"n": n, **{key: [None if row[key] is None else str(row[key])
+                             for row in rows] for key in TABLE_KEYS}}
 
 
 def _cmd_tables(args):
@@ -128,14 +125,9 @@ def _cmd_tables(args):
     if args.format == "json":
         _write_json(args, "tables", cid, max_degree=max_n, tables=tables)
     else:
-        rows = []
-        for entry in tables:
-            n = entry["n"]
-            for m in range(n + 1):
-                for key in TABLE_KEYS:
-                    value = entry[key][m]
-                    if value is not None:
-                        rows.append([n, m, key, value])
+        rows = [[entry["n"], m, key, entry[key][m]] for entry in tables
+                for m in range(entry["n"] + 1) for key in TABLE_KEYS
+                if entry[key][m] is not None]
         _write_output(args, _csv_text(["n", "m", "key", "value"], rows))
     return 0
 
@@ -164,11 +156,8 @@ def _cmd_moments(args):
     max_h = _check_max(args.max_h, "--max-h")
     max_k = _check_max(args.max_k, "--max-k")
     system = make_system(cid)
-    moments = [
-        {"h": h, "k": k, "value": str(system.w_moment(h, k))}
-        for h in range(max_h + 1)
-        for k in range(max_k + 1)
-    ]
+    moments = [{"h": h, "k": k, "value": str(system.w_moment(h, k))}
+               for h in range(max_h + 1) for k in range(max_k + 1)]
     if args.format == "json":
         _write_json(args, "moments", cid, max_h=max_h, max_k=max_k,
                     moments=moments)

@@ -19,30 +19,17 @@ which is a genuine polynomial because q_m has the same parity as m in
 case II.  Both cases are one construction: each power of rho is
 rho^(e-2) rho^2, built in one loop and seeded with rho^1 where rho is a
 polynomial, one kernel, ``_rho_moment``, gives <u, x^h rho^e> as two ints
-to the ladder's weight chain, ``w_moment`` and the moment table, and a
-vanishing moment of q gives a vanishing bivariate moment.  The module
-expands these basis polynomials, computes moments of the induced
-bivariate functional, and evaluates Gram blocks -- the independent ground
-truth against which the recurrence-built matrix relations are checked.
+to the ladder's weight chain and the moments <w, x^h y^k> (``_w_int``),
+and a vanishing moment of q gives a vanishing bivariate moment.  The
+module expands these basis polynomials and computes moments of the
+induced bivariate functional; the Gram blocks, the independent ground
+truth, come from those alone (``oracle.GramOracle``).
 
 Everything is built fraction-free, in the manner of Bareiss elimination:
 basis polynomials, ladder coefficients and powers of rho are each cached
 once, as integer forms (integers over one least positive denominator).
 The univariate moments are integer vectors over one denominator
-(``RecurrenceFamily._moments_int``).  The moments <w, x^h y^k> form one
-triangular integer grid W[h][k] over their least common denominator D,
-and the row moments <w, P_{n,m} x^a y^b> of each basis polynomial a grid
-of the same layout over D.  Both grow by total degree and are rescaled
-by the integer D_new / D_old when D grows.  One contraction,
-``_contract``, forms the row moments, every Gram entry and
-``moment_bilinear``; one row kernel, ``_gram_row``, forms each row of a
-block (``_gram_raw``) and each entry of H_n's checked diagonal
-(``_gram_diag``) as ints over one denominator.  Those rows are the one
-store of Gram entries; ``gram_block``, ``_gram_diag`` and the oracle
-(``ttr.ttr_from_gram``) form one rational per entry where they read
-them, the shared zero where it vanishes.  The kernel reads the moments
-and the basis polynomials only -- no norm, ladder, recurrence or
-connection coefficient -- so it stays an independent check.
+(``RecurrenceFamily._moments_int``).
 
 Every value a system returns -- a moment, a Gram entry, a block norm, a
 coefficient of ``RhoSpec`` or of an expanded basis polynomial -- is a
@@ -51,10 +38,13 @@ backend rational (gmpy2.mpq or fractions.Fraction).
 from __future__ import annotations
 
 import math
+import weakref
+from functools import cached_property
 from numbers import Rational
 from typing import NamedTuple
 
 from .numerics import (
+    QuasiDefinitenessError,
     SparsePoly2,
     _RAT,
     _as_raw_exact,
@@ -63,7 +53,7 @@ from .numerics import (
     _int_list,
     _rat,
 )
-from .univariate import QuasiDefinitenessError, RecurrenceFamily
+from .univariate import RecurrenceFamily
 
 _ZERO = _RAT(0)
 
@@ -111,19 +101,6 @@ class GramBlock(NamedTuple):
     entries: tuple
 
 
-def _contract(terms, grid, a, b):
-    """sum(c * grid[i + a][j + b]) over the terms (i, j, c): a polynomial's
-    integer terms against a triangular integer grid shifted by x^a y^b."""
-    return sum(c * grid[i + a][j + b] for i, j, c in terms)
-
-
-def _columns(forms):
-    """(d, [(d / d_col, terms)]): integer forms (d_col, terms) as the
-    columns of a Gram row, over the lcm d of their denominators."""
-    d = math.lcm(*(d_col for d_col, _ in forms))
-    return d, [(d // d_col, terms) for d_col, terms in forms]
-
-
 def _product(p, r):
     """The product of two dense integer coefficient lists as {k: c}, each
     nonzero coefficient c of x^k.  The products p_i r_d are summed term by
@@ -148,10 +125,8 @@ class BivariateSystem:
 
     Basis polynomials, ladder coefficients and powers of rho are cached
     once, as integer forms, and each basis polynomial once more rounded to
-    doubles for the float checks; ladders, the moment table, the row
-    moments of each basis polynomial, the raw Gram blocks (shifted ones
-    included), the diagonals of H_n, the matrices of
-    ``ttr.first_ttr``/``second_ttr`` and the square roots of the block
+    doubles for the float checks; ladders, the Gram oracle, the matrices
+    of ``ttr.first_ttr``/``second_ttr`` and the square roots of the block
     norms once each; ladder step m + 1 keeps the connection triples from
     step m.  Not thread-safe.
     """
@@ -166,21 +141,12 @@ class BivariateSystem:
         # Basis polynomials rounded to doubles, keyed (n, m), as
         # ({(i, j): float}, largest |coefficient|); filled by _P_float.
         self._float_cache = {}
-        self._w_table = (1, [])
         # Powers of rho as integer forms (d, [ints]), keyed by exponent:
         # rho^0, rho^2 and, where rho is a polynomial, rho^1.
         self._rho_pow = {0: (1, [1]),
                          2: _int_list([rho.s0, rho.s1, rho.s2])}
         if rho.r1 is not None:
             self._rho_pow[1] = _int_list([rho.r0, rho.r1])
-        # Row moments of the basis polynomials, keyed (n, m), as
-        # (D, grid[a][b]); filled by _row_moments.
-        self._row_cache = {}
-        # Raw Gram rows keyed (n, h, dx, dy), each as (den, [ints]); filled
-        # by _gram_raw.
-        self._gram_cache = {}
-        # Raw diagonals of the Gram blocks H_n keyed n; filled by _gram_diag.
-        self._diag_cache = {}
         # (A, B, C) of the relation along axis at degree n, keyed (n, axis);
         # filled by ttr.first_ttr / second_ttr.
         self._ttr_cache = {}
@@ -310,7 +276,7 @@ class BivariateSystem:
 
     def _w_int(self, h, k):
         """<w, x^h y^k> as (num, den), two ints, for ``w_moment`` and the
-        moment table: q's k-th integer moment is read first, and where it
+        Gram oracle: q's k-th integer moment is read first, and where it
         vanishes so does the moment, (0, 1)."""
         d_q, q_moms = self.q._moments_int(k)
         if not q_moms[k]:
@@ -318,145 +284,27 @@ class BivariateSystem:
         num, den = self._rho_moment(self.ladder(0), h, k)
         return num * q_moms[k], den * d_q
 
-    def _moment_table(self, top):
-        """(D, W): the moments of total degree <= top over their least
-        common denominator D, as integers W[h][k] = D * <w, x^h y^k>.
-
-        When a higher degree is asked for, the table grows by the new total
-        degrees only, each read as two ints (``_w_int``).  The new entries
-        are brought over the lcm of their denominators and reduced by one
-        gcd to their least common denominator; D becomes the lcm of that
-        and its old value, and the old entries are rescaled by the integer
-        D_new / D_old."""
-        d_old, table = self._w_table
-        old_top = len(table) - 1
-        if top > old_top:
-            w = self._w_int
-            # Row h gains the degrees k above old_top - h, row by row.
-            new = [[w(h, k) for k in range(max(old_top + 1 - h, 0),
-                                           top + 1 - h)]
-                   for h in range(top + 1)]
-            dens = {den for row in new for _, den in row}
-            d_new = math.lcm(*dens)
-            scale = {den: d_new // den for den in dens}
-            new = [[num * scale[den] for num, den in row] for row in new]
-            g = math.gcd(d_new, *(v for row in new for v in row))
-            d_least = d_new // g
-            d = math.lcm(d_old, d_least)
-            f_old, f_new = d // d_old, d // d_least
-            table = [[f_old * v for v in row] for row in table]
-            table += [[] for _ in range(top - old_top)]
-            for row, values in zip(table, new):
-                row += [v // g * f_new for v in values]
-            self._w_table = (d, table)
-        return self._w_table
-
-    def _row_moments(self, n, m, deg):
-        """(D, moms): the triangular grid moms[a][b] = D d <w, x^a y^b
-        P_{n,m}> for every a + b <= deg, with d the basis polynomial's
-        denominator and D the moment table's.
-
-        Each value is one contraction of the basis polynomial against the
-        integer moment table, taken once per system: when the table grows
-        the stored values are rescaled by the integer D_new / D_old, and a
-        larger deg contracts only the total degrees not yet seen."""
-        d_w, table = self._moment_table(n + deg)
-        d_old, moms = self._row_cache.get((n, m), (d_w, []))
-        if d_old != d_w:
-            f = d_w // d_old
-            moms = [[f * v for v in row] for row in moms]
-        seen = len(moms) - 1
-        if deg > seen:
-            terms = self._P_int(n, m)[1]
-            moms += [[] for _ in range(deg - seen)]
-            for t in range(seen + 1, deg + 1):
-                for a in range(t + 1):
-                    moms[a].append(_contract(terms, table, a, t - a))
-        self._row_cache[(n, m)] = (d_w, moms)
-        return d_w, moms
-
-    def moment_bilinear(self, p, q_poly, dx=0, dy=0):
-        """<w, x^dx y^dy p(x,y) q_poly(x,y)> for two exact polynomials.
-
-        The sum over term pairs of c_p c_q <w, x^(i_p+i_q+dx) y^(j_p+j_q+dy)>,
-        computed from the moments alone: both polynomials are scaled to
-        integer coefficients, each term of q_poly contracts p against the
-        integer moment table (``_contract``), and the exact result is one
-        rational."""
-        _check_index(dx, "shift exponent")
-        _check_index(dy, "shift exponent")
-        if not all(isinstance(v, SparsePoly2) for v in (p, q_poly)):
-            raise TypeError("moment_bilinear takes two SparsePoly2")
-        p_map, q_map = p.terms, q_poly.terms
-        d_p, p_ints = _int_list(p_map.values())
-        d_q, q_ints = _int_list(q_map.values())
-        top = (max((i + j for i, j in p_map), default=0)
-               + max((i + j for i, j in q_map), default=0) + dx + dy)
-        d_w, table = self._moment_table(top)
-        p_terms = [(i, j, c) for (i, j), c in zip(p_map, p_ints)]
-        num = sum(cq * _contract(p_terms, table, iq + dx, jq + dy)
-                  for (iq, jq), cq in zip(q_map, q_ints))
-        return _rat(num, d_w * d_p * d_q)
-
     # -- Gram blocks ----------------------------------------------------------
 
-    def _gram_row(self, n, m, h, cols, dx=0, dy=0):
-        """Row m of <w, x^dx y^dy P_{n,m} P_{h,.}>, the one formula of a
-        Gram entry, as (den, [ints]): cols = (d, [(f, terms)]) holds the
-        column forms of degree h over their lcm d (``_columns``); per
-        column one contraction with the row moments (``_row_moments``)
-        shifted by x^dx y^dy, times f, all over den = d_w d_row d."""
-        d_w, moms = self._row_moments(n, m, h + dx + dy)
-        d, forms = cols
-        return (d_w * self._P_int(n, m)[0] * d,
-                [f * _contract(terms, moms, dx, dy) for f, terms in forms])
+    @cached_property
+    def _oracle(self):
+        """The Gram oracle, made on first use from the moments (``_w_int``)
+        and basis forms (``_P_int``) alone.  It reads them through a weak
+        proxy, so no reference cycle keeps a dropped system alive, and it
+        serves only while its system lives."""
+        from .oracle import GramOracle
+        me = weakref.proxy(self)
+        return GramOracle(lambda h, k: me._w_int(h, k),
+                          lambda n, m: me._P_int(n, m), self.label)
 
-    def _gram_raw(self, n, h, dx=0, dy=0):
-        """Raw dense rows <w, x^dx y^dy P_{n,m} P_{h,mp}>, rows m, columns
-        mp, from moments only (``_gram_row``): each row is (den, [ints]),
-        one int per column over the row's den, the one store of the Gram
-        entries, built once per (n, h, dx, dy).  The unshifted H_n first
-        forms its diagonal (``_gram_diag``), so a vanishing one raises
-        before the block is built."""
-        key = (n, h, dx, dy)
-        cached = self._gram_cache.get(key)
-        if cached is not None:
-            return cached
-        if n == h and not (dx or dy):
-            self._gram_diag(n)
-        cols = _columns([self._P_int(h, mp) for mp in range(h + 1)])
-        raw = [self._gram_row(n, m, h, cols, dx, dy) for m in range(n + 1)]
-        self._gram_cache[key] = raw
-        return raw
-
-    def _gram_diag(self, n):
-        """Raw diagonal <w, P_{n,m}^2>, m = 0..n, of the Gram block H_n,
-        built once per n without the rest of the block: each entry is the
-        one-column row of ``_gram_row``.  It is the one check of H_n's
-        diagonal: the first vanishing entry raises a
-        QuasiDefinitenessError at its (n, m), and nothing is stored."""
-        cached = self._diag_cache.get(n)
-        if cached is not None:
-            return cached
-        diag = []
-        for m in range(n + 1):
-            den, (num,) = self._gram_row(n, m, n,
-                                         _columns([self._P_int(n, m)]))
-            v = _rat(num, den)
-            if not v:
-                raise QuasiDefinitenessError(
-                    self.label, {}, (n, m),
-                    f"Gram diagonal <w, P_({n},{m})^2> vanishes")
-            diag.append(v)
-        self._diag_cache[n] = diag
-        return diag
+    def moment_bilinear(self, p, q_poly, dx=0, dy=0):
+        """<w, x^dx y^dy p(x,y) q_poly(x,y)> for two exact polynomials,
+        from the moments alone (``oracle.GramOracle.bilinear``)."""
+        return self._oracle.bilinear(p, q_poly, dx, dy)
 
     def gram_block(self, n, h):
         """Dense Gram block pairing total degrees n and h."""
-        _check_index(n, "degree")
-        _check_index(h, "degree")
-        return GramBlock(n, h, tuple(tuple(_rat(v, den) for v in ints)
-                                     for den, ints in self._gram_raw(n, h)))
+        return GramBlock(n, h, self._oracle.block(n, h))
 
     def block_norm(self, n, m):
         """Closed-form squared norm of P_{n,m}: the ladder norm times the

@@ -58,6 +58,21 @@ class ModeError(TypeError):
     """Raised when a float meets exact arithmetic."""
 
 
+class QuasiDefinitenessError(ArithmeticError):
+    """A family's recurrence data or a system's Gram diagonal degenerates
+    at some index: carries the label, the parameters, the offending index
+    and a human-readable detail string."""
+
+    def __init__(self, label, params, index, detail):
+        self.label = label
+        self.params = dict(params or {})
+        self.index = index
+        self.detail = detail
+        ptxt = ", ".join(f"{k}={v}" for k, v in self.params.items())
+        suffix = f" [params {ptxt}]" if ptxt else ""
+        super().__init__(f"{label}: {detail}{suffix}")
+
+
 # Largest |exponent| of a decimal literal such as 25e-2; Fraction would
 # expand 1e999999999 into an integer of a billion digits.
 MAX_DECIMAL_EXPONENT = 1000

@@ -14,19 +14,8 @@ tridiagonal, mixing the second-variable recurrence with the
 adjacent-family connection coefficients, which the ladder families
 store (``univariate.adjacent_down``).
 
-``ttr_from_gram`` is the independent oracle: it computes the same
-matrices purely from bivariate moments,
-
-    A_{n,i} = <w, t_i P_n P_{n+1}^t> H_{n+1}^{-1},
-    B_{n,i} = <w, t_i P_n P_n^t> H_n^{-1},
-    C_{n,i} = <w, t_i P_n P_{n-1}^t> H_{n-1}^{-1},
-
-with H_n the Gram block of degree n, of which only the diagonal is formed,
-making no structural assumption (full bandwidth).  The moment matrices
-<w, t_i P_n P_h^t> are the raw Gram blocks that ``BivariateSystem``
-caches, read from moments and the expanded basis polynomials only.  C
-is read from the block already cached for A_{n-1}:
-C[r][c] = <w, t_i P_{n-1,c} P_{n,r}> / H_{n-1}[c].
+``ttr_from_gram`` gives the same matrices from the independent Gram oracle
+(``oracle.GramOracle``), from bivariate moments alone.
 ``rank_conditions`` checks the rank identities that make the recurrence
 well posed.
 """
@@ -34,8 +23,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numerics import (_RAT, _ZERO, BandMatrix, _check_index, _int_rows,
-                       _rank_int, _relation)
+from .numerics import (BandMatrix, _check_index, _int_rows, _rank_int,
+                       _relation)
 from .univariate import adjacent_down, adjacent_up
 
 # The relation axes, each with the exponent shift (dx, dy) of its variable.
@@ -141,42 +130,14 @@ def build_ttr(sys, n):
 # -- the moment/Gram oracle ---------------------------------------------------
 
 
-def _quotient(v, den, h):
-    """v / den / h for a Gram entry, the int v over den, and a diagonal
-    entry h of H: one rational, or the shared zero, with no division,
-    where v vanishes, as most entries off the band do."""
-    return _RAT(v * h.denominator, den * h.numerator) if v else _ZERO
-
-
 def ttr_from_gram(sys, n):
-    """Both relations at degree n computed purely from bivariate moments.
-
-    A and B divide the shifted Gram blocks <w, t_i P_n P_{n+1}^t> and
-    <w, t_i P_n P_n^t> column by column by H_{n+1} and H_n; C reads the
-    block cached for A_{n-1}: C[r][c] = <w, t_i P_{n-1} P_n^t>[c][r] /
-    H_{n-1}[c].  The blocks come from moments and the basis polynomials
-    only (see ``BivariateSystem``), as integer rows over one denominator
-    each; every entry is formed as one rational (``_quotient``).  No norm,
-    ladder, recurrence or connection coefficient is read.  Returns
-    full-bandwidth BandMatrices: any banded structure in the result is a
-    finding, not an assumption.
-    """
+    """Both relations at degree n purely from bivariate moments: the Gram
+    oracle's rows (``oracle.GramOracle.relation``) as full-bandwidth
+    BandMatrices, so any band in the result is a finding, not an input."""
     _check_index(n, "degree")
-    h_n = sys._gram_diag(n)
-    h_next = sys._gram_diag(n + 1)
-    h_prev = sys._gram_diag(n - 1) if n >= 1 else []
-    mats = []
-    for dx, dy in SHIFTS.values():
-        a_dense = [[_quotient(v, den, h) for v, h in zip(ints, h_next)]
-                   for den, ints in sys._gram_raw(n, n + 1, dx, dy)]
-        b_dense = [[_quotient(v, den, h) for v, h in zip(ints, h_n)]
-                   for den, ints in sys._gram_raw(n, n, dx, dy)]
-        g_prev = sys._gram_raw(n - 1, n, dx, dy) if n >= 1 else []
-        c_dense = [[_quotient(ints[r], den, h)
-                    for (den, ints), h in zip(g_prev, h_prev)]
-                   for r in range(n + 1)]
-        mats += map(BandMatrix.from_dense, (a_dense, b_dense, c_dense))
-    return TTRSet(n, *mats)
+    return TTRSet(n, *(BandMatrix.from_dense(rows)
+                       for dx, dy in SHIFTS.values()
+                       for rows in sys._oracle.relation(n, dx, dy)))
 
 
 # -- rank conditions ----------------------------------------------------------

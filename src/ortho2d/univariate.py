@@ -39,27 +39,11 @@ import math
 from numbers import Rational
 from typing import NamedTuple
 
-from .numerics import _RAT, _as_raw_exact, _check_index, _rat
+from .numerics import (_RAT, QuasiDefinitenessError, _as_raw_exact,
+                       _check_index, _rat)
 
 _ONE = _RAT(1)
 _ZERO = _RAT(0)
-
-
-class QuasiDefinitenessError(ArithmeticError):
-    """A family's recurrence data degenerates at some index.
-
-    Carries the family label, its parameters, the offending index and a
-    human-readable detail string.
-    """
-
-    def __init__(self, label, params, index, detail):
-        self.label = label
-        self.params = dict(params or {})
-        self.index = index
-        self.detail = detail
-        ptxt = ", ".join(f"{k}={v}" for k, v in self.params.items())
-        suffix = f" [params {ptxt}]" if ptxt else ""
-        super().__init__(f"{label}: {detail}{suffix}")
 
 
 class LeadingPair(NamedTuple):

@@ -16,7 +16,7 @@ Four independent checks, each returning a structured CheckResult:
   the system (``ttr.first_ttr``/``second_ttr``) through ``_rows``.
 * ``verify_orthogonality`` -- Gram blocks of unequal degrees vanish and
   diagonal blocks are diagonal with the predicted norms, in one scan
-  over the raw blocks the system caches (``_gram_raw``).
+  over the blocks of the system's Gram oracle.
 * ``verify_central_symmetry`` -- the equivalence "all odd moments vanish
   iff both B matrices vanish", checked from both sides independently.
 * ``verify_orthonormal_transpose`` -- for positive-definite systems the
@@ -37,8 +37,7 @@ import random
 from typing import NamedTuple
 
 from .catalog import cross_check, make_system
-from .numerics import (_RAT, _check_index, _eval_terms, _powers, _rat,
-                       _rows)
+from .numerics import _RAT, _check_index, _eval_terms, _powers, _rows
 from .ttr import SHIFTS, first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -242,39 +241,17 @@ def verify_orthogonality(sys, max_degree):
     """Gram blocks up to max_degree: off-degree blocks vanish, diagonal
     blocks are diagonal with the closed-form norms on the diagonal.
 
-    One scan reads the raw blocks <w, P_n P_h^t> (``_gram_raw``, integer
-    rows over one denominator each) for n = 0..max_degree and h = 0..n,
-    row by row, and reports the first entry that fails: a nonzero one off
-    the degree or off the diagonal, or a diagonal one unequal to
-    ``block_norm``.  A rational is formed only on the diagonal and for a
-    failing entry."""
+    One scan of the Gram oracle's blocks <w, P_n P_h^t> for n =
+    0..max_degree and h = 0..n (``oracle.GramOracle.orthogonality_failure``)
+    reports the first entry that fails: a nonzero one off the degree or
+    off the diagonal, or a diagonal one unequal to ``block_norm``."""
     _check_index(max_degree, "max_degree")
-
-    def failure(kind, **where):
-        return CheckResult("orthogonality", False, {
-            "max_degree": max_degree, "kind": kind, **where})
-
-    for n in range(max_degree + 1):
-        for h in range(n + 1):
-            for m, (den, ints) in enumerate(sys._gram_raw(n, h)):
-                for mp, v in enumerate(ints):
-                    if h < n:
-                        if v:
-                            return failure("cross-degree block not zero",
-                                           n=n, h=h, m=m, mp=mp,
-                                           value=str(_rat(v, den)))
-                    elif m != mp:
-                        if v:
-                            return failure("diagonal block not diagonal",
-                                           n=n, m=m, mp=mp,
-                                           value=str(_rat(v, den)))
-                    else:
-                        got, expected = _rat(v, den), sys.block_norm(n, m)
-                        if got != expected:
-                            return failure("norm mismatch", n=n, m=m,
-                                           gram=str(got),
-                                           predicted=str(expected))
-    return CheckResult("orthogonality", True, {"max_degree": max_degree})
+    found = sys._oracle.orthogonality_failure(max_degree, sys.block_norm)
+    if found is None:
+        return CheckResult("orthogonality", True, {"max_degree": max_degree})
+    kind, where = found
+    return CheckResult("orthogonality", False, {
+        "max_degree": max_degree, "kind": kind, **where})
 
 
 def verify_central_symmetry(sys, max_degree):

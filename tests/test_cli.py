@@ -720,13 +720,13 @@ def test_submodule_attribute_loads_that_module_only():
 def test_tables_moments_eval_skip_the_relation_modules(argv):
     loaded = loaded_after(main_call(*argv))
     assert "ortho2d.cli" in loaded
-    assert not loaded & {"ortho2d.ttr", "ortho2d.verify"}
+    assert not loaded & {"ortho2d.oracle", "ortho2d.ttr", "ortho2d.verify"}
 
 
 def test_verify_loads_the_relation_modules():
     loaded = loaded_after(main_call("verify", "disk", "--mu", "1/2",
                                     "--max-n", "1"))
-    assert {"ortho2d.ttr", "ortho2d.verify"} <= loaded
+    assert {"ortho2d.oracle", "ortho2d.ttr", "ortho2d.verify"} <= loaded
 
 
 def test_no_module_imports_dataclasses():

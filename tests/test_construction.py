@@ -421,9 +421,10 @@ def test_moment_table_matches_a_fraction_reference(name, params):
     cid = catalog_id(name, **params)
     grown = make_system(cid)
     for top in (3, 7):
-        grown._moment_table(top)
-    d, table = grown._moment_table(14)
-    assert (d, table) == make_system(cid)._moment_table(14)
+        grown._oracle.moment_table(top)
+    d, table = grown._oracle.moment_table(14)
+    fresh = make_system(cid)
+    assert (d, table) == fresh._oracle.moment_table(14)
     assert math.gcd(d, *(v for row in table for v in row)) == 1
     want = _reference_moment_table(grown, 14)
     assert [len(row) for row in table] == [15 - h for h in range(15)]
@@ -530,7 +531,7 @@ def test_row_moments_stay_coherent_when_the_table_grows(name, params):
     # Every cached Gram entry up to degree 4 is the naive term-pair sum.
     checked = 0
     # Each row is stored once, as ints over the row's denominator.
-    for (n, h, dx, dy), rows in late._gram_cache.items():
+    for (n, h, dx, dy), rows in late._oracle._gram.items():
         if max(n, h) > 4:
             continue
         for m, (den, ints) in enumerate(rows):
@@ -540,7 +541,7 @@ def test_row_moments_stay_coherent_when_the_table_grows(name, params):
                 assert Fraction(v, den) == want, (n, h, dx, dy, m, mp)
                 checked += 1
     # So is every cached diagonal of H_n, which the oracle forms alone.
-    for n, diag in late._diag_cache.items():
+    for n, diag in late._oracle._diag.items():
         if n > 4:
             continue
         for m, v in enumerate(diag):
@@ -554,7 +555,7 @@ def test_row_moments_stay_coherent_when_the_table_grows(name, params):
     for n, m, h, mp, dx, dy in [(2, 1, 3, 0, 1, 0), (4, 4, 4, 2, 0, 1),
                                 (6, 3, 7, 5, 0, 0), (1, 0, 0, 0, 0, 0)]:
         p, p2 = late.expand_P(n, m), late.expand_P(h, mp)
-        den, ints = late._gram_raw(n, h, dx, dy)[m]
+        den, ints = late._oracle.rows(n, h, dx, dy)[m]
         assert (late.moment_bilinear(p, p2, dx, dy)
                 == clean.moment_bilinear(p, p2, dx, dy)
                 == Fraction(ints[mp], den))
@@ -615,18 +616,18 @@ def test_a_planted_vanishing_gram_diagonal_raises_at_its_position():
     # (2, 1) alone, each route into it raises there and nothing is stored
     sys_obj = make_system(catalog_id("disk", mu="1/2"))
     sys_obj._P_cache[(2, 1)] = (1, [])
-    for call in (lambda: sys_obj._gram_diag(2),
+    for call in (lambda: sys_obj._oracle.diagonal(2),
                  lambda: sys_obj.gram_block(2, 2),
                  lambda: ttr_from_gram(sys_obj, 1)):
         with pytest.raises(QuasiDefinitenessError) as info:
             call()
         assert info.value.index == (2, 1)
-    assert 2 not in sys_obj._diag_cache
-    assert (2, 2, 0, 0) not in sys_obj._gram_cache
+    assert 2 not in sys_obj._oracle._diag
+    assert (2, 2, 0, 0) not in sys_obj._oracle._gram
     # the other diagonals are the norms, and a shifted block is no check
-    assert sys_obj._gram_diag(1) == [sys_obj.block_norm(1, m)
-                                     for m in range(2)]
-    assert not any(sys_obj._gram_raw(2, 2, 1, 0)[1][1])
+    assert sys_obj._oracle.diagonal(1) == [sys_obj.block_norm(1, m)
+                                           for m in range(2)]
+    assert not any(sys_obj._oracle.rows(2, 2, 1, 0)[1][1])
 
 
 def test_case_one_with_offset_radical():

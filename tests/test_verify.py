@@ -361,7 +361,7 @@ def test_orthogonality_reports_a_faulty_block(disk):
     sys_obj = make_system(catalog_id("disk", mu="1/2"))
     # fault injection: plant corrupted raw rows (den, [ints]) of a
     # cross-degree block, 0 and 1
-    sys_obj._gram_cache[(1, 0, 0, 0)] = [(1, [0]), (1, [1])]
+    sys_obj._oracle._gram[(1, 0, 0, 0)] = [(1, [0]), (1, [1])]
     res = verify_orthogonality(sys_obj, 2)
     assert not res.passed
     assert res.details["kind"] == "cross-degree block not zero"
@@ -371,12 +371,12 @@ def test_orthogonality_reports_a_faulty_block(disk):
 
 def test_orthogonality_reports_a_non_diagonal_block():
     sys_obj = make_system(catalog_id("disk", mu="1/2"))
-    good = sys_obj._gram_raw(2, 2)
+    good = sys_obj._oracle.rows(2, 2)
     # fault injection: one off-diagonal entry of H_2 planted as 3, an int
     # over its row's denominator
     den, ints = good[2]
-    sys_obj._gram_cache[(2, 2, 0, 0)] = [good[0], good[1],
-                                         (den, [ints[0], 3 * den, ints[2]])]
+    sys_obj._oracle._gram[(2, 2, 0, 0)] = [
+        good[0], good[1], (den, [ints[0], 3 * den, ints[2]])]
     res = verify_orthogonality(sys_obj, 3)
     assert not res.passed
     assert res.details == {"max_degree": 3,
@@ -386,10 +386,10 @@ def test_orthogonality_reports_a_non_diagonal_block():
 
 def test_orthogonality_reports_wrong_norm(disk):
     sys_obj = make_system(catalog_id("disk", mu="1/2"))
-    good = sys_obj._gram_raw(1, 1)
+    good = sys_obj._oracle.rows(1, 1)
     # fault injection: the first diagonal entry of H_1 planted one larger
     den, ints = good[0]
-    sys_obj._gram_cache[(1, 1, 0, 0)] = [
+    sys_obj._oracle._gram[(1, 1, 0, 0)] = [
         (den, [ints[0] + den, ints[1]]),
         good[1],
     ]
