@@ -32,7 +32,8 @@ from typing import NamedTuple
 
 from .construction import RhoSpec, assemble
 from .numerics import (BandMatrix, Scalar, _RAT, _as_raw_exact,
-                       _band_row, _check_degrees, _check_index, _relation)
+                       _band_row, _check_degrees, _check_index, _int_list,
+                       _relation)
 from .univariate import (
     RecurrenceFamily,
     bessel,
@@ -119,11 +120,13 @@ def _scaled_laguerre(g, gamma):
     """The second-variable family of bessel-laguerre: Laguerre-type with
     parameter g gamma - 1, its recurrence coefficients divided by g."""
     gg = g * gamma
+    # g = G / d and g gamma = GG / d, so each value is one rational of ints.
+    d, (G, GG) = _int_list((g, gg))
     return RecurrenceFamily(
         f"scaled-laguerre({gg - 1};1/{g})",
-        lambda m: -(m + 1) / g,
-        lambda m: (2 * m + gg) / g,
-        lambda m: -(m + gg - 1) / g,
+        lambda m: _RAT(-(m + 1) * d, G),
+        lambda m: _RAT(2 * m * d + GG, G),
+        lambda m: _RAT(-(m * d + GG - d), G),
         params={"g": g, "gamma": gamma})
 
 

@@ -11,7 +11,10 @@ Dense coefficients and moments are built fraction-free: each recurrence
 step runs on integers over one denominator, with one gcd reduction.  The
 moments are stored once, as one integer vector over their least common
 denominator (``_moments_int``); ``moments`` forms rationals from it only
-at that boundary, as ``coeffs`` does from ``_coeffs_int``.
+at that boundary, as ``coeffs`` does from ``_coeffs_int``.  The family
+constructors bring their parameters over one denominator once, so each
+recurrence coefficient is one rational of two integer products, reduced
+by one gcd.
 
 It also computes the two connection triples between a family and the
 companion family obtained by appending a factor rho(x)^2 to its weight:
@@ -40,7 +43,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .numerics import (_RAT, QuasiDefinitenessError, _as_raw_exact,
-                       _check_index, _rat)
+                       _check_index, _int_list, _rat)
 
 _ONE = _RAT(1)
 _ZERO = _RAT(0)
@@ -326,22 +329,32 @@ class RecurrenceFamily:
 # -- family constructors ----------------------------------------------------
 
 
-def _jacobi_raw_closures(alpha, beta):
-    al, be = alpha, beta
-    s = al + be
+def _jacobi_raw_closures(alpha, beta, shifted=False):
+    """a, b, c of the Jacobi-type recurrence on [-1, 1], or on [0, 1] if
+    shifted (a / 2, (b + 1) / 2, c / 2), each value one rational formed
+    from ints: alpha = A / d, beta = B / d and alpha + beta = S / d."""
+    d, (A, B) = _int_list((alpha, beta))
+    S = A + B
+    k, t = (2, 1) if shifted else (1, 0)
 
     def a(n):
         if n == 0:
-            return 2 / (s + 2)
-        return 2 * (n + 1) * (n + s + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
+            return _RAT(2 * d, k * (S + 2 * d))
+        m = 2 * n * d + S
+        return _RAT(2 * (n + 1) * (n * d + S + d) * d,
+                    k * (m + d) * (m + 2 * d))
 
     def b(n):
         if n == 0:
-            return (be - al) / (s + 2)
-        return (be * be - al * al) / ((2 * n + s) * (2 * n + s + 2))
+            num, den = B - A, S + 2 * d
+        else:
+            m = 2 * n * d + S
+            num, den = B * B - A * A, m * (m + 2 * d)
+        return _RAT(num + t * den, k * den)
 
     def c(n):
-        return 2 * (n + al) * (n + be) / ((2 * n + s) * (2 * n + s + 1))
+        m = 2 * n * d + S
+        return _RAT(2 * (n * d + A) * (n * d + B), k * m * (m + d))
 
     return a, b, c
 
@@ -349,32 +362,28 @@ def _jacobi_raw_closures(alpha, beta):
 def jacobi_std(alpha, beta):
     """Jacobi-type family on [-1, 1], weight (1-x)^alpha (1+x)^beta."""
     al, be = map(_as_raw_exact, (alpha, beta))
-    a, b, c = _jacobi_raw_closures(al, be)
     return RecurrenceFamily(
-        f"jacobi({al},{be})", a, b, c,
+        f"jacobi({al},{be})", *_jacobi_raw_closures(al, be),
         params={"alpha": al, "beta": be})
 
 
 def jacobi_shift(alpha, beta):
     """Jacobi-type family on the unit interval, weight (1-x)^alpha x^beta."""
     al, be = map(_as_raw_exact, (alpha, beta))
-    a, b, c = _jacobi_raw_closures(al, be)
     return RecurrenceFamily(
-        f"jacobi01({al},{be})",
-        lambda n: a(n) / 2,
-        lambda n: (b(n) + 1) / 2,
-        lambda n: c(n) / 2,
+        f"jacobi01({al},{be})", *_jacobi_raw_closures(al, be, True),
         params={"alpha": al, "beta": be})
 
 
 def laguerre(alpha):
     """Laguerre-type family, weight x^alpha e^{-x} on the half line."""
     al = _as_raw_exact(alpha)
+    d, (A,) = _int_list((al,))
     return RecurrenceFamily(
         f"laguerre({al})",
-        lambda n: -(n + 1),
-        lambda n: 2 * n + al + 1,
-        lambda n: -(n + al),
+        lambda n: _RAT(-n - 1),
+        lambda n: _RAT(2 * n * d + A + d, d),
+        lambda n: _RAT(-n * d - A, d),
         params={"alpha": al})
 
 
@@ -387,19 +396,24 @@ def bessel(a, b):
     av, bv = map(_as_raw_exact, (a, b))
     if not bv:
         raise ValueError("bessel scale parameter b must be nonzero")
+    # a = A / d and b = B / d, so each value is one rational of ints.
+    d, (A, B) = _int_list((av, bv))
 
     def a_fn(n):
         if n == 0:
-            return bv / av
-        return (n + av - 1) * bv / ((2 * n + av - 1) * (2 * n + av))
+            return _RAT(B, A)
+        m = 2 * n * d + A
+        return _RAT((n * d + A - d) * B, (m - d) * m)
 
     def b_fn(n):
         if n == 0:
-            return -bv / av
-        return -(av - 2) * bv / ((2 * n + av - 2) * (2 * n + av))
+            return _RAT(-B, A)
+        m = 2 * n * d + A
+        return _RAT(-(A - 2 * d) * B, (m - 2 * d) * m)
 
     def c_fn(n):
-        return -n * bv / ((2 * n + av - 2) * (2 * n + av - 1))
+        m = 2 * n * d + A
+        return _RAT(-n * B * d, (m - 2 * d) * (m - d))
 
     return RecurrenceFamily(
         f"bessel({av},{bv})", a_fn, b_fn, c_fn,

@@ -10,6 +10,7 @@ from ortho2d import (
     FAMILY_PARAMS,
     CatalogId,
     ModeError,
+    QuasiDefinitenessError,
     Scalar,
     build_ttr,
     catalog_id,
@@ -20,6 +21,7 @@ from ortho2d import (
     cross_check,
     make_system,
     positive_definite,
+    ttr_from_gram,
     univariate,
 )
 
@@ -282,6 +284,51 @@ def test_oracle_alone_reads_the_moments_of_q():
     for n in range(5):
         assert build_ttr(sys_obj, n) == build_ttr(clean, n)
     assert cross_check(cid, 4, system=clean).ok
+
+
+def _first_refusal(route, cid, top=5):
+    """(degree, exception type) of the first failing degree <= top of one
+    route, with degree "make_system" where building the system fails."""
+    if route == "closed":
+        def step(n):
+            closed_form_ttr(cid, n)
+    else:
+        try:
+            sys_obj = make_system(cid)
+        except Exception as exc:
+            return "make_system", type(exc)
+        build = {"builder": build_ttr, "oracle": ttr_from_gram}[route]
+
+        def step(n):
+            build(sys_obj, n)
+    for n in range(top + 1):
+        try:
+            step(n)
+        except Exception as exc:
+            return n, type(exc)
+    return None
+
+
+QDE = QuasiDefinitenessError
+
+
+# How the three routes refuse on a vanishing hyperplane, pinned as they
+# stand: the closed forms raise a bare ZeroDivisionError, and the first
+# failing degree differs between routes on simplex and biangle.
+@pytest.mark.parametrize("name, params, closed, builder, oracle", [
+    ("disk", {"mu": "-1/2"},
+     (0, ZeroDivisionError), ("make_system", QDE), ("make_system", QDE)),
+    ("simplex", {"alpha": "-1/2", "beta": "-1/2", "gamma": "-5/2"},
+     (1, ZeroDivisionError), (0, QDE), (0, QDE)),
+    ("biangle", {"alpha": "-2", "beta": "1/2"},
+     (0, ZeroDivisionError), (2, QDE), (1, QDE)),
+])
+def test_refusals_on_vanishing_hyperplanes_are_pinned(
+        name, params, closed, builder, oracle):
+    cid = catalog_id(name, **params)
+    assert [_first_refusal(route, cid)
+            for route in ("closed", "builder", "oracle")] == [
+        closed, builder, oracle]
 
 
 def test_square_closed_forms_catch_a_reflected_jacobi_recurrence(

@@ -1,18 +1,27 @@
-"""The Gram oracle's outputs on the ten pinned sets, pinned by digest.
+"""The outputs of the three routes on the ten pinned sets, pinned by digest.
 
-``oracle_digests.json`` holds, per pinned set, one SHA-256 each of:
+``oracle_digests.json`` holds, per pinned set, under ``digests`` one
+SHA-256 each of the Gram oracle's outputs:
 
 * the ``ttr_from_gram`` matrices for n <= 8 (shape, bands and the stored
   entries of each);
 * the Gram blocks ``gram_block(n, h)`` for h <= n <= 6;
 * the diagonals of H_n for n <= 9;
 * the moment table (D, W) grown at once to total degree 14 on a fresh
-  system.
+  system;
 
-The digests were recorded before the oracle moved into its own module and
-must not be re-recorded from a change that claims identical outputs; a
-change that alters an output on purpose re-records only the digests it
-names.
+and under ``route_digests`` one SHA-256 each of:
+
+* the ``build_ttr`` matrices for n <= 10;
+* the ``closed_form_ttr`` matrices for n <= 10;
+* the recurrence coefficients a, b and c to index 24 of ladder(0..3) and
+  of q.
+
+The oracle digests were recorded before the oracle moved into its own
+module, and the route digests before the recurrence closures were formed
+from integers; neither may be re-recorded from a change that claims
+identical outputs.  A change that alters an output on purpose re-records
+only the digests it names.
 """
 import hashlib
 import json
@@ -20,7 +29,8 @@ from pathlib import Path
 
 import pytest
 
-from ortho2d import catalog_id, make_system, ttr_from_gram
+from ortho2d import (build_ttr, catalog_id, closed_form_ttr, make_system,
+                    ttr_from_gram)
 
 DIGESTS = json.loads(
     Path(__file__).with_name("oracle_digests.json").read_text())
@@ -38,14 +48,18 @@ def _sha(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
+def _matrices(ttr):
+    return [(key, mat.shape, mat.lower_bandwidth, mat.upper_bandwidth,
+             [(pos, str(v)) for pos, v in mat.items()])
+            for key, mat in ttr.matrices().items()]
+
+
 def oracle_digests(name, params):
     cid = catalog_id(name, **params)
     d, table = _moment_table(make_system(cid), 14)
     sys_obj = make_system(cid)
-    matrices = [(key, mat.shape, mat.lower_bandwidth, mat.upper_bandwidth,
-                 [(pos, str(v)) for pos, v in mat.items()])
-                for n in range(9)
-                for key, mat in ttr_from_gram(sys_obj, n).matrices().items()]
+    matrices = [row for n in range(9)
+                for row in _matrices(ttr_from_gram(sys_obj, n))]
     blocks = [[[str(v) for v in row]
                for row in sys_obj.gram_block(n, h).entries]
               for n in range(7) for h in range(n + 1)]
@@ -60,3 +74,23 @@ def oracle_digests(name, params):
     ids=[f"{e['family']}-{i}" for i, e in enumerate(DIGESTS)])
 def test_oracle_outputs_match_the_recorded_digests(entry):
     assert oracle_digests(entry["family"], entry["params"]) == entry["digests"]
+
+
+def route_digests(name, params):
+    cid = catalog_id(name, **params)
+    sys_obj = make_system(cid)
+    built = [_matrices(build_ttr(sys_obj, n)) for n in range(11)]
+    closed = [_matrices(closed_form_ttr(cid, n)) for n in range(11)]
+    families = [sys_obj.ladder(m) for m in range(4)] + [sys_obj.q]
+    recurrence = [[(str(fam.a(i)), str(fam.b(i)), str(fam.c(i)) if i else "")
+                   for i in range(25)] for fam in families]
+    return {"build_ttr": _sha(built), "closed_form_ttr": _sha(closed),
+            "recurrence": _sha(recurrence)}
+
+
+@pytest.mark.parametrize(
+    "entry", DIGESTS,
+    ids=[f"{e['family']}-{i}" for i, e in enumerate(DIGESTS)])
+def test_builder_and_closed_form_outputs_match_the_recorded_digests(entry):
+    assert (route_digests(entry["family"], entry["params"])
+            == entry["route_digests"])

@@ -21,6 +21,8 @@ from ortho2d import (
     laguerre,
     make_system,
 )
+from ortho2d.catalog import _scaled_laguerre
+from ortho2d.numerics import _RAT
 
 q = Scalar.exact
 
@@ -417,6 +419,142 @@ def test_reflected_jacobi_b_changes_the_moments():
     assert got == reference_moments(mutant, 40)
     assert got != jac.moments(40)
     assert got[1] == -jac.moments(1)[1]
+
+
+# -- constructor closures against their rational formulas ------------------
+
+# Each constructor's recurrence formulas, evaluated one rational operation
+# at a time: the reference for its closures, which form each value from
+# integers.
+
+
+def reference_jacobi(al, be):
+    s = al + be
+
+    def a(n):
+        if n == 0:
+            return 2 / (s + 2)
+        return 2 * (n + 1) * (n + s + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
+
+    def b(n):
+        if n == 0:
+            return (be - al) / (s + 2)
+        return (be * be - al * al) / ((2 * n + s) * (2 * n + s + 2))
+
+    def c(n):
+        return 2 * (n + al) * (n + be) / ((2 * n + s) * (2 * n + s + 1))
+
+    return a, b, c
+
+
+def reference_jacobi_shift(al, be):
+    a, b, c = reference_jacobi(al, be)
+    return (lambda n: a(n) / 2, lambda n: (b(n) + 1) / 2,
+            lambda n: c(n) / 2)
+
+
+def reference_laguerre(al):
+    return (lambda n: -(n + 1), lambda n: 2 * n + al + 1,
+            lambda n: -(n + al))
+
+
+def reference_bessel(av, bv):
+    def a(n):
+        if n == 0:
+            return bv / av
+        return (n + av - 1) * bv / ((2 * n + av - 1) * (2 * n + av))
+
+    def b(n):
+        if n == 0:
+            return -bv / av
+        return -(av - 2) * bv / ((2 * n + av - 2) * (2 * n + av))
+
+    def c(n):
+        return -n * bv / ((2 * n + av - 2) * (2 * n + av - 1))
+
+    return a, b, c
+
+
+def reference_scaled_laguerre(g, gamma):
+    gg = g * gamma
+    return (lambda m: -(m + 1) / g, lambda m: (2 * m + gg) / g,
+            lambda m: -(m + gg - 1) / g)
+
+
+# Constructor by the label prefix of the families it makes, with its
+# reference formulas and the names of its parameters.
+CONSTRUCTORS = {
+    "jacobi": (jacobi_std, reference_jacobi, ("alpha", "beta")),
+    "jacobi01": (jacobi_shift, reference_jacobi_shift, ("alpha", "beta")),
+    "laguerre": (laguerre, reference_laguerre, ("alpha",)),
+    "bessel": (bessel, reference_bessel, ("a", "b")),
+    "scaled-laguerre": (_scaled_laguerre, reference_scaled_laguerre,
+                        ("g", "gamma")),
+}
+
+
+def _pinned_closure_cases():
+    """(prefix, parameters) of ladder(0..3) and q of the pinned sets."""
+    cases = set()
+    for name, params in PINNED_SETS:
+        system = make_system(catalog_id(name, **params))
+        for fam in [system.ladder(m) for m in range(4)] + [system.q]:
+            prefix = fam.label.split("(")[0]
+            names = CONSTRUCTORS[prefix][2]
+            cases.add((prefix, tuple(Fraction(fam.params[k]) for k in names)))
+    return sorted(cases, key=str)
+
+
+def _sweep_closure_cases():
+    """Three draws per constructor at about 100 bits over 7..23."""
+    rng = random.Random(27)
+
+    def draw():
+        return Fraction(rng.getrandbits(100) - 2 ** 99, rng.randint(7, 23))
+
+    return [(prefix, tuple(draw() for _ in spec[2]))
+            for prefix, spec in CONSTRUCTORS.items() for _ in range(3)]
+
+
+# Parameters on which some closure value divides by zero, 0/0 included:
+# jacobi(-1, -1) has b(0) = 0/0 (q of disk(-1/2)) and b(1) = 0/0.
+DEGENERATE_CLOSURE_CASES = [
+    ("jacobi", (Fraction(-1), Fraction(-1))),
+    ("jacobi", (Fraction(-2), Fraction(0))),
+    ("jacobi", (Fraction(-3, 2), Fraction(-1, 2))),
+    ("jacobi01", (Fraction(-1, 2), Fraction(-3, 2))),
+    ("jacobi01", (Fraction(-1), Fraction(-1))),
+    ("laguerre", (Fraction(-1),)),
+    ("bessel", (Fraction(0), Fraction(2))),
+    ("bessel", (Fraction(-3), Fraction(1))),
+    ("bessel", (Fraction(-2), Fraction(-1, 3))),
+    ("scaled-laguerre", (Fraction(0), Fraction(1))),
+    ("scaled-laguerre", (Fraction(5), Fraction(-1, 5))),
+]
+
+
+@pytest.mark.parametrize("prefix, args", [
+    *_pinned_closure_cases(), *_sweep_closure_cases(),
+    *DEGENERATE_CLOSURE_CASES])
+def test_constructor_closures_match_their_rational_formulas(prefix, args):
+    # Each value equals the formula's, is the backend rational both as the
+    # closure returns it and as the family reads it, and a division by
+    # zero in the formula (0/0 included) is refused at the same index.
+    constructor, reference, _ = CONSTRUCTORS[prefix]
+    fam = constructor(*args)
+    closures = dict(zip("abc", (fam._a_fn, fam._b_fn, fam._c_fn)))
+    for which, formula in zip("abc", reference(*args)):
+        for n in range(1 if which == "c" else 0, 41):
+            try:
+                want = formula(n)
+            except ZeroDivisionError:
+                with pytest.raises(QuasiDefinitenessError) as info:
+                    getattr(fam, which)(n)
+                assert info.value.index == n
+                continue
+            got = getattr(fam, which)(n)
+            assert got == want, (fam, which, n)
+            assert type(got) is _RAT and type(closures[which](n)) is _RAT
 
 
 # -- moment-level orthogonality (independent Gram oracle) ------------------
