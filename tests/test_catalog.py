@@ -1,6 +1,7 @@
 """Catalog families: identifiers, closed forms, and the three-way check."""
 import copy
 import pickle
+import random
 import sys
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from ortho2d import (
     QuasiDefinitenessError,
     Scalar,
     build_ttr,
+    catalog,
     catalog_id,
     closed_form_first,
     closed_form_second,
@@ -24,6 +26,7 @@ from ortho2d import (
     ttr_from_gram,
     univariate,
 )
+from ortho2d.numerics import _RAT
 
 q = Scalar.exact
 
@@ -314,14 +317,16 @@ QDE = QuasiDefinitenessError
 
 # How the three routes refuse on a vanishing hyperplane, pinned as they
 # stand: the closed forms raise a bare ZeroDivisionError, and the first
-# failing degree differs between routes on simplex and biangle.
+# failing degree differs between routes on simplex and biangle.  On
+# biangle(-2, 1/2) the closed forms refuse nothing to degree 5: their only
+# zero there was removable (a3 at m = n = 0, now cancelled).
 @pytest.mark.parametrize("name, params, closed, builder, oracle", [
     ("disk", {"mu": "-1/2"},
      (0, ZeroDivisionError), ("make_system", QDE), ("make_system", QDE)),
     ("simplex", {"alpha": "-1/2", "beta": "-1/2", "gamma": "-5/2"},
      (1, ZeroDivisionError), (0, QDE), (0, QDE)),
     ("biangle", {"alpha": "-2", "beta": "1/2"},
-     (0, ZeroDivisionError), (2, QDE), (1, QDE)),
+     None, (2, QDE), (1, QDE)),
 ])
 def test_refusals_on_vanishing_hyperplanes_are_pinned(
         name, params, closed, builder, oracle):
@@ -329,6 +334,24 @@ def test_refusals_on_vanishing_hyperplanes_are_pinned(
     assert [_first_refusal(route, cid)
             for route in ("closed", "builder", "oracle")] == [
         closed, builder, oracle]
+
+
+# Parameters on which a closed-form numerator and denominator vanish
+# together at m = n or m = 0: the cancelled branch keeps the three routes
+# in agreement up to the last degree that the builder and the oracle reach.
+@pytest.mark.parametrize("name, params, top", [
+    # a3 at m = n: n + al + be + 3/2 = 2n - m + al + be + 3/2 = 0 at n = 0
+    ("biangle", {"alpha": "-2", "beta": "1/2"}, 0),
+    # a3 and b3 at m = 0: m + 2 be + 1 = 2m + 2 be + 1 = 0
+    ("biangle", {"alpha": 0, "beta": "-1/2"}, 5),
+    # a3, b3 and c3 at m = 0: m + t + 1 = 2m + t + 1 = 0 (t = be + ga)
+    ("simplex", {"alpha": 0, "beta": "-1/2", "gamma": "-1/2"}, 5),
+    # a2 and a3 at m = n: n + m + s + 2 = 2n + s + 2 = 0 at n = 0
+    ("simplex", {"alpha": -2, "beta": 0, "gamma": 0}, 0),
+])
+def test_cancelled_branches_keep_the_routes_in_agreement(name, params, top):
+    report = cross_check(catalog_id(name, **params), top)
+    assert report.ok, report.mismatches[:3]
 
 
 def test_square_closed_forms_catch_a_reflected_jacobi_recurrence(
@@ -371,3 +394,310 @@ def test_cross_check_validates_degree():
                      lambda: closed_form_second(cid, 1, bad)):
             with pytest.raises(ValueError):
                 call()
+
+
+# -- the integer tables against their rational formulas -----------------------
+#
+# The closed-form tables as rational expressions in the parameters, one
+# operation at a time, with the cancelled branches of the tables: the
+# reference that the integer tables (one rational per entry) must equal.
+
+_HALF = _RAT(1, 2)
+
+
+def _ref_disk_first(p, n, m):
+    mu = p["mu"]
+    if m == n:
+        a = 1 / (n + mu + 1)
+    else:
+        a = ((n - m + 1) * (n + m + 2 * mu + 1)
+             / ((n + mu + 1) * (2 * n + 2 * mu + 1)))
+    out = {"a": a}
+    if m <= n - 1:
+        out["c"] = (n + mu) / (2 * n + 2 * mu + 1)
+    return out
+
+
+def _ref_biangle_first(p, n, m):
+    al, be = p["alpha"], p["beta"]
+    d = 2 * n - m + al + be
+    if m == n:
+        a = 1 / (n + al + be + 5 * _HALF)
+    else:
+        a = ((n - m + 1) * (n + al + be + 3 * _HALF)
+             / ((d + 3 * _HALF) * (d + 5 * _HALF)))
+    b = (n + be + 3 * _HALF) * (n - m + 1) / (d + 5 * _HALF)
+    if m < n:
+        b = b - (n + be + _HALF) * (n - m) / (d + _HALF)
+    out = {"a": a, "b": b}
+    if m <= n - 1:
+        out["c"] = ((n - m + al) * (n + be + _HALF)
+                    / ((d + _HALF) * (d + 3 * _HALF)))
+    return out
+
+
+def _ref_simplex_first(p, n, m):
+    al = p["alpha"]
+    s = al + p["beta"] + p["gamma"]
+    t = p["beta"] + p["gamma"]
+    if m == n:
+        a = 1 / (2 * n + s + 3)
+    else:
+        a = (n - m + 1) * (n + m + s + 2) / ((2 * n + s + 2) * (2 * n + s + 3))
+    b = (n - m + al + 1) * (n - m + 1) / (2 * n + s + 3)
+    if m < n:
+        b = b - (n - m + al) * (n - m) / (2 * n + s + 1)
+    out = {"a": a, "b": b}
+    if m <= n - 1:
+        out["c"] = ((n + m + t + 1) * (n - m + al)
+                    / ((2 * n + s + 1) * (2 * n + s + 2)))
+    return out
+
+
+def _ref_jacobi_abc(al, be, k):
+    """Recurrence coefficients a_k, b_k and c_k (None at k = 0) of the
+    Jacobi polynomials for the weight (1-x)^al (1+x)^be on [-1, 1], in the
+    normalisation p_k(1) = binomial(k + al, k)."""
+    s = al + be
+    if k == 0:
+        return 2 / (s + 2), (be - al) / (s + 2), None
+    return (2 * (k + 1) * (k + s + 1) / ((2 * k + s + 1) * (2 * k + s + 2)),
+            (be * be - al * al) / ((2 * k + s) * (2 * k + s + 2)),
+            2 * (k + al) * (k + be) / ((2 * k + s) * (2 * k + s + 1)))
+
+
+def _ref_square_first(p, n, m):
+    a, b, c = _ref_jacobi_abc(p["alpha"], p["beta"], n - m)
+    out = {"c": c} if m <= n - 1 else {}
+    return {**out, "a": a, "b": b}
+
+
+def _ref_lj_first(p, n, m):
+    al = p["alpha"]
+    out = {"a": _RAT(-(n - m + 1)), "b": 2 * n + al + 2}
+    if m <= n - 1:
+        out["c"] = -(n + m + al + 1)
+    return out
+
+
+def _ref_bl_first(p, n, m):
+    g = p["g"]
+    if m == n:
+        a = -g / (2 * n + g)
+        b = g / (2 * n + g)
+    else:
+        a = -g * (n + m + g - 1) / ((2 * n + g - 1) * (2 * n + g))
+        b = g * (2 * m + g - 2) / ((2 * n + g - 2) * (2 * n + g))
+    out = {"a": a, "b": b}
+    if m <= n - 1:
+        out["c"] = g * (n - m) / ((2 * n + g - 2) * (2 * n + g - 1))
+    return out
+
+
+def _ref_disk_second(p, n, m):
+    mu = p["mu"]
+    # (m + 2 mu) / (2 m + 2 mu), cancelled to 1 at m = 0.
+    f = _RAT(1) if m == 0 else (m + 2 * mu) / (2 * (m + mu))
+    d = 2 * n + 2 * mu + 1
+    out = {}
+    if m >= 1:
+        out["a1"] = (-(m + mu - _HALF) * (n - m + 1) * (n - m + 2)
+                     / ((m + mu) * (n + mu + 1) * d))
+        out["c1"] = (m + mu - _HALF) * (n + mu) / ((m + mu) * d)
+    out["a3"] = ((m + 1) * f * (n + m + 2 * mu + 1) * (n + m + 2 * mu + 2)
+                 / ((2 * m + 2 * mu + 1) * d * (n + mu + 1)))
+    if m <= n - 2:
+        out["c3"] = (-(m + 1) * f * (n + mu)
+                     / ((2 * m + 2 * mu + 1) * d))
+    return out
+
+
+def _ref_biangle_second(p, n, m):
+    al, be = p["alpha"], p["beta"]
+    d = 2 * n - m + al + be + 3 * _HALF
+    e = (2 * m + 2 * be + 1) * (2 * m + 2 * be + 2)
+    # 2 (m + 1)(m + 2 be + 1) / e, cancelled at m = 0.
+    u = 1 / (be + 1) if m == 0 else 2 * (m + 1) * (m + 2 * be + 1) / e
+    out = {}
+    if m >= 1:
+        out["b1"] = (m + be) * (n - m + 1) / ((2 * m + 2 * be + 1) * d)
+        out["c1"] = (m + be) * (n + be + _HALF) / ((2 * m + 2 * be + 1) * d)
+    # d = n + al + be + 3/2 at m = n, cancelled.
+    out["a3"] = u if m == n else u * (n + al + be + 3 * _HALF) / d
+    if m <= n - 1:
+        out["b3"] = u * (n - m + al) / d
+    return out
+
+
+def _ref_simplex_second(p, n, m):
+    al, be, ga = p["alpha"], p["beta"], p["gamma"]
+    s = al + be + ga
+    t = be + ga
+    lam = -(m + be + 1) * (m + 1) / (2 * m + t + 2)
+    if m >= 1:
+        lam = lam + (m + be) * m / (2 * m + t)
+    d1 = 2 * n + s + 1
+    d2 = 2 * n + s + 2
+    d3 = 2 * n + s + 3
+    e0 = (2 * m + t) * (2 * m + t + 1)
+    e1 = (2 * m + t + 1) * (2 * m + t + 2)
+    # (m + 1)(m + t + 1) / e1, cancelled at m = 0.
+    r = 1 / (t + 2) if m == 0 else (m + 1) * (m + t + 1) / e1
+    out = {}
+    if m >= 1:
+        out["a1"] = ((m + be) * (m + ga) * (n - m + 1) * (n - m + 2)
+                     / (e0 * d2 * d3))
+        out["b1"] = (-2 * (m + be) * (m + ga) * (n - m + 1) * (n + m + t + 1)
+                     / (e0 * d1 * d3))
+        out["c1"] = ((m + be) * (m + ga) * (n + m + t) * (n + m + t + 1)
+                     / (e0 * d1 * d2))
+    if m == n:  # n + m + s + 2 = d2 and n + m + s + 3 = d3, cancelled
+        out["a2"] = lam / d3
+        out["a3"] = r
+    else:
+        out["a2"] = lam * (n - m + 1) * (n + m + s + 2) / (d2 * d3)
+        out["a3"] = r * (n + m + s + 2) * (n + m + s + 3) / (d2 * d3)
+    inner = 1 - (n - m + al + 1) * (n - m + 1) / d3
+    if m < n:
+        inner = inner + (n - m + al) * (n - m) / d1
+    out["b2"] = -lam * inner
+    if m <= n - 1:
+        out["b3"] = -2 * r * (n - m + al) * (n + m + s + 2) / (d1 * d3)
+        out["c2"] = lam * (n - m + al) * (n + m + t + 1) / (d1 * d2)
+    if m <= n - 2:
+        out["c3"] = r * (n - m + al) * (n - m + al - 1) / (d1 * d2)
+    return out
+
+
+def _ref_square_second(p, n, m):
+    a, b, c = _ref_jacobi_abc(p["gamma"], p["delta"], m)
+    out = {"a3": a, "b2": b}
+    if m >= 1:
+        out["c1"] = c
+    return out
+
+
+def _ref_lj_second(p, n, m):
+    al, be = p["alpha"], p["beta"]
+    # b-coefficient of the second-variable family, cancelled at m = 0.
+    qb = (-be / (be + 2) if m == 0
+          else -be * be / ((2 * m + be) * (2 * m + be + 2)))
+    e0 = (2 * m + be) * (2 * m + be + 1)
+    e1 = (2 * m + be + 1) * (2 * m + be + 2)
+    out = {}
+    if m >= 1:
+        out["a1"] = 2 * m * (m + be) * (n - m + 1) * (n - m + 2) / e0
+        out["b1"] = -4 * m * (m + be) * (n + m + al + 1) * (n - m + 1) / e0
+        out["c1"] = 2 * m * (m + be) * (n + m + al) * (n + m + al + 1) / e0
+    out["a2"] = -qb * (n - m + 1)
+    out["a3"] = 2 * (m + 1) * (m + be + 1) / e1
+    out["b2"] = qb * (2 * n + al + 2)
+    if m <= n - 1:
+        out["b3"] = -4 * (m + 1) * (m + be + 1) / e1
+        out["c2"] = -qb * (n + m + al + 1)
+    if m <= n - 2:
+        out["c3"] = 2 * (m + 1) * (m + be + 1) / e1
+    return out
+
+
+def _ref_bl_second(p, n, m):
+    g, ga = p["g"], p["gamma"]
+    gg = g * ga
+    d0 = 2 * n + g - 2
+    d1 = 2 * n + g - 1
+    d2 = 2 * n + g
+    out = {}
+    if m >= 1:
+        out["a1"] = -(m + gg - 1) * g / (d1 * d2)
+    if m == n:
+        out["a2"] = -(2 * n + gg) / d2
+        out["a3"] = _RAT(-(n + 1)) / g
+        out["b2"] = (2 * n + gg) / d2
+    else:
+        out["a2"] = -(2 * m + gg) * (n + m + g - 1) / (d1 * d2)
+        out["a3"] = -(m + 1) * (n + m + g - 1) * (n + m + g) / (g * d1 * d2)
+        out["b2"] = (2 * m + gg) * (2 * m + g - 2) / (d0 * d2)
+    if m >= 1:
+        out["b1"] = 2 * (m + gg - 1) * g / (d0 * d2)
+        out["c1"] = -(m + gg - 1) * g / (d0 * d1)
+    if m <= n - 1:
+        out["b3"] = -2 * (m + 1) * (n - m) * (n + m + g - 1) / (g * d0 * d2)
+        out["c2"] = (2 * m + gg) * (n - m) / (d0 * d1)
+    if m <= n - 2:
+        out["c3"] = -(m + 1) * (n - m) * (n - m - 1) / (g * d0 * d1)
+    return out
+
+
+REFERENCE = {
+    "disk": (_ref_disk_first, _ref_disk_second),
+    "biangle": (_ref_biangle_first, _ref_biangle_second),
+    "simplex": (_ref_simplex_first, _ref_simplex_second),
+    "square": (_ref_square_first, _ref_square_second),
+    "laguerre-jacobi": (_ref_lj_first, _ref_lj_second),
+    "bessel-laguerre": (_ref_bl_first, _ref_bl_second),
+}
+
+
+def _parity_draws():
+    """Three parameter sets per family with perfbench's sweep sizes (p/q,
+    q prime in 7..23, p of one bit more than q) and three of about 100
+    bits, each parameter nonzero."""
+    rng = random.Random(28)
+    dens = (7, 11, 13, 17, 19, 23)
+
+    def signed(bits):
+        return rng.choice((1, -1)) * rng.randrange(2 ** (bits - 1), 2 ** bits)
+
+    def small(q):
+        return signed(q.bit_length() + 1), q
+
+    def large(_):
+        return signed(100), rng.randrange(2 ** 99, 2 ** 100)
+
+    draws = []
+    for draw in (small, large):
+        for name, keys in FAMILY_PARAMS.items():
+            for i in range(3):
+                draws.append((name, {
+                    k: str(Fraction(*draw(dens[(i + j) % len(dens)])))
+                    for j, k in enumerate(keys)}))
+    return draws
+
+
+PARITY_SETS = PINNED + _parity_draws() + [
+    ("disk", {"mu": "-1/2"}),
+    ("disk", {"mu": -1}),
+    ("simplex", {"alpha": "-1/2", "beta": "-1/2", "gamma": "-5/2"}),
+    ("square", {"alpha": -1, "beta": -1, "gamma": 0, "delta": 0}),
+    ("bessel-laguerre", {"g": -1, "gamma": 1}),
+    ("biangle", {"alpha": -1, "beta": "-1/2"}),
+    ("biangle", {"alpha": -2, "beta": "1/2"}),
+    ("simplex", {"alpha": 0, "beta": "-1/2", "gamma": "-1/2"}),
+    ("simplex", {"alpha": -2, "beta": 0, "gamma": 0}),
+]
+
+
+def _entries(table, p, n, m):
+    try:
+        return table(p, n, m)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@pytest.mark.parametrize(
+    "name, params", PARITY_SETS,
+    ids=[f"{name}-{i}" for i, (name, _) in enumerate(PARITY_SETS)])
+def test_integer_tables_match_their_rational_formulas(name, params):
+    cid = catalog_id(name, **params)
+    tables = catalog._FAMILIES[name].tables
+    cleared = catalog._cleared(cid)
+    values = cid.params_dict
+    for which in (0, 1):
+        for n in range(13):
+            for m in range(n + 1):
+                want = _entries(REFERENCE[name][which], values, n, m)
+                got = _entries(tables[which], cleared, n, m)
+                assert got == want, (which, n, m)
+                if got is not ZeroDivisionError:
+                    assert all(type(v) is _RAT for v in got.values()), (
+                        which, n, m)

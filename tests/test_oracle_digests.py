@@ -1,4 +1,5 @@
-"""The outputs of the three routes on the ten pinned sets, pinned by digest.
+"""The outputs of the three routes on the ten pinned sets and on the
+sweep systems, pinned by digest.
 
 ``oracle_digests.json`` holds, per pinned set, under ``digests`` one
 SHA-256 each of the Gram oracle's outputs:
@@ -17,11 +18,18 @@ and under ``route_digests`` one SHA-256 each of:
 * the recurrence coefficients a, b and c to index 24 of ladder(0..3) and
   of q.
 
+After the pinned sets it holds one entry per system of perfbench's
+sweep-crosscheck at seeds 1 and 7 (six per family and seed, parameters
+stored as strings, so the suite does not import perfbench), with under
+``sweep_digests`` one SHA-256 each of the ``closed_form_ttr``,
+``build_ttr`` and ``ttr_from_gram`` matrices for n <= 4.
+
 The oracle digests were recorded before the oracle moved into its own
-module, and the route digests before the recurrence closures were formed
-from integers; neither may be re-recorded from a change that claims
-identical outputs.  A change that alters an output on purpose re-records
-only the digests it names.
+module, the route digests before the recurrence closures were formed
+from integers, and the sweep digests before the closed-form tables were;
+none may be re-recorded from a change that claims identical outputs.  A
+change that alters an output on purpose re-records only the digests it
+names.
 """
 import hashlib
 import json
@@ -32,8 +40,10 @@ import pytest
 from ortho2d import (build_ttr, catalog_id, closed_form_ttr, make_system,
                     ttr_from_gram)
 
-DIGESTS = json.loads(
+ENTRIES = json.loads(
     Path(__file__).with_name("oracle_digests.json").read_text())
+DIGESTS = [e for e in ENTRIES if "seed" not in e]
+SWEEP = [e for e in ENTRIES if "seed" in e]
 
 
 def _h_diagonal(sys_obj, n):
@@ -94,3 +104,21 @@ def route_digests(name, params):
 def test_builder_and_closed_form_outputs_match_the_recorded_digests(entry):
     assert (route_digests(entry["family"], entry["params"])
             == entry["route_digests"])
+
+
+def sweep_digests(name, params):
+    cid = catalog_id(name, **params)
+    sys_obj = make_system(cid)
+    routes = {"closed_form_ttr": lambda n: closed_form_ttr(cid, n),
+              "build_ttr": lambda n: build_ttr(sys_obj, n),
+              "ttr_from_gram": lambda n: ttr_from_gram(sys_obj, n)}
+    return {key: _sha([_matrices(route(n)) for n in range(5)])
+            for key, route in routes.items()}
+
+
+@pytest.mark.parametrize(
+    "entry", SWEEP,
+    ids=[f"seed{e['seed']}-{e['family']}-{i}" for i, e in enumerate(SWEEP)])
+def test_sweep_system_outputs_match_the_recorded_digests(entry):
+    assert (sweep_digests(entry["family"], entry["params"])
+            == entry["sweep_digests"])
