@@ -2,6 +2,7 @@
 import copy
 import operator
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -442,6 +443,52 @@ def reference_rank(rows):
             m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def planted_rows(size, banded, rational):
+    """A seeded square matrix of side ``size`` with planted rank defects:
+    rows that are combinations of earlier rows, zero rows, and a multiple
+    of the first row in second place, which cancels to all zeros at the
+    first pivot column.  Dense entries are 64-bit integers or small
+    rationals, some zero; banded rows keep their random entries within a
+    width of 0..3 of the diagonal."""
+    rng = random.Random(100 * size + 10 * banded + rational)
+    width = rng.randint(0, 3) if banded else size
+
+    def entry():
+        if rational:
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+        return rng.randint(-2**63, 2**63 - 1) if rng.random() > 0.2 else 0
+
+    rows = []
+    for i in range(size):
+        kind = rng.random()
+        if i and kind < 0.3:
+            picks = rng.sample(rows, min(i, rng.randint(1, 3)))
+            weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                       if rational else rng.randint(-9, 9) for _ in picks]
+            rows.append([sum(w * row[j] for w, row in zip(weights, picks))
+                         for j in range(size)])
+        elif i and kind < 0.4:
+            rows.append([0] * size)
+        else:
+            rows.append([entry() if abs(i - j) <= width else 0
+                         for j in range(size)])
+            rows[-1][i] = rows[-1][i] or 1
+    if size > 1:
+        rows[1] = [-3 * v for v in rows[0]]
+    return rows
+
+
+@pytest.mark.parametrize("size", (1, 2, 3, 5, 8, 11, 14, 17, 20, 22, 24))
+@pytest.mark.parametrize("banded", (False, True), ids=("dense", "banded"))
+@pytest.mark.parametrize("rational", (False, True), ids=("int", "rational"))
+def test_rank_exact_matches_a_fraction_elimination_on_planted_defects(
+        size, banded, rational):
+    rows = planted_rows(size, banded, rational)
+    want = reference_rank(rows)
+    assert rank_exact(rows) == want
+    assert rank_exact([list(col) for col in zip(*rows)]) == want
 
 
 # Mostly zeros, so that rows skip pivot columns and the elimination leaves

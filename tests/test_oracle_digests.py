@@ -24,6 +24,20 @@ stored as strings, so the suite does not import perfbench), with under
 ``sweep_digests`` one SHA-256 each of the ``closed_form_ttr``,
 ``build_ttr`` and ``ttr_from_gram`` matrices for n <= 4.
 
+Each pinned set also holds, under ``kernel_digests``, one SHA-256 each
+of the three integer kernels' outputs on a fresh system:
+
+* the basis integer forms ``_coeffs_int(n)`` for n <= 24 and the moments
+  ``moments(40)`` as strings, of ladder(0..3) and of q;
+* ``rank_conditions(sys, n)._asdict()`` for n <= 10;
+* the exact ``verify_relation`` results for n <= 10 on both axes.
+
+Last come the CLI calls of perfbench's cli-cold workload, their argument
+lists stored as data: per call, under ``cli``, the exit code and one
+SHA-256 each of stdout and stderr, run in-process through ``cli.main``.
+The two calls whose exit codes are known defects are pinned as they
+stand.
+
 The oracle digests were recorded before the oracle moved into its own
 module, the route digests before the recurrence closures were formed
 from integers, and the sweep digests before the closed-form tables were;
@@ -31,19 +45,24 @@ none may be re-recorded from a change that claims identical outputs.  A
 change that alters an output on purpose re-records only the digests it
 names.
 """
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from ortho2d import (build_ttr, catalog_id, closed_form_ttr, make_system,
-                    ttr_from_gram)
+                     rank_conditions, ttr_from_gram, verify_relation)
+from ortho2d.cli import main
+from ortho2d.ttr import SHIFTS
 
 ENTRIES = json.loads(
     Path(__file__).with_name("oracle_digests.json").read_text())
-DIGESTS = [e for e in ENTRIES if "seed" not in e]
+DIGESTS = [e for e in ENTRIES if "digests" in e]
 SWEEP = [e for e in ENTRIES if "seed" in e]
+CLI = [e for e in ENTRIES if "argv" in e]
 
 
 def _h_diagonal(sys_obj, n):
@@ -122,3 +141,39 @@ def sweep_digests(name, params):
 def test_sweep_system_outputs_match_the_recorded_digests(entry):
     assert (sweep_digests(entry["family"], entry["params"])
             == entry["sweep_digests"])
+
+
+def kernel_digests(name, params):
+    sys_obj = make_system(catalog_id(name, **params))
+    families = [sys_obj.ladder(m) for m in range(4)] + [sys_obj.q]
+    forms = [[fam._coeffs_int(n) for n in range(25)] for fam in families]
+    moments = [[str(v) for v in fam.moments(40)] for fam in families]
+    ranks = [rank_conditions(sys_obj, n)._asdict() for n in range(11)]
+    checks = [verify_relation(sys_obj, n, axis)
+              for n in range(11) for axis in SHIFTS]
+    return {"basis_forms": _sha(forms), "moments": _sha(moments),
+            "rank_conditions": _sha(ranks), "verify_relation": _sha(checks)}
+
+
+@pytest.mark.parametrize(
+    "entry", DIGESTS,
+    ids=[f"{e['family']}-{i}" for i, e in enumerate(DIGESTS)])
+def test_integer_kernel_outputs_match_the_recorded_digests(entry):
+    assert (kernel_digests(entry["family"], entry["params"])
+            == entry["kernel_digests"])
+
+
+def cli_digests(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(list(argv))
+    return {"exit": code,
+            "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+            "stderr": hashlib.sha256(stderr.getvalue().encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("entry", CLI,
+                         ids=[" ".join(e["argv"]) for e in CLI])
+def test_cli_calls_match_the_recorded_digests(entry):
+    assert cli_digests(entry["argv"]) == entry["cli"]
