@@ -20,10 +20,10 @@ hold such values:
 Each value is made by its type's constructor, in arithmetic, reads and
 unpickling too; other modules read a SparsePoly2's ``terms`` and a
 BandMatrix's stored entries through ``_rows`` (by row and column).  Two
-exact kernels: ``poly_mul`` and ``rank_exact`` (Bareiss's integer
-fraction-free elimination, no doubles anywhere, on the stored entries of
-a BandMatrix; dense rows enter through ``from_dense``).  The float
-checks evaluate coefficient maps of doubles with ``_eval_terms`` on
+exact kernels: ``poly_mul`` and ``rank_exact`` (fraction-free integer
+elimination with gcd-reduced rows, no doubles anywhere, on the stored
+entries of a BandMatrix; dense rows enter through ``from_dense``).  The
+float checks evaluate coefficient maps of doubles with ``_eval_terms`` on
 ``_powers``, which names a point whose power overflows; ``_eval_at``
 raises each coordinate only as far as the terms need it, for
 ``SparsePoly2.eval`` and ``eval --mode float``.  Every degree,
@@ -564,49 +564,32 @@ def rank_exact(matrix):
 
 
 def _rank_int(rows):
-    """Rank of equal-length int rows by Bareiss's fraction-free
-    elimination (Bareiss 1968).  The rows are read, never written: every
-    update makes a new list.
-
-    Each step turns a row below the pivot into (lead * row - head *
-    pivot_row) / prev, exactly.  A row whose head is zero is only scaled by
-    lead / prev, and these factors telescope over the steps, so such a row
-    is left as it stands and keeps the divisor it is over, div[i]: one
-    update (lead * row - head * pivot_row) / div[i] brings it through every
-    step it skipped, and a pivot row is first brought up to prev / div[i].
+    """Rank of equal-length int rows by fraction-free elimination: per
+    column, each row below the pivot row whose head is nonzero becomes
+    lead * row - head * pivot_row, divided by the gcd of its entries.
     Scaling by a nonzero integer keeps every zero a zero, so the pivots and
-    the rank are those of the plain elimination; on banded rows only the
-    few rows with a nonzero head are touched per column."""
+    the rank are those of the plain elimination.  The rows are read, never
+    written: every update makes a new list."""
     m = list(rows)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    div = [1] * nrows
     rank = 0
-    prev = 1
     for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                pivot = i
-                break
+        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        div[rank], div[pivot] = div[pivot], div[rank]
         row_r = m[rank]
-        if div[rank] != prev:
-            row_r = [v * prev // div[rank] for v in row_r]
         lead = row_r[col]
         for i in range(rank + 1, nrows):
-            row_i = m[i]
-            head = row_i[col]
+            head = m[i][col]
             if head:
-                d = div[i]
-                m[i] = [0] * (col + 1) + [
-                    (lead * a - head * b) // d
-                    for a, b in zip(row_i[col + 1:], row_r[col + 1:])]
-                div[i] = lead
-        prev = lead
+                new = [lead * a - head * b
+                       for a, b in zip(m[i][col + 1:], row_r[col + 1:])]
+                g = math.gcd(*new)
+                if g > 1:  # g is 0 where the row cancels to all zeros
+                    new = [v // g for v in new]
+                m[i] = [0] * (col + 1) + new
         rank += 1
         if rank == nrows:
             break

@@ -7,9 +7,10 @@ A family is defined by the three-term recurrence
 together with the squared norm h_0 of p_0.  From the recurrence alone the
 module derives leading coefficients, norms, moments of the underlying
 functional, dense coefficient lists and point evaluation -- all exactly.
-Dense coefficients and moments are built fraction-free: each recurrence
-step runs on integers over one denominator, with one gcd reduction.  The
-moments are stored once, as one integer vector over their least common
+Dense coefficients and moments are built fraction-free, each recurrence
+step on integers with one gcd reduction: a basis step over the lcm of the
+denominators of p_j and p_{j-1}, a moment step term by term.  The moments
+are stored once, as one integer vector over their least common
 denominator (``_moments_int``); ``moments`` forms rationals from it only
 at that boundary, as ``coeffs`` does from ``_coeffs_int``.  The family
 constructors bring their parameters over one denominator once, so each
@@ -225,21 +226,21 @@ class RecurrenceFamily:
         """(M, ints): the moments <u, x^i> for i <= j (and any already
         formed) as ints over their least common denominator M, the one
         store of moments.  x^j in the p-basis is one integer vector over one
-        denominator, advanced by x p_i = a_i p_{i+1} + b_i p_i + c_i p_{i-1};
-        its constant entry times h_0 is the moment.  The vector and the
-        store advance together, after the step's coefficients are read."""
+        denominator, advanced by x p_i = a_i p_{i+1} + b_i p_i + c_i p_{i-1}
+        term by term over its nonzero entries; its constant entry times h_0
+        is the moment.  The vector and the store advance together, after the
+        step's coefficients are read."""
         while len(self._moments[1]) <= j:
             d, v = self._mom_vec
             top = len(v) - 1
             L, A, B, C = self._int_coeffs(top)
-            new = [B[0] * v[0] + (C[1] * v[1] if top else 0)]
-            for i in range(1, top + 2):
-                acc = A[i - 1] * v[i - 1]
-                if i <= top:
-                    acc += B[i] * v[i]
-                    if i < top:
-                        acc += C[i + 1] * v[i + 1]
-                new.append(acc)
+            new = [0] * (top + 2)
+            for i, x in enumerate(v):
+                if x:
+                    new[i + 1] += A[i] * x
+                    new[i] += B[i] * x
+                    if i:
+                        new[i - 1] += C[i] * x
             den = d * L
             g = math.gcd(den, *new)
             if g > 1:
@@ -271,36 +272,32 @@ class RecurrenceFamily:
     def _coeffs_int(self, n):
         """p_n as (d, [ints]): dense coefficients, constant term first, over
         their least positive denominator d.  Each recurrence step runs in
-        plain ints on the numerators and denominators of a_j, b_j, c_j."""
+        plain ints on the numerators and denominators of a_j, b_j, c_j, with
+        one lcm and one gcd."""
         cache = self._coeff_cache
         while len(cache) <= n:
             j = len(cache) - 1
             d, cur = cache[j]
             a_j = self._advancing_a(j)
             b_j = self.b(j)
-            # p_{j+1} = ((x - b_j) p_j - c_j p_{j-1}) / a_j: the p_j terms
-            # over d * den(b_j), the p_{j-1} terms over d_prev * den(c_j),
-            # both over their lcm, then times 1 / a_j with the sign of a_j
-            # moved to the numerators.
+            c_j = self.c(j) if j else _ZERO
+            d_prev, prev = cache[j - 1] if j else (1, ())
+            # p_{j+1} = ((x - b_j) p_j - c_j p_{j-1}) / a_j with p_j = cur / d
+            # and p_{j-1} = prev / d_prev, both over D = lcm(d, d_prev).
             an, ad = int(a_j.numerator), int(a_j.denominator)
             bn, bd = int(b_j.numerator), int(b_j.denominator)
-            if an < 0:
-                an, ad = -an, -ad
-            lcm = d * bd
-            f_c, prev = 0, ()
-            if j >= 1:
-                c_j = self.c(j)
-                d_prev, prev = cache[j - 1]
-                cd = d_prev * int(c_j.denominator)
-                lcm = math.lcm(lcm, cd)
-                f_c = -ad * int(c_j.numerator) * (lcm // cd)
-            f_x = ad * (lcm // d)
+            cn, cd = int(c_j.numerator), int(c_j.denominator)
+            D = math.lcm(d, d_prev)
+            f = ad * cd * (D // d)
+            f_x, f_b, f_c = f * bd, f * bn, ad * cn * bd * (D // d_prev)
             new = [0] + [f_x * v for v in cur]
-            for f, poly in ((-bn * (f_x // bd), cur), (f_c, prev)):
+            for k, poly in ((f_b, cur), (f_c, prev)):
                 for i, v in enumerate(poly):
-                    new[i] += f * v
-            den = lcm * an
+                    new[i] -= k * v
+            den = an * bd * cd * D
             g = math.gcd(den, *new)
+            if den < 0:
+                g = -g
             cache.append((den // g, [v // g for v in new]))
         return cache[n]
 

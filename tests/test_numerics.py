@@ -491,8 +491,8 @@ def test_rank_exact_matches_a_fraction_elimination_on_planted_defects(
     assert rank_exact([list(col) for col in zip(*rows)]) == want
 
 
-# Mostly zeros, so that rows skip pivot columns and the elimination leaves
-# them over an older divisor (see numerics._rank_int).
+# Mostly zeros, so that rows skip pivot columns, where the elimination
+# leaves them as they stand (see numerics._rank_int).
 sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
                            st.fractions(-20, 20, max_denominator=12))
 

@@ -1,8 +1,8 @@
 """Source rules of ``src/ortho2d``, read from the modules' syntax trees.
 
-Each rule is stated once, as one test; the CI workflow states the first
-four as well.  The import graph is pinned as data: a new dependency
-between modules is a decision, made here.
+Each rule is stated once, as one test, and only here: the CI workflow
+runs this suite and states none of them.  The import graph is pinned as
+data: a new dependency between modules is a decision, made here.
 """
 import ast
 from pathlib import Path
