@@ -40,10 +40,11 @@ stand.
 
 The oracle digests were recorded before the oracle moved into its own
 module, the route digests before the recurrence closures were formed
-from integers, and the sweep digests before the closed-form tables were;
-none may be re-recorded from a change that claims identical outputs.  A
-change that alters an output on purpose re-records only the digests it
-names.
+from integers, the sweep digests before the closed-form tables were, and
+the kernel and CLI digests before the rank, basis and moment kernels
+took their plain forms; none may be re-recorded from a change that
+claims identical outputs.  A change that alters an output on purpose
+re-records only the digests it names.
 """
 import contextlib
 import hashlib
