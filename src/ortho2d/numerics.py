@@ -22,15 +22,15 @@ unpickling too; other modules read a SparsePoly2's ``terms`` and a
 BandMatrix's stored entries through ``_rows`` (by row and column).  Two
 exact kernels: ``poly_mul`` and ``rank_exact`` (fraction-free integer
 elimination with gcd-reduced rows, no doubles anywhere, on the stored
-entries of a BandMatrix; dense rows enter through ``from_dense``).  The
-float checks evaluate coefficient maps of doubles with ``_eval_terms`` on
-``_powers``, which names a point whose power overflows; ``_eval_at``
-raises each coordinate only as far as the terms need it, for
-``SparsePoly2.eval`` and ``eval --mode float``.  Every degree,
-index, bound, count, exponent and matrix dimension in the package passes
-one rule, ``_check_index`` (``_check_degrees`` for a pair 0 <= m <= n):
-a plain int >= 0, never a bool or a float.  A matrix position is a pair
-of ints too (IndexError outside the shape).
+entries of a BandMatrix; dense rows enter through ``from_dense``).  One
+evaluator, ``_eval_at``, sums a coefficient map at a point for
+``SparsePoly2.eval`` and ``eval --mode float``: it raises each coordinate
+only as far as the terms need it and names a point whose power overflows
+a double.  Every degree, index, bound, count, exponent and matrix
+dimension in the package passes one rule, ``_check_index``
+(``_check_degrees`` for a pair 0 <= m <= n): a plain int >= 0, never a
+bool or a float.  A matrix position is a pair of ints too (IndexError
+outside the shape).
 """
 from __future__ import annotations
 
@@ -234,30 +234,20 @@ class Scalar:
 _OPERANDS = (Scalar, int, float, *_RAT_TYPES)
 
 
-def _powers(point, tops):
-    """(xs, ys): [v ** 0, ..., v ** top] per coordinate v of the point and
-    its top in tops; a power beyond the doubles names the point."""
+def _eval_at(terms, point, acc):
+    """acc plus the sum of c x^i y^j over the coefficient map terms at the
+    point, each coordinate raised only up to the largest exponent that the
+    terms hold in it; a power beyond the doubles names the point."""
+    tops = [max((key[c] for key in terms), default=0) for c in (0, 1)]
     try:
-        return tuple([v ** i for i in range(top + 1)]
-                     for v, top in zip(point, tops))
+        xs, ys = ([v ** i for i in range(top + 1)]
+                  for v, top in zip(point, tops))
     except OverflowError:
         raise OverflowError(f"a power of the point {point} overflows a "
                             f"double") from None
-
-
-def _eval_terms(terms, xs, ys, acc):
-    """acc plus the sum of c x^i y^j over the coefficient map terms, the
-    powers read from xs[i] and ys[j] (see ``_powers``)."""
     for (i, j), raw in terms.items():
         acc += raw * xs[i] * ys[j]
     return acc
-
-
-def _eval_at(terms, point, acc):
-    """``_eval_terms`` at the point, each coordinate raised only up to the
-    largest exponent that the terms hold in it."""
-    tops = [max((key[c] for key in terms), default=0) for c in (0, 1)]
-    return _eval_terms(terms, *_powers(point, tops), acc)
 
 
 class SparsePoly2:

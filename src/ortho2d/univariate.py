@@ -30,7 +30,9 @@ each downward triple is formed once and stored on the companion family.
 Every value returned -- recurrence, leading, dense and connection
 coefficients, norms, moments, point values, parameters -- is a backend
 rational (gmpy2.mpq or fractions.Fraction); inputs may be Scalars, ints
-or rationals.
+or rationals.  The one exception is private: ``_float_coeffs`` rounds the
+recurrence, divided through by a(j), to doubles once per family, for the
+point residual of the float relation check.
 
 Division by zero anywhere in the lazy recurrence data signals that the
 parameter choice does not define a quasi-definite functional; it surfaces
@@ -114,6 +116,9 @@ class RecurrenceFamily:
         self._moments = (int(h0_raw.denominator), [int(h0_raw.numerator)])
         self._mom_vec = (1, [1])
         self._mom_coeffs = (1, [], [], [])
+        # The recurrence divided through by a(j), in doubles (see
+        # ``_float_coeffs``).
+        self._float_store = ([], [], [])
         self._coeff_cache = [(1, [1])]
         # Triples of adjacent_down into this family, keyed (base, numerator
         # and denominator of s2, n).
@@ -221,6 +226,28 @@ class RecurrenceFamily:
                 lst.append(int(v.numerator) * (L // d))
             self._mom_coeffs = (L, A, B, C)
         return self._mom_coeffs
+
+    def _float_coeffs(self, top):
+        """(A, B, C): 1/a(j), b(j)/a(j) and c(j)/a(j) for j <= top as
+        doubles, C[0] = 0.0, so that p_{j+1}(x) = (A[j] x - B[j]) p_j(x) -
+        C[j] p_{j-1}(x).  Each is a ratio of two ints of ``_int_coeffs``,
+        correctly rounded once per family; one beyond the doubles is an
+        OverflowError naming the family and j.  The one float datum of a
+        family, read by the point residual of the float relation check."""
+        store = self._float_store
+        if len(store[0]) <= top:
+            L, A, B, C = self._int_coeffs(top)
+            for j in range(len(store[0]), top + 1):
+                self._advancing_a(j)  # a zero a(j) is refused by name
+                try:
+                    new = (L / A[j], B[j] / A[j], C[j] / A[j])
+                except OverflowError:
+                    raise OverflowError(
+                        f"{self.label}: a recurrence coefficient at index "
+                        f"{j} overflows a double") from None
+                for lst, v in zip(store, new):
+                    lst.append(v)
+        return store
 
     def _moments_int(self, j):
         """(M, ints): the moments <u, x^i> for i <= j (and any already

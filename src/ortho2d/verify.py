@@ -10,10 +10,13 @@ Four independent checks, each returning a structured CheckResult:
   form, and forms a rational only for a failing row.
   Float mode reads each basis polynomial rounded to doubles once per
   system (``BivariateSystem._P_float``), with its largest |coefficient|,
-  rounds the band entries on each call, and sums each row's rhs on one
+  rounds the band entries once per call, and sums each row's rhs on one
   coefficient map, keeping the coefficient residual as a running max.
-  Both read the stored band entries of the relation matrices cached on
-  the system (``ttr.first_ttr``/``second_ttr``) through ``_rows``.
+  Its point residual reads no monomial: the basis values at the points
+  come from the univariate recurrences (``_basis_values``), in O(n^2)
+  per point, shared by every row.  Both modes read the stored band
+  entries of the relation matrices cached on the system
+  (``ttr.first_ttr``/``second_ttr``) through ``_rows``.
 * ``verify_orthogonality`` -- Gram blocks of unequal degrees vanish and
   diagonal blocks are diagonal with the predicted norms, in one scan
   over the blocks of the system's Gram oracle.
@@ -37,7 +40,7 @@ import random
 from typing import NamedTuple
 
 from .catalog import cross_check, make_system
-from .numerics import _RAT, _check_index, _eval_terms, _powers, _rows
+from .numerics import _RAT, _check_index, _rows
 from .ttr import SHIFTS, first_ttr, rank_conditions, second_ttr
 
 _TINY = 1e-300
@@ -148,19 +151,80 @@ def _flat(form, width):
     return d, [i * width + j for i, j, _ in terms], [c for _, _, c in terms]
 
 
+def _basis_values(sys, n, points):
+    """The basis polynomials of degrees n + 1, n and n - 1 at the points,
+    in doubles, from the ingredients: values[d][m] lists P_{n+1-d,m}(x, y)
+    per point.
+
+    P_{k,m} = p_{k-m}^{(m)}(x) Q_m with Q_m = rho^m q_m(y / rho), each
+    factor by its family's recurrence on the doubles of
+    ``RecurrenceFamily._float_coeffs``.  Q is homogenised,
+    Q_{j+1} = (y / a_j - r b_j / a_j) Q_j - r^2 c_j / a_j Q_{j-1} with
+    r = rho(x), so it never divides by rho; where rho is not a polynomial
+    q is symmetric, every b_j is zero and only r^2 = rho(x)^2 enters.  A
+    value beyond the doubles is left as it is, for the residual to refuse.
+    """
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    rho = sys.rho
+    if rho.r1 is None:
+        r = [0.0] * len(xs)
+        s2, s1, s0 = map(_double, (rho.s2, rho.s1, rho.s0))
+        r2 = [(s2 * x + s1) * x + s0 for x in xs]
+    else:
+        r1, r0 = _double(rho.r1), _double(rho.r0)
+        r = [r1 * x + r0 for x in xs]
+        r2 = [v * v for v in r]
+    ones = [1.0] * len(xs)
+    zeros = [0.0] * len(xs)
+    A, B, C = sys.q._float_coeffs(n)
+    Q = [ones]
+    prev = zeros
+    for a, b, c in zip(A, B, C[:n + 1]):
+        cur = Q[-1]
+        Q.append([(a * y - b * s) * v - c * t * u
+                  for y, s, t, v, u in zip(ys, r, r2, cur, prev)])
+        prev = cur
+    values = ([], [], [])
+    for m in range(n + 2):
+        top = n + 1 - m  # the ladder's degree in P_{n+1,m}
+        p = [ones]
+        if top:
+            A, B, C = sys.ladder(m)._float_coeffs(top - 1)
+            prev = zeros
+            for a, b, c in zip(A[:top], B, C):
+                cur = p[-1]
+                p.append([(a * x - b) * v - c * u
+                          for x, v, u in zip(xs, cur, prev)])
+                prev = cur
+        for d in range(min(3, top + 1)):
+            values[d].append([v * w for v, w in zip(p[top - d], Q[m])])
+    return values
+
+
 def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
     """Check the three-term relation along one axis at degree n.
 
     Exact mode requires each residual polynomial to vanish identically and
     reports the first row that does not, with its smallest monomial; the
     residuals are summed in integers (``_exact_failure``).  Float mode
-    sums each row's rhs from the basis polynomials rounded to doubles once
-    per system (``BivariateSystem._P_float``) times the band entries
-    rounded on each call, and bounds the relative coefficient residual
-    (and, if points are supplied, relative residuals at those evaluation
-    points) by tol.  A non-finite point coordinate is a ValueError; a basis
-    coefficient, band entry, power of a point, residual or side beyond the
-    doubles, an OverflowError naming the check, n and what overflowed.
+    bounds two relative residuals per row by tol, with the band entries
+    rounded to doubles once per call:
+
+    * the coefficient residual: t P_{n,m} minus the rhs, summed on the
+      basis polynomials rounded to doubles once per system
+      (``BivariateSystem._P_float``), over the largest |term|;
+    * if points are supplied, the point residual |lv - rv| / max(1, |lv|,
+      |rv|) at each point, with lv = t P_{n,m}(x, y) and rv the sum of
+      entry * value over the row's stored entries.  The values come from
+      the ingredients (``_basis_values``), not from the monomials, so the
+      residual measures the relation's own rounding, not the cancellation
+      of a monomial sum.  A fault that only the basis forms carry is left
+      to the coefficient residual.
+
+    A non-finite point coordinate is a ValueError; a basis or recurrence
+    coefficient, band entry, residual or side beyond the doubles, an
+    OverflowError naming the check, n and what overflowed.
     """
     _check_index(n, "degree")
     if mode not in ("exact", "float"):
@@ -183,23 +247,27 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
     mats = [_rows(mat) for mat in _relation_matrices(sys, n, axis)]
     dx, dy = SHIFTS[axis]
     try:
-        # No monomial exceeds degree n + 1.  A, B and C multiply the basis
-        # polynomials of degree n + 1, n, n - 1.
-        powers = [_powers(point, (n + 1, n + 1)) for point in points]
+        # A, B and C multiply the basis polynomials of degree n + 1, n,
+        # n - 1.
         polys = [[sys._P_float(k, c) for c in range(k + 1)]
                  for k in (n + 1, n, n - 1)]
+        values = _basis_values(sys, n, points) if points else None
     except OverflowError as exc:
         raise OverflowError(f"{name} at n = {n}: {exc}") from None
+    ts = [point[dy] for point in points]  # t: x or y, by the axis
     max_coeff = 0.0
     max_point = 0.0
     for m in range(n + 1):
         lhs, scale = polys[1][m]  # t P_{n,m}, keyed before the shift
         rhs = {}
-        for rows, row in zip(mats, polys):
+        used = []  # (entry, values of its basis polynomial) at the points
+        for d, (rows, row) in enumerate(zip(mats, polys)):
             for c, raw in rows[m]:
                 entry = _double(raw)
                 if not entry:
                     continue
+                if values:
+                    used.append((entry, values[d][c]))
                 poly, peak = row[c]
                 scale = max(scale, peak * abs(entry))
                 for key, coeff in poly.items():
@@ -221,14 +289,22 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
             raise OverflowError(f"{name} at n = {n}, row {m}: a coefficient "
                                 f"of the relation overflows a double")
         max_coeff = max(max_coeff, worst / max(scale, _TINY))
-        for xs, ys in powers:
-            lv = _eval_terms(lhs, xs[dx:], ys[dy:], 0.0)
-            rv = _eval_terms(rhs, xs, ys, 0.0)
-            rel_pt = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
-            if not math.isfinite(rel_pt):
-                raise OverflowError(f"{name} at n = {n}, row {m}: a side "
-                                    f"overflows a double at a point")
-            max_point = max(max_point, rel_pt)
+        if not values:
+            continue
+        lvs = [t * v for t, v in zip(ts, values[1][m])]
+        rvs = [0.0] * len(points)
+        for entry, vals in used:
+            rvs = [s + entry * v for s, v in zip(rvs, vals)]
+        rels = [abs(lv - rv) / max(1.0, abs(lv), abs(rv))
+                for lv, rv in zip(lvs, rvs)]
+        # Each finite rel is at most 2, so the sum is finite unless a side
+        # or its difference is not.
+        if not math.isfinite(sum(rels)):
+            bad = next(k for k, v in enumerate(rels) if not math.isfinite(v))
+            raise OverflowError(f"{name} at n = {n}, row {m}: a side "
+                                f"overflows a double at the point "
+                                f"{points[bad]}")
+        max_point = max(max_point, *rels)
     passed = max_coeff <= tol and max_point <= tol
     return CheckResult(name, passed, {
         "n": n, "mode": "float",

@@ -141,7 +141,7 @@ COMMAND_DIGESTS = [
         "cf59d7e78a9c4e388a9a5eba7f9a45a98c4ad76b8da11c8febbbcce162a6bafa",
         "f7bbf935d92f1eb1cf0dd8d97cb96eaf1521441e538501eb0e76d4ad140aa24d",
         "49f4825be744188570dfd62991f595690530f06740422e49230839354ece1ca8",
-        "1af09325522bfac5b35da0093195748a5fc6a1685137915672ebcfbad9e20d52",
+        "32e65e574b8d5906175053f92e78714fbdd1a50336d3b735e3a148fbd0cd54a3",
         "a36b25321b47b59708b87b957b942e62885b561b7740c4af9ab80b7707124822",
     ),
     (  # disk {'mu': '3/2'}
@@ -150,7 +150,7 @@ COMMAND_DIGESTS = [
         "ddaeb76df7078581d79938db8ba7e8dacb5f7af9eeb5e2d6f8bbe8d685f5e27e",
         "2d28b0ffb8d710174eb47cbea595809eddfb449d5975c61e0d44143b3599600f",
         "4e30c87bb480ab82b2eec89c351ce3924ca904a6a548427586f757ff3365cc74",
-        "03b3dd5e19bd465e17fb81c5fe31ac9fa5a1823e9bd96887dcf367a630b3955f",
+        "68633c59a93bf1b527b791d9f44800b8e5f5993e1cbac9d8f081e4a3bdcf6d14",
         "1f61179dbb61ab6f760a09b3d7df654ff0668477e5982d7a93cbf11acb9a6860",
     ),
     (  # biangle {'alpha': '0', 'beta': '0'}
@@ -159,7 +159,7 @@ COMMAND_DIGESTS = [
         "281061166ef395c0e879ac63e8949956da49250d7e770284b124f625399cc0fb",
         "5d004f834c1ea26474ad8f23b80442c70d5b44143c68b0420efacdf122c4a4dc",
         "19035b800bede7e61dad804eea4f89ba45362a97951f30777b3466a618933822",
-        "69c54b0a962741a01947b227148f090dce2b26343ffb244a5e3ad5ff21c45887",
+        "0fb619ccd244da11ea7ec56821af6010f007f5dc0d820cc266f48df678430d9e",
         "ea77bc4116a5ae37b736b56fbf4d6dba2e37300f855f3b3b314800878971b474",
     ),
     (  # biangle {'alpha': '1', 'beta': '1/2'}
@@ -168,7 +168,7 @@ COMMAND_DIGESTS = [
         "3a14c593ca054ddfa6e596dca64b29a2278e0b556eded3dd864757ca9a03dd7a",
         "3248de1f215be4ecb84ef1cb56f03b9865fd14b3007e86f5fa1bee5a0be9ea00",
         "089195d4932256f1b730e5ad40afb1853e79ed591a4b48566e38caefc10f36b6",
-        "2c927fd8a7d678832c37560405d2d2f140f0e44a67e805936c413c313b02cfaf",
+        "e0733ed29905c955987d075728796add29f7f280e550cd5ee638b456dfd342f7",
         "f43c6509a2d76af658b0b002498953011f3e08a73a9780dfcf28c99bad77c86e",
     ),
     (  # simplex {'alpha': '1/2', 'beta': '1/2', 'gamma': '1/2'}
@@ -177,7 +177,7 @@ COMMAND_DIGESTS = [
         "3af2e4baeb18249db07ff0c9771fc73fd87ff09f98c5340b0be1cf9c983afce1",
         "408de7f2ab8f2ac34dae9439e929fecd813a010908eb7a84627bea7868cf4f02",
         "26a52ce110e5c975e396d71d2814dd365b67b51f2244c628508cd0eee99de3b5",
-        "a0d0c28ee72a63f853e3744a68e89a8df42cca91bcc32bfe35788bb63b78ed53",
+        "38f5699af8c15d0cdc5f30f7e3d5d25deaa795207a0ba8cc07163ae4a9f56522",
         "338a73191e075388b09b7c114214edbb52c772f999f5780319dc2d7f61d1c09b",
     ),
     (  # simplex {'alpha': '0', 'beta': '1', 'gamma': '2'}
@@ -186,7 +186,7 @@ COMMAND_DIGESTS = [
         "975c03f424923f228323e927395e770448c192f57998a61b09f0894ba082f8d6",
         "1a58a2853d8bbe799397ee950e3068a717e6cc90a0501f93ef0fcd04239be4af",
         "4117e2fcb534bd25a7933e295c0f7874781afdcb821a692936df6d7b4223b5da",
-        "146e13d3e1a65a91626d8c3616cef590793af5780b213d32dc1ffd30f6c17286",
+        "bb29e9267e231562c92a9e9c0099364e03a055d7621e4404208c05d326df3ec1",
         "788186233814f2f1d4f9bf33b01e464f4de348802a1a11fb6dc082ab728869ad",
     ),
     (  # square {'alpha': '0', 'beta': '0', 'gamma': '0', 'delta': '0'}
@@ -204,7 +204,7 @@ COMMAND_DIGESTS = [
         "c59d5e2a5e5a6244e10327e1f20c292be2d75ae0e1627cad53be4f05b5406f12",
         "69fbfeaf2f857f657c77af324ce3fc968c312f5ab29783a37174cd5714c6aafe",
         "59b8db9c35b6ee02b75f1f0f1117f9c4a43c72d5c74607f56fecdd78b2c1cfe3",
-        "5118ecaff7c88213ddb67fedfd592894c29eba18183d8e7f2a32ed3848d50253",
+        "a017650b08c931d81a4b6d206349ffb8ab166c49727155df8572a9e73581ecae",
         "ed2ee18bdc5add73ab2be053ec992f38b37bde4c253d1cfafd78162fa47c3ca7",
     ),
     (  # laguerre-jacobi {'alpha': '1', 'beta': '1/2'}
@@ -213,7 +213,7 @@ COMMAND_DIGESTS = [
         "0f139fd7a67ced532b336fcb795054af6817dfa05ccc53619c675f67917321e0",
         "ec7658e5ed420d73b3b55a413aad29bc07b83108b2485426387a1b7e86f22764",
         "a0b8ede9b9c0a50d4d524f9931a1540c7c8fac27e95773a3655b0e5977945f16",
-        "55239bbdfc6a5f20dde3712bd2cb98710f5a8da80186b5343913ff58e726b5a0",
+        "63978737296212fe0f6c38aa01b5c58df326d980b49156f04a8f6e7931ac549b",
         "8b4c85080bd06454a6eecc5bd7355f8ef91b12059aa5b401ffe0c218ce1e49d3",
     ),
     (  # bessel-laguerre {'g': '5', 'gamma': '2/5'}
@@ -222,7 +222,7 @@ COMMAND_DIGESTS = [
         "47e6b61634dffb4d7eba9bee9e24c659ccc8935c46a18a0fb8385876dac4a9cb",
         "2e1dc4e47690e58af7b435cc0ee7ae15c969d655f716945f060192b00fa09a55",
         "47603a94a9658fb60e486465d28b31d17229401b4aac6548255c6d0d63996b86",
-        "8f36576038fc5366eaee76a747340b36afa5e451bf87b24f720b59cf5df60910",
+        "223ca11a24c7e8701a07bb27de7e7be33ecc7c6ddf17cfc5090e2ac8a9d8ef4e",
         "9a08188a655a436e15d74a09e1453fe0fc9c4880703ab3e7d56347aebf388e12",
     ),
 ]

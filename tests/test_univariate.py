@@ -248,6 +248,27 @@ def test_norms_refuse_a_zero_a_with_a_quasi_definiteness_error():
         broken_c.norms(1)
 
 
+def test_float_coeffs_are_the_recurrence_divided_by_a_rounded_once():
+    fam = jacobi_std(q("1/2"), q("1/3"))
+    A, B, C = fam._float_coeffs(6)
+    for j in range(7):
+        a, b = fam.a(j), fam.b(j)
+        c = fam.c(j) if j else 0
+        assert (A[j], B[j], C[j]) == (float(1 / a), float(b / a),
+                                      float(c / a))
+    assert fam._float_coeffs(3)[0] is A  # one store, grown on demand
+    # a zero a(j) is the usual refusal; a ratio beyond the doubles is named
+    stall = RecurrenceFamily("stall", lambda n: Fraction(n != 1),
+                             lambda n: Fraction(0), lambda n: Fraction(1))
+    with pytest.raises(QuasiDefinitenessError, match=r"a\(1\) = 0"):
+        stall._float_coeffs(1)
+    tiny = RecurrenceFamily("tiny", lambda n: Fraction(1, 10 ** 400),
+                            lambda n: Fraction(0), lambda n: Fraction(1))
+    with pytest.raises(OverflowError, match=r"^tiny: a recurrence "
+                       r"coefficient at index 0 overflows a double$"):
+        tiny._float_coeffs(0)
+
+
 # -- dense coefficients against a plain Fraction recurrence ----------------
 
 # One parameter set per catalog family; bessel-laguerre's q and ladders

@@ -1,4 +1,6 @@
 """The verification layer: relations, orthogonality, symmetry, transpose."""
+from fractions import Fraction
+
 import pytest
 
 import ortho2d.verify
@@ -9,7 +11,8 @@ from ortho2d import (
     catalog_id,
     make_system,
 )
-from ortho2d.numerics import _eval_terms, _powers, _rows
+from ortho2d.numerics import _RAT, _int_list, _rows
+from ortho2d.univariate import RecurrenceFamily
 from ortho2d.verify import (
     run_suite,
     verify_central_symmetry,
@@ -58,18 +61,18 @@ def test_relation_float_without_points(disk):
     assert res.details["max_point_residual"] is None
 
 
-def _perturb_first_entry(monkeypatch, which):
-    """Make every relation matrix lookup return A, B, C with the first
-    nonzero entry of the one at position which (0 = A, 1 = B, 2 = C)
-    raised by one part in a thousand."""
+def _perturb_entry(monkeypatch, which, factor="1001/1000", position=None):
+    """Make every relation matrix lookup return A, B, C with one stored
+    entry of the one at position which (0 = A, 1 = B, 2 = C) multiplied by
+    factor: the entry at position, or else the first nonzero one."""
     original = ortho2d.verify._relation_matrices
 
     def perturbed(sys, n, axis):
         mats = list(original(sys, n, axis))
         mat = mats[which]
         entries = dict(mat.items())
-        first = next(iter(entries))
-        entries[first] = entries[first] * q("1001/1000")
+        key = next(iter(entries)) if position is None else position
+        entries[key] = entries[key] * q(factor)
         mats[which] = BandMatrix(mat.rows, mat.cols, mat.lower_bandwidth,
                                  mat.upper_bandwidth, entries)
         return tuple(mats)
@@ -78,7 +81,7 @@ def _perturb_first_entry(monkeypatch, which):
 
 
 def _perturb_an_a_entry(monkeypatch):
-    _perturb_first_entry(monkeypatch, 0)
+    _perturb_entry(monkeypatch, 0)
 
 
 def test_relation_float_residuals_are_pinned(asymmetric_square):
@@ -87,10 +90,10 @@ def test_relation_float_residuals_are_pinned(asymmetric_square):
     want = {
         "x": "{'n': 5, 'mode': 'float', 'max_coeff_residual': "
              "2.650042837333707e-16, 'max_point_residual': "
-             "3.2656416340363568e-15, 'tolerance': 1e-10}",
+             "3.3306690738754696e-16, 'tolerance': 1e-10}",
         "y": "{'n': 5, 'mode': 'float', 'max_coeff_residual': "
              "5.047700642540394e-17, 'max_point_residual': "
-             "4.440892098500626e-16, 'tolerance': 1e-10}",
+             "1.1102230246251565e-16, 'tolerance': 1e-10}",
     }
     for axis in ("x", "y"):
         res = verify_relation(asymmetric_square, 5, axis, mode="float",
@@ -126,7 +129,7 @@ def test_relation_exact_detects_a_wrong_entry(disk, monkeypatch):
 def test_relation_exact_detects_a_wrong_b_or_c_entry(
         asymmetric_square, monkeypatch, which, want):
     # the square is not centrally symmetric, so both B matrices are nonzero
-    _perturb_first_entry(monkeypatch, which)
+    _perturb_entry(monkeypatch, which)
     for axis, (m, monomial, coefficient) in want.items():
         res = verify_relation(asymmetric_square, 3, axis)
         assert res.passed is False
@@ -135,7 +138,7 @@ def test_relation_exact_detects_a_wrong_b_or_c_entry(
                                "coefficient": coefficient}
 
 
-# -- the float check against the per-term dict algorithm ------------------
+# -- the float check against a per-term reference --------------------------
 
 # The ten pinned parameter sets of the acceptance suite.
 PINNED = [
@@ -154,6 +157,18 @@ PINNED = [
 FIXED_POINTS = [(0.3, -0.7), (-0.45, 0.2), (0.9, 0.61), (0.05, -0.95),
                 (-0.8, -0.33)]
 
+# The largest error of a basis value read from the ingredients, relative
+# to max(1, |exact value|), allowed over the pinned sets to degree 11 at
+# FIXED_POINTS.  The worst measured is 9.6e-12, at P_{8,7} of
+# simplex(0, 1, 2) at (0.05, -0.95): its exact value -9.6e-12 reads 0.0,
+# the rounding of terms of order 1; every other value is within 3.6e-14.
+VALUE_BOUND = 2e-11
+# The largest difference allowed between the point residual of the check
+# and the reference's, which reads the exact values rounded to doubles.
+# The worst measured is 2.0e-11, relation-y of the same system at n = 8,
+# whose row 7 reads P_{8,7}; the next, 1.4e-12, is relation-x there.
+POINT_BOUND = 5e-11
+
 
 def merge(out, terms):
     """Add the coefficient map terms into out, key by key, and return out;
@@ -167,10 +182,21 @@ def merge(out, terms):
     return out
 
 
-def reference_float_details(sys_obj, n, axis, points, tol=1e-10):
-    """The float check's details as a dict per term, one for the rhs and
-    one for the residual: every basis coefficient and band entry rounded
-    to a double on each call, each row's rhs merged term by term."""
+def exact_values(sys_obj, top, points):
+    """{(k, m, i): P_{k,m}(points[i])} for k <= top: the exact expansion
+    (``expand_P``) evaluated in rationals at the point read exactly."""
+    exact = [(Fraction(x), Fraction(y)) for x, y in points]
+    return {(k, m, i): sys_obj.expand_P(k, m).eval(x, y)
+            for k in range(top + 1) for m in range(k + 1)
+            for i, (x, y) in enumerate(exact)}
+
+
+def reference_float_details(sys_obj, n, axis, points, exact, tol=1e-10):
+    """The float check's details, its coefficient residual from a dict per
+    term, one for the rhs and one for the residual (every basis coefficient
+    and band entry rounded to a double on each call, each row's rhs merged
+    term by term), and its point residual from the exact basis values
+    rounded to doubles, each row's sides summed in entry order."""
     mats = ortho2d.verify._relation_matrices(sys_obj, n, axis)
     dx, dy = (1, 0) if axis == "x" else (0, 1)
 
@@ -183,25 +209,27 @@ def reference_float_details(sys_obj, n, axis, points, tol=1e-10):
 
     polys = [[float_map(n + d, c) for c in range(n + d + 1)]
              for d in (1, 0, -1)]
-    powers = [_powers(point, (n + 1, n + 1)) for point in points]
     max_coeff = 0.0
     max_point = 0.0
     for m in range(n + 1):
         lhs = {(i + dx, j + dy): c for (i, j), c in polys[1][m].items()}
-        rounded = [(maps[c], float(raw))
-                   for mat, maps in zip(mats, polys)
+        rounded = [(maps[c], float(raw), n + d, c)
+                   for mat, maps, d in zip(mats, polys, (1, 0, -1))
                    for c, raw in _rows(mat)[m]]
         terms = [{k: coeff * entry for k, coeff in poly.items()}
-                 for poly, entry in rounded if entry]
+                 for poly, entry, _, _ in rounded if entry]
         rhs = {}
         for t in terms:
             merge(rhs, t)
         residual = merge(dict(lhs), {k: -c for k, c in rhs.items()})
         scale = max([max_abs(lhs)] + [max_abs(t) for t in terms])
         max_coeff = max(max_coeff, max_abs(residual) / max(scale, 1e-300))
-        for xs, ys in powers:
-            lv = _eval_terms(lhs, xs, ys, 0.0)
-            rv = _eval_terms(rhs, xs, ys, 0.0)
+        for i, point in enumerate(points):
+            lv = point[dy] * float(exact[n, m, i])
+            rv = 0.0
+            for _, entry, k, c in rounded:
+                if entry:
+                    rv += entry * float(exact[k, c, i])
             rel_pt = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
             max_point = max(max_point, rel_pt)
     return {"n": n, "mode": "float", "max_coeff_residual": max_coeff,
@@ -210,20 +238,107 @@ def reference_float_details(sys_obj, n, axis, points, tol=1e-10):
 
 
 @pytest.mark.parametrize("name, params", PINNED)
-def test_relation_float_details_match_the_dict_algorithm(
+def test_relation_float_details_match_the_reference(
         name, params, monkeypatch):
     sys_obj = make_system(catalog_id(name, **params))
+    exact = exact_values(sys_obj, 11, FIXED_POINTS)
+    for n in range(11):
+        values = ortho2d.verify._basis_values(sys_obj, n, FIXED_POINTS)
+        for d, k in enumerate((n + 1, n, n - 1)):
+            assert len(values[d]) == max(k + 1, 0)
+            for m, per_point in enumerate(values[d]):
+                for i, v in enumerate(per_point):
+                    want = exact[k, m, i]
+                    assert abs(Fraction(v) - want) <= (
+                        VALUE_BOUND * max(1, abs(want))), (k, m, i)
     for perturbed in (False, True):
         if perturbed:
             _perturb_an_a_entry(monkeypatch)
         for n in range(11):
             for axis in ("x", "y"):
                 for points in (FIXED_POINTS, []):
-                    res = verify_relation(sys_obj, n, axis, mode="float",
-                                          points=points)
-                    want = reference_float_details(sys_obj, n, axis, points)
-                    assert repr(res.details) == repr(want), (perturbed, n,
-                                                             axis, points)
+                    got = verify_relation(sys_obj, n, axis, mode="float",
+                                          points=points).details
+                    want = reference_float_details(sys_obj, n, axis, points,
+                                                   exact)
+                    where = (perturbed, n, axis, points)
+                    point, want_point = (got.pop("max_point_residual"),
+                                         want.pop("max_point_residual"))
+                    # the coefficient half to the last bit
+                    assert repr(got) == repr(want), where
+                    if points:
+                        assert abs(point - want_point) <= POINT_BOUND, where
+                    else:
+                        assert point is want_point is None, where
+
+
+@pytest.mark.parametrize("name, params", [
+    ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}),
+    ("bessel-laguerre", {"g": "5", "gamma": "2/5"}),
+    ("laguerre-jacobi", {"alpha": "1", "beta": "1/2"}),
+])
+@pytest.mark.parametrize("axis, which, position", [
+    ("x", 0, (0, 0)),  # A_x[0][0]
+    ("y", 1, (1, 1)),  # B_y[1][1]
+])
+def test_relation_float_point_residual_catches_a_relative_fault_of_1e_8(
+        name, params, axis, which, position, monkeypatch):
+    # The point residual alone reads the fault: 7.7e-10 to 3.7e-6 here.
+    _perturb_entry(monkeypatch, which, "100000001/100000000", position)
+    sys_obj = make_system(catalog_id(name, **params))
+    for n in (4, 16):
+        res = verify_relation(sys_obj, n, axis, mode="float",
+                              points=FIXED_POINTS)
+        assert res.passed is False
+        assert res.details["max_point_residual"] > res.details["tolerance"]
+
+
+@pytest.mark.parametrize("max_degree", [10, 16])
+def test_the_readme_float_example_passes_both_relation_checks(max_degree):
+    # ortho2d verify simplex --alpha 1/2 --beta 1/2 --gamma 1/2
+    #     --mode float --points 50 --seed 7 --max-n <max_degree>
+    report = run_suite(
+        catalog_id("simplex", alpha="1/2", beta="1/2", gamma="1/2"),
+        max_degree, mode="float", points=50, seed=7)
+    checks = {c.name: c for c in report.checks}
+    for axis in ("x", "y"):
+        details = checks[f"relation-{axis}"].details
+        assert checks[f"relation-{axis}"].passed, details
+        assert details["max_point_residual"] <= 1e-10
+    assert report.ok
+
+
+def _sign_flipped_coeffs_int(self, n):
+    """``RecurrenceFamily._coeffs_int`` with the b-term's sign flipped from
+    j = 2 on: p_{j+1} = ((x + b_j) p_j - c_j p_{j-1}) / a_j there."""
+    prev, cur = [], [_RAT(1)]
+    for j in range(n):
+        b = self.b(j) if j < 2 else -self.b(j)
+        new = [_RAT(0)] + cur
+        for i, v in enumerate(cur):
+            new[i] -= b * v
+        for i, v in enumerate(prev):
+            new[i] -= self.c(j) * v
+        prev, cur = cur, [v / self.a(j) for v in new]
+    return _int_list(cur)
+
+
+def test_relation_float_catches_the_sign_flipped_basis_by_its_coefficients(
+        monkeypatch):
+    # The basis forms of the mutant are wrong from degree 3 on, while the
+    # relation matrices and the recurrences stay right: the coefficient
+    # residual, which reads the basis forms, fails the check; the point
+    # residual reads the recurrences and so, by design, misses it.
+    monkeypatch.setattr(RecurrenceFamily, "_coeffs_int",
+                        _sign_flipped_coeffs_int)
+    sys_obj = make_system(
+        catalog_id("square", alpha=1, beta=2, gamma=0, delta="1/2"))
+    for axis in ("x", "y"):
+        res = verify_relation(sys_obj, 3, axis, mode="float",
+                              points=FIXED_POINTS)
+        assert res.passed is False
+        assert res.details["max_coeff_residual"] > 1e-2
+        assert res.details["max_point_residual"] <= res.details["tolerance"]
 
 
 @pytest.mark.parametrize("axis, point", [
@@ -253,7 +368,9 @@ def test_relation_float_refuses_a_side_that_overflows_at_a_point():
     # Both sides evaluate to inf at this point: their difference is a NaN,
     # which a max would drop, reading a pass.
     sys_obj = make_system(catalog_id("disk", mu="1/2"))
-    with pytest.raises(OverflowError, match="at a point"):
+    with pytest.raises(OverflowError, match=r"^relation-x at n = 1, row 0: "
+                       r"a side overflows a double at the point "
+                       r"\(1\.3e\+154, 1\.3e\+154\)$"):
         verify_relation(sys_obj, 1, "x", mode="float",
                         points=[(1.3e154, 1.3e154)])
 
@@ -321,13 +438,14 @@ def test_relation_float_names_an_overflowing_basis_coefficient():
     assert verify_relation(sys_obj, 1, "x").passed
 
 
-def test_relation_float_names_a_point_whose_power_overflows():
-    # 1e300 squared is beyond the doubles: the check, n and the point are
-    # named, not Python's bare range error
+def test_relation_float_names_a_huge_point_as_a_side_that_overflows():
+    # rho(x)^2 = 1 - x^2 and the ladder values are beyond the doubles at
+    # x = 1e300: the side that reads them is refused, naming the check, n,
+    # the row and the point, not read as a pass or a bare range error
     sys_obj = make_system(catalog_id("disk", mu="1/2"))
-    with pytest.raises(OverflowError, match=r"^relation-x at n = 3: a "
-                       r"power of the point \(1e\+300, 0\.5\) overflows "
-                       r"a double$"):
+    with pytest.raises(OverflowError, match=r"^relation-x at n = 3, row 0: "
+                       r"a side overflows a double at the point "
+                       r"\(1e\+300, 0\.5\)$"):
         verify_relation(sys_obj, 3, "x", mode="float",
                         points=[(1e300, 0.5)])
 
