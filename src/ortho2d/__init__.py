@@ -12,18 +12,20 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "FAMILY_PARAMS", "CatalogId", "CrossCheckReport", "Mismatch",
-        "catalog_id", "closed_form_first", "closed_form_second",
-        "closed_form_ttr", "cross_check", "make_system", "positive_definite",
+        "catalog_id", "cross_check", "make_system", "positive_definite",
     ), "catalog"),
+    **dict.fromkeys((
+        "closed_form_first", "closed_form_second", "closed_form_ttr",
+    ), "closed_forms"),
     **dict.fromkeys((
         "BivariateSystem", "GramBlock", "RhoSpec", "assemble",
     ), "construction"),
     **dict.fromkeys((
         "BandMatrix", "ModeError", "QuasiDefinitenessError", "Scalar",
-        "SparsePoly2", "parse_rational", "poly_mul", "rank_exact",
+        "SparsePoly2", "TTRSet", "parse_rational", "poly_mul", "rank_exact",
     ), "numerics"),
     **dict.fromkeys((
-        "RankReport", "TTRSet", "build_ttr", "first_ttr", "rank_conditions",
+        "RankReport", "build_ttr", "first_ttr", "rank_conditions",
         "second_ttr", "ttr_from_gram",
     ), "ttr"),
     **dict.fromkeys((

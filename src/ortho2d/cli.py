@@ -40,8 +40,8 @@ import json
 import math
 import sys
 
-from .catalog import (FAMILY_PARAMS, catalog_id, closed_form_first,
-                      closed_form_second, make_system)
+from .catalog import FAMILY_PARAMS, catalog_id, make_system
+from .closed_forms import closed_form_first, closed_form_second
 from .numerics import (TABLE_KEYS, ModeError, QuasiDefinitenessError,
                        _check_degrees, _eval_at, parse_rational)
 

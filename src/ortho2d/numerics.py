@@ -15,7 +15,7 @@ hold such values:
   integer forms instead.
 * ``BandMatrix`` -- a rectangular matrix that only admits entries inside a
   declared band; reads outside the band are exact zeros, writes outside it
-  are errors.  ``_LAYOUT`` and ``_relation`` lay out the relation matrices.
+  are errors.  ``_LAYOUT`` and ``_relation`` lay out the ``TTRSet`` matrices.
 
 Each value is made by its type's constructor, in arithmetic, reads and
 unpickling too; other modules read a SparsePoly2's ``terms`` and a
@@ -38,6 +38,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 try:
     from gmpy2 import mpq as _mpq
@@ -455,12 +456,29 @@ def _position_error(r, c, rows, cols):
     return ValueError(f"a matrix position is a pair of ints, got {(r, c)}")
 
 
+class TTRSet(NamedTuple):
+    """The six matrices of both relations at one degree n."""
+
+    n: int
+    a_x: BandMatrix
+    b_x: BandMatrix
+    c_x: BandMatrix
+    a_y: BandMatrix
+    b_y: BandMatrix
+    c_y: BandMatrix
+
+    def matrices(self):
+        """Dict keyed by relation axis: A_x .. C_y."""
+        return {"A_x": self.a_x, "B_x": self.b_x, "C_x": self.c_x,
+                "A_y": self.a_y, "B_y": self.b_y, "C_y": self.c_y}
+
+
 # The band layout of both relations, stated once.  At degree n the matrices
 # are A (n+1)x(n+2), B (n+1)x(n+1) and C (n+1)xn; those of the x-relation
 # are diagonal, those of the y-relation tridiagonal.  _MATRICES gives, in
-# TTRSet order, each matrix's columns beyond n and its bandwidth; _LAYOUT
-# maps each table key (the closed-form tables' and the builder's) to its
-# matrix and to its column offset from row m.
+# the order of TTRSet's fields above, each matrix's columns beyond n and
+# its bandwidth; _LAYOUT maps each table key (the closed-form tables' and
+# the builder's) to its matrix and to its column offset from row m.
 _MATRICES = ((2, 0), (1, 0), (0, 0), (2, 1), (1, 1), (0, 1))
 _LAYOUT = {
     "a": (0, 0), "b": (1, 0), "c": (2, 0),

@@ -7,45 +7,28 @@ onto neighbouring degrees:
     t_i P_n = A_{n,i} P_{n+1} + B_{n,i} P_n + C_{n,i} P_{n-1},  t = (x, y).
 
 ``first_ttr``/``second_ttr`` build these matrices from recurrence data in
-closed form, row by row through ``numerics._relation`` as the closed
-forms do: the x-relation matrices are diagonal (each row is the ladder
-recurrence at the right index), and the y-relation matrices are
-tridiagonal, mixing the second-variable recurrence with the
-adjacent-family connection coefficients, which the ladder families
-store (``univariate.adjacent_down``).
+closed form, row by row through ``numerics._relation`` as
+``closed_forms`` does: the x-relation matrices are diagonal (each row is
+the ladder recurrence at the right index), and the y-relation matrices
+are tridiagonal, mixing the second-variable recurrence with the
+adjacent-family connection coefficients, which the ladder families store
+(``univariate.adjacent_down``).
 
 ``ttr_from_gram`` gives the same matrices from the independent Gram oracle
-(``oracle.GramOracle``), from bivariate moments alone.
-``rank_conditions`` checks the rank identities that make the recurrence
-well posed.
+(``oracle.GramOracle``), from bivariate moments alone; it and ``build_ttr``
+return a ``numerics.TTRSet``.  ``rank_conditions`` checks the rank
+identities that make the recurrence well posed.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numerics import (BandMatrix, _check_index, _int_rows, _rank_int,
-                       _relation)
+from .numerics import (BandMatrix, TTRSet, _check_index, _int_rows,
+                       _rank_int, _relation)
 from .univariate import adjacent_down, adjacent_up
 
 # The relation axes, each with the exponent shift (dx, dy) of its variable.
 SHIFTS = {"x": (1, 0), "y": (0, 1)}
-
-
-class TTRSet(NamedTuple):
-    """The six matrices of both relations at one degree n."""
-
-    n: int
-    a_x: BandMatrix
-    b_x: BandMatrix
-    c_x: BandMatrix
-    a_y: BandMatrix
-    b_y: BandMatrix
-    c_y: BandMatrix
-
-    def matrices(self):
-        """Dict keyed by relation axis: A_x .. C_y."""
-        return {"A_x": self.a_x, "B_x": self.b_x, "C_x": self.c_x,
-                "A_y": self.a_y, "B_y": self.b_y, "C_y": self.c_y}
 
 
 def first_ttr(sys, n):

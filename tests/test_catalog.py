@@ -14,11 +14,11 @@ from ortho2d import (
     QuasiDefinitenessError,
     Scalar,
     build_ttr,
-    catalog,
     catalog_id,
     closed_form_first,
     closed_form_second,
     closed_form_ttr,
+    closed_forms,
     construction,
     cross_check,
     make_system,
@@ -187,7 +187,6 @@ def test_closed_form_nulls_follow_the_band_layout(name, params):
 @pytest.mark.parametrize("name,params", PINNED)
 def test_closed_forms_run_nothing_in_univariate_or_construction(name, params):
     cid = catalog_id(name, **params)
-    closed_form_ttr(cid, 0)  # loads ttr before the trace starts
     banned = {univariate.__file__, construction.__file__}
     seen = set()
 
@@ -689,8 +688,8 @@ def _entries(table, p, n, m):
     ids=[f"{name}-{i}" for i, (name, _) in enumerate(PARITY_SETS)])
 def test_integer_tables_match_their_rational_formulas(name, params):
     cid = catalog_id(name, **params)
-    tables = catalog._FAMILIES[name].tables
-    cleared = catalog._cleared(cid)
+    tables = closed_forms.TABLES[name]
+    cleared = closed_forms._cleared(cid)
     values = cid.params_dict
     for which in (0, 1):
         for n in range(13):

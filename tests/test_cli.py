@@ -439,6 +439,20 @@ def test_tables_quasi_definiteness_exit_three(capsys):
     assert "error" in err
 
 
+def test_tables_refuses_only_where_a_closed_form_denominator_vanishes(
+        capsys):
+    # tables reads only the closed forms, so it exits 0 on a functional
+    # that verify refuses through the weight chain; pinned as it stands.
+    flags = ("simplex", "--alpha=-1/2", "--beta=-1/2", "--gamma=-5/2",
+             "--max-n", "0")
+    code, out, err = run(capsys, "tables", *flags)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tables"][0]["a"] == ["-2"]
+    code, out, err = run(capsys, "verify", *flags)
+    assert (code, out) == (3, "")
+    assert "<u, rho^2> vanished at ladder step 1" in err
+
+
 # -- moments --------------------------------------------------------------------
 
 

@@ -50,7 +50,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -165,9 +167,12 @@ def test_integer_kernel_outputs_match_the_recorded_digests(entry):
 
 
 def cli_digests(argv):
+    # argparse wraps its usage text to COLUMNS, so the width is fixed at
+    # the 80 columns the digests were recorded at.
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(stderr):
+            contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(list(argv))
     return {"exit": code,
             "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),

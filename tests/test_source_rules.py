@@ -7,25 +7,29 @@ data: a new dependency between modules is a decision, made here.
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ortho2d"
 SOURCES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
 TREES = {name: ast.parse(path.read_text(encoding="utf-8"), str(path))
          for name, path in SOURCES.items()}
 
 # Module -> (package modules it imports at module level, those it imports
-# only inside a function).  The Gram oracle imports numerics alone, so no
-# structural coefficient can reach it; tables, moments and eval never
-# load oracle, ttr or verify.
+# only inside a function).  The Gram oracle and the closed forms import
+# numerics alone, so no structural coefficient can reach them; tables,
+# moments and eval never load oracle, ttr or verify.
 IMPORTS = {
     "__init__": (set(), set()),
     "numerics": (set(), set()),
     "univariate": ({"numerics"}, set()),
     "oracle": ({"numerics"}, set()),
+    "closed_forms": ({"numerics"}, set()),
     "construction": ({"numerics", "univariate"}, {"oracle"}),
     "ttr": ({"numerics", "univariate"}, set()),
-    "catalog": ({"construction", "numerics", "univariate"}, {"ttr"}),
+    "catalog": ({"closed_forms", "construction", "numerics", "univariate"},
+                {"ttr"}),
     "verify": ({"catalog", "numerics", "ttr"}, set()),
-    "cli": ({"catalog", "numerics"}, {"verify"}),
+    "cli": ({"catalog", "closed_forms", "numerics"}, {"verify"}),
 }
 
 
@@ -101,8 +105,9 @@ def test_the_import_graph_is_pinned():
         assert (top, nested) == IMPORTS[name], name
 
 
-def test_the_oracle_imports_only_numerics():
-    assert set().union(*_imports(TREES["oracle"])) == {"numerics"}
+@pytest.mark.parametrize("route", ["oracle", "closed_forms"])
+def test_the_route_imports_only_numerics(route):
+    assert set().union(*_imports(TREES[route])) == {"numerics"}
 
 
 def test_no_source_line_exceeds_79_characters():
