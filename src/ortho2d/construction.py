@@ -7,8 +7,9 @@ A system is determined by three pieces of data:
   s2 x^2 + s1 x + s0 (case II, which requires the second-variable family
   to be symmetric);
 * a ladder of first-variable families, one per second-variable degree m,
-  where step m+1 carries an extra rho^2 factor in its weight and stores
-  the connection triples from step m (``univariate.adjacent_down``);
+  where step m+1 carries an extra rho^2 factor in its weight, connected
+  to step m by the families' integer kernel (``univariate.adjacent_down``
+  and ``adjacent_up`` are built on it);
 * a second-variable family q.
 
 The degree-(n, m) basis polynomial is
@@ -127,8 +128,9 @@ class BivariateSystem:
     once, as integer forms, and each basis polynomial once more rounded to
     doubles for the float checks; ladders, the Gram oracle, the matrices
     of ``ttr.first_ttr``/``second_ttr`` and the square roots of the block
-    norms once each; ladder step m + 1 keeps the connection triples from
-    step m.  Not thread-safe.
+    norms once each.  No connection triple is kept: ``second_ttr`` forms
+    each entry once per degree from the ladder families' integer kernel.
+    Not thread-safe.
     """
 
     def __init__(self, rho, ladder_factory, q, label):

@@ -531,6 +531,11 @@ def _int_list(values):
     return d, [int(v.numerator) * (d // int(v.denominator)) for v in values]
 
 
+def _int_pair(v):
+    """A rational as (numerator, denominator), two ints."""
+    return int(v.numerator), int(v.denominator)
+
+
 def _rows(matrix):
     """The stored entries of a BandMatrix, the one reader of its storage
     outside the class: per row, [(column, raw)] in ascending column order."""

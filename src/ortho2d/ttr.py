@@ -11,8 +11,11 @@ closed form, row by row through ``numerics._relation`` as
 ``closed_forms`` does: the x-relation matrices are diagonal (each row is
 the ladder recurrence at the right index), and the y-relation matrices
 are tridiagonal, mixing the second-variable recurrence with the
-adjacent-family connection coefficients, which the ladder families store
-(``univariate.adjacent_down``).
+adjacent-family connection coefficients.  Those come as integer pairs
+from the ladder families' connection kernel
+(``RecurrenceFamily._down_int``/``_up_int``, on which
+``univariate.adjacent_down``/``adjacent_up`` are built), so each entry is
+one rational; the module imports only ``numerics``.
 
 ``ttr_from_gram`` gives the same matrices from the independent Gram oracle
 (``oracle.GramOracle``), from bivariate moments alone; it and ``build_ttr``
@@ -23,9 +26,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numerics import (BandMatrix, TTRSet, _check_index, _int_rows,
-                       _rank_int, _relation)
-from .univariate import adjacent_down, adjacent_up
+from .numerics import (BandMatrix, TTRSet, _check_index, _int_pair,
+                       _int_rows, _rank_int, _rat, _relation)
 
 # The relation axes, each with the exponent shift (dx, dy) of its variable.
 SHIFTS = {"x": (1, 0), "y": (0, 1)}
@@ -55,9 +57,11 @@ def second_ttr(sys, n):
     with the adjacent-family connections: the subdiagonal consumes the
     upward triple between ladder steps m-1 and m, the superdiagonal the
     downward triple between steps m and m+1, and the diagonal, where q's
-    b-coefficient is nonzero, the first-variable recurrence itself.
-    Both come from ``adjacent_down``/``adjacent_up``, which form each
-    downward triple once and store it on ladder step m+1.
+    b-coefficient is nonzero, the first-variable recurrence itself.  The
+    connections come as integer pairs from the ladder families' kernel
+    (``RecurrenceFamily._down_int``/``_up_int``, which ``adjacent_down``/
+    ``adjacent_up`` also read), and q's coefficient is folded into each
+    pair, so every entry is one rational of two integer products.
 
     Built once per system and degree, then read from the system's cache.
     Where rho is not a polynomial, q refuses a nonzero b-coefficient when
@@ -69,6 +73,7 @@ def second_ttr(sys, n):
     if cached is not None:
         return cached
     rho = sys.rho
+    s2 = _int_pair(rho.s2)
     q = sys.q
     rows = []
     for m in range(n + 1):
@@ -78,31 +83,38 @@ def second_ttr(sys, n):
         # Subdiagonal: q's c-coefficient times the upward connection
         # between ladder steps m-1 and m, at first-variable index k.
         if m >= 1:
-            row.update(_scaled(q.c(m), ("a1", "b1", "c1"), adjacent_up(
-                sys.ladder(m - 1), sys.ladder(m), rho.s2, k)))
+            row.update(_scaled(q.c(m), ("a1", "b1", "c1"), sys.ladder(
+                m - 1)._up_int(sys.ladder(m), s2, k)))
         # Diagonal: q's b-coefficient times the ladder recurrence mapped
         # through rho = r1 x + r0; q refuses a nonzero b(m) elsewhere.
         qb = q.b(m)
         if qb:
             fam = sys.ladder(m)
-            row["a2"] = qb * rho.r1 * fam.a(k)
-            row["b2"] = qb * (rho.r1 * fam.b(k) + rho.r0)
+            (r1n, r1d), (r0n, r0d) = _int_pair(rho.r1), _int_pair(rho.r0)
+            (an, ad), (bn, bd) = _int_pair(fam.a(k)), _int_pair(fam.b(k))
+            c2 = None
             if k:
-                row["c2"] = qb * rho.r1 * fam.c(k)
+                cn, cd = _int_pair(fam.c(k))
+                c2 = (r1n * cn, r1d * cd)
+            row.update(_scaled(qb, ("a2", "b2", "c2"), (
+                (r1n * an, r1d * ad),
+                (r1n * bn * r0d + r0n * r1d * bd, r1d * bd * r0d), c2)))
         # Superdiagonal: q's a-coefficient times the downward connection
         # between ladder steps m and m+1, at first-variable index k.
-        row.update(_scaled(qa, ("a3", "b3", "c3"), adjacent_down(
-            sys.ladder(m), sys.ladder(m + 1), rho.s2, k)))
+        row.update(_scaled(qa, ("a3", "b3", "c3"), sys.ladder(m)._down_int(
+            sys.ladder(m + 1), s2, k)))
         rows.append(row)
     cached = sys._ttr_cache[(n, "y")] = _relation(n, 1, rows)
     return cached
 
 
-def _scaled(factor, keys, triple):
-    """{key: factor * v} over the keys and the entries v of a connection
-    triple; an entry the triple leaves undefined (None) is left out."""
-    return {key: factor * v for key, v in zip(keys, triple)
-            if v is not None}
+def _scaled(factor, keys, pairs):
+    """{key: factor * num / den} over the keys and the (num, den) pairs of
+    the connection kernel, each one rational of two integer products; a
+    pair the kernel leaves undefined (None) is left out."""
+    fn, fd = _int_pair(factor)
+    return {key: _rat(fn * p[0], fd * p[1]) for key, p in zip(keys, pairs)
+            if p is not None}
 
 
 def build_ttr(sys, n):

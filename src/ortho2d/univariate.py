@@ -24,8 +24,14 @@ companion family obtained by appending a factor rho(x)^2 to its weight:
     rho^2 q_n = eta_n p_{n+2} + theta_n p_{n+1} + vartheta_n p_n
 
 where q is the companion family normalized so that its h_0 equals the
-rho^2-moment of the base family (``adjacent_down`` / ``adjacent_up``);
-each downward triple is formed once and stored on the companion family.
+rho^2-moment of the base family (``adjacent_down`` / ``adjacent_up``).
+Both are built on one integer kernel (``RecurrenceFamily._down_int`` /
+``_up_int``), which the y-relation builder reads too: each coefficient
+is an integer numerator and denominator, a product of the integer forms
+of the leading coefficients k_j, the norms h_j, s2 and the prefix sums
+S_j = b_0 + ... + b_{j-1} (l_j = -k_j S_j, so no rationals are
+subtracted), and becomes one rational, reduced by one gcd, only where it
+is returned.  No triple is stored.
 
 Every value returned -- recurrence, leading, dense and connection
 coefficients, norms, moments, point values, parameters -- is a backend
@@ -46,7 +52,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .numerics import (_RAT, QuasiDefinitenessError, _as_raw_exact,
-                       _check_index, _int_list, _rat)
+                       _check_index, _int_list, _int_pair, _rat)
 
 _ONE = _RAT(1)
 _ZERO = _RAT(0)
@@ -88,11 +94,11 @@ class RecurrenceFamily:
     int, a rational or a Scalar), which is read once through
     ``_as_raw_exact``, so a float is a ModeError; c is only consulted for
     n >= 1.  Each recurrence coefficient and all derived data (leading
-    coefficients, norms, moments, dense coefficients, the connection
-    triples into this family from a base family) is computed lazily,
-    once, and cached on the family; the moments as one integer vector over
-    one denominator, and the moment recursion only its last integer
-    vector.  A family is not thread-safe: share it between
+    coefficients, norms, moments, dense coefficients, and the integer
+    forms of k_j, S_j and h_j that the connection kernel reads) is
+    computed lazily, once, and cached on the family; the moments as one
+    integer vector over one denominator, and the moment recursion only
+    its last integer vector.  A family is not thread-safe: share it between
     threads only behind a lock of your own.
     """
 
@@ -120,9 +126,10 @@ class RecurrenceFamily:
         # ``_float_coeffs``).
         self._float_store = ([], [], [])
         self._coeff_cache = [(1, [1])]
-        # Triples of adjacent_down into this family, keyed (base, numerator
-        # and denominator of s2, n).
-        self._down_cache = {}
+        # The connection kernel's ingredients as (num, den) int pairs:
+        # (k_j, S_j) per index j (see ``_lead_int``) and h_j (``_h_int``).
+        self._lead_ints = [((1, 1), (0, 1))]
+        self._h_ints = []
 
     def __repr__(self):
         return f"RecurrenceFamily({self.label!r})"
@@ -189,6 +196,21 @@ class RecurrenceFamily:
             cache.append(LeadingPair(k / a_j, (l - self.b(j) * k) / a_j))
         return cache[n]
 
+    def _lead_int(self, n):
+        """(k_n, S_n) as two (num, den) int pairs: the leading coefficient
+        of ``leading_coeffs`` and the prefix sum S_n = b(0) + ... + b(n - 1)
+        in lowest terms, so that l_n = -k_n S_n.  Grown one index at a
+        time after ``leading_coeffs`` has read, or refused, that index."""
+        ints = self._lead_ints
+        while len(ints) <= n:
+            j = len(ints)
+            k = self.leading_coeffs(j).k
+            (sn, sd), (bn, bd) = ints[j - 1][1], _int_pair(self.b(j - 1))
+            sn, sd = sn * bd + bn * sd, sd * bd
+            g = math.gcd(sn, sd)
+            ints.append((_int_pair(k), (sn // g, sd // g)))
+        return ints[n]
+
     # -- norms ---------------------------------------------------------------
 
     def norms(self, n):
@@ -203,6 +225,14 @@ class RecurrenceFamily:
                               f"c({j})/a({j - 1}) is zero")
             cache.append(cache[j - 1] * ratio)
         return cache[n]
+
+    def _h_int(self, n):
+        """h_n of ``norms`` as (num, den), two ints, formed once per index
+        after ``norms`` has read, or refused, that index."""
+        ints = self._h_ints
+        while len(ints) <= n:
+            ints.append(_int_pair(self.norms(len(ints))))
+        return ints[n]
 
     # -- moments --------------------------------------------------------------
 
@@ -349,6 +379,57 @@ class RecurrenceFamily:
             p_prev, p_cur = p_cur, p_next / a_j
         return p_cur
 
+    # -- the connection kernel ----------------------------------------------
+
+    def _down_int(self, comp, s2, n):
+        """(delta, epsilon, zeta) of ``adjacent_down`` from this family into
+        comp, each as (num, den), two ints; None where the term does not
+        occur; s2 is a (num, den) pair.  With primes on comp and
+        l_j = -k_j S_j (``_lead_int``),
+
+            delta_n   = k_n / k'_n,
+            epsilon_n = delta_n (S'_n - S_n) / a'_{n-1}
+                      = k_n (S'_n - S_n) / k'_{n-1},
+            zeta_n    = s2 k'_{n-2} h_n / (k_n h'_{n-2}),
+
+        each a product of the ints of its ingredients, reduced by no gcd."""
+        (kn, kd), (sn, sd) = self._lead_int(n)
+        (cn, cd), (tn, td) = comp._lead_int(n)
+        delta = (kn * cd, kd * cn)
+        if n < 1:
+            return delta, None, None
+        pn, pd = comp._lead_int(n - 1)[0]
+        epsilon = (kn * (tn * sd - sn * td) * pd, kd * sd * td * pn)
+        if n < 2:
+            return delta, epsilon, None
+        rn, rd = comp._lead_int(n - 2)[0]
+        hn, hd = self._h_int(n)
+        gn, gd = comp._h_int(n - 2)
+        return delta, epsilon, (s2[0] * rn * hn * kd * gd,
+                                s2[1] * rd * hd * kn * gn)
+
+    def _up_int(self, comp, s2, n):
+        """(eta, theta, vartheta) of ``adjacent_up`` from comp back into this
+        family, each as (num, den), two ints; s2 is a (num, den) pair:
+
+            eta_n      = s2 k'_n / k_{n+2},
+            theta_n    = epsilon_{n+1} h'_n / h_{n+1},
+            vartheta_n = delta_n h'_n / h_n,
+
+        with delta and epsilon from ``_down_int`` at n and n + 1, read
+        before the norms here, so a refusal names the first ingredient
+        that the downward triples read."""
+        cn, cd = comp._lead_int(n)[0]
+        kn, kd = self._lead_int(n + 2)[0]
+        dn, dd = self._down_int(comp, s2, n)[0]
+        en, ed = self._down_int(comp, s2, n + 1)[1]
+        hn, hd = comp._h_int(n)
+        h1n, h1d = self._h_int(n + 1)
+        h0n, h0d = self._h_int(n)
+        return ((s2[0] * cn * kd, s2[1] * cd * kn),
+                (en * hn * h1d, ed * hd * h1n),
+                (dn * hn * h0d, dd * hd * h0n))
+
 
 # -- family constructors ----------------------------------------------------
 
@@ -453,40 +534,24 @@ def adjacent_down(fam_m, fam_m1, s2, n):
 
     s2 is the leading coefficient of rho^2; fam_m1 must be normalized by
     the rho^2-moment chain for the norm-dependent zeta to be meaningful.
-    Each triple is formed once per (fam_m, s2, n) and stored on fam_m1,
-    keyed by s2's integer numerator and denominator, which hash as ints
-    do (a Fraction does not cache its own hash).
+    Each entry is one rational of the connection kernel's integer pair
+    (``RecurrenceFamily._down_int``); no triple is stored.
     """
     _check_index(n, "index")
-    s2 = _as_raw_exact(s2)
-    key = (fam_m, s2.numerator, s2.denominator, n)
-    triple = fam_m1._down_cache.get(key)
-    if triple is not None:
-        return triple
-    k_m_n, l_m_n = fam_m.leading_coeffs(n)
-    k_m1_n, l_m1_n = fam_m1.leading_coeffs(n)
-    delta = k_m_n / k_m1_n
-    epsilon = zeta = None
-    if n >= 1:
-        epsilon = ((l_m_n - delta * l_m1_n)
-                   / fam_m1.leading_coeffs(n - 1).k)
-    if n >= 2:
-        zeta = (s2 * fam_m1.leading_coeffs(n - 2).k / k_m_n
-                * fam_m.norms(n) / fam_m1.norms(n - 2))
-    triple = fam_m1._down_cache[key] = AdjacentDown(delta, epsilon, zeta)
-    return triple
+    return AdjacentDown(*_rationals(
+        fam_m._down_int(fam_m1, _int_pair(_as_raw_exact(s2)), n)))
 
 
 def adjacent_up(fam_m, fam_m1, s2, n):
     """Triple (eta, theta, vartheta) expanding rho^2 times fam_m1's degree-n
-    polynomial back in fam_m.  Defined for every n >= 0; it reads the
-    triples of ``adjacent_down`` at n and n + 1."""
+    polynomial back in fam_m.  Defined for every n >= 0; each entry is one
+    rational of the connection kernel's integer pair
+    (``RecurrenceFamily._up_int``)."""
     _check_index(n, "index")
-    s2 = _as_raw_exact(s2)
-    eta = s2 * fam_m1.leading_coeffs(n).k / fam_m.leading_coeffs(n + 2).k
-    delta = adjacent_down(fam_m, fam_m1, s2, n).delta
-    epsilon_next = adjacent_down(fam_m, fam_m1, s2, n + 1).epsilon
-    h_m1_n = fam_m1.norms(n)
-    theta = epsilon_next * h_m1_n / fam_m.norms(n + 1)
-    vartheta = delta * h_m1_n / fam_m.norms(n)
-    return AdjacentUp(eta, theta, vartheta)
+    return AdjacentUp(*_rationals(
+        fam_m._up_int(fam_m1, _int_pair(_as_raw_exact(s2)), n)))
+
+
+def _rationals(pairs):
+    """The kernel's (num, den) pairs as rationals; None stays None."""
+    return [None if p is None else _rat(*p) for p in pairs]

@@ -335,6 +335,28 @@ def test_refusals_on_vanishing_hyperplanes_are_pinned(
         closed, builder, oracle]
 
 
+# The builder's refusals on two of those hyperplanes, message and index
+# as they stand: the first failing degree fails again on a second call.
+@pytest.mark.parametrize("name, params, degree, index, message", [
+    ("biangle", {"alpha": "-2", "beta": "1/2"}, 2, 2,
+     "jacobi01(-2,1): norm ratio h(2)/h(1) = c(2)/a(1) is zero "
+     "[params alpha=-2, beta=1]"),
+    ("simplex", {"alpha": "-1/2", "beta": "-1/2", "gamma": "-5/2"}, 0, 1,
+     "simplex(alpha=-1/2, beta=-1/2, gamma=-5/2):jacobi01(0,-1/2): "
+     "weight-chain value <u, rho^2> vanished at ladder step 1 "
+     "[params alpha=0, beta=-1/2]"),
+])
+def test_builder_refusal_messages_are_pinned(name, params, degree, index,
+                                             message):
+    sys_obj = make_system(catalog_id(name, **params))
+    for n in range(degree):
+        build_ttr(sys_obj, n)
+    for _ in range(2):
+        with pytest.raises(QuasiDefinitenessError) as info:
+            build_ttr(sys_obj, degree)
+        assert (info.value.index, str(info.value)) == (index, message)
+
+
 # Parameters on which a closed-form numerator and denominator vanish
 # together at m = n or m = 0: the cancelled branch keeps the three routes
 # in agreement up to the last degree that the builder and the oracle reach.

@@ -29,8 +29,8 @@ STRUCTURAL = [
     (univariate.RecurrenceFamily, "leading_coeffs"),
     (univariate, "adjacent_down"),
     (univariate, "adjacent_up"),
-    (ttr, "adjacent_down"),
-    (ttr, "adjacent_up"),
+    (univariate.RecurrenceFamily, "_down_int"),
+    (univariate.RecurrenceFamily, "_up_int"),
     (ttr, "first_ttr"),
     (ttr, "second_ttr"),
     (construction.BivariateSystem, "block_norm"),

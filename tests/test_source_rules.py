@@ -25,7 +25,7 @@ IMPORTS = {
     "oracle": ({"numerics"}, set()),
     "closed_forms": ({"numerics"}, set()),
     "construction": ({"numerics", "univariate"}, {"oracle"}),
-    "ttr": ({"numerics", "univariate"}, set()),
+    "ttr": ({"numerics"}, set()),
     "catalog": ({"closed_forms", "construction", "numerics", "univariate"},
                 {"ttr"}),
     "verify": ({"catalog", "numerics", "ttr"}, set()),
@@ -147,8 +147,9 @@ def test_no_module_states_a_rho_case():
 
 
 def test_no_module_imports_a_private_name_from_univariate():
-    # The connection triples have one path, the public adjacent_down and
-    # adjacent_up: no module imports a private univariate helper.
+    # A family's private integer forms are read as its methods (the
+    # connection kernel, moments, basis coefficients), so the formulas stay
+    # in univariate: no module imports a private univariate helper.
     bad = [f"{_where(name, node)} {alias.name}"
            for name, tree in TREES.items() for node in ast.walk(tree)
            if isinstance(node, ast.ImportFrom)

@@ -147,50 +147,55 @@ def test_rank_conditions_hold(disk, square):
 
 @pytest.mark.parametrize("family, params", [
     ("disk", {"mu": "3/2"}),
+    ("biangle", {"alpha": 1, "beta": "1/2"}),
     ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}),
+    ("square", {"alpha": 1, "beta": 2, "gamma": 0, "delta": "1/2"}),
+    ("laguerre-jacobi", {"alpha": 1, "beta": "1/2"}),
     ("bessel-laguerre", {"g": 5, "gamma": "2/5"}),
 ])
-def test_connection_memo_equals_fresh_triples(family, params):
-    # adjacent_down stores each downward triple on the companion ladder
-    # step, once per (base family, s2, index); every one second_ttr used
-    # to degree 12, and every upward triple formed from them, is the
-    # triple that fresh copies of the two families give (a second call on
-    # the ladder itself would return the stored triple).
+def test_y_relation_entries_are_q_times_the_fresh_public_triples(
+        family, params):
+    # Every stored entry of A_y, B_y and C_y to degree 12, and no other:
+    # the superdiagonal is q.a(m) times adjacent_down and the subdiagonal
+    # q.c(m) times adjacent_up, both on fresh copies of the ladder steps
+    # (no ingredient cached by the builder), and the diagonal, where
+    # q.b(m) is nonzero, q.b(m) times the ladder recurrence mapped through
+    # rho = r1 x + r0.
     sys_obj = make_system(catalog_id(family, **params))
-    for n in range(13):
-        second_ttr(sys_obj, n)
-    s2 = sys_obj.rho.s2
+    rho, q_fam = sys_obj.rho, sys_obj.q
 
     def fresh(m):
-        """Ladder steps m and m + 1, copied with no triple stored."""
+        """Ladder steps m and m + 1, copied with nothing cached."""
         return [sys_obj.ladder(j).with_h0(sys_obj.ladder(j).h0)
                 for j in (m, m + 1)]
 
-    # Row m of degree n: the superdiagonal reads (m, n - m), and the
-    # subdiagonal's upward triple (m - 1, n - m) reads two downward ones.
-    used = {(m, n - m) for n in range(13) for m in range(n + 1)}
-    used |= {(m - 1, n - m + e) for n in range(13) for m in range(1, n + 1)
-             for e in (0, 1)}
-    stored = {}
-    for m in range(13):
-        memo = sys_obj.ladder(m + 1)._down_cache
-        for (fam, num, den, k), triple in memo.items():
-            assert fam is sys_obj.ladder(m)
-            assert (num, den) == (s2.numerator, s2.denominator)
-            stored[(m, k)] = triple
-    assert set(stored) == used
-    for (m, k), triple in stored.items():
-        assert triple == adjacent_down(*fresh(m), s2, k)
-    q_fam = sys_obj.q
+    diagonals = 0
     for n in range(13):
-        a_y, b_y, c_y = second_ttr(sys_obj, n)
-        for m in range(1, n + 1):
-            up = adjacent_up(*fresh(m - 1), s2, n - m)
-            qc = q_fam.c(m)
-            assert a_y[m, m - 1] == qc * up.eta
-            assert b_y[m, m - 1] == qc * up.theta
-            if m <= n - 1:
-                assert c_y[m, m - 1] == qc * up.vartheta
+        want = ({}, {}, {})
+        for m in range(n + 1):
+            k = n - m
+            down = adjacent_down(*fresh(m), rho.s2, k)
+            for mat, v in zip(want, down):
+                if v is not None:
+                    mat[(m, m + 1)] = q_fam.a(m) * v
+            if m:
+                up = adjacent_up(*fresh(m - 1), rho.s2, k)
+                for mat, v in zip(want, up):
+                    mat[(m, m - 1)] = q_fam.c(m) * v
+            qb = q_fam.b(m)
+            if qb:
+                diagonals += 1
+                fam = sys_obj.ladder(m)
+                want[0][(m, m)] = qb * rho.r1 * fam.a(k)
+                want[1][(m, m)] = qb * (rho.r1 * fam.b(k) + rho.r0)
+                if k:
+                    want[2][(m, m)] = qb * rho.r1 * fam.c(k)
+        got = [{pos: v.value for pos, v in mat.items()}
+               for mat in second_ttr(sys_obj, n)]
+        assert got == [{pos: v for pos, v in mat.items() if v}
+                       for mat in want], n
+    assert bool(diagonals) == (family in (
+        "simplex", "square", "laguerre-jacobi", "bessel-laguerre"))
 
 
 def reference_rank(matrix):

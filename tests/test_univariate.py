@@ -703,46 +703,55 @@ def test_adjacent_known_laguerre_triple():
         assert up.vartheta == q((n + 1 + 1) * (n + 1 + 2))
 
 
-def test_adjacent_down_stores_each_triple_on_the_companion():
-    # one triple per (base family, s2, index), stored on the companion
-    # under s2's numerator and denominator: a repeated call returns the
-    # stored triple, and adjacent_up reads the two it needs from the same
-    # store
-    base = laguerre(1)
-    comp = chained(base, laguerre(3), q(1), q(0), q(0))
-    first = adjacent_down(base, comp, q(1), 3)
-    assert adjacent_down(base, comp, 1, 3) is first
-    adjacent_up(base, comp, q(1), 2)
-    assert set(comp._down_cache) == {(base, 1, 1, 2), (base, 1, 1, 3)}
-    assert base._down_cache == {}
+@pytest.mark.parametrize("base,comp,s2,s1,s0", CONNECTION_CASES)
+def test_adjacent_up_is_built_on_the_downward_triples(base, comp, s2, s1,
+                                                      s0):
+    # theta_n = epsilon_{n+1} h'_n / h_{n+1} and vartheta_n =
+    # delta_n h'_n / h_n, the primes on the companion; s2 as an int, a
+    # Scalar or a rational gives the same triples
+    comp = chained(base, comp, q(s2), q(s1), q(s0))
+    for n in range(7):
+        up = adjacent_up(base, comp, q(s2), n)
+        here = adjacent_down(base, comp, s2, n)
+        after = adjacent_down(base, comp, q(s2).value, n + 1)
+        assert up.theta == after.epsilon * comp.norms(n) / base.norms(n + 1)
+        assert up.vartheta == here.delta * comp.norms(n) / base.norms(n)
+        assert adjacent_up(base, comp, s2, n) == up
+        assert adjacent_down(base, comp, q(s2), n) == here
 
 
-def test_adjacent_down_keys_its_store_by_s2():
-    # the same two families with two values of s2 give two triples: zeta
-    # scales with s2, so a triple stored for one s2 is not read for another
+def test_adjacent_down_reads_s2_only_in_zeta():
+    # the same two families with two values of s2 give two triples that
+    # differ only in zeta, which scales with s2
     base = jacobi_shift(1, "1/2")
     comp = chained(base, jacobi_shift(1, "3/2"), q(0), q(1), q(0))
     linear = adjacent_down(base, comp, q(0), 4)
     scaled = adjacent_down(base, comp, q(2), 4)
     assert linear.zeta == 0 and scaled.zeta != 0
     assert linear[:2] == scaled[:2]
-    assert set(comp._down_cache) == {(base, 0, 1, 4), (base, 2, 1, 4)}
-    # s2 = 1/2 is keyed by its numerator and denominator, apart from 2
     half = adjacent_down(base, comp, q("1/2"), 4)
     assert half.zeta == scaled.zeta / 4
-    assert (base, 1, 2, 4) in comp._down_cache
+    assert half[:2] == scaled[:2]
 
 
 def test_failing_adjacent_down_raises_on_every_call_and_stores_nothing():
     # a zero a(2) in the companion stops its degree at 2: the triple at
-    # index 3 fails on every call, and no triple is stored for it
+    # index 3 fails on every call, the connection kernel keeps no
+    # ingredient at index 3, and the triples below the stop still answer,
+    # as they do on a family that never failed
+    def stalled():
+        return RecurrenceFamily("stall", lambda n: 0 if n == 2 else 1,
+                                lambda n: 0, lambda n: 1)
+
     base = laguerre(1)
-    stall = RecurrenceFamily("stall", lambda n: 0 if n == 2 else 1,
-                             lambda n: 0, lambda n: 1)
+    stall = stalled()
     for _ in range(2):
         with pytest.raises(QuasiDefinitenessError, match=r"a\(2\) = 0"):
             adjacent_down(base, stall, 1, 3)
-        assert stall._down_cache == {}
+        assert len(stall._lead_ints) == 3
     with pytest.raises(QuasiDefinitenessError, match=r"a\(2\) = 0"):
         adjacent_up(base, stall, 1, 2)
-    assert set(stall._down_cache) == {(base, 1, 1, 2)}
+    assert len(stall._lead_ints) == 3
+    for n in range(3):
+        assert (adjacent_down(base, stall, 1, n)
+                == adjacent_down(base, stalled(), 1, n))
