@@ -27,6 +27,8 @@ SIX = [
 STRUCTURAL = [
     (univariate.RecurrenceFamily, "norms"),
     (univariate.RecurrenceFamily, "leading_coeffs"),
+    (univariate.RecurrenceFamily, "_lead_int"),
+    (univariate.RecurrenceFamily, "_h_int"),
     (univariate, "adjacent_down"),
     (univariate, "adjacent_up"),
     (univariate.RecurrenceFamily, "_down_int"),

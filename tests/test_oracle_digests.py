@@ -6,10 +6,11 @@ SHA-256 each of the Gram oracle's outputs:
 
 * the ``ttr_from_gram`` matrices for n <= 8 (shape, bands and the stored
   entries of each);
-* the Gram blocks ``gram_block(n, h)`` for h <= n <= 6;
+* the Gram blocks ``gram_block(n, h)`` for h <= n <= 6, and apart from
+  them the blocks ``gram_block(7, h)`` for h <= 7;
 * the diagonals of H_n for n <= 9;
 * the moment table (D, W) grown at once to total degree 14 on a fresh
-  system;
+  system, which the same table grown 3 -> 7 -> 14 must equal too;
 
 and under ``route_digests`` one SHA-256 each of:
 
@@ -30,7 +31,10 @@ of the three integer kernels' outputs on a fresh system:
 * the basis integer forms ``_coeffs_int(n)`` for n <= 24 and the moments
   ``moments(40)`` as strings, of ladder(0..3) and of q;
 * ``rank_conditions(sys, n)._asdict()`` for n <= 10;
-* the exact ``verify_relation`` results for n <= 10 on both axes.
+* the exact ``verify_relation`` results for n <= 10 on both axes;
+* the univariate values ``leading_coeffs(n)`` and ``norms(n)`` as
+  strings, with their integer stores ``_lead_int(n)`` and ``_h_int(n)``,
+  for n <= 24, of ladder(0..3) and of q.
 
 Last come the CLI calls of perfbench's cli-cold workload, their argument
 lists stored as data: per call, under ``cli``, the exit code and one
@@ -42,7 +46,9 @@ The oracle digests were recorded before the oracle moved into its own
 module, the route digests before the recurrence closures were formed
 from integers, the sweep digests before the closed-form tables were, and
 the kernel and CLI digests before the rank, basis and moment kernels
-took their plain forms; none may be re-recorded from a change that
+took their plain forms, and the univariate digests and the blocks at
+n = 7 before k_j, S_j and h_j were grown in integers; none may be
+re-recorded from a change that
 claims identical outputs.  A change that alters an output on purpose
 re-records only the digests it names.
 """
@@ -94,10 +100,12 @@ def oracle_digests(name, params):
                 for row in _matrices(ttr_from_gram(sys_obj, n))]
     blocks = [[[str(v) for v in row]
                for row in sys_obj.gram_block(n, h).entries]
-              for n in range(7) for h in range(n + 1)]
+              for n in range(8) for h in range(n + 1)]
     diagonals = [[str(v) for v in _h_diagonal(sys_obj, n)]
                  for n in range(10)]
-    return {"ttr_from_gram": _sha(matrices), "gram_block": _sha(blocks),
+    # The 28 blocks of n <= 6 and, apart from them, the 8 of n = 7.
+    return {"ttr_from_gram": _sha(matrices),
+            "gram_block": _sha(blocks[:28]), "gram_block_7": _sha(blocks[28:]),
             "h_diagonals": _sha(diagonals), "moment_table": _sha((d, table))}
 
 
@@ -106,6 +114,17 @@ def oracle_digests(name, params):
     ids=[f"{e['family']}-{i}" for i, e in enumerate(DIGESTS)])
 def test_oracle_outputs_match_the_recorded_digests(entry):
     assert oracle_digests(entry["family"], entry["params"]) == entry["digests"]
+
+
+@pytest.mark.parametrize(
+    "entry", DIGESTS,
+    ids=[f"{e['family']}-{i}" for i, e in enumerate(DIGESTS)])
+def test_moment_table_grown_in_steps_matches_the_at_once_digest(entry):
+    sys_obj = make_system(catalog_id(entry["family"], **entry["params"]))
+    for top in (3, 7):
+        _moment_table(sys_obj, top)
+    assert (_sha(_moment_table(sys_obj, 14))
+            == entry["digests"]["moment_table"])
 
 
 def route_digests(name, params):
@@ -154,8 +173,12 @@ def kernel_digests(name, params):
     ranks = [rank_conditions(sys_obj, n)._asdict() for n in range(11)]
     checks = [verify_relation(sys_obj, n, axis)
               for n in range(11) for axis in SHIFTS]
+    univariate = [[(*map(str, fam.leading_coeffs(n)), str(fam.norms(n)),
+                    fam._lead_int(n), fam._h_int(n)) for n in range(25)]
+                  for fam in families]
     return {"basis_forms": _sha(forms), "moments": _sha(moments),
-            "rank_conditions": _sha(ranks), "verify_relation": _sha(checks)}
+            "rank_conditions": _sha(ranks), "verify_relation": _sha(checks),
+            "univariate": _sha(univariate)}
 
 
 @pytest.mark.parametrize(

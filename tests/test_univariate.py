@@ -117,8 +117,10 @@ def test_bessel_values():
 
 
 def test_c_at_zero_is_an_error():
-    with pytest.raises(ValueError):
-        jacobi_std(0, 0).c(0)
+    leg = jacobi_std(0, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            leg.c(0)
 
 
 def test_c_refuses_a_non_int_index_with_a_value_error():
@@ -178,16 +180,20 @@ def test_eval_exact_and_float():
 
 
 def test_quasi_definiteness_error_paths():
+    # each refusal repeats on a second call: a failure stores nothing
     degenerate = jacobi_std(-1, -1)  # a(0) divides by alpha+beta+2 = 0
-    with pytest.raises(QuasiDefinitenessError) as info:
-        degenerate.coeffs(1)
-    assert "a(0)" in str(info.value)
-    with pytest.raises(QuasiDefinitenessError):
-        degenerate.leading_coeffs(1)
+    for method in (degenerate.coeffs, degenerate.leading_coeffs):
+        for _ in range(2):
+            with pytest.raises(QuasiDefinitenessError) as info:
+                method(1)
+            assert "a(0)" in str(info.value) and info.value.index == 0
     # a family whose c vanishes: norms must refuse to continue
     flat = RecurrenceFamily("flat", lambda n: 1, lambda n: 0, lambda n: 0)
-    with pytest.raises(QuasiDefinitenessError):
-        flat.norms(1)
+    for _ in range(2):
+        with pytest.raises(QuasiDefinitenessError, match=(
+                r"^flat: norm ratio h\(1\)/h\(0\) = c\(1\)/a\(0\) is zero$")):
+            flat.norms(1)
+    assert flat.norms(0) == 1
 
 
 def test_recurrence_failures_are_not_cached():
@@ -244,8 +250,10 @@ def test_norms_refuse_a_zero_a_with_a_quasi_definiteness_error():
     broken_c = RecurrenceFamily("c", lambda n: Fraction(0),
                                 lambda n: Fraction(0),
                                 lambda n: 1 / Fraction(0))
-    with pytest.raises(QuasiDefinitenessError, match=r"c\(1\) is undefined"):
-        broken_c.norms(1)
+    for _ in range(2):
+        with pytest.raises(QuasiDefinitenessError,
+                           match=r"c\(1\) is undefined"):
+            broken_c.norms(1)
 
 
 def test_float_coeffs_are_the_recurrence_divided_by_a_rounded_once():
@@ -260,13 +268,14 @@ def test_float_coeffs_are_the_recurrence_divided_by_a_rounded_once():
     # a zero a(j) is the usual refusal; a ratio beyond the doubles is named
     stall = RecurrenceFamily("stall", lambda n: Fraction(n != 1),
                              lambda n: Fraction(0), lambda n: Fraction(1))
-    with pytest.raises(QuasiDefinitenessError, match=r"a\(1\) = 0"):
-        stall._float_coeffs(1)
     tiny = RecurrenceFamily("tiny", lambda n: Fraction(1, 10 ** 400),
                             lambda n: Fraction(0), lambda n: Fraction(1))
-    with pytest.raises(OverflowError, match=r"^tiny: a recurrence "
-                       r"coefficient at index 0 overflows a double$"):
-        tiny._float_coeffs(0)
+    for _ in range(2):
+        with pytest.raises(QuasiDefinitenessError, match=r"a\(1\) = 0"):
+            stall._float_coeffs(1)
+        with pytest.raises(OverflowError, match=r"^tiny: a recurrence "
+                           r"coefficient at index 0 overflows a double$"):
+            tiny._float_coeffs(0)
 
 
 # -- dense coefficients against a plain Fraction recurrence ----------------
@@ -351,6 +360,66 @@ def test_integer_coeffs_match_a_fraction_recurrence(fam):
         assert fam._coeffs_int(n) == least_integer_form(want[n]), (fam, n)
 
 
+# -- leading coefficients and norms against plain Fraction recurrences -----
+
+
+def reference_leading(fam, top):
+    """(k_n, l_n) for n = 0..top from k_(j+1) = k_j / a_j and
+    l_(j+1) = (l_j - b_j k_j) / a_j, one Fraction at a time."""
+    out = [(Fraction(1), Fraction(0))]
+    for j in range(top):
+        k, l = out[j]
+        a_j, b_j = Fraction(fam.a(j)), Fraction(fam.b(j))
+        out.append((k / a_j, (l - b_j * k) / a_j))
+    return out
+
+
+def reference_norms(fam, top):
+    """h_n for n = 0..top from h_j = h_(j-1) c_j / a_(j-1), one Fraction
+    at a time; a zero ratio is a ZeroDivisionError."""
+    out = [Fraction(fam.h0)]
+    for j in range(1, top + 1):
+        ratio = Fraction(fam.c(j)) / Fraction(fam.a(j - 1))
+        if not ratio:
+            raise ZeroDivisionError(f"h({j})/h({j - 1}) is zero")
+        out.append(out[j - 1] * ratio)
+    return out
+
+
+def assert_univariate_values(fam, top):
+    """leading_coeffs, norms and their integer stores against the
+    references: (k_n, S_n) and h_n as (num, den) in lowest terms, with
+    l_n = -k_n S_n."""
+    leading, norms = reference_leading(fam, top), reference_norms(fam, top)
+    for n in range(top + 1):
+        (k, l), h = leading[n], norms[n]
+        assert fam.leading_coeffs(n) == (k, l), (fam, n)
+        assert fam.norms(n) == h, (fam, n)
+        s = -l / k
+        assert fam._lead_int(n) == ((k.numerator, k.denominator),
+                                    (s.numerator, s.denominator)), (fam, n)
+        assert fam._h_int(n) == (h.numerator, h.denominator), (fam, n)
+
+
+@settings(deadline=None)
+@given(drawn_families)
+def test_univariate_values_match_fraction_recurrences(fam):
+    # Both sides read the same a(j), b(j), c(j), so a degenerate draw
+    # fails the reference and is refused by the family, on every call.
+    refused = False
+    for reference, method in ((reference_leading, fam.leading_coeffs),
+                              (reference_norms, fam.norms)):
+        try:
+            reference(fam, 10)
+        except (QuasiDefinitenessError, ZeroDivisionError):
+            refused = True
+            for _ in range(2):
+                with pytest.raises(QuasiDefinitenessError):
+                    method(10)
+    if not refused:
+        assert_univariate_values(fam, 10)
+
+
 # -- moments against a plain Fraction recursion ------------------------------
 
 # The ten pinned parameter sets of the acceptance suite.
@@ -428,6 +497,13 @@ def test_moments_match_a_fraction_recursion(label, fam):
     assert fam.moments(40) == want, label
     # a shorter list read after the recursion ran further
     assert fam.moments(17) == want[:18]
+
+
+@pytest.mark.parametrize("label, fam", _moment_families())
+def test_univariate_values_match_fraction_recurrences_at_depth(label, fam):
+    # the ladders and q of the pinned and sweep sets, and bessel families
+    # with negative a, b and c, to index 24
+    assert_univariate_values(fam, 24)
 
 
 def test_reflected_jacobi_b_changes_the_moments():
