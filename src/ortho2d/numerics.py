@@ -536,6 +536,13 @@ def _int_pair(v):
     return int(v.numerator), int(v.denominator)
 
 
+def _lowest(num, den):
+    """num / den, two ints with den nonzero, as (num, den) in lowest terms
+    over a positive denominator."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
 def _rows(matrix):
     """The stored entries of a BandMatrix, the one reader of its storage
     outside the class: per row, [(column, raw)] in ascending column order."""

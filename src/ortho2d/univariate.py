@@ -6,16 +6,16 @@ A family is defined by the three-term recurrence
 
 together with the squared norm h_0 of p_0.  From the recurrence alone the
 module derives leading coefficients, norms, moments of the underlying
-functional, dense coefficient lists and point evaluation -- all exactly.
-Dense coefficients and moments are built fraction-free, each recurrence
-step on integers with one gcd reduction: a basis step over the lcm of the
-denominators of p_j and p_{j-1}, a moment step term by term.  The moments
-are stored once, as one integer vector over their least common
-denominator (``_moments_int``); ``moments`` forms rationals from it only
-at that boundary, as ``coeffs`` does from ``_coeffs_int``.  The family
-constructors bring their parameters over one denominator once, so each
-recurrence coefficient is one rational of two integer products, reduced
-by one gcd.
+functional, dense coefficient lists and point evaluation -- all exactly,
+each grown in integers and stored once: k_j, the prefix sum S_j = b_0 +
+... + b_{j-1} (l_j = -k_j S_j) and h_j as int pairs (``_lead_int``,
+``_h_int``), dense coefficients and moments fraction-free, one gcd per
+step (a basis step over the lcm of the denominators of p_j and p_{j-1},
+a moment step term by term; ``_coeffs_int``, ``_moments_int``).
+``leading_coeffs``, ``norms``, ``coeffs`` and ``moments`` form rationals
+only at that boundary.  The family constructors bring their parameters
+over one denominator once, so each recurrence coefficient is one
+rational of two integer products, reduced by one gcd.
 
 It also computes the two connection triples between a family and the
 companion family obtained by appending a factor rho(x)^2 to its weight:
@@ -27,11 +27,10 @@ where q is the companion family normalized so that its h_0 equals the
 rho^2-moment of the base family (``adjacent_down`` / ``adjacent_up``).
 Both are built on one integer kernel (``RecurrenceFamily._down_int`` /
 ``_up_int``), which the y-relation builder reads too: each coefficient
-is an integer numerator and denominator, a product of the integer forms
-of the leading coefficients k_j, the norms h_j, s2 and the prefix sums
-S_j = b_0 + ... + b_{j-1} (l_j = -k_j S_j, so no rationals are
-subtracted), and becomes one rational, reduced by one gcd, only where it
-is returned.  No triple is stored.
+is an integer numerator and denominator, a product of the stored pairs
+of k_j, S_j and h_j and of s2 (no rationals are subtracted), and becomes
+one rational, reduced by one gcd, only where it is returned.  No triple
+is stored.
 
 Every value returned -- recurrence, leading, dense and connection
 coefficients, norms, moments, point values, parameters -- is a backend
@@ -52,7 +51,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .numerics import (_RAT, QuasiDefinitenessError, _as_raw_exact,
-                       _check_index, _int_list, _int_pair, _rat)
+                       _check_index, _int_list, _int_pair, _lowest, _rat)
 
 _ONE = _RAT(1)
 _ZERO = _RAT(0)
@@ -93,10 +92,10 @@ class RecurrenceFamily:
     The closures a, b, c take an index n and return an exact value (an
     int, a rational or a Scalar), which is read once through
     ``_as_raw_exact``, so a float is a ModeError; c is only consulted for
-    n >= 1.  Each recurrence coefficient and all derived data (leading
-    coefficients, norms, moments, dense coefficients, and the integer
-    forms of k_j, S_j and h_j that the connection kernel reads) is
-    computed lazily, once, and cached on the family; the moments as one
+    n >= 1.  Each recurrence coefficient and all derived data is computed
+    lazily, once, and cached on the family, one store per quantity: k_j
+    and S_j, and h_j, as int pairs grown from a, b and c alone (never
+    from the dense coefficients or the moments); the moments as one
     integer vector over one denominator, and the moment recursion only
     its last integer vector.  A family is not thread-safe: share it between
     threads only behind a lock of your own.
@@ -111,10 +110,11 @@ class RecurrenceFamily:
         h0_raw = _as_raw_exact(h0)
         if not h0_raw:
             raise ValueError(f"{label}: h0 must be nonzero")
-        self._h0 = h0_raw
         self._abc_cache = {"a": {}, "b": {}, "c": {}}
-        self._kl_cache = [LeadingPair(_ONE, _ZERO)]
-        self._h_cache = [h0_raw]
+        # The one store of (k_j, S_j) per index j (see ``_lead_int``) and
+        # of h_j (``_h_int``), each value a (num, den) int pair.
+        self._lead_ints = [((1, 1), (0, 1))]
+        self._h_ints = [_int_pair(h0_raw)]
         # Moments <u, x^j> as ints over their least common denominator,
         # (M, [ints]); the integer vector of the last x^j in the p-basis as
         # (d, [ints]); the recurrence coefficients as ints over one
@@ -126,10 +126,6 @@ class RecurrenceFamily:
         # ``_float_coeffs``).
         self._float_store = ([], [], [])
         self._coeff_cache = [(1, [1])]
-        # The connection kernel's ingredients as (num, den) int pairs:
-        # (k_j, S_j) per index j (see ``_lead_int``) and h_j (``_h_int``).
-        self._lead_ints = [((1, 1), (0, 1))]
-        self._h_ints = []
 
     def __repr__(self):
         return f"RecurrenceFamily({self.label!r})"
@@ -181,57 +177,56 @@ class RecurrenceFamily:
 
     @property
     def h0(self):
-        return self._h0
+        return _RAT(*self._h_ints[0])
 
     # -- leading coefficients ------------------------------------------------
 
     def leading_coeffs(self, n):
-        """k_n (always nonzero) and l_n, the top two coefficients of p_n."""
+        """k_n (always nonzero) and l_n = -k_n S_n, the top two
+        coefficients of p_n, formed as rationals from ``_lead_int``."""
         _check_index(n, "degree")
-        cache = self._kl_cache
-        while len(cache) <= n:
-            j = len(cache) - 1
-            k, l = cache[j]
-            a_j = self._advancing_a(j)
-            cache.append(LeadingPair(k / a_j, (l - self.b(j) * k) / a_j))
-        return cache[n]
+        (kn, kd), (sn, sd) = self._lead_int(n)
+        return LeadingPair(_RAT(kn, kd), _rat(-kn * sn, kd * sd))
 
     def _lead_int(self, n):
-        """(k_n, S_n) as two (num, den) int pairs: the leading coefficient
-        of ``leading_coeffs`` and the prefix sum S_n = b(0) + ... + b(n - 1)
-        in lowest terms, so that l_n = -k_n S_n.  Grown one index at a
-        time after ``leading_coeffs`` has read, or refused, that index."""
+        """(k_n, S_n), the leading coefficient of p_n and the prefix sum
+        S_n = b(0) + ... + b(n - 1), as two (num, den) int pairs in lowest
+        terms over positive denominators: the one store of both.  Grown one
+        index at a time from the int pairs of a(j) and b(j), read in that
+        order: k_(j+1) = k_j / a(j), S_(j+1) = S_j + b(j)."""
         ints = self._lead_ints
         while len(ints) <= n:
-            j = len(ints)
-            k = self.leading_coeffs(j).k
-            (sn, sd), (bn, bd) = ints[j - 1][1], _int_pair(self.b(j - 1))
-            sn, sd = sn * bd + bn * sd, sd * bd
-            g = math.gcd(sn, sd)
-            ints.append((_int_pair(k), (sn // g, sd // g)))
+            j = len(ints) - 1
+            (kn, kd), (sn, sd) = ints[j]
+            an, ad = _int_pair(self._advancing_a(j))
+            bn, bd = _int_pair(self.b(j))
+            ints.append((_lowest(kn * ad, kd * an),
+                         _lowest(sn * bd + bn * sd, sd * bd)))
         return ints[n]
 
     # -- norms ---------------------------------------------------------------
 
     def norms(self, n):
-        """Squared norm h_n of p_n (relative to the chosen h_0)."""
+        """Squared norm h_n of p_n (relative to the chosen h_0), formed as
+        a rational from ``_h_int``."""
         _check_index(n, "degree")
-        cache = self._h_cache
-        while len(cache) <= n:
-            j = len(cache)
-            ratio = self.c(j) / self._advancing_a(j - 1)
-            if not ratio:
-                self._fail(j, f"norm ratio h({j})/h({j - 1}) = "
-                              f"c({j})/a({j - 1}) is zero")
-            cache.append(cache[j - 1] * ratio)
-        return cache[n]
+        return _RAT(*self._h_int(n))
 
     def _h_int(self, n):
-        """h_n of ``norms`` as (num, den), two ints, formed once per index
-        after ``norms`` has read, or refused, that index."""
+        """h_n as a (num, den) int pair in lowest terms over a positive
+        denominator: the one store of the norms, h_0 first.  Grown one
+        index at a time from the int pairs of c(j) and a(j - 1), read in
+        that order: h_j = h_(j-1) c(j) / a(j - 1)."""
         ints = self._h_ints
         while len(ints) <= n:
-            ints.append(_int_pair(self.norms(len(ints))))
+            j = len(ints)
+            cn, cd = _int_pair(self.c(j))
+            an, ad = _int_pair(self._advancing_a(j - 1))
+            if not cn:
+                self._fail(j, f"norm ratio h({j})/h({j - 1}) = "
+                              f"c({j})/a({j - 1}) is zero")
+            hn, hd = ints[j - 1]
+            ints.append(_lowest(hn * cn * ad, hd * cd * an))
         return ints[n]
 
     # -- moments --------------------------------------------------------------
@@ -304,10 +299,8 @@ class RecurrenceFamily:
                 den //= g
                 new = [x // g for x in new]
             # The moment new[0] h_0 / den in lowest terms, over the lcm M.
-            h0 = self._h0
-            num, mden = new[0] * int(h0.numerator), den * int(h0.denominator)
-            g = math.gcd(num, mden)
-            num, mden = num // g, mden // g
+            hn, hd = self._h_ints[0]
+            num, mden = _lowest(new[0] * hn, den * hd)
             M, ints = self._moments
             grown = math.lcm(M, mden)
             if grown != M:
@@ -341,9 +334,7 @@ class RecurrenceFamily:
             d_prev, prev = cache[j - 1] if j else (1, ())
             # p_{j+1} = ((x - b_j) p_j - c_j p_{j-1}) / a_j with p_j = cur / d
             # and p_{j-1} = prev / d_prev, both over D = lcm(d, d_prev).
-            an, ad = int(a_j.numerator), int(a_j.denominator)
-            bn, bd = int(b_j.numerator), int(b_j.denominator)
-            cn, cd = int(c_j.numerator), int(c_j.denominator)
+            (an, ad), (bn, bd), (cn, cd) = map(_int_pair, (a_j, b_j, c_j))
             D = math.lcm(d, d_prev)
             f = ad * cd * (D // d)
             f_x, f_b, f_c = f * bd, f * bn, ad * cn * bd * (D // d_prev)

@@ -222,13 +222,17 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
       of a monomial sum.  A fault that only the basis forms carry is left
       to the coefficient residual.
 
-    A non-finite point coordinate is a ValueError; a basis or recurrence
-    coefficient, band entry, residual or side beyond the doubles, an
-    OverflowError naming the check, n and what overflowed.
+    A tol that is no finite positive int or float (a bool included), in
+    either mode, or a non-finite point coordinate is a ValueError; a basis
+    or recurrence coefficient, band entry, residual or side beyond the
+    doubles, an OverflowError naming the check, n and what overflowed.
     """
     _check_index(n, "degree")
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not 0 < tol < math.inf):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     points = [(float(px), float(py)) for px, py in points or ()]
     for point in points:
         if not all(map(math.isfinite, point)):

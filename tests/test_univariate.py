@@ -194,6 +194,10 @@ def test_quasi_definiteness_error_paths():
                 r"^flat: norm ratio h\(1\)/h\(0\) = c\(1\)/a\(0\) is zero$")):
             flat.norms(1)
     assert flat.norms(0) == 1
+    # the one store of k_j and S_j, and the one of h_j (h_0 first), keep
+    # nothing past the refused index
+    assert degenerate._lead_ints == [((1, 1), (0, 1))]
+    assert flat._h_ints == [(1, 1)]
 
 
 def test_recurrence_failures_are_not_cached():
@@ -246,6 +250,7 @@ def test_norms_refuse_a_zero_a_with_a_quasi_definiteness_error():
             with pytest.raises(QuasiDefinitenessError, match=(
                     rf"^{fam.label}: a\({j}\) = 0: degree cannot advance$")):
                 fam.norms(n)
+        assert len(fam._h_ints) == n
     # c(j) is read before a(j - 1), so its own failure is the one reported
     broken_c = RecurrenceFamily("c", lambda n: Fraction(0),
                                 lambda n: Fraction(0),

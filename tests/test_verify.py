@@ -466,6 +466,27 @@ def test_relation_argument_validation(disk):
         verify_relation(disk, 1, "x", mode="symbolic")
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("tol", [
+    float("nan"), float("inf"), -float("inf"), 0, 0.0, -1e-10, True, False,
+    "1e-3", None, Fraction(1, 10), q("1/10")])
+def test_relation_refuses_a_tol_that_is_no_finite_positive_number(
+        disk, mode, tol):
+    with pytest.raises(ValueError, match=r"^tol must be a finite positive "
+                       r"number, got "):
+        verify_relation(disk, 2, "x", mode=mode, points=[(0.25, 0.5)],
+                        tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-5, 1, 10 ** 400])
+def test_relation_accepts_a_finite_positive_int_or_float_tol(disk, tol):
+    for mode in ("exact", "float"):
+        res = verify_relation(disk, 2, "x", mode=mode, points=[(0.25, 0.5)],
+                              tol=tol)
+        assert res.passed
+    assert res.details["tolerance"] == tol
+
+
 # -- verify_orthogonality --------------------------------------------------
 
 
