@@ -32,6 +32,9 @@ of the three integer kernels' outputs on a fresh system:
   ``moments(40)`` as strings, of ladder(0..3) and of q;
 * ``rank_conditions(sys, n)._asdict()`` for n <= 10;
 * the exact ``verify_relation`` results for n <= 10 on both axes;
+* the float ``verify_relation`` details for n <= 14 on both axes, as two
+  digests: without points, and with 20 points per (n, axis) drawn from
+  ``random.Random(35)``;
 * the univariate values ``leading_coeffs(n)`` and ``norms(n)`` as
   strings, with their integer stores ``_lead_int(n)`` and ``_h_int(n)``,
   for n <= 24, of ladder(0..3) and of q.
@@ -46,9 +49,10 @@ The oracle digests were recorded before the oracle moved into its own
 module, the route digests before the recurrence closures were formed
 from integers, the sweep digests before the closed-form tables were, and
 the kernel and CLI digests before the rank, basis and moment kernels
-took their plain forms, and the univariate digests and the blocks at
-n = 7 before k_j, S_j and h_j were grown in integers; none may be
-re-recorded from a change that
+took their plain forms, the univariate digests and the blocks at n = 7
+before k_j, S_j and h_j were grown in integers, and the float relation
+digests before both relation checks read one flat monomial index; none
+may be re-recorded from a change that
 claims identical outputs.  A change that alters an output on purpose
 re-records only the digests it names.
 """
@@ -57,6 +61,7 @@ import hashlib
 import io
 import json
 import os
+import random
 from pathlib import Path
 from unittest import mock
 
@@ -165,6 +170,14 @@ def test_sweep_system_outputs_match_the_recorded_digests(entry):
             == entry["sweep_digests"])
 
 
+def _float_checks(sys_obj, points):
+    rng = random.Random(35)
+    return [verify_relation(sys_obj, n, axis, mode="float", points=[
+        (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        for _ in range(points)]).details
+        for n in range(15) for axis in SHIFTS]
+
+
 def kernel_digests(name, params):
     sys_obj = make_system(catalog_id(name, **params))
     families = [sys_obj.ladder(m) for m in range(4)] + [sys_obj.q]
@@ -176,9 +189,12 @@ def kernel_digests(name, params):
     univariate = [[(*map(str, fam.leading_coeffs(n)), str(fam.norms(n)),
                     fam._lead_int(n), fam._h_int(n)) for n in range(25)]
                   for fam in families]
+    float_checks = [_sha(_float_checks(sys_obj, points))
+                    for points in (0, 20)]
     return {"basis_forms": _sha(forms), "moments": _sha(moments),
             "rank_conditions": _sha(ranks), "verify_relation": _sha(checks),
-            "univariate": _sha(univariate)}
+            "univariate": _sha(univariate),
+            "verify_relation_float": float_checks}
 
 
 @pytest.mark.parametrize(

@@ -138,6 +138,178 @@ def test_relation_exact_detects_a_wrong_b_or_c_entry(
                                "coefficient": coefficient}
 
 
+# Exact failure reports under a fault of 1001/1000 planted at the first,
+# middle and last nonzero stored entry of A, B and C (which = 0, 1, 2), as
+# (family, n, axis, which, position, m, monomial, coefficient).  Recorded
+# before the exact check summed its residuals on one flat monomial index
+# ordered by degree: each report must still name the lexicographically
+# smallest failing monomial.
+PLANTED_FAULTS = [
+    ("disk", 2, "x", 0, (0, 0), 0, (1, 0), "1/800"),
+    ("disk", 2, "x", 0, (1, 1), 1, (0, 1), "1/2400"),
+    ("disk", 2, "x", 0, (2, 2), 2, (1, 0), "1/2000"),
+    ("disk", 2, "x", 2, (0, 0), 0, (1, 0), "-1/1600"),
+    ("disk", 2, "x", 2, (1, 1), 1, (0, 1), "-1/2400"),
+    ("disk", 2, "y", 0, (0, 1), 0, (0, 1), "1/2400"),
+    ("disk", 2, "y", 0, (1, 2), 1, (1, 0), "1/1200"),
+    ("disk", 2, "y", 0, (2, 3), 2, (0, 1), "9/10000"),
+    ("disk", 2, "y", 2, (0, 1), 0, (0, 1), "1/4800"),
+    ("disk", 2, "y", 2, (1, 0), 1, (1, 0), "-1/2400"),
+    ("disk", 2, "y", 2, (2, 1), 2, (0, 1), "-1/3000"),
+    ("disk", 5, "x", 0, (0, 0), 0, (0, 0), "231/1024000"),
+    ("disk", 5, "x", 0, (3, 3), 3, (1, 1), "-33/6400"),
+    ("disk", 5, "x", 0, (5, 5), 5, (1, 1), "-3/1600"),
+    ("disk", 5, "x", 2, (0, 0), 0, (0, 0), "-231/1024000"),
+    ("disk", 5, "x", 2, (2, 2), 2, (0, 0), "-33/128000"),
+    ("disk", 5, "x", 2, (4, 4), 4, (0, 0), "-11/64000"),
+    ("disk", 5, "y", 0, (0, 1), 0, (1, 1), "-231/128000"),
+    ("disk", 5, "y", 0, (3, 2), 3, (0, 0), "-33/448000"),
+    ("disk", 5, "y", 0, (5, 6), 5, (0, 0), "3/17600"),
+    ("disk", 5, "y", 2, (0, 1), 0, (1, 1), "-231/256000"),
+    ("disk", 5, "y", 2, (2, 3), 2, (1, 1), "-297/320000"),
+    ("disk", 5, "y", 2, (5, 4), 5, (0, 0), "-1/6400"),
+    ("disk", 7, "x", 0, (0, 0), 0, (0, 0), "-1287/6553600"),
+    ("disk", 7, "x", 0, (4, 4), 4, (0, 0), "-117/409600"),
+    ("disk", 7, "x", 0, (7, 7), 7, (1, 1), "7/3200"),
+    ("disk", 7, "x", 2, (0, 0), 0, (0, 0), "1287/6553600"),
+    ("disk", 7, "x", 2, (3, 3), 3, (1, 1), "-1287/204800"),
+    ("disk", 7, "x", 2, (6, 6), 6, (0, 0), "3/20480"),
+    ("disk", 7, "y", 0, (0, 1), 0, (1, 1), "1287/655360"),
+    ("disk", 7, "y", 0, (4, 3), 4, (1, 1), "-13/5120"),
+    ("disk", 7, "y", 0, (7, 8), 7, (0, 0), "-7/48000"),
+    ("disk", 7, "y", 2, (0, 1), 0, (1, 1), "3861/3276800"),
+    ("disk", 7, "y", 2, (3, 4), 3, (0, 0), "-117/1433600"),
+    ("disk", 7, "y", 2, (7, 6), 7, (0, 0), "7/51200"),
+    ("simplex", 2, "x", 0, (0, 0), 0, (0, 0), "77/136000"),
+    ("simplex", 2, "x", 0, (1, 1), 1, (0, 0), "39/68000"),
+    ("simplex", 2, "x", 0, (2, 2), 2, (0, 0), "9/27200"),
+    ("simplex", 2, "x", 1, (0, 0), 0, (0, 0), "-309/353600"),
+    ("simplex", 2, "x", 1, (1, 1), 1, (0, 0), "-711/884000"),
+    ("simplex", 2, "x", 1, (2, 2), 2, (0, 0), "-9/27200"),
+    ("simplex", 2, "x", 2, (0, 0), 0, (0, 0), "1/3250"),
+    ("simplex", 2, "x", 2, (1, 1), 1, (0, 0), "3/13000"),
+    ("simplex", 2, "y", 0, (0, 0), 0, (0, 0), "-77/272000"),
+    ("simplex", 2, "y", 0, (1, 2), 1, (0, 0), "351/544000"),
+    ("simplex", 2, "y", 0, (2, 3), 2, (0, 0), "1/1600"),
+    ("simplex", 2, "y", 1, (0, 0), 0, (0, 0), "-177/353600"),
+    ("simplex", 2, "y", 1, (1, 1), 1, (0, 0), "-639/884000"),
+    ("simplex", 2, "y", 1, (2, 2), 2, (0, 0), "-21/27200"),
+    ("simplex", 2, "y", 2, (0, 0), 0, (0, 0), "-1/6500"),
+    ("simplex", 2, "y", 2, (1, 0), 1, (0, 0), "3/26000"),
+    ("simplex", 2, "y", 2, (2, 1), 2, (0, 0), "1/5200"),
+    ("simplex", 5, "x", 0, (0, 0), 0, (0, 0), "-17017/22272000"),
+    ("simplex", 5, "x", 0, (3, 3), 3, (0, 0), "-1127/1336320"),
+    ("simplex", 5, "x", 0, (5, 5), 5, (0, 0), "-2079/7424000"),
+    ("simplex", 5, "x", 1, (0, 0), 0, (0, 0), "49203/37120000"),
+    ("simplex", 5, "x", 1, (3, 3), 3, (0, 0), "987/742400"),
+    ("simplex", 5, "x", 1, (5, 5), 5, (0, 0), "2079/7424000"),
+    ("simplex", 5, "x", 2, (0, 0), 0, (0, 0), "-539/960000"),
+    ("simplex", 5, "x", 2, (2, 2), 2, (0, 0), "-21/32000"),
+    ("simplex", 5, "x", 2, (4, 4), 4, (0, 0), "-77/320000"),
+    ("simplex", 5, "y", 0, (0, 0), 0, (0, 0), "17017/44544000"),
+    ("simplex", 5, "y", 0, (3, 2), 3, (0, 0), "-147/2375680"),
+    ("simplex", 5, "y", 0, (5, 6), 5, (0, 0), "-1617/2048000"),
+    ("simplex", 5, "y", 1, (0, 0), 0, (0, 0), "25641/37120000"),
+    ("simplex", 5, "y", 1, (3, 2), 3, (0, 0), "-441/1484800"),
+    ("simplex", 5, "y", 1, (5, 5), 5, (0, 0), "9009/7424000"),
+    ("simplex", 5, "y", 2, (0, 0), 0, (0, 0), "539/1920000"),
+    ("simplex", 5, "y", 2, (2, 3), 2, (0, 0), "-7/144000"),
+    ("simplex", 5, "y", 2, (5, 4), 5, (0, 0), "-847/1920000"),
+    ("simplex", 7, "x", 0, (0, 0), 0, (0, 0), "-65637/75776000"),
+    ("simplex", 7, "x", 0, (4, 4), 4, (0, 0), "-16443/15155200"),
+    ("simplex", 7, "x", 0, (7, 7), 7, (0, 0), "-3861/15155200"),
+    ("simplex", 7, "x", 1, (0, 0), 0, (0, 0), "23517/15155200"),
+    ("simplex", 7, "x", 1, (4, 4), 4, (0, 0), "60417/33341440"),
+    ("simplex", 7, "x", 1, (7, 7), 7, (0, 0), "3861/15155200"),
+    ("simplex", 7, "x", 2, (0, 0), 0, (0, 0), "-351/512000"),
+    ("simplex", 7, "x", 2, (3, 3), 3, (0, 0), "-63/70400"),
+    ("simplex", 7, "x", 2, (6, 6), 6, (0, 0), "-117/512000"),
+    ("simplex", 7, "y", 0, (0, 0), 0, (0, 0), "65637/151552000"),
+    ("simplex", 7, "y", 0, (4, 3), 4, (0, 0), "-6237/75776000"),
+    ("simplex", 7, "y", 0, (7, 8), 7, (0, 0), "-11583/13107200"),
+    ("simplex", 7, "y", 1, (0, 0), 0, (0, 0), "12051/15155200"),
+    ("simplex", 7, "y", 1, (4, 3), 4, (0, 0), "-17199/41676800"),
+    ("simplex", 7, "y", 1, (7, 7), 7, (0, 0), "21879/15155200"),
+    ("simplex", 7, "y", 2, (0, 0), 0, (0, 0), "351/1024000"),
+    ("simplex", 7, "y", 2, (3, 4), 3, (0, 0), "-63/901120"),
+    ("simplex", 7, "y", 2, (7, 6), 7, (0, 0), "-117/204800"),
+    ("laguerre-jacobi", 2, "x", 0, (0, 0), 0, (0, 0), "3/100"),
+    ("laguerre-jacobi", 2, "x", 0, (1, 1), 1, (0, 1), "3/80"),
+    ("laguerre-jacobi", 2, "x", 0, (2, 2), 2, (0, 2), "441/32000"),
+    ("laguerre-jacobi", 2, "x", 1, (0, 0), 0, (0, 0), "-21/500"),
+    ("laguerre-jacobi", 2, "x", 1, (1, 1), 1, (0, 1), "-7/160"),
+    ("laguerre-jacobi", 2, "x", 1, (2, 2), 2, (0, 2), "-441/32000"),
+    ("laguerre-jacobi", 2, "x", 2, (0, 0), 0, (0, 0), "3/250"),
+    ("laguerre-jacobi", 2, "x", 2, (1, 1), 1, (0, 1), "1/160"),
+    ("laguerre-jacobi", 2, "y", 0, (0, 0), 0, (0, 0), "-3/500"),
+    ("laguerre-jacobi", 2, "y", 0, (1, 2), 1, (0, 2), "-7/800"),
+    ("laguerre-jacobi", 2, "y", 0, (2, 3), 2, (0, 3), "-63/32000"),
+    ("laguerre-jacobi", 2, "y", 1, (0, 0), 0, (0, 0), "21/2500"),
+    ("laguerre-jacobi", 2, "y", 1, (1, 1), 1, (0, 1), "7/7200"),
+    ("laguerre-jacobi", 2, "y", 1, (2, 2), 2, (0, 2), "49/416000"),
+    ("laguerre-jacobi", 2, "y", 2, (0, 0), 0, (0, 0), "-3/1250"),
+    ("laguerre-jacobi", 2, "y", 2, (1, 0), 1, (0, 0), "-18/875"),
+    ("laguerre-jacobi", 2, "y", 2, (2, 1), 2, (0, 1), "-1/66"),
+    ("laguerre-jacobi", 5, "x", 0, (0, 0), 0, (0, 0), "21/125"),
+    ("laguerre-jacobi", 5, "x", 0, (3, 3), 3, (0, 3), "42471/25600"),
+    ("laguerre-jacobi", 5, "x", 0, (5, 5), 5, (0, 5), "1146327/8192000"),
+    ("laguerre-jacobi", 5, "x", 1, (0, 0), 0, (0, 0), "-273/1000"),
+    ("laguerre-jacobi", 5, "x", 1, (3, 3), 3, (0, 3), "-50193/25600"),
+    ("laguerre-jacobi", 5, "x", 1, (5, 5), 5, (0, 5), "-1146327/8192000"),
+    ("laguerre-jacobi", 5, "x", 2, (0, 0), 0, (0, 0), "21/200"),
+    ("laguerre-jacobi", 5, "x", 2, (2, 2), 2, (0, 2), "3969/8000"),
+    ("laguerre-jacobi", 5, "x", 2, (4, 4), 4, (0, 4), "26741/409600"),
+    ("laguerre-jacobi", 5, "y", 0, (0, 0), 0, (0, 0), "-21/625"),
+    ("laguerre-jacobi", 5, "y", 0, (3, 2), 3, (0, 2), "-27783/13000"),
+    ("laguerre-jacobi", 5, "y", 0, (5, 6), 5, (0, 6), "-88179/8192000"),
+    ("laguerre-jacobi", 5, "y", 1, (0, 0), 0, (0, 0), "273/5000"),
+    ("laguerre-jacobi", 5, "y", 1, (3, 2), 3, (0, 2), "27783/6500"),
+    ("laguerre-jacobi", 5, "y", 1, (5, 5), 5, (0, 5), "54587/204800000"),
+    ("laguerre-jacobi", 5, "y", 2, (0, 0), 0, (0, 0), "-21/1000"),
+    ("laguerre-jacobi", 5, "y", 2, (2, 3), 2, (0, 3), "-567/32000"),
+    ("laguerre-jacobi", 5, "y", 2, (5, 4), 5, (0, 4), "-294151/824320"),
+    ("laguerre-jacobi", 7, "x", 0, (0, 0), 0, (0, 0), "9/25"),
+    ("laguerre-jacobi", 7, "x", 0, (4, 4), 4, (0, 4), "2433431/102400"),
+    ("laguerre-jacobi", 7, "x", 0, (7, 7), 7, (0, 7), "32962473/52428800"),
+    ("laguerre-jacobi", 7, "x", 1, (0, 0), 0, (0, 0), "-153/250"),
+    ("laguerre-jacobi", 7, "x", 1, (4, 4), 4, (0, 4), "-5909761/204800"),
+    ("laguerre-jacobi", 7, "x", 1, (7, 7), 7, (0, 7), "-32962473/52428800"),
+    ("laguerre-jacobi", 7, "x", 2, (0, 0), 0, (0, 0), "63/250"),
+    ("laguerre-jacobi", 7, "x", 2, (3, 3), 3, (0, 3), "42471/6400"),
+    ("laguerre-jacobi", 7, "x", 2, (6, 6), 6, (0, 6), "156009/524288"),
+    ("laguerre-jacobi", 7, "y", 0, (0, 0), 0, (0, 0), "-9/125"),
+    ("laguerre-jacobi", 7, "y", 0, (4, 3), 4, (0, 3), "-4969107/129200"),
+    ("laguerre-jacobi", 7, "y", 0, (7, 8), 7, (0, 8), "-1938969/52428800"),
+    ("laguerre-jacobi", 7, "y", 1, (0, 0), 0, (0, 0), "153/1250"),
+    ("laguerre-jacobi", 7, "y", 1, (4, 3), 4, (0, 3), "4969107/64600"),
+    ("laguerre-jacobi", 7, "y", 1, (7, 7), 7, (0, 7), "378879/576716800"),
+    ("laguerre-jacobi", 7, "y", 2, (0, 0), 0, (0, 0), "-63/1250"),
+    ("laguerre-jacobi", 7, "y", 2, (3, 4), 3, (0, 4), "-14157/64000"),
+    ("laguerre-jacobi", 7, "y", 2, (7, 6), 7, (0, 6), "-16380945/7364608"),
+]
+
+
+@pytest.fixture(scope="module")
+def planted_systems():
+    return {name: make_system(catalog_id(name, **params)) for name, params in [
+        ("disk", {"mu": "1/2"}),
+        ("simplex", {"alpha": "1/2", "beta": "1/2", "gamma": "1/2"}),
+        ("laguerre-jacobi", {"alpha": "1", "beta": "1/2"})]}
+
+
+@pytest.mark.parametrize(
+    "family, n, axis, which, position, m, monomial, coefficient",
+    PLANTED_FAULTS)
+def test_relation_exact_reports_a_planted_fault_as_recorded(
+        planted_systems, monkeypatch, family, n, axis, which, position, m,
+        monomial, coefficient):
+    _perturb_entry(monkeypatch, which, position=position)
+    res = verify_relation(planted_systems[family], n, axis)
+    assert res.details == {"n": n, "m": m, "mode": "exact",
+                           "monomial": list(monomial),
+                           "coefficient": coefficient}
+
+
 # -- the float check against a per-term reference --------------------------
 
 # The ten pinned parameter sets of the acceptance suite.
@@ -430,12 +602,14 @@ def test_orthonormal_transpose_names_an_overflowing_norm():
 
 def test_relation_float_names_an_overflowing_basis_coefficient():
     sys_obj = make_system(catalog_id("biangle", alpha="1e400", beta="0"))
-    with pytest.raises(OverflowError, match=r"relation-x at n = 1: a "
-                       r"coefficient of the \(2,0\) basis polynomial "
-                       r"overflows a double"):
-        verify_relation(sys_obj, 1, "x", mode="float")
-    # the exact check of the same system needs no double
-    assert verify_relation(sys_obj, 1, "x").passed
+    for _ in range(2):  # and refused again, nothing having been stored
+        with pytest.raises(OverflowError, match=r"relation-x at n = 1: a "
+                           r"coefficient of the \(2,0\) basis polynomial "
+                           r"overflows a double"):
+            verify_relation(sys_obj, 1, "x", mode="float")
+        # the exact check of the same system needs no double, after the
+        # refusal and before the next
+        assert verify_relation(sys_obj, 1, "x").passed
 
 
 def test_relation_float_names_a_huge_point_as_a_side_that_overflows():
