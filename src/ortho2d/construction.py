@@ -126,8 +126,9 @@ class BivariateSystem:
 
     Basis polynomials, ladder coefficients and powers of rho are cached
     once, as integer forms, and each basis polynomial once more rounded to
-    doubles for the float checks; ladders, the Gram oracle, the matrices
-    of ``ttr.first_ttr``/``second_ttr`` and the square roots of the block
+    doubles for the float checks and once as its monomials' flat indices
+    for both relation checks; ladders, the Gram oracle, the matrices of
+    ``ttr.first_ttr``/``second_ttr`` and the square roots of the block
     norms once each.  No connection triple is kept: ``second_ttr`` forms
     each entry once per degree from the ladder families' integer kernel.
     Not thread-safe.
@@ -143,6 +144,9 @@ class BivariateSystem:
         # Basis polynomials rounded to doubles, keyed (n, m), as
         # ({(i, j): float}, largest |coefficient|); filled by _P_float.
         self._float_cache = {}
+        # Flat monomial indices of each basis polynomial, keyed (n, m), as
+        # three lists in _P_int's term order; filled by verify._indices.
+        self._index_cache = {}
         # Powers of rho as integer forms (d, [ints]), keyed by exponent:
         # rho^0, rho^2 and, where rho is a polynomial, rho^1.
         self._rho_pow = {0: (1, [1]),

@@ -5,13 +5,16 @@ Four independent checks, each returning a structured CheckResult:
 * ``verify_relation`` -- the vector three-term relation along one axis at
   one degree: exactly (residual polynomial must vanish identically) or in
   floating point (coefficient residuals and optional random-point
-  residuals within a relative tolerance).  Exact mode sums each row's
-  residual in plain ints, reading each basis polynomial's cached integer
-  form, and forms a rational only for a failing row.
+  residuals within a relative tolerance).  Both modes sum each row's
+  residual in one dense list on one flat monomial index that does not
+  depend on the degree, k(i, j) = (i + j)(i + j + 1)/2 + j, through each
+  basis polynomial's index lists, formed once per system (``_indices``).
+  Exact mode sums in plain ints, reading each basis polynomial's cached
+  integer form, and forms a rational only for a failing row.
   Float mode reads each basis polynomial rounded to doubles once per
   system (``BivariateSystem._P_float``), with its largest |coefficient|,
-  rounds the band entries once per call, and sums each row's rhs on one
-  coefficient map, keeping the coefficient residual as a running max.
+  rounds the band entries once per call, and keeps the coefficient
+  residual as a running max.
   Its point residual reads no monomial: the basis values at the points
   come from the univariate recurrences (``_basis_values``), in O(n^2)
   per point, shared by every row.  Both modes read the stored band
@@ -103,28 +106,44 @@ def _relation_matrices(sys, n, axis):
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
+def _indices(sys, n, m):
+    """The flat indices of the (n, m) basis polynomial's monomials, in the
+    term order of ``_P_int`` and ``_P_float``, as three lists: of x^i y^j,
+    k(i, j) = (i + j)(i + j + 1)/2 + j, and of x and of y times it, k + i
+    + j + 1 and k + i + j + 2.  Built once per system
+    (``BivariateSystem._index_cache``)."""
+    cached = sys._index_cache.get((n, m))
+    if cached is None:
+        terms = sys._P_int(n, m)[1]
+        degrees = [i + j for i, j, _ in terms]
+        plain = [s * (s + 1) // 2 + j for s, (_, j, _) in zip(degrees, terms)]
+        cached = (plain, [k + s + 1 for k, s in zip(plain, degrees)],
+                  [k + s + 2 for k, s in zip(plain, degrees)])
+        sys._index_cache[(n, m)] = cached
+    return cached
+
+
 def _exact_failure(sys, n, axis):
     """The first row m of t P_n = A P_{n+1} + B P_n + C P_{n-1} whose
     residual does not vanish, as (m, (i, j), coefficient) with (i, j) its
-    smallest monomial; None when every row holds.
+    lexicographically smallest monomial; None when every row holds.
 
     Each basis polynomial is read as integers over its own denominator
-    (``BivariateSystem._P_int``).  A row's lhs and its entry *
-    polynomial terms are brought over one lcm L and the residual is summed
-    in plain ints, in a dense list indexed i * width + j, so that its first
-    nonzero entry is the smallest monomial; only a failing coefficient
-    becomes a rational num / L.
+    (``BivariateSystem._P_int``) with its flat indices (``_indices``).  A
+    row's lhs and its entry * polynomial terms are brought over one lcm L
+    and the residual is summed in plain ints, in one dense list over the
+    (n + 2)(n + 3)/2 monomials of degree <= n + 1.  The index orders them
+    by degree, so only a failing row looks up its smallest monomial, and
+    only its coefficient becomes a rational num / L.
     """
     mats = [_rows(mat) for mat in _relation_matrices(sys, n, axis)]
-    width = n + 2  # no monomial exceeds degree n + 1
-    dx, dy = SHIFTS[axis]
-    shift = dx * width + dy
+    shifted = 1 + SHIFTS[axis][1]  # t P_{n,m}: the x- or y-shifted indices
     # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1,
-    # each as (d, flat indices, coefficients).
-    forms = [[_flat(sys._P_int(n + d, c), width) for c in range(n + d + 1)]
-             for d in (1, 0, -1)]
+    # each as (d, [(i, j, c)], index lists).
+    forms = [[(*sys._P_int(k, c), _indices(sys, k, c)) for c in range(k + 1)]
+             for k in (n + 1, n, n - 1)]
     for m in range(n + 1):
-        d_lhs, lhs_at, lhs_c = forms[1][m]
+        d_lhs, lhs, lhs_at = forms[1][m]
         # Each term of the rhs as (numerator, denominator, form).
         terms = [(int(entry.numerator), int(entry.denominator) * polys[c][0],
                   polys[c])
@@ -132,23 +151,20 @@ def _exact_failure(sys, n, axis):
                  for c, entry in rows[m]]
         lcm = math.lcm(d_lhs, *(den for _, den, _ in terms))
         scale = lcm // d_lhs
-        residual = [0] * (width * width)
-        for k, c in zip(lhs_at, lhs_c):
-            residual[k + shift] = c * scale
-        for num, den, (_, at, coeffs) in terms:
+        residual = [0] * ((n + 2) * (n + 3) // 2)
+        for k, (_, _, c) in zip(lhs_at[shifted], lhs):
+            residual[k] = c * scale
+        for num, den, (_, poly, at) in terms:
             factor = num * (lcm // den)
-            for k, c in zip(at, coeffs):
+            for k, (_, _, c) in zip(at[0], poly):
                 residual[k] -= factor * c
         if any(residual):
-            k = next(k for k, v in enumerate(residual) if v)
-            return m, divmod(k, width), _RAT(residual[k], lcm)
+            monomials = [(s - j, j) for s in range(n + 2)
+                         for j in range(s + 1)]
+            (i, j), k = min((monomials[k], k)
+                            for k, v in enumerate(residual) if v)
+            return m, (i, j), _RAT(residual[k], lcm)
     return None
-
-
-def _flat(form, width):
-    """Integer form (d, [(i, j, c)]) as (d, [i * width + j], [c])."""
-    d, terms = form
-    return d, [i * width + j for i, j, _ in terms], [c for _, _, c in terms]
 
 
 def _basis_values(sys, n, points):
@@ -213,7 +229,8 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
 
     * the coefficient residual: t P_{n,m} minus the rhs, summed on the
       basis polynomials rounded to doubles once per system
-      (``BivariateSystem._P_float``), over the largest |term|;
+      (``BivariateSystem._P_float``) in one dense list on their flat
+      indices (``_indices``), over the largest |term|;
     * if points are supplied, the point residual |lv - rv| / max(1, |lv|,
       |rv|) at each point, with lv = t P_{n,m}(x, y) and rv the sum of
       entry * value over the row's stored entries.  The values come from
@@ -249,23 +266,23 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
             "monomial": [i, j], "coefficient": str(coefficient)})
 
     mats = [_rows(mat) for mat in _relation_matrices(sys, n, axis)]
-    dx, dy = SHIFTS[axis]
+    dy = SHIFTS[axis][1]
+    # A, B and C multiply the basis polynomials of degree n + 1, n, n - 1.
+    degrees = (n + 1, n, n - 1)
     try:
-        # A, B and C multiply the basis polynomials of degree n + 1, n,
-        # n - 1.
-        polys = [[sys._P_float(k, c) for c in range(k + 1)]
-                 for k in (n + 1, n, n - 1)]
+        polys = [[sys._P_float(k, c) for c in range(k + 1)] for k in degrees]
         values = _basis_values(sys, n, points) if points else None
     except OverflowError as exc:
         raise OverflowError(f"{name} at n = {n}: {exc}") from None
+    at = [[_indices(sys, k, c) for c in range(k + 1)] for k in degrees]
     ts = [point[dy] for point in points]  # t: x or y, by the axis
     max_coeff = 0.0
     max_point = 0.0
     for m in range(n + 1):
         lhs, scale = polys[1][m]  # t P_{n,m}, keyed before the shift
-        rhs = {}
+        residual = [0.0] * ((n + 2) * (n + 3) // 2)  # the rhs, summed first
         used = []  # (entry, values of its basis polynomial) at the points
-        for d, (rows, row) in enumerate(zip(mats, polys)):
+        for d, (rows, row, row_at) in enumerate(zip(mats, polys, at)):
             for c, raw in rows[m]:
                 entry = _double(raw)
                 if not entry:
@@ -274,21 +291,12 @@ def verify_relation(sys, n, axis, mode="exact", points=None, tol=_TOL):
                     used.append((entry, values[d][c]))
                 poly, peak = row[c]
                 scale = max(scale, peak * abs(entry))
-                for key, coeff in poly.items():
-                    v = coeff * entry
-                    acc = rhs.get(key)
-                    if acc is not None:
-                        v += acc
-                    if v:
-                        rhs[key] = v
-                    else:
-                        rhs.pop(key, None)
-        # t P_{n,m} - rhs, keyed like rhs.
-        residual = dict(rhs)
-        for (i, j), v in lhs.items():
-            key = (i + dx, j + dy)
-            residual[key] = v - residual.get(key, 0.0)
-        worst = max(map(abs, residual.values()), default=0.0)
+                for k, coeff in zip(row_at[c][0], poly.values()):
+                    residual[k] += coeff * entry
+        # t P_{n,m} - rhs.
+        for k, v in zip(at[1][m][1 + dy], lhs.values()):
+            residual[k] = v - residual[k]
+        worst = max(map(abs, residual))
         if not (math.isfinite(scale) and math.isfinite(worst)):
             raise OverflowError(f"{name} at n = {n}, row {m}: a coefficient "
                                 f"of the relation overflows a double")
